@@ -23,12 +23,15 @@ EXIT_GUARD = 3
 EXIT_DATA = 4
 
 
-def _load_profile(path: str, normalize: bool = False) -> Profile:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    return Profile.from_json(text, normalize=normalize)
+
+
+def _load_profile(path: str, normalize: bool = False) -> Profile:
+    return Profile.from_json(_read_text(path), normalize=normalize)
 
 
 def _emit(doc: dict, out: str | None):
@@ -169,11 +172,7 @@ def cmd_sample(args) -> int:
     from .sampling import CultureSpec, parse_preflib, restrict_profile, sample_profile, make_rng
 
     if args.preflib:
-        try:
-            text = Path(args.preflib).read_text()
-        except OSError as e:
-            raise DataError(f"cannot read {args.preflib}: {e}") from e
-        profile = parse_preflib(text)
+        profile = parse_preflib(_read_text(args.preflib))
         if args.restrict:
             rng = make_rng(args.seed)
             keep = sorted(rng.choice(profile.m, size=args.restrict, replace=False).tolist())
@@ -205,7 +204,7 @@ def cmd_embed(args) -> int:
     from .solver import solve
 
     if args.fit:
-        doc = json.loads(Path(args.fit).read_text())
+        doc = json.loads(_read_text(args.fit))
         cfg = PointConfig(doc.get("voters", []), doc["alternatives"])
         target = as_ranking(json.loads(args.target))
         point, achieved, defect = fit_point_for_ranking(cfg, target)
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1, help="reserved; single-threaded")
         p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("aggregate", help="compute optimal rankings for a profile")

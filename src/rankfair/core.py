@@ -54,53 +54,16 @@ def max_swap_distance(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _count_inversions(seq: list[int]) -> int:
-    # merge sort, counting cross inversions at every merge
-    n = len(seq)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = seq[:mid], seq[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            seq[k] = left[i]
-            i += 1
-        else:
-            seq[k] = right[j]
-            inv += len(left) - i
-            j += 1
-        k += 1
-    while i < len(left):
-        seq[k] = left[i]
-        i += 1
-        k += 1
-    while j < len(right):
-        seq[k] = right[j]
-        j += 1
-        k += 1
-    return inv
-
-
 def swap_distance(r1: Ranking, r2: Ranking) -> int:
     """Kendall-tau distance: number of alternative pairs ordered differently."""
     if len(r1) != len(r2):
         raise DimensionError(f"rankings over different m: {len(r1)} vs {len(r2)}")
-    pos1 = positions(r1)
-    return _count_inversions([pos1[a] for a in r2])
-
-
-def swap_distance_naive(r1: Ranking, r2: Ranking) -> int:
-    """O(m^2) pairwise counter, kept as a test oracle for swap_distance."""
-    if len(r1) != len(r2):
-        raise DimensionError(f"rankings over different m: {len(r1)} vs {len(r2)}")
     pos2 = positions(r2)
-    m = len(r1)
+    q = [pos2[a] for a in r1]
     d = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos2[r1[i]] > pos2[r1[j]]:
+    for i, x in enumerate(q):
+        for y in q[i + 1 :]:
+            if x > y:
                 d += 1
     return d
 

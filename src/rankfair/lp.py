@@ -68,7 +68,7 @@ class LinearProgram:
         lines.append(f" obj: {expr(self.objective)}")
         lines.append("Subject To")
         for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            lines.append(f" c{i}: {expr(coeffs)} {rel.replace('=', '=')} {rhs:.12g}")
+            lines.append(f" c{i}: {expr(coeffs)} {rel} {rhs:.12g}")
         lines.append("Bounds")
         for j, (lo, hi) in enumerate(self.bounds):
             lo_s = "-inf" if lo is None else f"{lo:.12g}"

@@ -111,7 +111,7 @@ def sample_profile(spec: CultureSpec) -> Profile:
         voters = sample_points(spec.kind, n, rng, spec.params)
         return profile_from_points(PointConfig(voters, alt), rng)
     elif spec.kind == "ic":
-        draws = [tuple(rng.permutation(m)) for _ in range(n)]
+        draws = [tuple(rng.permutation(m).tolist()) for _ in range(n)]
     else:  # pragma: no cover - guarded in CultureSpec
         raise DataError(spec.kind)
     pairs: dict[Ranking, Fraction] = {}

@@ -1,6 +1,6 @@
 """Exact and heuristic optimizers for power-of-swap-distance aggregation.
 
-All exact solvers compare integer costs: profile weights are scaled by
+All solvers compare integer costs: `IntCost` scales profile weights by
 their common denominator, so ties are decided exactly, never by float
 rounding.
 """
@@ -8,26 +8,20 @@ rounding.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    Profile,
-    Ranking,
-    as_ranking,
-    max_swap_distance,
-    positions,
-    swap_distance,
-)
-from .errors import DataError, GuardError
+from .core import Profile, Ranking, as_ranking, max_swap_distance, positions
+from .errors import DataError, DimensionError, GuardError
 
 BRUTE_FORCE_GUARD = 10
 DP_GUARD = 20
 BNB_GUARD = 40
 TIE_ENUMERATION_CAP = 10_000
+# brute force scores the rankings in blocks of about this many matrix entries
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,113 +60,116 @@ class SolveResult:
         return self.winners[0]
 
 
-_SIGN_CACHE: dict[int, np.ndarray] = {}
+_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _pair_list(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+def _signs(pos: np.ndarray) -> np.ndarray:
+    """Row per row of pos, column per pair (i<j): +1 iff i sits above j."""
+    m = pos.shape[1]
+    signs = np.empty((len(pos), max_swap_distance(m)), dtype=np.int8)
+    for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        signs[:, k] = np.where(pos[:, i] < pos[:, j], 1, -1)
+    return signs
+
+
+def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All m! rankings in lexicographic order (int8 rows) and their pair signs."""
+    if m not in _TABLES:
+        orders = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+        _TABLES[m] = orders, _signs(np.argsort(orders, axis=1))
+    return _TABLES[m]
 
 
 def _pair_sign_matrix(m: int) -> np.ndarray:
     """Row per ranking (lexicographic), column per pair (i<j): +1 iff i above j."""
-    if m in _SIGN_CACHE:
-        return _SIGN_CACHE[m]
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    pos = np.argsort(perms, axis=1).astype(np.int16)
-    pairs = _pair_list(m)
-    signs = np.empty((len(perms), len(pairs)), dtype=np.int8)
-    for k, (i, j) in enumerate(pairs):
-        signs[:, k] = np.where(pos[:, i] < pos[:, j], 1, -1)
-    _SIGN_CACHE[m] = signs
-    return signs
+    return _ranking_table(m)[1]
 
 
 def _sign_vector(r: Ranking) -> np.ndarray:
-    pos = positions(r)
-    return np.array(
-        [1 if pos[i] < pos[j] else -1 for i, j in _pair_list(len(r))],
-        dtype=np.int8,
-    )
+    return _signs(np.array([positions(r)]))[0]
 
 
-def solve_brute_force(
-    profile: Profile, cost: CostSpec = CostSpec(), allow_large: bool = False
-) -> SolveResult:
-    """Exact optimum by scoring every ranking; guarded at m=10 (override to 12)."""
+class IntCost:
+    """A profile in integers, the one cost kernel every solver scores with.
+
+    supp is the sorted support, nums its weights scaled by their common
+    denominator denom, and pos[v, a] the position of alternative a in
+    supp[v].  A ranking's integer cost, sum(nums * d^p) over its swap
+    distances d, is its exact cost times denom.
+    """
+
+    def __init__(self, profile: Profile):
+        self.m = profile.m
+        self.supp, self.nums, self.denom = profile.scaled_int_weights()
+        self.pos = np.argsort(np.array(self.supp), axis=1)
+
+    def dtype(self, p: int):
+        """int64 while every integer cost stays below 2^62, else object."""
+        worst = sum(self.nums) * max_swap_distance(self.m) ** p
+        return np.int64 if worst < 2**62 else object
+
+    def pair_weights(self) -> np.ndarray:
+        """W[a, b] = scaled weight of the support rankings that put a above b."""
+        above = self.pos[:, :, None] < self.pos[:, None, :]
+        return np.tensordot(np.array(self.nums, dtype=self.dtype(1)), above, 1)
+
+    def dists(self, r: Ranking) -> list[int]:
+        """Swap distance from every support ranking to r."""
+        if len(r) != self.m:
+            raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
+        q = self.pos[:, list(r)]
+        i, j = np.triu_indices(self.m, 1)
+        return (q[:, i] > q[:, j]).sum(axis=1).tolist()
+
+    def cost(self, r: Ranking, p: int) -> int:
+        return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
+
+
+def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveResult:
+    """Exact optimum by scoring every ranking; guarded at m=10."""
     m = profile.m
-    cap = 12 if allow_large else BRUTE_FORCE_GUARD
-    if m > cap:
+    if m > BRUTE_FORCE_GUARD:
         raise GuardError(
-            f"brute force over {m}! rankings exceeds the guard ({cap})"
+            f"brute force over {m}! rankings exceeds the guard ({BRUTE_FORCE_GUARD})"
         )
     p = cost.exponent
-    supp, nums, denom = profile.scaled_int_weights()
-    signs = _pair_sign_matrix(m)
-    n_pairs = signs.shape[1]
-    # integer overflow check for the int64 fast path
-    worst = sum(nums) * max_swap_distance(m) ** p
-    if worst < 2**62:
-        total = np.zeros(signs.shape[0], dtype=np.int64)
-        for r, w in zip(supp, nums):
-            d = (n_pairs - signs @ _sign_vector(r).astype(np.int64)) // 2
-            total += w * d**p
-        best = int(total.min())
-        idx = np.flatnonzero(total == best)
-        perms = list(itertools.permutations(range(m)))
-        winners = tuple(perms[i] for i in idx)
-    else:
-        dists = []
-        for r in supp:
-            d = (n_pairs - signs @ _sign_vector(r).astype(np.int64)) // 2
-            dists.append(d)
-        best = None
-        winners_ix: list[int] = []
-        for c in range(signs.shape[0]):
-            val = sum(w * int(d[c]) ** p for w, d in zip(nums, dists))
-            if best is None or val < best:
-                best, winners_ix = val, [c]
-            elif val == best:
-                winners_ix.append(c)
-        perms = list(itertools.permutations(range(m)))
-        winners = tuple(perms[i] for i in winners_ix)
+    ic = IntCost(profile)
+    orders, signs = _ranking_table(m)
+    dtype = ic.dtype(p)
+    nums = np.array(ic.nums, dtype=dtype)
+    # sums of at most 45 products of +-1 are exact in float32, which BLAS multiplies
+    votes = _signs(ic.pos).T.astype(np.float32)
+    n_pairs = len(votes)
+    rows = max(1, _BLOCK_ENTRIES // (n_pairs + len(nums)))
+    total = np.empty(len(signs), dtype=dtype)
+    for s in range(0, len(signs), rows):
+        agree = (signs[s : s + rows].astype(np.float32) @ votes).astype(np.int64)
+        d = ((n_pairs - agree) // 2).astype(dtype, copy=False)
+        total[s : s + rows] = d**p @ nums
+    best = total.min()
     return SolveResult(
-        winners=winners,
-        cost=Fraction(best, denom),
+        winners=tuple(map(tuple, orders[total == best].tolist())),
+        cost=Fraction(int(best), ic.denom),
         status="Exact",
         method="brute_force",
     )
 
 
-def _pair_weight_matrix(supp: list[Ranking], nums: list[int], m: int) -> list[list[int]]:
-    """W[a][b] = scaled weight of voters ranking a above b."""
-    W = [[0] * m for _ in range(m)]
-    for r, w in zip(supp, nums):
-        pos = positions(r)
-        for a in range(m):
-            for b in range(m):
-                if a != b and pos[a] < pos[b]:
-                    W[a][b] += w
-    return W
-
-
 def approx_best_input(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Best ranking among those appearing in the profile itself."""
-    p = cost.exponent
-    return min(profile.support(), key=lambda r: (profile.power_cost(r, p), r))
+    ic = IntCost(profile)
+    return min(ic.supp, key=lambda r: (ic.cost(r, cost.exponent), r))
 
 
 def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Cheap starting candidate: positional-average order, locally improved."""
-    m = profile.m
-    avg = [Fraction(0)] * m
-    for r, w in profile.entries.items():
-        for i, a in enumerate(r):
-            avg[a] += w * i
-    seed = as_ranking(sorted(range(m), key=lambda a: (avg[a], a)))
+    ic = IntCost(profile)
+    avg = (np.array(ic.nums, dtype=ic.dtype(1)) @ ic.pos).tolist()
+    seed = as_ranking(sorted(range(ic.m), key=lambda a: (avg[a], a)))
     seed = local_search(profile, seed, cost)
     best_in = approx_best_input(profile, cost)
     p = cost.exponent
-    if profile.power_cost(best_in, p) < profile.power_cost(seed, p):
+    if ic.cost(best_in, p) < ic.cost(seed, p):
         return best_in
     return seed
 
@@ -180,29 +177,25 @@ def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking
 def local_search(
     profile: Profile, start: Ranking, cost: CostSpec = CostSpec()
 ) -> Ranking:
-    """Greedy adjacent-swap descent from start, exact rational comparisons."""
+    """Greedy adjacent-swap descent from start, exact integer comparisons."""
     p = cost.exponent
+    ic = IntCost(profile)
     cand = list(as_ranking(start))
-    supp = profile.support()
-    weights = [profile.entries[r] for r in supp]
-    poss = [positions(r) for r in supp]
-    dists = [swap_distance(r, tuple(cand)) for r in supp]
+    poss = ic.pos.tolist()
+    dists = ic.dists(cand)
     improved = True
     while improved:
         improved = False
         for i in range(len(cand) - 1):
             a, b = cand[i], cand[i + 1]
-            delta = Fraction(0)
-            steps = []
-            for v, pos in enumerate(poss):
-                step = -1 if pos[b] < pos[a] else 1
-                steps.append(step)
-                d = dists[v]
-                delta += weights[v] * ((d + step) ** p - d**p)
+            steps = [-1 if pos[b] < pos[a] else 1 for pos in poss]
+            delta = sum(
+                w * ((d + step) ** p - d**p)
+                for w, d, step in zip(ic.nums, dists, steps)
+            )
             if delta < 0:
                 cand[i], cand[i + 1] = b, a
-                for v, step in enumerate(steps):
-                    dists[v] += step
+                dists = [d + step for d, step in zip(dists, steps)]
                 improved = True
     return tuple(cand)
 
@@ -226,15 +219,16 @@ def solve_bnb(
     p = cost.exponent
     if find_all_ties is None:
         find_all_ties = m <= 12
-    supp, nums, denom = profile.scaled_int_weights()
-    poss = [positions(r) for r in supp]
-    n_voters = len(supp)
-    W = _pair_weight_matrix(supp, nums, m) if p == 1 else None
+    ic = IntCost(profile)
+    nums, denom = ic.nums, ic.denom
+    poss = ic.pos.tolist()
+    n_voters = len(nums)
+    W = ic.pair_weights().tolist() if p == 1 else None
 
     seed = as_ranking(seed_candidate) if seed_candidate else approx_kemeny_seed(
         profile, cost
     )
-    incumbent = int(profile.power_cost(seed, p) * denom)
+    incumbent = ic.cost(seed, p)
     best: list[Ranking] = [seed]
 
     def kemeny_pair_bound(remaining: tuple[int, ...]) -> int:
@@ -305,32 +299,32 @@ def solve_bnb(
 
 
 def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult:
-    """Exact linear-cost optimum via dynamic programming over subsets (m <= 20)."""
+    """Exact linear-cost optimum via dynamic programming over subsets (m <= 20).
+
+    dp[S] is the least cost of ranking the set S on top of all the others.
+    """
     m = profile.m
     if m > DP_GUARD:
         raise GuardError(f"subset DP guarded at m={DP_GUARD}, got {m}")
-    supp, nums, denom = profile.scaled_int_weights()
-    W = _pair_weight_matrix(supp, nums, m)
+    ic = IntCost(profile)
+    W = ic.pair_weights()
     full = (1 << m) - 1
-    INF = float("inf")
-    dp = [INF] * (full + 1)
-    dp[0] = 0
-    # add_cost[a][S]: here recomputed on the fly; S = alternatives already on top
-    for S in range(full + 1):
-        base = dp[S]
-        if base is INF:
-            continue
-        for a in range(m):
-            if S >> a & 1:
-                continue
-            add = 0
-            for b in range(m):
-                if b != a and not (S >> b & 1):
-                    add += W[b][a]
-            T = S | 1 << a
-            if base + add < dp[T]:
-                dp[T] = base + add
-    best = dp[full]
+    # below[S, a] = sum of W[b, a] over b in S, the cost of placing a above
+    # all of S.  Growing the top set to S by its lowest member a puts a above
+    # the rest, full ^ S: forward pass and backtrack both add below[full ^ S, a].
+    below = np.zeros((full + 1, m), dtype=W.dtype)
+    size = np.zeros(full + 1, dtype=np.int8)
+    for b in range(m):
+        below[1 << b : 2 << b] = below[: 1 << b] + W[b]
+        size[1 << b : 2 << b] = size[: 1 << b] + 1
+    bits = 1 << np.arange(m)
+    top = sum(ic.nums) * max_swap_distance(m) + 1  # above every cost
+    dp = np.zeros(full + 1, dtype=W.dtype)
+    for c in range(1, m + 1):
+        S = np.flatnonzero(size == c)[:, None]
+        has = (S & bits) != 0
+        step = dp[np.where(has, S ^ bits, 0)] + below[full ^ S[:, 0]]
+        dp[S[:, 0]] = np.where(has, step, top).min(axis=1)
 
     winners: list[Ranking] = []
     capped = False
@@ -344,19 +338,15 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult
             winners.append(suffix)
             return
         for a in range(m):
-            if not (S >> a & 1):
-                continue
-            rest = S ^ 1 << a
-            add = sum(W[b][a] for b in range(m) if b != a and not (rest >> b & 1))
-            if dp[rest] + add == dp[S]:
-                backtrack(rest, (a,) + suffix)
+            if S >> a & 1 and dp[S ^ 1 << a] + below[full ^ S, a] == dp[S]:
+                backtrack(S ^ 1 << a, (a,) + suffix)
                 if not find_all_ties:
                     return
 
     backtrack(full, ())
     return SolveResult(
         winners=tuple(sorted(winners)),
-        cost=Fraction(best, denom),
+        cost=Fraction(int(dp[full]), ic.denom),
         status="Exact",
         method="kemeny_dp",
         ties_complete=find_all_ties and not capped,
@@ -391,21 +381,21 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
     Pairwise order binaries x_a_b with completeness and triangle
     constraints define the candidate ranking; each voter gets a distance
     variable, and for the squared objective a second variable bounded
-    below by tangents of the square at every integer distance.
+    below by tangents of the square at every integer distance.  The
+    objective coefficients are the weights times their common denominator,
+    integers, so the program's optimal value is the exact cost times that
+    denominator.
     """
     p = cost.exponent
     if p not in (1, 2):
         raise DataError("the integer program covers exponents 1 and 2 only")
     m = profile.m
     dmax = max_swap_distance(m)
-    supp = profile.support()
-    weights = [profile.entries[r] for r in supp]
-    poss = [positions(r) for r in supp]
+    ic = IntCost(profile)
+    poss = ic.pos.tolist()
 
     obj_var = "sqdist" if p == 2 else "dist"
-    obj_terms = " + ".join(
-        f"{float(w):.12g} {obj_var}_{k}" for k, w in enumerate(weights)
-    )
+    obj_terms = " + ".join(f"{w} {obj_var}_{k}" for k, w in enumerate(ic.nums))
     lines = ["Minimize", f" obj: {obj_terms}", "Subject To"]
 
     for a in range(m):
@@ -428,7 +418,7 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
                     f" tan_{k}_{t}: sqdist_{k} - {2 * t + 1} dist_{k} >= {rhs}"
                 )
     lines.append("Bounds")
-    for k in range(len(supp)):
+    for k in range(len(poss)):
         lines.append(f" 0 <= dist_{k} <= {dmax}")
         if p == 2:
             lines.append(f" 0 <= sqdist_{k} <= {dmax * dmax}")

@@ -84,9 +84,13 @@ def test_bounds_single_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sample_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "culture", ["mallows", "mixture", "disc", "circle", "gaussians", "ic"]
+)
+def test_sample_roundtrip(culture, tmp_path, capsys):
     out = tmp_path / "prof.json"
-    code = main(["sample", "--culture", "mallows", "--phi", "0.4", "--m", "4",
+    phi = ["--phi", "0.4"] if culture == "mallows" else []
+    code = main(["sample", "--culture", culture, *phi, "--m", "4",
                  "--n", "20", "--seed", "7", "--out", str(out)])
     assert code == 0
     prof = Profile.from_json(out.read_text())
@@ -116,6 +120,13 @@ def test_embed_fit(tmp_path, capsys):
     assert res["defect"] == 0
     assert res["achieved"] == [0, 1, 2]
     capsys.readouterr()
+
+
+def test_embed_fit_missing_file_exit_4(tmp_path, capsys):
+    code = main(["embed", "--fit", str(tmp_path / "missing.json"),
+                 "--target", "[0, 1, 2]"])
+    assert code == 4
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2(capsys):

@@ -43,15 +43,38 @@ def test_cost_spec_validation():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_brute_force_matches_rational_oracle(p):
     rng = np.random.default_rng(10 + p)
-    for t in range(25):
-        m = int(rng.integers(2, 6))
-        prof = sample_profile(CultureSpec("ic", n=int(rng.integers(2, 9)), m=m,
-                                          seed=500 + t))
-        res = solve_brute_force(prof, CostSpec(p))
+    cases = [(int(rng.integers(2, 6)), int(rng.integers(2, 9))) for _ in range(25)]
+    cases += [(6, 5), (7, 4), (8, 3)]
+    for t, (m, n) in enumerate(cases):
+        prof = sample_profile(CultureSpec("ic", n=n, m=m, seed=500 + t))
         winners, cost = brute_oracle(prof, p)
-        assert res.winners == winners
-        assert res.cost == cost
-        assert res.status == "Exact"
+        solvers = [solve_brute_force(prof, CostSpec(p))]
+        if p == 1:
+            solvers.append(solve_kemeny_dp(prof))
+        for res in solvers:
+            assert res.winners == winners
+            assert res.cost == cost
+            assert res.status == "Exact"
+
+
+def test_solvers_exact_when_costs_overflow_int64():
+    # coprime denominators near 1e6 give a common denominator near 1e30,
+    # so integer costs leave int64 and the solvers score in Python ints
+    supp = sample_profile(CultureSpec("ic", n=5, m=5, seed=9)).support()
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081]
+    prof = Profile.from_weights(
+        {r: F(1, q) for r, q in zip(supp, primes)}, normalize=True
+    )
+    _, nums, _ = prof.scaled_int_weights()
+    assert sum(nums) * 10**3 >= 2**62  # 10 = largest swap distance at m=5
+    for p in (1, 3):
+        winners, cost = brute_oracle(prof, p)
+        solvers = [solve_brute_force(prof, CostSpec(p)), solve_bnb(prof, CostSpec(p))]
+        if p == 1:
+            solvers.append(solve_kemeny_dp(prof))
+        for res in solvers:
+            assert res.winners == winners
+            assert res.cost == cost
 
 
 def test_brute_force_guard():
@@ -98,6 +121,25 @@ def test_kemeny_dp_matches_brute_force():
         b = solve_kemeny_dp(prof)
         assert a.cost == b.cost
         assert a.winners == b.winners
+
+
+def test_kemeny_dp_m16_matches_bnb_ties():
+    # every ranking carries half its weight on a copy with 0 and 1 swapped,
+    # so 0 and 1 are interchangeable and every optimum comes with its twin
+    base = sample_profile(CultureSpec("mallows", n=8, m=16, seed=4,
+                                      params={"phi": 0.5}))
+    twin = {0: 1, 1: 0}
+    pairs = {}
+    for r, w in base.entries.items():
+        for order in (r, tuple(twin.get(a, a) for a in r)):
+            pairs[order] = pairs.get(order, 0) + w / 2
+    prof = Profile.from_weights(pairs)
+    dp = solve_kemeny_dp(prof)
+    bnb = solve_bnb(prof, CostSpec(1), find_all_ties=True)
+    assert dp.cost == bnb.cost
+    assert dp.winners == bnb.winners
+    assert len(dp.winners) % 2 == 0
+    assert dp.ties_complete and bnb.ties_complete and bnb.status == "Exact"
 
 
 def test_kemeny_dp_full_tie_set():
@@ -185,6 +227,21 @@ def test_emit_ilp_objective_consistency():
         assert dist == d
     assert prof.power_cost(cand, 2) == total
     assert text.count("dist_def_") == 2
+
+
+def test_emit_ilp_objective_is_exact():
+    weights = [F(1, 3), F(1, 6), F(1, 2)]
+    supp = [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)]
+    prof = Profile.from_weights(dict(zip(supp, weights)))
+    for p in (1, 2):
+        obj = emit_ilp(prof, CostSpec(p)).splitlines()[1]
+        assert obj.startswith(" obj: ")
+        terms = [t.split() for t in obj[len(" obj: "):].split(" + ")]
+        var = "sqdist" if p == 2 else "dist"
+        assert [v for _, v in terms] == [f"{var}_{k}" for k in range(3)]
+        assert all(c.isdigit() for c, _ in terms)
+        coeffs = [int(c) for c, _ in terms]
+        assert all(c * weights[0] == coeffs[0] * w for c, w in zip(coeffs, weights))
 
 
 def test_ranking_from_pair_vars():

@@ -190,6 +190,19 @@ def alpha_curve(m: int, allow_large: bool = False) -> AlphaCurve:
     return AlphaCurve(tuple(points), m, "SingleRankingWorst")
 
 
+def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
+    """Flip (alpha, q) program optima into a value-versus-alpha staircase."""
+    by_alpha: dict[float, float] = {}
+    for a, q in pts:
+        key = round(a, 9)
+        by_alpha[key] = max(by_alpha.get(key, 0.0), q)
+    alphas = sorted(by_alpha)
+    points = tuple(
+        (a, max(by_alpha[b] for b in alphas if b >= a - 1e-12)) for a in alphas
+    )
+    return AlphaCurve(points, m, kind)
+
+
 def worst_group_curve(
     m: int, grid: Sequence[float] | None = None, allow_large: bool = False
 ) -> AlphaCurve:
@@ -235,15 +248,7 @@ def worst_group_curve(
         sol = solve_lp(lp)
         if sol.status == "Optimal" and sol.objective_value > 1e-9:
             pts.append((float(sol.objective_value), q))
-    by_alpha: dict[float, float] = {}
-    for a, q in pts:
-        key = round(a, 9)
-        by_alpha[key] = max(by_alpha.get(key, 0.0), q)
-    alphas = sorted(by_alpha)
-    points = tuple(
-        (a, max(by_alpha[b] for b in alphas if b >= a - 1e-12)) for a in alphas
-    )
-    return AlphaCurve(points, m, "GroupWorst")
+    return _staircase(pts, m, "GroupWorst")
 
 
 def lower_bound_curve(
@@ -295,15 +300,7 @@ def lower_bound_curve(
         sol = solve_lp(lp)
         if sol.status == "Optimal" and sol.objective_value > 1e-9:
             pts.append((float(sol.objective_value), q))
-    by_alpha: dict[float, float] = {}
-    for a, q in pts:
-        key = round(a, 9)
-        by_alpha[key] = max(by_alpha.get(key, 0.0), q)
-    alphas = sorted(by_alpha)
-    points = tuple(
-        (a, max(by_alpha[b] for b in alphas if b >= a - 1e-12)) for a in alphas
-    )
-    return AlphaCurve(points, m, "GroupLowerBound")
+    return _staircase(pts, m, "GroupLowerBound")
 
 
 def theoretical_upper_curve(m: int, n_points: int = 50) -> AlphaCurve:

@@ -204,7 +204,12 @@ def cmd_embed(args) -> int:
     from .solver import solve
 
     if args.fit:
+        if args.target is None:
+            print("error: --fit needs --target", file=sys.stderr)
+            return EXIT_USAGE
         doc = json.loads(_read_text(args.fit))
+        if not isinstance(doc, dict) or "alternatives" not in doc:
+            raise DataError(f"{args.fit}: expected a JSON object with 'alternatives'")
         cfg = PointConfig(doc.get("voters", []), doc["alternatives"])
         target = as_ranking(json.loads(args.target))
         point, achieved, defect = fit_point_for_ranking(cfg, target)
@@ -310,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("embed", help="plane embeddings and point fitting")
-    p.add_argument("--map", help="profile JSON to embed as a map")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--map", help="profile JSON to embed as a map")
+    mode.add_argument("--fit", help="JSON file with alternatives (and voters) to fit")
     p.add_argument("--with-rules", default="sqk,kemeny")
-    p.add_argument("--fit", help="JSON file with alternatives (and voters) to fit")
     p.add_argument("--target", help="JSON ranking for --fit")
     common(p)
     p.set_defaults(func=cmd_embed)

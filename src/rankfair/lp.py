@@ -1,12 +1,19 @@
-"""Dense two-phase primal simplex, Bland's rule, double precision.
+"""Dense two-phase primal simplex in double precision, deterministic.
 
-Small and deterministic on purpose: the worst-case programs it serves
-have at most a few thousand dense variables, and they are degenerate
-enough that anti-cycling matters more than speed.
+The worst-case programs in `rankfair.bounds` have up to a few thousand
+dense variables and are highly degenerate.  The entering column has the
+most negative reduced cost, switching to Bland's rule after a streak of
+degenerate pivots so cycling cannot occur.  The standard form is written
+straight into the tableau, from index arrays that give each standard
+column its source variable, sign and lower-bound shift.  Each pivot is
+one rank-1 update over cache-sized row blocks that computes every entry
+exactly as row-by-row elimination would, so the blocking changes neither
+the pivot sequence nor any result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +90,23 @@ class LpSolution:
     status: str  # Optimal | Infeasible | Unbounded
     values: np.ndarray | None = None
     objective_value: float | None = None
+    pivots: int = 0
+    refactorizations: int = 0
+
+
+# a pivot eliminates in row blocks of about this many tableau entries, so
+# the rank-1 update's temporary stays cache-sized
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int):
     T[row] /= T[row, col]
     piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0:
-            T[r] -= T[r, col] * piv
+    f = T[:, col].copy()
+    f[row] = 0.0
+    step = max(1, _BLOCK_ENTRIES // T.shape[1])
+    for s in range(0, T.shape[0], step):
+        T[s : s + step] -= f[s : s + step, None] * piv
     basis[row] = col
 
 
@@ -120,6 +136,7 @@ def _simplex_phase(
     A: np.ndarray,
     b: np.ndarray,
     cost_vec: np.ndarray,
+    stats: Counter,
 ) -> str:
     """Pivot the tableau (cost row last) to optimality.
 
@@ -127,7 +144,8 @@ def _simplex_phase(
     smallest-index rule after a streak of degenerate pivots so cycling
     cannot occur.  The tableau is refactorized from the original data at
     a fixed cadence, and before unboundedness is reported, so rounding
-    drift over long degenerate runs cannot corrupt the outcome.
+    drift over long degenerate runs cannot corrupt the outcome.  Pivots
+    and refactorizations are counted into `stats`.
     """
     m = T.shape[0] - 1
     degenerate = 0
@@ -135,6 +153,7 @@ def _simplex_phase(
     while True:
         if since_refresh >= REFRESH_EVERY:
             _refresh(T, basis, A, b, cost_vec)
+            stats["refactorizations"] += 1
             since_refresh = 0
         cost = T[-1, :-1]
         masked = np.where(allowed, cost, 0.0)
@@ -153,6 +172,7 @@ def _simplex_phase(
             if since_refresh == 0:
                 return "Unbounded"
             _refresh(T, basis, A, b, cost_vec)
+            stats["refactorizations"] += 1
             since_refresh = 0
             continue
         ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
@@ -166,7 +186,11 @@ def _simplex_phase(
             leave = int(min(tied, key=lambda i: basis[i]))
         degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
         _pivot(T, basis, leave, enter)
+        stats["pivots"] += 1
         since_refresh += 1
+
+
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -175,114 +199,72 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise GuardError(f"dense simplex guarded at {SIZE_GUARD} variables/rows")
 
     # standard form: every structural variable nonnegative after shifting
-    # by its finite lower bound or splitting a free variable in two
-    col_of: list[tuple[str, int, float]] = []  # (kind, source var, shift)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is None:
-            col_of.append(("pos", j, 0.0))
-            col_of.append(("neg", j, 0.0))
-        else:
-            col_of.append(("shift", j, float(lo)))
-    ns = len(col_of)
-
-    def to_std(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(ns)
-        for k, (kind, j, _) in enumerate(col_of):
-            out[k] = vec[j] if kind != "neg" else -vec[j]
-        return out
-
-    rows = []
-    for coeffs, rel, rhs in lp.rows:
-        shift = sum(
-            c * s for c, (kind, _, s) in zip((coeffs[j] for _, j, _ in col_of), col_of)
-        )
-        rows.append((to_std(coeffs), rel, rhs - shift))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if hi is not None:
-            e = np.zeros(lp.n)
-            e[j] = 1.0
-            shift = 0.0 if lo is None else lo
-            rows.append((to_std(e), "<=", float(hi) - shift))
-
-    c = to_std(lp.objective)
-    if lp.sense == "max":
-        c = -c
+    # by its finite lower bound or splitting a free variable in two, so
+    # standard column k is sgn[k] * (variable src[k] - shift[k])
+    free = np.array([lo is None for lo, _ in lp.bounds], dtype=bool)
+    src = np.repeat(np.arange(n), np.where(free, 2, 1))
+    sgn = np.where(np.diff(src, prepend=-1) == 0, -1.0, 1.0)
+    shift = np.array([0.0 if lo is None else float(lo) for lo, _ in lp.bounds])[src]
+    ns = len(src)
+    rows = lp.rows + [(np.eye(1, n, j)[0], "<=", float(hi))
+                      for j, (_, hi) in enumerate(lp.bounds) if hi is not None]
+    c = lp.objective[src] * (-sgn if lp.sense == "max" else sgn)
 
     # normalize to nonnegative rhs first so slack/artificial counts are right;
     # a >= row with zero rhs flips to <= form so its slack can start basic
     # and no artificial variable is needed
-    normed = []
+    rels, rhss, flips = [], [], []
+    shifted = shift.any()
     for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs = -coeffs
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        if rel == ">=" and rhs == 0:
-            coeffs = -coeffs
-            rel = "<="
-        normed.append((coeffs, rel, rhs))
-    rows = normed
+        if shifted:
+            rhs -= float(coeffs[src] @ shift)
+        flip = rhs < 0 or (rel == ">=" and rhs == 0)
+        rels.append(_FLIPPED[rel] if flip else rel)
+        rhss.append(-rhs if rhs < 0 else rhs)
+        flips.append(flip)
     m = len(rows)
-    n_slack = sum(1 for _, rel, _ in rows if rel in ("<=", ">="))
-    n_art = sum(1 for _, rel, _ in rows if rel in ("=", ">="))
-    width = ns + n_slack + n_art + 1
+    rels = np.array(rels, dtype="<U2")
+    has_slack, has_art = rels != "=", rels != "<="
+    art_at = ns + int(has_slack.sum())
+    width = art_at + int(has_art.sum()) + 1
     T = np.zeros((m + 1, width))
-    basis = [-1] * m
-    slack_at = ns
-    art_at = ns + n_slack
-    art_cols = []
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = np.zeros(width)
-        row[:ns] = coeffs
-        if rel == "<=":
-            row[slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -1.0
-            slack_at += 1
-            row[art_at] = 1.0
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            row[art_at] = 1.0
-            basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        row[-1] = rhs
-        T[i] = row
+    for i, (coeffs, _, _) in enumerate(rows):
+        T[i, :ns] = coeffs[src] * (-sgn if flips[i] else sgn)
+    T[:m, -1] = rhss
+    slack_col = ns - 1 + np.cumsum(has_slack)
+    art_col = art_at - 1 + np.cumsum(has_art)
+    T[np.flatnonzero(has_slack), slack_col[has_slack]] = np.where(
+        rels[has_slack] == "<=", 1.0, -1.0)
+    T[np.flatnonzero(has_art), art_col[has_art]] = 1.0
+    basis = np.where(has_art, art_col, slack_col).tolist()
 
     struct = np.zeros(width - 1, dtype=bool)
-    struct[: ns + n_slack] = True
+    struct[:art_at] = True
     A_full = T[:m, :-1].copy()
     b_full = T[:m, -1].copy()
+    stats = Counter()
 
-    if art_cols:
+    if has_art.any():
         # phase 1: minimize the artificial total
-        phase1_cost = np.zeros(width - 1)
-        phase1_cost[art_cols] = 1.0
+        phase1_cost = np.where(struct, 0.0, 1.0)
         T[-1, :-1] = phase1_cost
-        for i, bi in enumerate(basis):
-            if bi in art_cols:
-                T[-1] -= T[i]
+        for i in np.flatnonzero(has_art):
+            T[-1] -= T[i]
         allowed = np.ones(width - 1, dtype=bool)
-        status = _simplex_phase(T, basis, allowed, A_full, b_full, phase1_cost)
+        status = _simplex_phase(T, basis, allowed, A_full, b_full, phase1_cost, stats)
         if status != "Optimal":
             raise DataError("numerical breakdown in feasibility phase")
         if T[-1, -1] < -FEAS_TOL:
-            return LpSolution("Infeasible")
+            return LpSolution("Infeasible", **stats)
         # drive leftover artificials out of the basis or drop their rows
         keep = []
         for i in range(m):
-            if basis[i] in art_cols:
-                piv = next(
-                    (j for j in np.flatnonzero(struct) if abs(T[i, j]) > PIVOT_TOL),
-                    None,
-                )
-                if piv is None:
+            if basis[i] >= art_at:
+                piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
+                if len(piv) == 0:
                     continue  # redundant row
-                _pivot(T, basis, i, piv)
+                _pivot(T, basis, i, int(piv[0]))
+                stats["pivots"] += 1
             keep.append(i)
         if len(keep) < m:
             T = np.vstack([T[keep], T[-1:]])
@@ -299,23 +281,16 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for i, bi in enumerate(basis):
         if T[-1, bi] != 0:
             T[-1] -= T[-1, bi] * T[i]
-    status = _simplex_phase(T, basis, struct, A_full, b_full, phase2_cost)
+    status = _simplex_phase(T, basis, struct, A_full, b_full, phase2_cost, stats)
     if status == "Unbounded":
-        return LpSolution("Unbounded")
+        return LpSolution("Unbounded", **stats)
 
     x_std = np.zeros(width - 1)
-    for i, b in enumerate(basis):
-        x_std[b] = T[i, -1]
-    x = np.zeros(lp.n)
-    for k, (kind, j, shift) in enumerate(col_of):
-        if kind == "shift":
-            x[j] = x_std[k] + shift
-        elif kind == "pos":
-            x[j] += x_std[k]
-        else:
-            x[j] -= x_std[k]
+    x_std[basis] = T[:m, -1]
+    x = np.zeros(n)
+    np.add.at(x, src, sgn * x_std[:ns] + shift)
     obj = float(lp.objective @ x)
-    return LpSolution("Optimal", x, obj)
+    return LpSolution("Optimal", x, obj, **stats)
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution, tol: float = 1e-8) -> bool:

@@ -9,6 +9,7 @@ from rankfair.bounds import (
     AlphaCurve,
     alpha_curve,
     group_bound,
+    lower_bound_curve,
     mu_alpha,
     single_ranking_bound,
     theoretical_upper_curve,
@@ -145,6 +146,19 @@ def test_worst_group_curve_sane():
     for a, v in curve.points:
         if a > 0:
             assert v <= group_bound(a, 3) + 1e-6
+
+
+@pytest.mark.parametrize(
+    "q, alpha", [(0.2, 1.0), (0.5, 1.0), (0.8, 0.416666667)]
+)
+def test_lower_bound_curve_m3(q, alpha):
+    curve = lower_bound_curve(3, [q])
+    assert curve.points == ((alpha, q),)
+    assert curve.kind == "GroupLowerBound"
+    # the floor holds under every output, the squared-cost optimum among
+    # them, so it cannot exceed the worst group at that optimum
+    (group_alpha, _), = worst_group_curve(3, [q]).points
+    assert alpha <= group_alpha + 1e-9
 
 
 def test_theoretical_upper_curve_shape():

@@ -129,6 +129,26 @@ def test_embed_fit_missing_file_exit_4(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_embed_fit_without_alternatives_exit_4(tmp_path, capsys):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"voters": [[0.2, 0.1]]}))
+    code = main(["embed", "--fit", str(src), "--target", "[0, 1, 2]"])
+    assert code == 4
+    assert "alternatives" in capsys.readouterr().err
+
+
+def test_embed_fit_without_target_exit_2(tmp_path, capsys):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"alternatives": [[0.0, 0.0], [1.0, 0.0]]}))
+    assert main(["embed", "--fit", str(src)]) == 2
+    assert "--target" in capsys.readouterr().err
+
+
+def test_embed_without_mode_exit_2(capsys):
+    assert main(["embed"]) == 2
+    assert "--map" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["aggregate"]) == 2
     assert main([]) == 2

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
 from rankfair.errors import DataError, GuardError
-from rankfair.lp import LinearProgram, solve_lp, verify_solution
+from rankfair.lp import LinearProgram, _pivot, solve_lp, verify_solution
 
 
 def test_trivial_minimum():
@@ -127,3 +128,107 @@ def test_worst_case_exact_values():
     assert worst_profile_single_ranking(2).alpha_exact == F(1, 2)
     assert worst_profile_single_ranking(3).alpha_exact == F(1, 6)
     assert worst_profile_single_ranking(4).alpha_exact == F(7, 40)
+
+
+def _pivot_rows(T, basis, row, col):
+    """Row-by-row elimination: the reference for the rank-1 update."""
+    T[row] /= T[row, col]
+    piv = T[row]
+    for r in range(T.shape[0]):
+        if r != row and abs(T[r, col]) > 0:
+            T[r] -= T[r, col] * piv
+    basis[row] = col
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (40, 30), (90, 700)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pivot_matches_row_loop(shape, sign):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    T = rng.standard_normal(shape)
+    T[rng.random(shape) < 0.3] = 0.0
+    row, col = shape[0] // 2, shape[1] // 3
+    T[::3, col] = 0.0  # rows the loop skips
+    T[row, col] = sign * 1.75
+    want, got = T.copy(), T.copy()
+    b_want, b_got = list(range(shape[0])), list(range(shape[0]))
+    _pivot_rows(want, b_want, row, col)
+    _pivot(got, b_got, row, col)
+    assert b_got == b_want
+    # every entry is the same T[r,j] - f_r * piv[j]; a row with f_r == 0
+    # can only turn a -0.0 into +0.0, which `+ 0.0` folds away
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    if sign > 0:  # no -0.0 in the pivot row, so the bits match as they are
+        assert got.tobytes() == want.tobytes()
+
+
+def _random_program(seed):
+    """A feasible program built around a point x0 inside its bounds."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    bounds_, x0 = [], []
+    for _ in range(n):
+        kind = int(rng.integers(5))
+        lo = float(rng.choice([-2.5, -1.0, 0.5, 2.0]))
+        hi = lo + float(rng.integers(1, 4))
+        bounds_.append([(0.0, None), (None, None), (lo, None), (lo, hi),
+                        (None, hi)][kind])
+        base = {0: 0.0, 1: -1.0, 4: hi - 0.75}.get(kind, lo)
+        x0.append(base + 0.25 * int(rng.integers(0, 4)))
+    A = rng.integers(-3, 4, size=(k, n)).astype(float)
+    rels = [str(r) for r in rng.choice(["<=", "=", ">="], size=k)]
+    slack = 0.5 * rng.integers(0, 3, size=k)
+    ax = A @ np.array(x0)
+    rhs = [a + s if r == "<=" else a - s if r == ">=" else a
+           for a, s, r in zip(ax, slack, rels)]
+    prog = LinearProgram(rng.integers(-3, 4, size=n).astype(float),
+                         sense=str(rng.choice(["min", "max"])), bounds=bounds_)
+    for row, rel, b in zip(A, rels, rhs):
+        prog.add_row(row, rel, b)
+    return prog
+
+
+def test_solve_lp_matches_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    seen_rels, negative_rhs, statuses = set(), 0, []
+    for seed in range(80):
+        prog = _random_program(seed)
+        sign = -1.0 if prog.sense == "max" else 1.0
+        ub = [(c if r == "<=" else -c, b if r == "<=" else -b)
+              for c, r, b in prog.rows if r != "="]
+        eq = [(c, b) for c, r, b in prog.rows if r == "="]
+        ref = scipy_optimize.linprog(
+            sign * prog.objective,
+            A_ub=np.array([c for c, _ in ub]) if ub else None,
+            b_ub=[b for _, b in ub] if ub else None,
+            A_eq=np.array([c for c, _ in eq]) if eq else None,
+            b_eq=[b for _, b in eq] if eq else None,
+            bounds=prog.bounds, method="highs")
+        sol = solve_lp(prog)
+        assert sol.status == {0: "Optimal", 3: "Unbounded"}[ref.status], seed
+        if sol.status == "Optimal":
+            assert sol.objective_value == pytest.approx(sign * ref.fun, abs=1e-7)
+            assert verify_solution(prog, sol)
+        seen_rels |= {r for _, r, _ in prog.rows}
+        negative_rhs += any(b < 0 for _, _, b in prog.rows)
+        statuses.append(sol.status)
+    assert seen_rels == {"<=", "=", ">="}
+    assert negative_rhs > 0
+    assert statuses.count("Optimal") >= 40 and "Unbounded" in statuses
+
+
+def test_solution_counts_every_pivot(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _pivot(*args)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counted)
+    sols = []
+    monkeypatch.setattr(bounds, "solve_lp",
+                        lambda p: sols.append(solve_lp(p)) or sols[-1])
+    worst_profile_single_ranking(5)
+    (sol,) = sols
+    assert sol.pivots == len(calls) > lp_mod.REFRESH_EVERY
+    assert sol.refactorizations >= 1
+    assert solve_lp(LinearProgram([1.0], sense="min")).pivots == 0

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 capacity guard, 4 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -282,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-ilp", metavar="FILE",
                    help="also write the integer program in LP format")
     common(p)
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("axioms", help="run axiom instance checks")
     p.add_argument("--check", required=True,
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0, help="number of random profiles")
     p.add_argument("--m", type=int, default=4)
     common(p)
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("bounds", help="compute worst-case curves")
     p.add_argument("--curve", required=True, choices=["single", "group", "lower"])
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=0, help="grid steps for q")
     p.add_argument("--svg", help="also render the curve as SVG")
     common(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sample", help="sample a profile from a culture")
     p.add_argument("--culture",
@@ -312,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict", type=int,
                    help="keep this many random alternatives of a PrefLib profile")
     common(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("embed", help="plane embeddings and point fitting")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -321,24 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-rules", default="sqk,kemeny")
     p.add_argument("--target", help="JSON ranking for --fit")
     common(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("experiment", help="run a bundled experiment")
     p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     common(p)
-    p.set_defaults(func=cmd_experiment)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
+    # looked up by name on every call: the parser is built once per process,
+    # and a cmd_* function rebound after that must still be the one called
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except GuardError as e:
         print(f"guard: {e}", file=sys.stderr)
         return EXIT_GUARD

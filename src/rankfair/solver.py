@@ -75,8 +75,18 @@ def _signs(pos: np.ndarray) -> np.ndarray:
 def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All m! rankings in lexicographic order (int8 rows) and their pair signs."""
     if m not in _TABLES:
-        orders = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-        _TABLES[m] = orders, _signs(np.argsort(orders, axis=1))
+        # the k! orders of 0..k-1 lead with f = 0, 1, ..., k-1, each followed
+        # by the (k-1)! orders of the rest: 0..k-2 shifted past f keep their order
+        orders = np.zeros((1, 0), dtype=np.int8)
+        for k in range(1, m + 1):
+            orders = np.concatenate([
+                np.hstack([np.full((len(orders), 1), f, dtype=np.int8),
+                           orders + (orders >= f)])
+                for f in range(k)
+            ])
+        pos = np.empty_like(orders)
+        np.put_along_axis(pos, orders, np.arange(m, dtype=np.int8), axis=1)
+        _TABLES[m] = orders, _signs(pos)
     return _TABLES[m]
 
 
@@ -103,9 +113,17 @@ class IntCost:
         self.supp, self.nums, self.denom = profile.scaled_int_weights()
         self.pos = np.argsort(np.array(self.supp), axis=1)
 
-    def dtype(self, p: int):
-        """int64 while every integer cost stays below 2^62, else object."""
-        worst = sum(self.nums) * max_swap_distance(self.m) ** p
+    def dtype(self, p: int, pair_bound: bool = False):
+        """int64 while every integer formed stays below 2^62, else object.
+
+        Costs reach sum(nums) * dmax^p; with pair_bound, the terms of
+        `solve_bnb`'s convex pair bound, up to (p+2) * sum(nums) * (dmax+1)^p.
+        """
+        dmax = max_swap_distance(self.m)
+        if pair_bound:
+            worst = (p + 2) * sum(self.nums) * (dmax + 1) ** p
+        else:
+            worst = sum(self.nums) * dmax**p
         return np.int64 if worst < 2**62 else object
 
     def pair_weights(self) -> np.ndarray:
@@ -209,6 +227,21 @@ def solve_bnb(
 ) -> SolveResult:
     """Branch and bound over ranking prefixes.
 
+    A node is a prefix: d[v] counts voter v's disagreements on the pairs it
+    decides, and completing it adds e[v] >= 0 more, from the pairs of the
+    remaining alternatives.  x^p is convex on the integers, so for any
+    integer t, (d+e)^p >= t^p + s_t (d+e-t) with slope s_t = (t+1)^p - t^p,
+    and a node costs at least the convex pair bound
+
+        sum_v w_v (t_v^p + s_v (d_v - t_v)) + sum over remaining pairs {a, b}
+        of min(WS[a, b], WS[b, a]),  WS[a, b] = sum_v w_v s_v [v puts a above b],
+
+    the pairwise bound of Conitzer, Davenport and Kalagnanam on
+    slope-weighted votes.  A node's bound is the larger of two instances:
+    the secant, t = d, and the tangent at the incumbent's distances T,
+    t = max(d, T).  At p = 1 every slope is 1 and both are the Kemeny pair
+    bound.  All children of a node are bounded in one numpy batch.
+
     Exact when it runs to completion; with a node budget it may return an
     anytime result flagged "Heuristic" together with a certified global
     lower bound.  Tie tracking is on by default up to m=12.
@@ -220,64 +253,82 @@ def solve_bnb(
     if find_all_ties is None:
         find_all_ties = m <= 12
     ic = IntCost(profile)
-    nums, denom = ic.nums, ic.denom
-    poss = ic.pos.tolist()
-    n_voters = len(nums)
-    W = ic.pair_weights().tolist() if p == 1 else None
+    denom = ic.denom
+    dtype = ic.dtype(p, pair_bound=True)
+    w = np.array(ic.nums, dtype=dtype)
+    if p == 1:
+        W = ic.pair_weights()
+        M = np.minimum(W, W.T)
 
     seed = as_ranking(seed_candidate) if seed_candidate else approx_kemeny_seed(
         profile, cost
     )
     incumbent = ic.cost(seed, p)
     best: list[Ranking] = [seed]
+    T = np.array(ic.dists(seed), dtype=dtype)
 
-    def kemeny_pair_bound(remaining: tuple[int, ...]) -> int:
-        extra = 0
-        for i, a in enumerate(remaining):
-            for b in remaining[i + 1 :]:
-                extra += min(W[a][b], W[b][a])
-        return extra
+    def slope(t):
+        return (t + 1) ** p - t**p
 
-    def node_lb(dvec: tuple[int, ...], remaining: tuple[int, ...]) -> int:
-        lb = sum(w * d**p for w, d in zip(nums, dvec))
-        if p == 1 and len(remaining) > 1:
-            lb += kemeny_pair_bound(remaining)
-        return lb
+    def pair_term(s, ab, drop):
+        # s: slopes per node and voter; ab[v, i, j]: voter v puts i above j
+        ws = np.tensordot(s * w, ab, 1)
+        mins = np.minimum(ws, ws.transpose(0, 2, 1))
+        total = mins.sum(axis=(1, 2)) // 2
+        return total if drop is None else total - mins[drop, drop].sum(axis=1)
 
-    root = ((), tuple(range(m)), (0,) * n_voters)
-    stack = [(node_lb(root[2], root[1]), root)]
+    def bounds(D, ab, drop=None):
+        """Convex pair bound of node k: distances D[k], undecided pairs those
+        of ab without alternative drop[k]."""
+        t = np.maximum(D, T)
+        s = slope(t)
+        secant = D**p @ w + pair_term(slope(D), ab, drop)
+        tangent = (t**p + s * (D - t)) @ w + pair_term(s, ab, drop)
+        return np.maximum(secant, tangent)
+
+    def expand(remaining, dvec):
+        """Distances and lower bounds of all children of a node."""
+        R = np.array(remaining)
+        pos = ic.pos[:, R]
+        ab = pos[:, :, None] < pos[:, None, :]
+        # child i adds, per voter, the remaining alternatives placed above R[i]
+        D = dvec + ab.sum(axis=1).T
+        if p == 1:
+            MR = M[R[:, None], R]
+            lb = D @ w + MR.sum() // 2 - MR.sum(axis=1)
+        elif len(R) > 2:
+            lb = bounds(D, ab, np.arange(len(R)))
+        else:  # the children are complete rankings
+            lb = D**p @ w
+        return D, lb.tolist()
+
+    root_d = np.zeros(len(w), dtype=dtype)
+    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :])[0])
+    stack = [(root_lb, (), tuple(range(m)), root_d)]
     nodes = 0
     exhausted = False
     while stack:
         if node_budget is not None and nodes >= node_budget:
             exhausted = True
             break
-        lb, (prefix, remaining, dvec) = stack.pop()
+        lb, prefix, remaining, dvec = stack.pop()
         nodes += 1
         if lb > incumbent or (lb == incumbent and not find_all_ties):
             continue
-        if len(remaining) == 1:
+        if len(remaining) == 1:  # a complete ranking, whose bound is its cost
             cand = prefix + remaining
-            val = sum(w * d**p for w, d in zip(nums, dvec))
-            if val < incumbent:
-                incumbent, best = val, [cand]
-            elif val == incumbent and find_all_ties and cand not in best:
+            if lb < incumbent:
+                incumbent, best, T = lb, [cand], dvec
+            elif cand not in best:
                 best.append(cand)
             continue
-        children = []
-        for a in remaining:
-            rest = tuple(b for b in remaining if b != a)
-            new_d = tuple(
-                d + sum(1 for b in rest if pos[b] < pos[a])
-                for d, pos in zip(dvec, poss)
-            )
-            child = (prefix + (a,), rest, new_d)
-            children.append((node_lb(new_d, rest), child))
-        children.sort(key=lambda t: t[0], reverse=True)
-        stack.extend(children)
+        D, lbs = expand(remaining, dvec)
+        for i in sorted(range(len(lbs)), key=lbs.__getitem__, reverse=True):
+            rest = remaining[:i] + remaining[i + 1 :]
+            stack.append((lbs[i], prefix + (remaining[i],), rest, D[i]))
 
     if exhausted:
-        frontier = min((lb for lb, _ in stack), default=incumbent)
+        frontier = min((node[0] for node in stack), default=incumbent)
         global_lb = min(incumbent, frontier)
         return SolveResult(
             winners=tuple(sorted(best)),

@@ -38,12 +38,14 @@ from rankfair.core import (
 )
 from rankfair.embed import classical_mds, jacobi_eigen
 from rankfair.experiments import (
+    ExperimentSpec,
     city_profile,
     divergence_profile,
     hotel_profile,
     load_data,
     load_profile,
     published_city_columns,
+    run_experiment,
     single_crossing_fixture,
 )
 from rankfair.sampling import CultureSpec, make_rng, sample_profile
@@ -245,7 +247,7 @@ def test_divergence_profile():
     assert all(swap_distance(w, ident) == 9 for w in sq.winners)
 
 
-def test_city_table_reproduction():
+def test_city_table_reproduction(tmp_path):
     prof = city_profile()
     pub_lin, pub_sq = published_city_columns()
     res = solve_bnb(prof, CostSpec(1), find_all_ties=True)
@@ -262,6 +264,13 @@ def test_city_table_reproduction():
     # the reported bound must stay consistent with the published column
     # possibly being optimal
     assert budgeted.lower_bound <= prof.power_cost(pub_sq, 2)
+    # the published squared column is the one optimal ranking
+    exact = solve_bnb(prof, CostSpec(2), find_all_ties=True)
+    assert (exact.status, exact.ties_complete) == ("Exact", True)
+    assert exact.winners == (pub_sq,)
+    assert exact.cost == prof.power_cost(pub_sq, 2)
+    report = run_experiment(ExperimentSpec("CityRanking", out_dir=tmp_path))["report"]
+    assert (report["squared_status"], report["squared_gap"]) == ("Exact", "0")
 
 
 def test_disc_culture_group_distance_direction():

@@ -1,13 +1,19 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rankfair.core import Profile, enumerate_rankings, swap_distance
+from rankfair.core import Profile, enumerate_rankings, max_swap_distance, swap_distance
 from rankfair.errors import DataError, GuardError
+from rankfair.experiments import city_profile
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import (
     CostSpec,
+    IntCost,
+    _ranking_table,
     approx_best_input,
     approx_kemeny_seed,
     emit_ilp,
@@ -94,6 +100,78 @@ def test_bnb_equals_brute_force():
             b = solve_bnb(prof, CostSpec(p))
             assert a.cost == b.cost
             assert a.winners == b.winners
+
+
+@st.composite
+def weighted_profiles(draw):
+    """Profiles at m <= 8; large coprime denominators push costs past int64."""
+    m = draw(st.integers(2, 8))
+    orders = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=6))
+    weights = {
+        tuple(r): F(draw(st.integers(1, 20)),
+                    draw(st.sampled_from([1, 2, 3, 1000003, 1000033, 1000037])))
+        for r in orders
+    }
+    return Profile.from_weights(weights, normalize=True)
+
+
+def assert_bnb_matches_brute_force(prof, p):
+    brute = solve_brute_force(prof, CostSpec(p))
+    res = solve_bnb(prof, CostSpec(p), find_all_ties=True)
+    assert (res.status, res.ties_complete) == ("Exact", True)
+    assert (res.cost, res.winners) == (brute.cost, brute.winners)
+    one = solve_bnb(prof, CostSpec(p), find_all_ties=False)
+    assert one.status == "Exact" and one.cost == brute.cost
+    assert len(one.winners) == 1 and one.winner in brute.winners
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(prof=weighted_profiles(), p=st.integers(1, 3), budget=st.integers(0, 200))
+def test_bnb_matches_brute_force_hypothesis(prof, p, budget):
+    assert_bnb_matches_brute_force(prof, p)
+    # a budgeted run certifies a lower bound on the optimum
+    res = solve_bnb(prof, CostSpec(p), node_budget=budget)
+    assert res.lower_bound <= solve_brute_force(prof, CostSpec(p)).cost <= res.cost
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_bnb_exact_at_int64_threshold(p):
+    # weights k/N with sum(k) = N put sum(nums) = N, set so the largest term
+    # of the convex pair bound sits just under 2^62 (int64), then just over
+    m = 7
+    unit = (p + 2) * (max_swap_distance(m) + 1) ** p
+    supp = sample_profile(CultureSpec("ic", n=6, m=m, seed=31 + p)).support()
+    for total, dtype in (((2**62 - 1) // unit, np.int64), ((2**62 - 1) // unit + 1, object)):
+        nums = [1] + [(total - 1) // (len(supp) - 1)] * (len(supp) - 1)
+        nums[-1] += total - sum(nums)
+        prof = Profile.from_weights({r: F(k, total) for r, k in zip(supp, nums)})
+        ic = IntCost(prof)
+        assert ic.nums == nums and ic.dtype(p, pair_bound=True) is dtype
+        assert_bnb_matches_brute_force(prof, p)
+
+
+def test_bnb_linear_city_search_unchanged():
+    # the convex pair bound equals the Kemeny pair bound at p = 1, so the
+    # linear search expands exactly the nodes it did with that bound
+    res = solve_bnb(city_profile(), CostSpec(1), find_all_ties=True)
+    assert (res.status, res.nodes) == ("Exact", 211198)
+    assert res.cost == F(733, 10)
+    assert res.winners == (
+        (18, 14, 4, 21, 23, 24, 10, 22, 15, 5, 3, 17, 7, 1, 16, 19, 12, 11, 0, 6, 20, 2, 13, 8, 9),
+        (18, 14, 4, 21, 23, 24, 10, 22, 17, 15, 5, 3, 7, 1, 16, 19, 12, 11, 0, 6, 20, 2, 13, 8, 9),
+        (18, 14, 24, 4, 21, 23, 10, 22, 15, 5, 3, 17, 7, 1, 16, 19, 12, 11, 0, 6, 20, 2, 13, 8, 9),
+        (18, 14, 24, 4, 21, 23, 10, 22, 17, 15, 5, 3, 7, 1, 16, 19, 12, 11, 0, 6, 20, 2, 13, 8, 9),
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_ranking_table_is_lexicographic(m):
+    orders, signs = _ranking_table(m)
+    ref = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    assert orders.dtype == np.int8 and np.array_equal(orders, ref)
+    i, j = np.triu_indices(m, 1)
+    ref_pos = np.argsort(ref, axis=1)
+    assert np.array_equal(signs, np.where(ref_pos[:, i] < ref_pos[:, j], 1, -1))
 
 
 def test_bnb_budget_gives_heuristic_with_bound():

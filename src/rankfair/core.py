@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -24,8 +25,14 @@ MAHONIAN_CAP = 12
 
 
 def as_ranking(order: Iterable[int]) -> Ranking:
-    """Validate and freeze a ranking (a permutation of 0..m-1, m >= 2)."""
-    r = tuple(int(a) for a in order)
+    """Validate and freeze a ranking (a permutation of 0..m-1, m >= 2).
+
+    Entries must be integers, Python or numpy; 0.5 is an error, not 0.
+    """
+    try:
+        r = tuple(operator.index(a) for a in order)
+    except TypeError as e:
+        raise DataError(f"ranking entries must be integers: {e}") from None
     m = len(r)
     if m < 2:
         raise DataError(f"a ranking needs at least 2 alternatives, got {m}")
@@ -140,16 +147,21 @@ class Profile:
 
     @staticmethod
     def from_weights(
-        pairs: Mapping[Iterable[int], Fraction | int | str],
+        pairs: Mapping[Iterable[int], Fraction | int | str]
+        | Iterable[tuple[Iterable[int], Fraction | int | str]],
         labels: Iterable[str] | None = None,
         normalize: bool = False,
     ) -> "Profile":
+        """Profile from (order, weight) pairs, a mapping or a sequence; the
+        weights of repeated orders add up."""
         entries: dict[Ranking, Fraction] = {}
         m = None
-        for order, w in pairs.items():
+        for order, w in pairs.items() if isinstance(pairs, Mapping) else pairs:
             r = as_ranking(order)
             m = m or len(r)
             w = Fraction(w)
+            if w < 0:
+                raise DataError(f"negative weight {w} for {r}")
             if w == 0:
                 continue
             entries[r] = entries.get(r, Fraction(0)) + w
@@ -193,8 +205,9 @@ class Profile:
     def scaled_int_weights(self) -> tuple[list[Ranking], list[int], int]:
         """Support rankings with weights as integers over a common denominator."""
         supp = self.support()
-        denom = math.lcm(*(self.entries[r].denominator for r in supp))
-        nums = [int(self.entries[r] * denom) for r in supp]
+        ws = [self.entries[r] for r in supp]
+        denom = math.lcm(*(w.denominator for w in ws))
+        nums = [w.numerator * (denom // w.denominator) for w in ws]
         return supp, nums, denom
 
     def to_json(self) -> str:
@@ -219,9 +232,11 @@ class Profile:
         if not isinstance(doc, dict) or "entries" not in doc:
             raise DataError("profile JSON needs an 'entries' list")
         try:
-            pairs = {tuple(e["order"]): Fraction(e["weight"]) for e in doc["entries"]}
+            pairs = [(e["order"], Fraction(e["weight"])) for e in doc["entries"]]
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed profile entry: {e}") from e
+        except (ZeroDivisionError, OverflowError) as e:  # "1/0", 1e400
+            raise DataError(f"profile weight is not a finite rational: {e}") from e
         labels = doc.get("labels")
         prof = Profile.from_weights(pairs, labels=labels, normalize=normalize)
         if "m" in doc and doc["m"] != prof.m:

@@ -7,6 +7,7 @@ rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,9 @@ BRUTE_FORCE_GUARD = 10
 DP_GUARD = 20
 BNB_GUARD = 40
 TIE_ENUMERATION_CAP = 10_000
-# brute force scores the rankings in blocks of about this many matrix entries
+# brute force scores the last _SUFFIX places of a ranking against one cached
+# table of their orders, in row blocks of about _BLOCK_ENTRIES matrix entries
+_SUFFIX = 7
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -63,17 +66,23 @@ class SolveResult:
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of 0..m-1 in lexicographic order, as two index arrays."""
+    return np.triu_indices(m, 1)
+
+
 def _signs(pos: np.ndarray) -> np.ndarray:
     """Row per row of pos, column per pair (i<j): +1 iff i sits above j."""
-    m = pos.shape[1]
-    signs = np.empty((len(pos), max_swap_distance(m)), dtype=np.int8)
-    for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        signs[:, k] = np.where(pos[:, i] < pos[:, j], 1, -1)
-    return signs
+    i, j = _pairs(pos.shape[1])
+    return np.where(pos[:, i] < pos[:, j], 1, -1).astype(np.int8)
 
 
 def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All m! rankings in lexicographic order (int8 rows) and their pair signs."""
+    """All m! rankings in lexicographic order (int8 rows) and their pair signs
+    (float32, the type brute force multiplies in); m <= 7."""
+    if m > _SUFFIX:
+        raise GuardError(f"ranking tables stop at m={_SUFFIX}, got {m}")
     if m not in _TABLES:
         # the k! orders of 0..k-1 lead with f = 0, 1, ..., k-1, each followed
         # by the (k-1)! orders of the rest: 0..k-2 shifted past f keep their order
@@ -86,8 +95,28 @@ def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
             ])
         pos = np.empty_like(orders)
         np.put_along_axis(pos, orders, np.arange(m, dtype=np.int8), axis=1)
-        _TABLES[m] = orders, _signs(pos)
+        _TABLES[m] = orders, _signs(pos).astype(np.float32)
     return _TABLES[m]
+
+
+@functools.cache
+def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m! rankings of 0..m-1 as m!/r! lexicographic blocks, r = min(m, 7).
+
+    Block b is the ordered prefix pre[b] (k = m - r alternatives, in
+    itertools order) followed by rest[b][orders] for the orders of the r!
+    table, rest[b] being the other alternatives in increasing order.
+    cols[b] are the columns of rest[b]'s pairs among the pairs of 0..m-1.
+    """
+    k = max(0, m - _SUFFIX)
+    pre = np.array(list(itertools.permutations(range(m), k)), dtype=np.intp)
+    keep = np.ones((len(pre), m), dtype=bool)
+    np.put_along_axis(keep, pre, False, axis=1)
+    rest = np.nonzero(keep)[1].reshape(len(pre), m - k)
+    col = np.zeros((m, m), dtype=np.intp)
+    col[_pairs(m)] = np.arange(max_swap_distance(m))
+    i, j = _pairs(m - k)
+    return pre, rest, col[rest[:, i], rest[:, j]]
 
 
 def _pair_sign_matrix(m: int) -> np.ndarray:
@@ -136,7 +165,7 @@ class IntCost:
         if len(r) != self.m:
             raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
         q = self.pos[:, list(r)]
-        i, j = np.triu_indices(self.m, 1)
+        i, j = _pairs(self.m)
         return (q[:, i] > q[:, j]).sum(axis=1).tolist()
 
     def cost(self, r: Ranking, p: int) -> int:
@@ -144,7 +173,16 @@ class IntCost:
 
 
 def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveResult:
-    """Exact optimum by scoring every ranking; guarded at m=10."""
+    """Exact optimum by scoring every ranking; guarded at m=10.
+
+    The m! rankings are scored in m!/7! lexicographic blocks (`_blocks`): an
+    ordered prefix of k = max(0, m-7) alternatives followed by every order
+    of the rest, from one cached table of at most 7! rows.  A ranking's
+    distance to voter v is the prefix's disagreements, counted once per
+    block like a `solve_bnb` node's d, plus the suffix's, from one float32
+    matmul of the table's signs against v's votes on the remaining pairs.
+    Memory stays flat in m, and winners come out in lexicographic order.
+    """
     m = profile.m
     if m > BRUTE_FORCE_GUARD:
         raise GuardError(
@@ -152,21 +190,40 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
         )
     p = cost.exponent
     ic = IntCost(profile)
-    orders, signs = _ranking_table(m)
+    pre, rest, cols = _blocks(m)
+    orders, signs = _ranking_table(rest.shape[1])
     dtype = ic.dtype(p)
     nums = np.array(ic.nums, dtype=dtype)
-    # sums of at most 45 products of +-1 are exact in float32, which BLAS multiplies
-    votes = _signs(ic.pos).T.astype(np.float32)
-    n_pairs = len(votes)
-    rows = max(1, _BLOCK_ENTRIES // (n_pairs + len(nums)))
-    total = np.empty(len(signs), dtype=dtype)
-    for s in range(0, len(signs), rows):
-        agree = (signs[s : s + rows].astype(np.float32) @ votes).astype(np.int64)
-        d = ((n_pairs - agree) // 2).astype(dtype, copy=False)
-        total[s : s + rows] = d**p @ nums
-    best = total.min()
+    # distances are signs @ (-votes / 2) + (prefix disagreements + pairs / 2):
+    # halves of integers below 64, exact in float32, which BLAS multiplies
+    half = _signs(ic.pos).T * np.float32(-0.5)
+    offset = np.full((len(pre), len(nums)), cols.shape[1] / 2, dtype=np.float32)
+    k = pre.shape[1]
+    if k:
+        # voter v has q[a] alternatives above prefix member a; all but the
+        # prefix members before a that v also puts above a, C(k, 2) minus the
+        # inversions in all, are disagreements
+        q = ic.pos[:, pre]
+        i, j = _pairs(k)
+        offset += (q.sum(axis=2) + (q[:, :, i] > q[:, :, j]).sum(axis=2) - len(i)).T
+    rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
+    total = np.empty(len(orders), dtype=dtype)
+    best, found = None, []
+    for b in range(len(pre)):
+        votes = half[cols[b]]
+        for s in range(0, len(orders), rows):
+            dist = signs[s : s + rows] @ votes
+            dist += offset[b]
+            d = dist.astype(np.int64).astype(dtype, copy=False)
+            total[s : s + rows] = d**p @ nums
+        low = total.min()
+        if best is None or low < best:
+            best, found = low, []
+        if low == best:
+            prefix = tuple(pre[b].tolist())
+            found += (prefix + tuple(r) for r in rest[b][orders[total == low]].tolist())
     return SolveResult(
-        winners=tuple(map(tuple, orders[total == best].tolist())),
+        winners=tuple(found),
         cost=Fraction(int(best), ic.denom),
         status="Exact",
         method="brute_force",

@@ -173,6 +173,51 @@ def test_data_error_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_aggregate_adds_repeated_orders(normalize, tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"m": 3, "entries": [
+        {"order": [0, 1, 2], "weight": "1/3"},
+        {"order": [1, 0, 2], "weight": "1/3"},
+        {"order": [0, 1, 2], "weight": "1/3"},
+    ]}))
+    out = tmp_path / "res.json"
+    code = main(["aggregate", "--profile", str(path), "--rule", "kemeny",
+                 "--out", str(out), *normalize])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["winners"] == [[0, 1, 2]]
+    assert doc["cost"] == "1/3"
+    capsys.readouterr()
+
+
+def _bad_profile_exit(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["aggregate", "--profile", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_weight_one_over_zero_exit_4(tmp_path, capsys):
+    code, err = _bad_profile_exit(
+        tmp_path, capsys, '{"entries": [{"order": [0, 1, 2], "weight": "1/0"}]}')
+    assert code == 4 and err.startswith("error:")
+
+
+def test_weight_overflow_exit_4(tmp_path, capsys):
+    code, err = _bad_profile_exit(
+        tmp_path, capsys, '{"entries": [{"order": [0, 1, 2], "weight": 1e400}]}')
+    assert code == 4 and err.startswith("error:")
+
+
+def test_fractional_order_entry_exit_4(tmp_path, capsys):
+    code, err = _bad_profile_exit(
+        tmp_path, capsys, '{"entries": [{"order": [0.5, 1, 2], "weight": 1}]}')
+    assert code == 4 and "integers" in err
+
+
 def test_experiment_unknown_name(capsys):
     assert main(["experiment", "--name", "nope"]) == 4
     capsys.readouterr()

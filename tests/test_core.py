@@ -32,6 +32,21 @@ def test_as_ranking_validates():
         as_ranking([0])
 
 
+def test_as_ranking_rejects_non_integers():
+    for bad in ([0.5, 1, 2], [0.0, 1, 2], ["0", "1"], [np.float64(1), 0]):
+        with pytest.raises(DataError):
+            as_ranking(bad)
+    r = as_ranking(np.array([2, 0, 1], dtype=np.int8))
+    assert r == (2, 0, 1) and all(type(a) is int for a in r)
+
+
+def test_from_weights_adds_repeated_orders():
+    prof = Profile.from_weights([((0, 1), F(1, 4)), ((1, 0), F(1, 2)), ([0, 1], F(1, 4))])
+    assert prof.entries == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+    with pytest.raises(DataError):
+        Profile.from_weights([((0, 1), F(3, 2)), ((0, 1), F(-1, 2))])
+
+
 def test_swap_distance_basics():
     assert swap_distance((0, 1, 2), (0, 1, 2)) == 0
     assert swap_distance((0, 1, 2), (2, 1, 0)) == 3

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankfair import solver
 from rankfair.core import Profile, enumerate_rankings, max_swap_distance, swap_distance
 from rankfair.errors import DataError, GuardError
 from rankfair.experiments import city_profile
@@ -13,6 +15,7 @@ from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import (
     CostSpec,
     IntCost,
+    _blocks,
     _ranking_table,
     approx_best_input,
     approx_kemeny_seed,
@@ -81,6 +84,52 @@ def test_solvers_exact_when_costs_overflow_int64():
         for res in solvers:
             assert res.winners == winners
             assert res.cost == cost
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_brute_force_ties_across_prefix_blocks(m):
+    # a ranking and its reverse, half each: the squared-cost winners are the
+    # rankings halfway between them, spread over many prefix blocks
+    ident = tuple(range(m))
+    prof = Profile.from_weights({ident: F(1, 2), ident[::-1]: F(1, 2)})
+    res = solve_brute_force(prof, CostSpec(2))
+    assert (res.winners, res.cost) == brute_oracle(prof, 2)
+    assert len({w[: m - 7] for w in res.winners}) > 1
+
+
+def test_brute_force_m8_object_costs_match_oracle():
+    # coprime denominators near 1e9: integer costs leave int64 at any exponent
+    supp = sample_profile(CultureSpec("ic", n=3, m=8, seed=83)).support()
+    primes = [1000000007, 1000000009, 1000000021]
+    prof = Profile.from_weights(
+        {r: F(1, q) for r, q in zip(supp, primes)}, normalize=True
+    )
+    assert IntCost(prof).dtype(3) is object
+    res = solve_brute_force(prof, CostSpec(3))
+    assert (res.winners, res.cost) == brute_oracle(prof, 3)
+
+
+def test_brute_force_m10_memory_is_flat():
+    # a cold m=10 solve allocates a few MB; an m! sign table is 163 MB
+    prof = sample_profile(CultureSpec("ic", n=3, m=10, seed=10))
+    solver._TABLES.clear()
+    solver._blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        res = solve_brute_force(prof, CostSpec(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert res.cost == prof.power_cost(res.winner, 2)
+
+
+def test_brute_force_caches_no_table_above_7():
+    solve_brute_force(sample_profile(CultureSpec("ic", n=4, m=9, seed=9)))
+    assert max(solver._TABLES) <= 7
+    assert all(len(orders) <= 5040 for orders, _ in solver._TABLES.values())
+    with pytest.raises(GuardError):
+        _ranking_table(8)
 
 
 def test_brute_force_guard():
@@ -166,12 +215,22 @@ def test_bnb_linear_city_search_unchanged():
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_ranking_table_is_lexicographic(m):
-    orders, signs = _ranking_table(m)
-    ref = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-    assert orders.dtype == np.int8 and np.array_equal(orders, ref)
-    i, j = np.triu_indices(m, 1)
-    ref_pos = np.argsort(ref, axis=1)
-    assert np.array_equal(signs, np.where(ref_pos[:, i] < ref_pos[:, j], 1, -1))
+    # brute force's blocks, each prefix followed by rest[orders], list all
+    # m! rankings in lexicographic order
+    pre, rest, cols = _blocks(m)
+    orders, signs = _ranking_table(rest.shape[1])
+    assert orders.dtype == np.int8 and len(orders) <= 5040
+    listed = np.vstack([
+        np.hstack([np.broadcast_to(pre[b], (len(orders), pre.shape[1])), rest[b][orders]])
+        for b in range(len(pre))
+    ])
+    assert np.array_equal(listed, list(itertools.permutations(range(m))))
+    i, j = np.triu_indices(rest.shape[1], 1)
+    pos = np.argsort(orders, axis=1)
+    assert np.array_equal(signs, np.where(pos[:, i] < pos[:, j], 1, -1))
+    # cols[b] are rest[b]'s pairs among the pairs of 0..m-1
+    a, c = np.triu_indices(m, 1)
+    assert np.array_equal(a[cols], rest[:, i]) and np.array_equal(c[cols], rest[:, j])
 
 
 def test_bnb_budget_gives_heuristic_with_bound():

@@ -207,11 +207,12 @@ def enumerate_compatible_maximal_sequences(
     dmax = max_swap_distance(m)
     results: list[SingleCrossingSequence] = []
 
-    def compatible_future(cur: Ranking, next_support: list[Ranking]) -> bool:
+    def compatible_future(
+        pos_0: list[int], cur: Ranking, next_support: list[Ranking]
+    ) -> bool:
         # each pending support ranking must agree with cur on every pair
         # that has already crossed (a pair never crosses twice)
         pos_c = positions(cur)
-        pos_0 = positions(start)
         for s in next_support:
             pos_s = positions(s)
             for a in range(m):
@@ -221,13 +222,12 @@ def enumerate_compatible_maximal_sequences(
                         return False
         return True
 
-    def grow(seq: list[Ranking], pending: list[Ranking]):
+    def grow(pos_0: list[int], seq: list[Ranking], pending: list[Ranking]):
         cur = seq[-1]
         if len(seq) == dmax + 1:
             if not pending:
                 results.append(SingleCrossingSequence(tuple(seq), maximal=True))
             return
-        pos_0 = positions(start)
         pos_c = positions(cur)
         for i in range(m - 1):
             a, b = cur[i], cur[i + 1]
@@ -237,17 +237,16 @@ def enumerate_compatible_maximal_sequences(
                 nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
                 nxt = tuple(nxt)
                 still = pending[1:] if pending and nxt == pending[0] else pending
-                while still and nxt == (still[0] if still else None):
-                    still = still[1:]
-                if compatible_future(nxt, still):
-                    grow(seq + [nxt], still)
+                if compatible_future(pos_0, nxt, still):
+                    grow(pos_0, seq + [nxt], still)
 
     for start in enumerate_rankings(m):
+        pos_0 = positions(start)
         pending = list(order)
         if pending and pending[0] == start:
             pending = pending[1:]
-        if compatible_future(start, pending):
-            grow([start], pending)
+        if compatible_future(pos_0, start, pending):
+            grow(pos_0, [start], pending)
     return results
 
 

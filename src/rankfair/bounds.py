@@ -3,6 +3,7 @@ statistic, and the linear programs that map out worst-case profiles."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .core import (
 )
 from .errors import DataError, GuardError
 from .lp import LinearProgram, LpSolution, solve_lp, verify_solution
-from .solver import _pair_sign_matrix, solve_brute_force
+from .solver import IntCost, solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
 SNAP_DENOMINATOR = 10**6
@@ -50,29 +51,32 @@ def group_bound(alpha: Fraction | float, m: int) -> float:
     return math.sqrt(second_moment / alpha)
 
 
-def mu_alpha(profile: Profile, cand: Ranking, alpha: Fraction) -> Fraction:
-    """Mean distance from cand to its unhappiest group of size alpha, exact.
+def mu_alpha(
+    profile: Profile, cand: Ranking, alphas: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Mean distance from cand to its unhappiest group of size alpha, exact,
+    for each alpha in alphas.
 
-    The maximizing group is found greedily: repeatedly take weight from
-    the farthest remaining ranking, splitting the boundary one.
+    The maximizing group is found greedily: take weight from the farthest
+    support rankings first, splitting the boundary one.  In the integer
+    weights of `IntCost`, prefix sums of weight and of weight times
+    distance in that order give every alpha with one bisection.
     """
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise DataError(f"alpha must lie in (0, 1], got {alpha}")
-    cand = as_ranking(cand)
-    ordered = sorted(
-        profile.entries.items(),
-        key=lambda kv: (-swap_distance(kv[0], cand), kv[0]),
-    )
-    left = alpha
-    total = Fraction(0)
-    for r, w in ordered:
-        take = min(w, left)
-        total += take * swap_distance(r, cand)
-        left -= take
-        if left == 0:
-            break
-    return total / alpha
+    alphas = [Fraction(a) for a in alphas]
+    for a in alphas:
+        if not 0 < a <= 1:
+            raise DataError(f"alpha must lie in (0, 1], got {a}")
+    ic = IntCost(profile)
+    far = sorted(zip(ic.dists(as_ranking(cand)), ic.nums), reverse=True)
+    weight = list(itertools.accumulate((w for _, w in far), initial=0))
+    mass = list(itertools.accumulate((w * d for d, w in far), initial=0))
+    out = []
+    for a in alphas:
+        size = a * ic.denom
+        # the first k rankings are taken whole, ranking k gives the rest
+        k = bisect.bisect_left(weight, size) - 1
+        out.append((mass[k] + (size - weight[k]) * far[k][0]) / size)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,6 @@ class AlphaCurve:
         """Step interpolation: worst value attainable at group weight >= alpha."""
         vals = [v for a, v in self.points if a >= alpha - 1e-12]
         return max(vals) if vals else 0.0
-
-
-def _distance_table(m: int) -> np.ndarray:
-    """All-pairs swap distances over the m! rankings in lexicographic order."""
-    signs = _pair_sign_matrix(m).astype(np.int32)
-    agree = signs @ signs.T
-    return (signs.shape[1] - agree) // 2
 
 
 class WorstCaseResult(NamedTuple):
@@ -139,7 +136,7 @@ def worst_profile_single_ranking(
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
     rankings = list(itertools.permutations(range(m)))
     idx = {r: i for i, r in enumerate(rankings)}
-    D = _distance_table(m).astype(float)
+    D = swap_distance_matrix(rankings).astype(float)
     sq = D**2
     n = len(rankings)
     obj = np.zeros(n)
@@ -220,7 +217,7 @@ def worst_group_curve(
         grid = [k / 200 for k in range(0, 201)]
     rankings = list(itertools.permutations(range(m)))
     n = len(rankings)
-    D = _distance_table(m).astype(float)
+    D = swap_distance_matrix(rankings).astype(float)
     sq = D**2
     dmax = max_swap_distance(m)
     t = 0  # identity ranking is first in lexicographic order
@@ -251,23 +248,20 @@ def worst_group_curve(
     return _staircase(pts, m, "GroupWorst")
 
 
-def lower_bound_curve(
-    m: int, grid: Sequence[float] | None = None, allow_large: bool = False
-) -> AlphaCurve:
+def lower_bound_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
     """Largest group weight that some profile makes unhappy under every output.
 
     A rule-independent floor: one group variable set per candidate
     output, all drawn from a single profile.  Quadratic in m!, so
-    guarded at m=4 by default.
+    guarded at m=4: at m=5 the dense program alone would need over 8 GB.
     """
-    cap = 5 if allow_large else 4
-    if m > cap:
-        raise GuardError(f"lower_bound_curve guarded at m={cap}")
+    if m > 4:
+        raise GuardError("lower_bound_curve guarded at m=4")
     if grid is None:
         grid = [k / 200 for k in range(0, 201)]
     rankings = list(itertools.permutations(range(m)))
     n = len(rankings)
-    D = _distance_table(m).astype(float)
+    D = swap_distance_matrix(rankings).astype(float)
     dmax = max_swap_distance(m)
     # variables: w (n), g^cand (n per candidate), alpha (1)
     nv = n + n * n + 1

@@ -20,19 +20,22 @@ from .errors import DataError, DimensionError, GuardError
 Ranking = tuple[int, ...]
 
 ENUMERATION_GUARD = 10
-ENUMERATION_HARD_CAP = 12
 MAHONIAN_CAP = 12
 
 
 def as_ranking(order: Iterable[int]) -> Ranking:
     """Validate and freeze a ranking (a permutation of 0..m-1, m >= 2).
 
-    Entries must be integers, Python or numpy; 0.5 is an error, not 0.
+    Entries must be integers, Python or numpy; 0.5 is an error, not 0,
+    and so is True, not 1.
     """
     try:
-        r = tuple(operator.index(a) for a in order)
+        entries = tuple(order)
+        r = tuple(map(operator.index, entries))
     except TypeError as e:
         raise DataError(f"ranking entries must be integers: {e}") from None
+    if bool in map(type, entries):
+        raise DataError(f"ranking entries must be integers, not booleans: {entries}")
     m = len(r)
     if m < 2:
         raise DataError(f"a ranking needs at least 2 alternatives, got {m}")
@@ -89,13 +92,11 @@ def round_set(z: Fraction | int) -> set[int]:
     return {k + 1}
 
 
-def enumerate_rankings(m: int, allow_large: bool = False) -> Iterator[Ranking]:
-    """All m! rankings in lexicographic order.  Guarded at m=10 (hard cap 12)."""
-    cap = ENUMERATION_HARD_CAP if allow_large else ENUMERATION_GUARD
-    if m > cap:
+def enumerate_rankings(m: int) -> Iterator[Ranking]:
+    """All m! rankings in lexicographic order.  Guarded at m=10."""
+    if m > ENUMERATION_GUARD:
         raise GuardError(
-            f"enumerating {m}! rankings exceeds the guard ({cap}); "
-            "pass allow_large=True up to m=12"
+            f"enumerating {m}! rankings exceeds the guard ({ENUMERATION_GUARD})"
         )
     return itertools.permutations(range(m))
 

@@ -1,6 +1,6 @@
-"""Planar pictures of ranking space: distance matrices, classical
-multidimensional scaling with an in-house Jacobi eigensolver, and the
-best point inducing a given ranking in a Euclidean configuration."""
+"""Planar pictures of ranking space: swap-distance matrices, classical
+multidimensional scaling (numpy's symmetric eigensolver), and the best
+point inducing a given ranking in a Euclidean configuration."""
 
 from __future__ import annotations
 
@@ -11,71 +11,21 @@ from typing import Sequence
 import numpy as np
 
 from .core import Ranking, as_ranking, swap_distance
-from .errors import DataError, GuardError
+from .errors import DataError, DimensionError, GuardError
 from .sampling import PointConfig
+from .solver import swap_distance_matrix
 
-JACOBI_SIZE_GUARD = 512
+MDS_SIZE_GUARD = 512
 
 
 def distance_matrix(rankings: Sequence[Ranking]) -> np.ndarray:
-    """Symmetric matrix of pairwise swap distances."""
+    """Symmetric integer matrix of pairwise swap distances."""
     rs = [as_ranking(r) for r in rankings]
     if len(rs) < 2:
         raise DataError("need at least 2 rankings")
-    n = len(rs)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = swap_distance(rs[i], rs[j])
-    return D
-
-
-def jacobi_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, eigenvectors as columns), vectors
-    orthonormal to 1e-9.  Sweeps stop once the off-diagonal Frobenius
-    norm drops below 1e-12 of the matrix norm.
-    """
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DataError("matrix must be square")
-    if n > JACOBI_SIZE_GUARD:
-        raise GuardError(f"jacobi_eigen guarded at {JACOBI_SIZE_GUARD}")
-    if not np.allclose(A, A.T, atol=1e-10):
-        raise DataError("matrix must be symmetric")
-    V = np.eye(n)
-    norm = np.linalg.norm(A)
-    if norm == 0:
-        return np.zeros(n), V
-    for _ in range(100):
-        off_entries = A - np.diag(np.diag(A))
-        off = float(np.linalg.norm(off_entries))
-        if off < 1e-12 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) < 1e-15 * norm:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2 * A[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0:
-                    t = 1.0
-                c = 1 / np.sqrt(t * t + 1)
-                s = t * c
-                Rp, Rq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * Rp - s * Rq
-                A[:, q] = s * Rp + c * Rq
-                Rp, Rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * Rp - s * Rq
-                A[q, :] = s * Rp + c * Rq
-                Vp, Vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals)
-    return vals[order], V[:, order]
+    if len({len(r) for r in rs}) > 1:
+        raise DimensionError("rankings over different m")
+    return swap_distance_matrix(rs)
 
 
 @dataclass(frozen=True)
@@ -102,26 +52,33 @@ def classical_mds(D: np.ndarray, dim: int = 2) -> Embedding:
     """Torgerson scaling: double-center the squared distances, take the
     top eigenpairs, clamp negative eigenvalues at zero."""
     D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise DataError("distance matrix must be square")
     n = D.shape[0]
+    if n > MDS_SIZE_GUARD:
+        raise GuardError(f"classical_mds guarded at {MDS_SIZE_GUARD} points")
+    if not np.allclose(D, D.T, atol=1e-10):
+        raise DataError("distance matrix must be symmetric")
     if n < 3:
         raise DataError("need at least 3 points")
     J = np.eye(n) - np.ones((n, n)) / n
     B = -0.5 * J @ (D * D) @ J
-    vals, vecs = jacobi_eigen(B)
+    vals, vecs = np.linalg.eigh(B)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     clamped = float(np.sum(np.abs(vals[vals < 0])))
-    coords = vecs[:, :dim] * np.sqrt(np.maximum(vals[:dim], 0.0))
+    # an eigenvalue within rounding error of zero spans no direction
+    top = vals[:dim]
+    noise = n * np.finfo(float).eps * np.abs(vals).max()
+    coords = vecs[:, :dim] * np.sqrt(np.where(top > noise, top, 0.0))
     # deterministic sign: first coordinate of visible magnitude positive
     for k in range(dim):
         col = coords[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if len(nz) and col[nz[0]] < 0:
             coords[:, k] = -col
-    diff = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(coords[i] - coords[j]))
-            diff += (d - D[i, j]) ** 2
-    return Embedding(coords, diff, clamped)
+    i, j = np.triu_indices(n, 1)
+    fit = np.linalg.norm(coords[i] - coords[j], axis=1)
+    return Embedding(coords, float(np.sum((fit - D[i, j]) ** 2)), clamped)
 
 
 def ranking_from_point(point: np.ndarray, alt_points: np.ndarray) -> Ranking:

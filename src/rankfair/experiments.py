@@ -246,7 +246,11 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
 
 def _run_alpha_curve(spec: ExperimentSpec, out: Path) -> dict:
     m = int(spec.params.get("m", 4))
-    curve = alpha_curve(m, allow_large=bool(spec.params.get("allow_large", False)))
+    raw = spec.params.get("allow_large", False)
+    flag = str(raw).strip().lower()
+    if flag not in ("0", "1", "false", "true"):
+        raise DataError(f"allow_large must be 0, 1, false or true, got {raw!r}")
+    curve = alpha_curve(m, allow_large=flag in ("1", "true"))
     upper = theoretical_upper_curve(m)
     _write_csv(
         out / f"alpha_curve_m{m}.csv",
@@ -270,9 +274,9 @@ def _run_group_distance(spec: ExperimentSpec, out: Path) -> dict:
         profile = sample_profile(CultureSpec("disc", n=n, m=m, seed=spec.seed + t))
         sq = solve_brute_force(profile, CostSpec(2)).winner
         ln = solve_brute_force(profile, CostSpec(1)).winner
-        for i, a in enumerate(alphas):
-            sums["squared"][i] += mu_alpha(profile, sq, a)
-            sums["linear"][i] += mu_alpha(profile, ln, a)
+        for key, winner in (("squared", sq), ("linear", ln)):
+            mus = mu_alpha(profile, winner, alphas)
+            sums[key] = [s + mu for s, mu in zip(sums[key], mus)]
     dmax = max_swap_distance(m)
     rows = []
     curves = {"squared": [], "linear": []}

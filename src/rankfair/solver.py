@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Profile, Ranking, as_ranking, max_swap_distance, positions
+from .core import Profile, Ranking, as_ranking, max_swap_distance
 from .errors import DataError, DimensionError, GuardError
 
 BRUTE_FORCE_GUARD = 10
@@ -119,13 +119,14 @@ def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pre, rest, col[rest[:, i], rest[:, j]]
 
 
-def _pair_sign_matrix(m: int) -> np.ndarray:
-    """Row per ranking (lexicographic), column per pair (i<j): +1 iff i above j."""
-    return _ranking_table(m)[1]
+def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
+    """All-pairs swap distances of rankings over one m, in integers.
 
-
-def _sign_vector(r: Ranking) -> np.ndarray:
-    return _signs(np.array([positions(r)]))[0]
+    Two rankings agree on P - d pairs and disagree on d, so the dot
+    product of their pair signs is P - 2d.
+    """
+    S = _signs(np.argsort(np.array(rankings), axis=1)).astype(np.int64)
+    return (S.shape[1] - S @ S.T) // 2
 
 
 class IntCost:

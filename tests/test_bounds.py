@@ -57,9 +57,14 @@ def test_group_bound_second_moment_matches_mahonian():
 
 def test_mu_alpha_full_group_is_mean_distance():
     prof = Profile.from_weights({(0, 1, 2): F(1, 2), (2, 1, 0): F(1, 2)})
-    assert mu_alpha(prof, (0, 1, 2), F(1)) == F(3, 2)
+    assert mu_alpha(prof, (0, 1, 2), [F(1)]) == (F(3, 2),)
     # the unhappiest half sits entirely on the far ranking
-    assert mu_alpha(prof, (0, 1, 2), F(1, 2)) == 3
+    assert mu_alpha(prof, (0, 1, 2), [F(1, 2)]) == (3,)
+    assert mu_alpha(prof, (0, 1, 2), [F(1, 2), F(1), F(1, 4)]) == (3, F(3, 2), 3)
+    assert mu_alpha(prof, (0, 1, 2), []) == ()
+    for bad in ([F(0)], [F(3, 2)], [F(1, 2), -1]):
+        with pytest.raises(DataError):
+            mu_alpha(prof, (0, 1, 2), bad)
 
 
 def test_mu_alpha_brute_oracle():
@@ -71,7 +76,7 @@ def test_mu_alpha_brute_oracle():
         prof = sample_profile(CultureSpec("ic", n=4, m=4, seed=800 + t))
         cand = tuple(int(x) for x in rng.permutation(4))
         alpha = F(int(rng.integers(1, 8)), 8)
-        greedy = mu_alpha(prof, cand, alpha)
+        (greedy,) = mu_alpha(prof, cand, [alpha])
         best = F(0)
         items = list(prof.entries.items())
         for perm in itertools.permutations(range(len(items))):
@@ -93,7 +98,7 @@ def test_mu_alpha_never_exceeds_group_bound_at_optimum():
         prof = sample_profile(CultureSpec("ic", n=6, m=4, seed=1500 + t))
         winner = solve_brute_force(prof).winner
         for alpha in (F(1, 4), F(1, 2), F(3, 4)):
-            assert float(mu_alpha(prof, winner, alpha)) <= \
+            assert float(mu_alpha(prof, winner, [alpha])[0]) <= \
                 group_bound(alpha, 4) + 1e-9
 
 
@@ -159,6 +164,12 @@ def test_lower_bound_curve_m3(q, alpha):
     # them, so it cannot exceed the worst group at that optimum
     (group_alpha, _), = worst_group_curve(3, [q]).points
     assert alpha <= group_alpha + 1e-9
+
+
+def test_lower_bound_curve_guard():
+    # at m=5 the dense program alone is 14,641 rows by 14,521 variables
+    with pytest.raises(GuardError):
+        lower_bound_curve(5, [0.5])
 
 
 def test_theoretical_upper_curve_shape():

@@ -221,3 +221,25 @@ def test_fractional_order_entry_exit_4(tmp_path, capsys):
 def test_experiment_unknown_name(capsys):
     assert main(["experiment", "--name", "nope"]) == 4
     capsys.readouterr()
+
+
+def test_boolean_order_entry_exit_4(tmp_path, capsys):
+    code, err = _bad_profile_exit(
+        tmp_path, capsys, '{"entries": [{"order": [true, false, 2], "weight": 1}]}')
+    assert code == 4 and "booleans" in err
+
+
+@pytest.mark.parametrize("flag, m, cap", [("0", 6, 5), ("false", 6, 5),
+                                          ("1", 7, 6), ("True", 7, 6)])
+def test_alpha_curve_allow_large_flag(flag, m, cap, tmp_path, capsys):
+    code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
+                 "--param", f"allow_large={flag}", "--param", f"m={m}"])
+    assert code == 3
+    assert f"m={cap}" in capsys.readouterr().err
+
+
+def test_alpha_curve_allow_large_bad_value_exit_4(tmp_path, capsys):
+    code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
+                 "--param", "allow_large=yes"])
+    err = capsys.readouterr().err
+    assert code == 4 and "allow_large" in err

@@ -8,14 +8,13 @@ from rankfair.embed import (
     classical_mds,
     distance_matrix,
     fit_point_for_ranking,
-    jacobi_eigen,
     ranking_from_point,
     render_curve_svg,
     render_map_svg,
 )
 from rankfair.bounds import AlphaCurve
-from rankfair.errors import DataError, GuardError
-from rankfair.sampling import PointConfig, make_rng
+from rankfair.errors import DataError, DimensionError, GuardError
+from rankfair.sampling import CultureSpec, PointConfig, make_rng, sample_profile
 
 
 def test_distance_matrix():
@@ -26,36 +25,28 @@ def test_distance_matrix():
     assert D[0, 1] == 1 and D[0, 2] == 3 and D[1, 2] == 2
     with pytest.raises(DataError):
         distance_matrix([(0, 1)])
+    with pytest.raises(DimensionError):
+        distance_matrix([(0, 1), (0, 1, 2)])
 
 
-def test_jacobi_identity_and_diagonal():
-    vals, vecs = jacobi_eigen(np.eye(4))
-    assert np.allclose(vals, 1.0)
-    M = np.diag([5.0, -2.0, 3.0])
-    vals, vecs = jacobi_eigen(M)
-    assert np.allclose(vals, [5.0, 3.0, -2.0])
-    assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-9)
+def test_distance_matrix_matches_pair_loop():
+    for m in range(2, 11):
+        for seed in (1, 2):
+            prof = sample_profile(CultureSpec("ic", n=30, m=m, seed=100 * m + seed))
+            rs = prof.support()
+            loop = np.array([[swap_distance(a, b) for b in rs] for a in rs])
+            assert np.array_equal(distance_matrix(rs), loop)
 
 
-def test_jacobi_reconstruction_random():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(3, 12))
-        X = rng.normal(size=(n, n))
-        M = (X + X.T) / 2
-        vals, vecs = jacobi_eigen(M)
-        assert np.all(np.diff(vals) <= 1e-9)
-        recon = vecs @ np.diag(vals) @ vecs.T
-        assert np.allclose(recon, M, atol=1e-8)
-        ref = np.sort(np.linalg.eigvalsh(M))[::-1]
-        assert np.allclose(vals, ref, atol=1e-8)
-
-
-def test_jacobi_rejects_nonsquare_and_big():
+def test_mds_rejects_bad_input():
     with pytest.raises(DataError):
-        jacobi_eigen(np.ones((2, 3)))
+        classical_mds(np.ones((2, 3)))
+    with pytest.raises(DataError):
+        classical_mds(np.array([[0.0, 1, 2], [1, 0, 1], [3, 1, 0]]))
+    with pytest.raises(DataError):
+        classical_mds(np.zeros((2, 2)))
     with pytest.raises(GuardError):
-        jacobi_eigen(np.eye(513))
+        classical_mds(np.zeros((513, 513)))
 
 
 def test_mds_equilateral_triangle():

@@ -117,6 +117,34 @@ def _snap_profile(weights: np.ndarray, rankings: list[Ranking]) -> Profile | Non
     return Profile.from_weights(pairs, normalize=True)
 
 
+def _add_optimality_rows(lp: LinearProgram, sq: np.ndarray, t: int):
+    """Rows keeping ranking t optimal under the squared cost: for every
+    competitor j, sum_i w_i (sq[i, j] - sq[i, t]) >= 0 over the weights w,
+    the first len(sq) variables."""
+    n = len(sq)
+    for j in range(n):
+        if j != t:
+            row = np.zeros(lp.n)
+            row[:n] = sq[:, j] - sq[:, t]
+            lp.add_row(row, ">=", 0.0)
+
+
+def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
+                            floor: float):
+    """Rows making the variables g = base..base+n-1 a group inside the
+    weights w, the first n variables (g_i <= w_i), whose mean distance to
+    the output is at least floor: sum_i g_i (dist[i] - floor) >= 0."""
+    n = len(dist)
+    for i in range(n):
+        row = np.zeros(lp.n)
+        row[i] = -1.0
+        row[base + i] = 1.0
+        lp.add_row(row, "<=", 0.0)
+    row = np.zeros(lp.n)
+    row[base : base + n] = dist - floor
+    lp.add_row(row, ">=", 0.0)
+
+
 def worst_profile_single_ranking(
     m: int,
     focal: Ranking | None = None,
@@ -143,10 +171,7 @@ def worst_profile_single_ranking(
     obj[idx[focal]] = 1.0
     lp = LinearProgram(obj, sense="max")
     lp.add_row(np.ones(n), "=", 1.0)
-    t = idx[target]
-    for j in range(n):
-        if j != t:
-            lp.add_row(sq[:, j] - sq[:, t], ">=", 0.0)
+    _add_optimality_rows(lp, sq, idx[target])
     sol = solve_lp(lp)
     if sol.status != "Optimal":
         return WorstCaseResult(0.0, None, None)
@@ -179,16 +204,13 @@ def alpha_curve(m: int, allow_large: bool = False) -> AlphaCurve:
     for target in itertools.permutations(range(m)):
         res = worst_profile_single_ranking(m, focal, target, allow_large=allow_large)
         attained.append((res.alpha, swap_distance(focal, target) / dmax))
-    alphas = sorted({round(a, 9) for a, _ in attained if a > 1e-9})
-    points = []
-    for a in alphas:
-        val = max((v for am, v in attained if am >= a - 1e-9), default=0.0)
-        points.append((a, val))
-    return AlphaCurve(tuple(points), m, "SingleRankingWorst")
+    return _staircase([(a, v) for a, v in attained if a > 1e-9], m,
+                      "SingleRankingWorst")
 
 
 def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
-    """Flip (alpha, q) program optima into a value-versus-alpha staircase."""
+    """Flip (alpha, value) program optima into a value-versus-alpha staircase:
+    the value at alpha is the largest attained at any alpha' >= alpha."""
     by_alpha: dict[float, float] = {}
     for a, q in pts:
         key = round(a, 9)
@@ -229,19 +251,8 @@ def worst_group_curve(
         obj = np.concatenate([np.zeros(n), np.ones(n)])
         lp = LinearProgram(obj, sense="max")
         lp.add_row(np.concatenate([np.ones(n), np.zeros(n)]), "=", 1.0)
-        for j in range(n):
-            if j != t:
-                lp.add_row(
-                    np.concatenate([sq[:, j] - sq[:, t], np.zeros(n)]), ">=", 0.0
-                )
-        for i in range(n):
-            row = np.zeros(2 * n)
-            row[i] = -1.0
-            row[n + i] = 1.0
-            lp.add_row(row, "<=", 0.0)
-        lp.add_row(
-            np.concatenate([np.zeros(n), D[:, t] - q * dmax]), ">=", 0.0
-        )
+        _add_optimality_rows(lp, sq, t)
+        _add_unhappy_group_rows(lp, n, D[:, t], q * dmax)
         sol = solve_lp(lp)
         if sol.status == "Optimal" and sol.objective_value > 1e-9:
             pts.append((float(sol.objective_value), q))
@@ -283,14 +294,7 @@ def lower_bound_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
             row[base : base + n] = 1.0
             row[a_ix] = -1.0
             lp.add_row(row, "=", 0.0)
-            for i in range(n):
-                row = np.zeros(nv)
-                row[i] = -1.0
-                row[base + i] = 1.0
-                lp.add_row(row, "<=", 0.0)
-            row = np.zeros(nv)
-            row[base : base + n] = D[:, c] - q * dmax
-            lp.add_row(row, ">=", 0.0)
+            _add_unhappy_group_rows(lp, base, D[:, c], q * dmax)
         sol = solve_lp(lp)
         if sol.status == "Optimal" and sol.objective_value > 1e-9:
             pts.append((float(sol.objective_value), q))

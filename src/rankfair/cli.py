@@ -79,8 +79,6 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    import itertools
-
     from . import axioms
     from .core import enumerate_rankings
     from .sampling import CultureSpec, make_rng, sample_profile
@@ -202,7 +200,6 @@ def cmd_embed(args) -> int:
         render_map_svg,
     )
     from .sampling import PointConfig
-    from .solver import solve
 
     if args.fit:
         if args.target is None:
@@ -244,7 +241,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
+    from .experiments import ExperimentSpec, run_experiment
 
     params = {}
     for kv in args.param or []:

@@ -38,16 +38,6 @@ from .errors import DataError
 from .sampling import CultureSpec, PointConfig, make_rng, sample_points, sample_profile, profile_from_points
 from .solver import CostSpec, local_search, solve_bnb, solve_brute_force, solve_kemeny_dp
 
-EXPERIMENTS = (
-    "HotelInterpolation",
-    "CityRanking",
-    "AlphaCurve",
-    "GroupDistance",
-    "Maps",
-    "EuclideanEmbeddings",
-)
-
-
 def load_data(name: str) -> dict:
     """Read one of the bundled JSON datasets by file stem."""
     ref = importlib.resources.files("rankfair") / "data" / f"{name}.json"
@@ -164,15 +154,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    runner = {
-        "HotelInterpolation": _run_hotels,
-        "CityRanking": _run_cities,
-        "AlphaCurve": _run_alpha_curve,
-        "GroupDistance": _run_group_distance,
-        "Maps": _run_maps,
-        "EuclideanEmbeddings": _run_embeddings,
-    }[spec.name]
-    report = runner(spec, out)
+    report = EXPERIMENTS[spec.name](spec, out)
     from . import __version__
 
     manifest = {
@@ -340,3 +322,14 @@ def _run_embeddings(spec: ExperimentSpec, out: Path) -> dict:
     (out / "embedding.svg").write_text(render_map_svg(coords, weights, marks))
     (out / "embedding.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
+
+
+# experiment name -> runner; `ExperimentSpec` accepts exactly these names
+EXPERIMENTS = {
+    "HotelInterpolation": _run_hotels,
+    "CityRanking": _run_cities,
+    "AlphaCurve": _run_alpha_curve,
+    "GroupDistance": _run_group_distance,
+    "Maps": _run_maps,
+    "EuclideanEmbeddings": _run_embeddings,
+}

@@ -1,14 +1,15 @@
 """Dense two-phase primal simplex in double precision, deterministic.
 
-The worst-case programs in `rankfair.bounds` have up to a few thousand
-dense variables and are highly degenerate.  The entering column has the
-most negative reduced cost, switching to Bland's rule after a streak of
-degenerate pivots so cycling cannot occur.  The standard form is written
-straight into the tableau, from index arrays that give each standard
-column its source variable, sign and lower-bound shift.  Each pivot is
-one rank-1 update over cache-sized row blocks that computes every entry
-exactly as row-by-row elimination would, so the blocking changes neither
-the pivot sequence nor any result.
+A program is max or min c'x over rows (coeffs, relation, rhs) with every
+variable nonnegative; an upper bound is a row, a free variable the
+difference of two.  The worst-case programs in `rankfair.bounds` have up
+to a few thousand dense variables and are highly degenerate.  The
+entering column has the most negative reduced cost, switching to Bland's
+rule after a streak of degenerate pivots so cycling cannot occur.  The
+standard form is written straight into the tableau, which is guarded by
+its size in bytes.  Each pivot is one rank-1 update over cache-sized row
+blocks that computes every entry exactly as row-by-row elimination
+would, so the blocking changes neither the pivot sequence nor any result.
 """
 
 from __future__ import annotations
@@ -22,20 +23,19 @@ from .errors import DataError, DimensionError, GuardError
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
-SIZE_GUARD = 20_000
+# the tableau holds (rows + 1) x width doubles; solving also keeps a copy of
+# its constraint block and `_refresh` allocates a solve output of that size,
+# so 1 GiB of tableau stays near 3 GiB in all, inside a 7 GB machine
+TABLEAU_GUARD_BYTES = 1 << 30
 
 
 @dataclass
 class LinearProgram:
-    """min/max c'x subject to rows of (coeffs, relation, rhs) and box bounds.
-
-    Bounds default to [0, inf); lo=None marks a free variable.
-    """
+    """min/max c'x subject to rows of (coeffs, relation, rhs) and x >= 0."""
 
     objective: np.ndarray
     sense: str = "max"
     rows: list = field(default_factory=list)
-    bounds: list = field(default_factory=list)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -43,8 +43,6 @@ class LinearProgram:
             raise DataError(f"sense must be max or min, got {self.sense}")
         if not np.all(np.isfinite(self.objective)):
             raise DataError("objective has non-finite entries")
-        if not self.bounds:
-            self.bounds = [(0.0, None)] * self.n
 
     @property
     def n(self) -> int:
@@ -59,30 +57,6 @@ class LinearProgram:
         if not (np.all(np.isfinite(coeffs)) and np.isfinite(rhs)):
             raise DataError("non-finite constraint data")
         self.rows.append((coeffs, rel, float(rhs)))
-
-    def dump(self) -> str:
-        """The program in LP text format (continuous relaxation form)."""
-
-        def expr(coeffs):
-            terms = [
-                f"{'+' if c >= 0 else '-'} {abs(c):.12g} v{j}"
-                for j, c in enumerate(coeffs)
-                if c != 0
-            ]
-            return " ".join(terms).lstrip("+ ") or "0 v0"
-
-        lines = ["Maximize" if self.sense == "max" else "Minimize"]
-        lines.append(f" obj: {expr(self.objective)}")
-        lines.append("Subject To")
-        for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            lines.append(f" c{i}: {expr(coeffs)} {rel} {rhs:.12g}")
-        lines.append("Bounds")
-        for j, (lo, hi) in enumerate(self.bounds):
-            lo_s = "-inf" if lo is None else f"{lo:.12g}"
-            hi_s = "+inf" if hi is None else f"{hi:.12g}"
-            lines.append(f" {lo_s} <= v{j} <= {hi_s}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -195,43 +169,30 @@ _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     n = lp.n
-    if n > SIZE_GUARD or len(lp.rows) > SIZE_GUARD:
-        raise GuardError(f"dense simplex guarded at {SIZE_GUARD} variables/rows")
-
-    # standard form: every structural variable nonnegative after shifting
-    # by its finite lower bound or splitting a free variable in two, so
-    # standard column k is sgn[k] * (variable src[k] - shift[k])
-    free = np.array([lo is None for lo, _ in lp.bounds], dtype=bool)
-    src = np.repeat(np.arange(n), np.where(free, 2, 1))
-    sgn = np.where(np.diff(src, prepend=-1) == 0, -1.0, 1.0)
-    shift = np.array([0.0 if lo is None else float(lo) for lo, _ in lp.bounds])[src]
-    ns = len(src)
-    rows = lp.rows + [(np.eye(1, n, j)[0], "<=", float(hi))
-                      for j, (_, hi) in enumerate(lp.bounds) if hi is not None]
-    c = lp.objective[src] * (-sgn if lp.sense == "max" else sgn)
+    c = -lp.objective if lp.sense == "max" else lp.objective
 
     # normalize to nonnegative rhs first so slack/artificial counts are right;
     # a >= row with zero rhs flips to <= form so its slack can start basic
     # and no artificial variable is needed
     rels, rhss, flips = [], [], []
-    shifted = shift.any()
-    for coeffs, rel, rhs in rows:
-        if shifted:
-            rhs -= float(coeffs[src] @ shift)
+    for _, rel, rhs in lp.rows:
         flip = rhs < 0 or (rel == ">=" and rhs == 0)
         rels.append(_FLIPPED[rel] if flip else rel)
         rhss.append(-rhs if rhs < 0 else rhs)
         flips.append(flip)
-    m = len(rows)
+    m = len(lp.rows)
     rels = np.array(rels, dtype="<U2")
     has_slack, has_art = rels != "=", rels != "<="
-    art_at = ns + int(has_slack.sum())
+    art_at = n + int(has_slack.sum())
     width = art_at + int(has_art.sum()) + 1
+    if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
+        raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
+                         f"exceeds {TABLEAU_GUARD_BYTES} bytes")
     T = np.zeros((m + 1, width))
-    for i, (coeffs, _, _) in enumerate(rows):
-        T[i, :ns] = coeffs[src] * (-sgn if flips[i] else sgn)
+    for i, (coeffs, _, _) in enumerate(lp.rows):
+        T[i, :n] = -coeffs if flips[i] else coeffs
     T[:m, -1] = rhss
-    slack_col = ns - 1 + np.cumsum(has_slack)
+    slack_col = n - 1 + np.cumsum(has_slack)
     art_col = art_at - 1 + np.cumsum(has_art)
     T[np.flatnonzero(has_slack), slack_col[has_slack]] = np.where(
         rels[has_slack] == "<=", 1.0, -1.0)
@@ -275,7 +236,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # phase 2 cost row
     phase2_cost = np.zeros(width - 1)
-    phase2_cost[:ns] = c
+    phase2_cost[:n] = c
     T[-1, :-1] = phase2_cost
     T[-1, -1] = 0.0
     for i, bi in enumerate(basis):
@@ -287,8 +248,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     x_std = np.zeros(width - 1)
     x_std[basis] = T[:m, -1]
-    x = np.zeros(n)
-    np.add.at(x, src, sgn * x_std[:ns] + shift)
+    x = x_std[:n]
     obj = float(lp.objective @ x)
     return LpSolution("Optimal", x, obj, **stats)
 
@@ -308,9 +268,6 @@ def verify_solution(lp: LinearProgram, sol: LpSolution, tol: float = 1e-8) -> bo
             return False
         if rel == "=" and abs(v - rhs) > tol:
             return False
-    for xi, (lo, hi) in zip(x, lp.bounds):
-        if lo is not None and xi < lo - tol:
-            return False
-        if hi is not None and xi > hi + tol:
-            return False
+    if np.any(x < -tol):
+        return False
     return abs(float(lp.objective @ x) - sol.objective_value) <= tol

@@ -20,6 +20,8 @@ from .errors import DataError, DimensionError, GuardError
 BRUTE_FORCE_GUARD = 10
 DP_GUARD = 20
 BNB_GUARD = 40
+# solvers report at most this many tied winners; they collect one more so
+# that ties_complete=False says exactly that an optimal ranking was left out
 TIE_ENUMERATION_CAP = 10_000
 # brute force scores the last _SUFFIX places of a ranking against one cached
 # table of their orders, in row blocks of about _BLOCK_ENTRIES matrix entries
@@ -123,10 +125,11 @@ def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
     """All-pairs swap distances of rankings over one m, in integers.
 
     Two rankings agree on P - d pairs and disagree on d, so the dot
-    product of their pair signs is P - 2d.
+    product of their pair signs is P - 2d.  The product runs through BLAS in
+    float64, which holds every partial sum of P terms of +-1 exactly.
     """
-    S = _signs(np.argsort(np.array(rankings), axis=1)).astype(np.int64)
-    return (S.shape[1] - S @ S.T) // 2
+    S = _signs(np.argsort(np.array(rankings), axis=1)).astype(np.float64)
+    return (S.shape[1] - (S @ S.T).astype(np.int64)) // 2
 
 
 class IntCost:
@@ -182,7 +185,8 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     distance to voter v is the prefix's disagreements, counted once per
     block like a `solve_bnb` node's d, plus the suffix's, from one float32
     matmul of the table's signs against v's votes on the remaining pairs.
-    Memory stays flat in m, and winners come out in lexicographic order.
+    Memory stays flat in m, and winners come out in lexicographic order,
+    the first `TIE_ENUMERATION_CAP` of them.
     """
     m = profile.m
     if m > BRUTE_FORCE_GUARD:
@@ -209,6 +213,7 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
         offset += (q.sum(axis=2) + (q[:, :, i] > q[:, :, j]).sum(axis=2) - len(i)).T
     rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
     total = np.empty(len(orders), dtype=dtype)
+    full = TIE_ENUMERATION_CAP + 1
     best, found = None, []
     for b in range(len(pre)):
         votes = half[cols[b]]
@@ -220,14 +225,16 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
         low = total.min()
         if best is None or low < best:
             best, found = low, []
-        if low == best:
+        if low == best and len(found) < full:
             prefix = tuple(pre[b].tolist())
-            found += (prefix + tuple(r) for r in rest[b][orders[total == low]].tolist())
+            hits = orders[total == low][: full - len(found)]
+            found += (prefix + tuple(r) for r in rest[b][hits].tolist())
     return SolveResult(
-        winners=tuple(found),
+        winners=tuple(found[:TIE_ENUMERATION_CAP]),
         cost=Fraction(int(best), ic.denom),
         status="Exact",
         method="brute_force",
+        ties_complete=len(found) < full,
     )
 
 
@@ -302,7 +309,9 @@ def solve_bnb(
 
     Exact when it runs to completion; with a node budget it may return an
     anytime result flagged "Heuristic" together with a certified global
-    lower bound.  Tie tracking is on by default up to m=12.
+    lower bound.  Tie tracking is on by default up to m=12; once it has
+    found `TIE_ENUMERATION_CAP` winners and one more, it prunes ties as
+    find_all_ties=False does.
     """
     m = profile.m
     if m > BNB_GUARD:
@@ -310,6 +319,7 @@ def solve_bnb(
     p = cost.exponent
     if find_all_ties is None:
         find_all_ties = m <= 12
+    full = TIE_ENUMERATION_CAP + 1
     ic = IntCost(profile)
     denom = ic.denom
     dtype = ic.dtype(p, pair_bound=True)
@@ -371,13 +381,14 @@ def solve_bnb(
             break
         lb, prefix, remaining, dvec = stack.pop()
         nodes += 1
-        if lb > incumbent or (lb == incumbent and not find_all_ties):
+        if lb > incumbent or (lb == incumbent and (
+                not find_all_ties or len(best) >= full)):
             continue
         if len(remaining) == 1:  # a complete ranking, whose bound is its cost
             cand = prefix + remaining
             if lb < incumbent:
                 incumbent, best, T = lb, [cand], dvec
-            elif cand not in best:
+            elif cand != seed:  # the search reaches each ranking once
                 best.append(cand)
             continue
         D, lbs = expand(remaining, dvec)
@@ -389,7 +400,7 @@ def solve_bnb(
         frontier = min((node[0] for node in stack), default=incumbent)
         global_lb = min(incumbent, frontier)
         return SolveResult(
-            winners=tuple(sorted(best)),
+            winners=tuple(sorted(best)[:TIE_ENUMERATION_CAP]),
             cost=Fraction(incumbent, denom),
             status="Heuristic",
             method="bnb",
@@ -398,12 +409,13 @@ def solve_bnb(
             ties_complete=False,
         )
     return SolveResult(
-        winners=tuple(sorted(best)) if find_all_ties else (best[0],),
+        winners=tuple(sorted(best)[:TIE_ENUMERATION_CAP]) if find_all_ties
+        else (best[0],),
         cost=Fraction(incumbent, denom),
         status="Exact",
         method="bnb",
         nodes=nodes,
-        ties_complete=find_all_ties,
+        ties_complete=find_all_ties and len(best) < full,
     )
 
 

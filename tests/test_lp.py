@@ -20,9 +20,10 @@ def test_trivial_minimum():
 
 
 def test_maximization_with_upper_bounds():
-    lp = LinearProgram(objective=[3.0, 2.0], sense="max",
-                       bounds=[(0.0, 4.0), (0.0, 1.0)])
+    lp = LinearProgram(objective=[3.0, 2.0], sense="max")
     lp.add_row([1.0, 1.0], "<=", 4.5)
+    lp.add_row([1.0, 0.0], "<=", 4.0)
+    lp.add_row([0.0, 1.0], "<=", 1.0)
     sol = solve_lp(lp)
     assert sol.status == "Optimal"
     assert sol.objective_value == pytest.approx(3 * 4.0 + 2 * 0.5)
@@ -30,10 +31,12 @@ def test_maximization_with_upper_bounds():
 
 
 def test_free_variable():
-    lp = LinearProgram(objective=[1.0], sense="min", bounds=[(None, None)])
-    lp.add_row([1.0], ">=", -3.0)
+    # a free x is u - v with u, v >= 0
+    lp = LinearProgram(objective=[1.0, -1.0], sense="min")
+    lp.add_row([1.0, -1.0], ">=", -3.0)
     sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(-3.0)
+    assert sol.values[0] - sol.values[1] == pytest.approx(-3.0)
 
 
 def test_infeasible():
@@ -73,24 +76,29 @@ def test_degenerate_program_terminates():
     assert sol.objective_value == pytest.approx(-0.05)
 
 
-def test_size_guard():
-    lp = LinearProgram(objective=[0.0] * 20001, sense="min")
+def test_tableau_guard_refuses_large_program():
+    # 20,001 x 21,001 doubles, 3.4 GB; the rows share one array, which
+    # add_row keeps as it is, so the test itself allocates little
+    row = np.ones(1000)
+    lp = LinearProgram(np.zeros(1000), sense="min")
+    for _ in range(20_000):
+        lp.add_row(row, "<=", 1.0)
+    assert lp.rows[-1][0] is row
+    assert 20_001 * 21_001 * 8 > lp_mod.TABLEAU_GUARD_BYTES
     with pytest.raises(GuardError):
         solve_lp(lp)
+
+
+def test_wide_program_without_rows_solves():
+    sol = solve_lp(LinearProgram(np.ones(20_001), sense="min"))
+    assert sol.status == "Optimal"
+    assert sol.objective_value == 0.0 and not sol.values.any()
 
 
 def test_dimension_mismatch():
     lp = LinearProgram(objective=[1.0, 1.0], sense="min")
     with pytest.raises(Exception):
         lp.add_row([1.0], ">=", 0.0)
-
-
-def test_dump_format():
-    lp = LinearProgram(objective=[1.0, -2.0], sense="max")
-    lp.add_row([1.0, 1.0], "<=", 3.0)
-    text = lp.dump()
-    assert text.splitlines()[0] == "Maximize"
-    assert "End" in text
 
 
 def test_verify_solution_rejects_perturbation():
@@ -162,7 +170,12 @@ def test_pivot_matches_row_loop(shape, sign):
 
 
 def _random_program(seed):
-    """A feasible program built around a point x0 inside its bounds."""
+    """A feasible program built around a point x0 inside box bounds.
+
+    Returns it in nonnegative variables, where a variable that may go
+    negative is the difference u - v of two columns and a bound is a row,
+    together with the box-bounded original (c, rows, bounds).
+    """
     rng = np.random.default_rng(seed)
     n, k = int(rng.integers(2, 6)), int(rng.integers(1, 6))
     bounds_, x0 = [], []
@@ -180,36 +193,46 @@ def _random_program(seed):
     ax = A @ np.array(x0)
     rhs = [a + s if r == "<=" else a - s if r == ">=" else a
            for a, s, r in zip(ax, slack, rels)]
-    prog = LinearProgram(rng.integers(-3, 4, size=n).astype(float),
-                         sense=str(rng.choice(["min", "max"])), bounds=bounds_)
-    for row, rel, b in zip(A, rels, rhs):
-        prog.add_row(row, rel, b)
-    return prog
+    c = rng.integers(-3, 4, size=n).astype(float)
+    sense = str(rng.choice(["min", "max"]))
+    # x = X @ y over nonnegative columns y
+    X = np.hstack([np.eye(n)[:, [j]] * ([1.0, -1.0] if lo is None or lo < 0 else 1.0)
+                   for j, (lo, _) in enumerate(bounds_)])
+    prog = LinearProgram(c @ X, sense=sense)
+    rows = list(zip(A, rels, rhs))
+    for row, rel, b in rows:
+        prog.add_row(row @ X, rel, b)
+    for j, (lo, hi) in enumerate(bounds_):
+        if lo:
+            prog.add_row(X[j], ">=", lo)
+        if hi is not None:
+            prog.add_row(X[j], "<=", hi)
+    return prog, (c, rows, bounds_)
 
 
 def test_solve_lp_matches_highs():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     seen_rels, negative_rhs, statuses = set(), 0, []
     for seed in range(80):
-        prog = _random_program(seed)
+        prog, (obj, rows, box) = _random_program(seed)
         sign = -1.0 if prog.sense == "max" else 1.0
         ub = [(c if r == "<=" else -c, b if r == "<=" else -b)
-              for c, r, b in prog.rows if r != "="]
-        eq = [(c, b) for c, r, b in prog.rows if r == "="]
+              for c, r, b in rows if r != "="]
+        eq = [(c, b) for c, r, b in rows if r == "="]
         ref = scipy_optimize.linprog(
-            sign * prog.objective,
+            sign * obj,
             A_ub=np.array([c for c, _ in ub]) if ub else None,
             b_ub=[b for _, b in ub] if ub else None,
             A_eq=np.array([c for c, _ in eq]) if eq else None,
             b_eq=[b for _, b in eq] if eq else None,
-            bounds=prog.bounds, method="highs")
+            bounds=box, method="highs")
         sol = solve_lp(prog)
         assert sol.status == {0: "Optimal", 3: "Unbounded"}[ref.status], seed
         if sol.status == "Optimal":
             assert sol.objective_value == pytest.approx(sign * ref.fun, abs=1e-7)
             assert verify_solution(prog, sol)
-        seen_rels |= {r for _, r, _ in prog.rows}
-        negative_rhs += any(b < 0 for _, _, b in prog.rows)
+        seen_rels |= {r for _, r, _ in rows}
+        negative_rhs += any(b < 0 for _, _, b in rows)
         statuses.append(sol.status)
     assert seen_rels == {"<=", "=", ">="}
     assert negative_rhs > 0

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -89,11 +90,14 @@ def test_solvers_exact_when_costs_overflow_int64():
 @pytest.mark.parametrize("m", [8, 9])
 def test_brute_force_ties_across_prefix_blocks(m):
     # a ranking and its reverse, half each: the squared-cost winners are the
-    # rankings halfway between them, spread over many prefix blocks
+    # rankings halfway between them, spread over many prefix blocks; at m=9
+    # they outnumber the cap, which keeps the first in lexicographic order
     ident = tuple(range(m))
     prof = Profile.from_weights({ident: F(1, 2), ident[::-1]: F(1, 2)})
     res = solve_brute_force(prof, CostSpec(2))
-    assert (res.winners, res.cost) == brute_oracle(prof, 2)
+    winners, cost = brute_oracle(prof, 2)
+    assert (res.winners, res.cost) == (winners[: solver.TIE_ENUMERATION_CAP], cost)
+    assert res.ties_complete == (len(winners) <= solver.TIE_ENUMERATION_CAP)
     assert len({w[: m - 7] for w in res.winners}) > 1
 
 
@@ -285,6 +289,36 @@ def test_kemeny_dp_full_tie_set():
     res = solve_kemeny_dp(prof)
     assert len(res.winners) == 6
     assert res.ties_complete
+
+
+def _all_tied(m):
+    # a ranking and its reverse at half weight each: every ranking costs
+    # C(m, 2) / 2 under the Kemeny rule
+    r = tuple(range(m))
+    return Profile.from_weights({r: F(1, 2), r[::-1]: F(1, 2)})
+
+
+def _tie_solvers(prof):
+    return [solve_kemeny_dp(prof), solve_brute_force(prof, CostSpec(1)),
+            solve_bnb(prof, CostSpec(1), find_all_ties=True)]
+
+
+def test_tie_cap_all_methods_m8():
+    start = time.perf_counter()
+    results = _tie_solvers(_all_tied(8))
+    for res in results:
+        assert (res.status, res.cost, res.ties_complete) == ("Exact", 14, False)
+        assert len(set(res.winners)) == len(res.winners) <= solver.TIE_ENUMERATION_CAP
+    # the cap must stop the bnb search, not only trim its output
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cap, complete", [(5, False), (6, True), (7, True)])
+def test_tie_cap_flags_exactly_a_left_out_winner(monkeypatch, cap, complete):
+    monkeypatch.setattr(solver, "TIE_ENUMERATION_CAP", cap)
+    for res in _tie_solvers(_all_tied(3)):
+        assert res.ties_complete == complete
+        assert len(res.winners) == min(cap, 6)
 
 
 def test_solve_dispatch():

@@ -17,16 +17,20 @@ from .core import (
     Ranking,
     as_ranking,
     identity_ranking,
+    mahonian,
     max_swap_distance,
     reverse_ranking,
     swap_distance,
 )
 from .errors import DataError, GuardError
-from .lp import LinearProgram, LpSolution, solve_lp, verify_solution
+from .lp import LinearProgram, solve_lp, verify_solution
 from .solver import IntCost, solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
-SNAP_DENOMINATOR = 10**6
+# row generation adds at most this many violated competitor rows per round;
+# a row or a weight counts as violated, tight or zero within ROW_TOL
+ROW_BATCH = 8
+ROW_TOL = 1e-9
 
 
 def single_ranking_bound(alpha: Fraction | float, m: int) -> float:
@@ -107,14 +111,37 @@ class WorstCaseResult(NamedTuple):
     alpha_exact: Fraction | None
 
 
-def _snap_profile(weights: np.ndarray, rankings: list[Ranking]) -> Profile | None:
-    pairs = {}
-    for r, w in zip(rankings, weights):
-        if w > 1e-9:
-            pairs[r] = Fraction(float(w)).limit_denominator(SNAP_DENOMINATOR)
-    if not pairs or sum(pairs.values()) == 0:
-        return None
-    return Profile.from_weights(pairs, normalize=True)
+def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
+    """The unique rational solution of the integer system A x = b, or None
+    when it has none or more than one.
+
+    Fraction-free (Bareiss) elimination with row swaps keeps every entry an
+    integer minor of [A | b], so each division below is exact; only the
+    back substitution leaves the integers.
+    """
+    rows = [list(r) + [v] for r, v in zip(A, b)]
+    k, s = len(rows), len(A[0])
+    prev = 1
+    for c in range(s):
+        p = next((r for r in range(c, k) if rows[r][c]), None)
+        if p is None:
+            return None  # a free column: the solution is not unique
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c]
+        for r in range(c + 1, k):
+            row, f = rows[r], rows[r][c]
+            for j in range(c + 1, s + 1):
+                row[j] = (piv[c] * row[j] - f * piv[j]) // prev
+            row[c] = 0
+        prev = piv[c]
+    if any(rows[r][s] for r in range(s, k)):
+        return None  # inconsistent
+    x: list[Fraction] = [Fraction(0)] * s
+    for c in reversed(range(s)):
+        row = rows[c]
+        acc = row[s] - sum(row[j] * x[j] for j in range(c + 1, s))
+        x[c] = Fraction(acc) / row[c]
+    return x
 
 
 def _add_optimality_rows(lp: LinearProgram, sq: np.ndarray, t: int):
@@ -145,6 +172,34 @@ def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
     lp.add_row(row, ">=", 0.0)
 
 
+def _single_program(obj: np.ndarray, G: np.ndarray, cols) -> LinearProgram:
+    """max obj . w over weights w summing to 1, with one row w . G[:, j] >= 0
+    per competitor j in cols."""
+    lp = LinearProgram(obj, sense="max")
+    lp.add_row(np.ones(len(obj)), "=", 1.0)
+    for j in cols:
+        lp.add_row(G[:, j], ">=", 0.0)
+    return lp
+
+
+def _exact_witness(w: np.ndarray, G: np.ndarray, tight: list[int],
+                   rankings: list[Ranking], target: Ranking) -> Profile | None:
+    """The exact profile at the vertex the float weights w sit on, if it is
+    one, positive, and keeps target optimal under the squared cost.
+
+    The vertex is fixed by the support S = {i : w_i > ROW_TOL} and the
+    rows tight at w: its weights solve sum(x) = 1 and x . G[S, j] = 0 for
+    each tight row j, exactly in rationals.
+    """
+    supp = np.flatnonzero(w > ROW_TOL)
+    A = [[1] * len(supp)] + G[np.ix_(supp, tight)].T.tolist()
+    x = _solve_exact(A, [1] + [0] * len(tight))
+    if x is None or min(x) <= 0:
+        return None
+    witness = Profile.from_weights(zip((rankings[i] for i in supp), x))
+    return witness if target in solve_brute_force(witness).winners else None
+
+
 def worst_profile_single_ranking(
     m: int,
     focal: Ranking | None = None,
@@ -153,9 +208,18 @@ def worst_profile_single_ranking(
 ) -> WorstCaseResult:
     """Maximal weight a single ranking can hold while `target` stays optimal.
 
-    Solves a program over all m! ranking weights with one optimality
-    constraint per competitor, then snaps the witness to rationals and
-    re-verifies it with the exact solver.
+    The full program has a weight per ranking and one row per competitor
+    j: sum_i w_i G[i, j] >= 0 with G[i, j] = sq[i, j] - sq[i, target], the
+    target's squared-cost margin over j.  Few of these rows bind, so they
+    are generated: the program starts with the sum row and the m-1
+    competitors adjacent to the target, and each round solves it, scores
+    every competitor at once (slack = w @ G), and adds the ROW_BATCH most
+    violated rows not yet in it.  It stops when no competitor has slack
+    below -ROW_TOL; the restricted optimum, an upper bound on the full one, is then feasible
+    for it and so optimal, which `verify_solution` rechecks on the full
+    program.  The witness is the exact vertex of the final solution (see
+    `_exact_witness`), re-verified with the exact solver; if that fails,
+    `witness` and `alpha_exact` are None.
     """
     cap = 6 if allow_large else LP_GUARD_M
     if m > cap:
@@ -164,27 +228,32 @@ def worst_profile_single_ranking(
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
     rankings = list(itertools.permutations(range(m)))
     idx = {r: i for i, r in enumerate(rankings)}
-    D = swap_distance_matrix(rankings).astype(float)
-    sq = D**2
-    n = len(rankings)
-    obj = np.zeros(n)
+    t = idx[target]
+    D = swap_distance_matrix(rankings)
+    sq = D * D
+    G = sq - sq[:, t : t + 1]
+    Gf = G.astype(float)
+    obj = np.zeros(len(rankings))
     obj[idx[focal]] = 1.0
-    lp = LinearProgram(obj, sense="max")
-    lp.add_row(np.ones(n), "=", 1.0)
-    _add_optimality_rows(lp, sq, idx[target])
-    sol = solve_lp(lp)
-    if sol.status != "Optimal":
-        return WorstCaseResult(0.0, None, None)
-    if not verify_solution(lp, sol, 1e-8):
+    active = np.flatnonzero(D[t] == 1).tolist()
+    while True:
+        sol = solve_lp(_single_program(obj, Gf, active))
+        if sol.status != "Optimal":
+            return WorstCaseResult(0.0, None, None)
+        slack = sol.values @ Gf
+        # a row is never added twice, so there are at most n/ROW_BATCH rounds
+        violated = slack < -ROW_TOL
+        violated[active] = False
+        viol = np.flatnonzero(violated)
+        if not len(viol):
+            break
+        active += viol[np.argsort(slack[viol], kind="stable")[:ROW_BATCH]].tolist()
+    full = _single_program(obj, Gf, (j for j in range(len(rankings)) if j != t))
+    if not verify_solution(full, sol, 1e-8):
         raise DataError("simplex output failed independent verification")
-    witness = _snap_profile(sol.values, rankings)
-    alpha_exact = None
-    if witness is not None:
-        check = solve_brute_force(witness)
-        if target in check.winners:
-            alpha_exact = witness.weight(focal)
-        else:
-            witness = None
+    tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
+    witness = _exact_witness(sol.values, G, tight, rankings, target)
+    alpha_exact = witness.weight(focal) if witness is not None else None
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact)
 
 
@@ -262,42 +331,39 @@ def worst_group_curve(
 def lower_bound_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
     """Largest group weight that some profile makes unhappy under every output.
 
-    A rule-independent floor: one group variable set per candidate
-    output, all drawn from a single profile.  Quadratic in m!, so
-    guarded at m=4: at m=5 the dense program alone would need over 8 GB.
+    A rule-independent floor.  As a program it picks one profile w and,
+    for every candidate output c, a group g^c <= w of weight alpha whose
+    mean distance to c is at least q * dmax, and maximizes alpha.  It is
+    solved in closed form by symmetry: relabelling the alternatives
+    permutes the rankings transitively and preserves swap distance, so it
+    maps feasible solutions to feasible ones with the same alpha, and
+    their average over all m! relabellings is feasible (the program is
+    convex) with the uniform profile.  Under the uniform profile every
+    candidate sees the same distance distribution, the Mahonian counts, so
+    the optimum is the largest group of the uniform profile whose mean
+    distance to one fixed ranking is at least q * dmax.  That group takes
+    whole distance classes from the far end and splits the boundary class;
+    it is computed exactly in Fractions, q taken as its exact binary value.
+    `mahonian` caps m at MAHONIAN_CAP.
     """
-    if m > 4:
-        raise GuardError("lower_bound_curve guarded at m=4")
+    counts = mahonian(m)
     if grid is None:
         grid = [k / 200 for k in range(0, 201)]
-    rankings = list(itertools.permutations(range(m)))
-    n = len(rankings)
-    D = swap_distance_matrix(rankings).astype(float)
     dmax = max_swap_distance(m)
-    # variables: w (n), g^cand (n per candidate), alpha (1)
-    nv = n + n * n + 1
-    a_ix = nv - 1
-
     pts: list[tuple[float, float]] = []
     for q in grid:
         if not 0 <= q <= 1:
             raise DataError(f"grid value out of [0,1]: {q}")
-        obj = np.zeros(nv)
-        obj[a_ix] = 1.0
-        lp = LinearProgram(obj, sense="max")
-        row = np.zeros(nv)
-        row[:n] = 1.0
-        lp.add_row(row, "=", 1.0)
-        for c in range(n):
-            base = n + c * n
-            row = np.zeros(nv)
-            row[base : base + n] = 1.0
-            row[a_ix] = -1.0
-            lp.add_row(row, "=", 0.0)
-            _add_unhappy_group_rows(lp, base, D[:, c], q * dmax)
-        sol = solve_lp(lp)
-        if sol.status == "Optimal" and sol.objective_value > 1e-9:
-            pts.append((float(sol.objective_value), q))
+        floor = Fraction(q) * dmax
+        size = excess = Fraction(0)  # group size in rankings, its sum of d - floor
+        for d in range(dmax, -1, -1):
+            gain = counts[d] * (d - floor)
+            if excess + gain < 0:
+                size += excess / (floor - d)
+                break
+            size += counts[d]
+            excess += gain
+        pts.append((float(size / math.factorial(m)), q))
     return _staircase(pts, m, "GroupLowerBound")
 
 

@@ -103,8 +103,8 @@ def enumerate_rankings(m: int) -> Iterator[Ranking]:
 
 def mahonian(m: int) -> list[int]:
     """M_i = number of rankings at swap distance i from any fixed ranking."""
-    if not 2 <= m <= MAHONIAN_CAP:
-        raise GuardError(f"mahonian supports 2 <= m <= {MAHONIAN_CAP}, got {m}")
+    if not 1 <= m <= MAHONIAN_CAP:
+        raise GuardError(f"mahonian supports 1 <= m <= {MAHONIAN_CAP}, got {m}")
     # product of uniform blocks: prod_{k=1}^{m} (1 + x + ... + x^{k-1})
     coeffs = [1]
     for k in range(2, m + 1):

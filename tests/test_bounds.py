@@ -7,6 +7,8 @@ import pytest
 
 from rankfair.bounds import (
     AlphaCurve,
+    _add_unhappy_group_rows,
+    _solve_exact,
     alpha_curve,
     group_bound,
     lower_bound_curve,
@@ -25,8 +27,9 @@ from rankfair.core import (
     swap_distance,
 )
 from rankfair.errors import DataError, GuardError
+from rankfair.lp import LinearProgram, solve_lp
 from rankfair.sampling import CultureSpec, sample_profile
-from rankfair.solver import solve_brute_force
+from rankfair.solver import solve_brute_force, swap_distance_matrix
 
 
 def test_single_ranking_bound_closed_form():
@@ -167,9 +170,125 @@ def test_lower_bound_curve_m3(q, alpha):
 
 
 def test_lower_bound_curve_guard():
-    # at m=5 the dense program alone is 14,641 rows by 14,521 variables
+    # the closed form needs only the Mahonian counts, so its range is theirs
+    assert lower_bound_curve(1, [0.5]).points == ((1.0, 0.5),)
+    assert lower_bound_curve(12, [0.5]).points
     with pytest.raises(GuardError):
-        lower_bound_curve(5, [0.5])
+        lower_bound_curve(13, [0.5])
+
+
+def _lower_bound_program(m, q):
+    """The lower-bound program as a dense LinearProgram: one profile w, for
+    each candidate output c a group g^c <= w of weight alpha at mean
+    distance >= q * dmax from c; maximize alpha."""
+    rankings = list(itertools.permutations(range(m)))
+    n = len(rankings)
+    D = swap_distance_matrix(rankings).astype(float)
+    floor = q * max_swap_distance(m)
+    nv = n + n * n + 1  # w, g^c per candidate, alpha
+    obj = np.zeros(nv)
+    obj[-1] = 1.0
+    lp = LinearProgram(obj, sense="max")
+    row = np.zeros(nv)
+    row[:n] = 1.0
+    lp.add_row(row, "=", 1.0)
+    for c in range(n):
+        base = n + c * n
+        row = np.zeros(nv)
+        row[base : base + n] = 1.0
+        row[-1] = -1.0
+        lp.add_row(row, "=", 0.0)
+        _add_unhappy_group_rows(lp, base, D[:, c], floor)
+    return lp
+
+
+@pytest.mark.parametrize("m, grid", [
+    (3, [k / 200 for k in range(201)]),
+    (4, [0.0, 0.2, 0.35, 0.5, 0.8]),
+])
+def test_lower_bound_curve_closed_form_matches_program(m, grid):
+    for q in grid:
+        sol = solve_lp(_lower_bound_program(m, q))
+        assert sol.status == "Optimal"
+        ((alpha, value),) = lower_bound_curve(m, [q]).points
+        assert value == q
+        assert abs(alpha - sol.objective_value) <= 1e-9
+
+
+def test_lower_bound_curve_m5_matches_highs():
+    # the 14,641-row program the dense simplex could not hold, sparse
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, q = 5, 0.8
+    rankings = list(itertools.permutations(range(m)))
+    n = len(rankings)
+    D = swap_distance_matrix(rankings).astype(float)
+    floor = q * max_swap_distance(m)
+    nv = n + n * n + 1
+    g = n + np.arange(n * n).reshape(n, n)  # g[c, i]: column of g^c_i
+    eye = sparse.identity(n, format="csr")
+    # g^c_i - w_i <= 0 and sum_i g^c_i (floor - D[i, c]) <= 0, for every c
+    ub_rows = sparse.vstack([
+        sparse.csr_matrix((np.r_[-np.ones(n * n), np.ones(n * n)],
+                           (np.r_[np.arange(n * n), np.arange(n * n)],
+                            np.r_[np.tile(np.arange(n), n), g.ravel()])),
+                          shape=(n * n, nv)),
+        sparse.csr_matrix(((floor - D.T).ravel(),
+                           (np.repeat(np.arange(n), n), g.ravel())),
+                          shape=(n, nv)),
+    ])
+    # sum_i w_i = 1 and sum_i g^c_i - alpha = 0, for every c
+    eq_rows = sparse.vstack([
+        sparse.csr_matrix((np.ones(n), (np.zeros(n), np.arange(n))), shape=(1, nv)),
+        sparse.csr_matrix((np.r_[np.ones(n * n), -np.ones(n)],
+                           (np.r_[np.repeat(np.arange(n), n), np.arange(n)],
+                            np.r_[g.ravel(), np.full(n, nv - 1)])),
+                          shape=(n, nv)),
+    ])
+    assert ub_rows.shape[0] + eq_rows.shape[0] == 14_641
+    c = np.zeros(nv)
+    c[-1] = -1.0
+    ref = linprog(c, A_ub=ub_rows, b_ub=np.zeros(ub_rows.shape[0]), A_eq=eq_rows,
+                  b_eq=np.r_[1.0, np.zeros(n)], bounds=(0, None), method="highs")
+    assert ref.status == 0
+    ((alpha, _),) = lower_bound_curve(m, [q]).points
+    assert abs(alpha - -ref.fun) <= 1e-9
+
+
+def _highs_single(m, t):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rankings = list(itertools.permutations(range(m)))
+    sq = swap_distance_matrix(rankings).astype(float) ** 2
+    n = len(rankings)
+    c = np.zeros(n)
+    c[0] = -1.0  # the identity, first in lexicographic order
+    G = np.delete(sq - sq[:, [t]], t, axis=1)
+    ref = linprog(c, A_ub=-G.T, b_ub=np.zeros(n - 1), A_eq=np.ones((1, n)),
+                  b_eq=[1.0], bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_row_generation_matches_highs_with_exact_witnesses(m):
+    focal = tuple(range(m))
+    for t, target in enumerate(itertools.permutations(range(m))):
+        res = worst_profile_single_ranking(m, focal, target)
+        assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
+        # every witness is exact: it holds alpha_exact on the focal
+        # ranking and keeps the target optimal under the squared cost
+        assert res.witness is not None
+        assert res.alpha_exact == res.witness.weight(focal)
+        assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
+        assert target in solve_brute_force(res.witness).winners
+
+
+def test_solve_exact_unique_solutions_only():
+    assert _solve_exact([[1, 1], [1, -1]], [1, 0]) == [F(1, 2), F(1, 2)]
+    # overdetermined but consistent, and a row swap at the first pivot
+    assert _solve_exact([[0, 2], [3, 0], [3, 2]], [2, 3, 5]) == [1, 1]
+    assert _solve_exact([[1, 1], [2, 2]], [1, 2]) is None  # not unique
+    assert _solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None  # inconsistent
 
 
 def test_theoretical_upper_curve_shape():

@@ -84,6 +84,15 @@ def test_bounds_single_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bounds_lower_m5_and_guard(capsys):
+    # the closed form runs wherever the Mahonian counts do, up to m=12
+    assert main(["bounds", "--curve", "lower", "--m", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "alpha,value" and len(lines) > 2
+    assert main(["bounds", "--curve", "lower", "--m", "13"]) == 3
+    assert "m <= 12" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "culture", ["mallows", "mixture", "disc", "circle", "gaussians", "ic"]
 )

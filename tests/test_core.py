@@ -103,6 +103,7 @@ def test_enumerate_rankings_guard():
 
 def test_mahonian_small_values():
     # rows checked against direct enumeration below
+    assert mahonian(1) == [1]
     assert mahonian(2) == [1, 1]
     assert mahonian(3) == [1, 2, 2, 1]
     assert mahonian(4) == [1, 3, 5, 6, 5, 3, 1]

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
 from rankfair.errors import DataError, GuardError
 from rankfair.lp import LinearProgram, _pivot, solve_lp, verify_solution
+from rankfair.solver import swap_distance_matrix
 
 
 def test_trivial_minimum():
@@ -239,6 +241,18 @@ def test_solve_lp_matches_highs():
     assert statuses.count("Optimal") >= 40 and "Unbounded" in statuses
 
 
+def _full_single_program(m):
+    """The whole program `worst_profile_single_ranking(m)` stands for: the
+    identity's weight, with the reverse ranking optimal against every
+    competitor."""
+    rankings = list(itertools.permutations(range(m)))
+    sq = swap_distance_matrix(rankings).astype(float) ** 2
+    t = len(rankings) - 1  # the reverse ranking is last, the identity first
+    obj = np.zeros(len(rankings))
+    obj[0] = 1.0
+    return bounds._single_program(obj, sq - sq[:, [t]], range(t))
+
+
 def test_solution_counts_every_pivot(monkeypatch):
     calls = []
 
@@ -247,11 +261,8 @@ def test_solution_counts_every_pivot(monkeypatch):
         return _pivot(*args)
 
     monkeypatch.setattr(lp_mod, "_pivot", counted)
-    sols = []
-    monkeypatch.setattr(bounds, "solve_lp",
-                        lambda p: sols.append(solve_lp(p)) or sols[-1])
-    worst_profile_single_ranking(5)
-    (sol,) = sols
+    sol = solve_lp(_full_single_program(5))
+    assert sol.objective_value == pytest.approx(231 / 1318)
     assert sol.pivots == len(calls) > lp_mod.REFRESH_EVERY
     assert sol.refactorizations >= 1
     assert solve_lp(LinearProgram([1.0], sense="min")).pivots == 0

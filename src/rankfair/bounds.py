@@ -144,18 +144,6 @@ def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
     return x
 
 
-def _add_optimality_rows(lp: LinearProgram, sq: np.ndarray, t: int):
-    """Rows keeping ranking t optimal under the squared cost: for every
-    competitor j, sum_i w_i (sq[i, j] - sq[i, t]) >= 0 over the weights w,
-    the first len(sq) variables."""
-    n = len(sq)
-    for j in range(n):
-        if j != t:
-            row = np.zeros(lp.n)
-            row[:n] = sq[:, j] - sq[:, t]
-            lp.add_row(row, ">=", 0.0)
-
-
 def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
                             floor: float):
     """Rows making the variables g = base..base+n-1 a group inside the
@@ -172,13 +160,32 @@ def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
     lp.add_row(row, ">=", 0.0)
 
 
-def _single_program(obj: np.ndarray, G: np.ndarray, cols) -> LinearProgram:
-    """max obj . w over weights w summing to 1, with one row w . G[:, j] >= 0
-    per competitor j in cols."""
+def _margins(m: int, target: Ranking) -> tuple[list[Ranking], np.ndarray, np.ndarray]:
+    """The m! rankings in lexicographic order, their swap distances to the
+    target (ranking t), and the target's integer squared-cost margins
+    G = sq - sq[:, t]: weights w keep the target optimal against competitor
+    j exactly when w . G[:, j] >= 0.  Every worst-case program is guarded
+    here, at LP_GUARD_M."""
+    if m > LP_GUARD_M:
+        raise GuardError(f"worst-case programs are guarded at m={LP_GUARD_M}")
+    rankings = list(itertools.permutations(range(m)))
+    t = rankings.index(target)
+    D = swap_distance_matrix(rankings)
+    sq = D * D
+    return rankings, D[t], sq - sq[:, t : t + 1]
+
+
+def _optimality_program(obj: np.ndarray, G: np.ndarray, cols) -> LinearProgram:
+    """max obj . x over x >= 0 whose first len(G) entries, the weights w,
+    sum to 1, with one row w . G[:, j] >= 0 per competitor j in cols.  Rows
+    are zero-padded to len(obj), so a program can add variables and rows."""
+    rows = np.zeros((len(cols) + 1, len(obj)))
+    rows[0, : len(G)] = 1.0
+    rows[1:, : len(G)] = G[:, cols].T
     lp = LinearProgram(obj, sense="max")
-    lp.add_row(np.ones(len(obj)), "=", 1.0)
-    for j in cols:
-        lp.add_row(G[:, j], ">=", 0.0)
+    lp.add_row(rows[0], "=", 1.0)
+    for row in rows[1:]:
+        lp.add_row(row, ">=", 0.0)
     return lp
 
 
@@ -204,7 +211,6 @@ def worst_profile_single_ranking(
     m: int,
     focal: Ranking | None = None,
     target: Ranking | None = None,
-    allow_large: bool = False,
 ) -> WorstCaseResult:
     """Maximal weight a single ranking can hold while `target` stays optimal.
 
@@ -215,32 +221,24 @@ def worst_profile_single_ranking(
     competitors adjacent to the target, and each round solves it, scores
     every competitor at once (slack = w @ G), and adds the ROW_BATCH most
     violated rows not yet in it.  It stops when no competitor has slack
-    below -ROW_TOL; the restricted optimum, an upper bound on the full one, is then feasible
-    for it and so optimal, which `verify_solution` rechecks on the full
-    program.  The witness is the exact vertex of the final solution (see
-    `_exact_witness`), re-verified with the exact solver; if that fails,
-    `witness` and `alpha_exact` are None.
+    below -ROW_TOL; the restricted optimum, an upper bound on the full
+    one, is then feasible for it and so optimal, which `verify_solution`
+    rechecks on the full program.  The witness is the exact vertex of the
+    final solution (see `_exact_witness`), re-verified with the exact
+    solver; if that fails, `witness` and `alpha_exact` are None.  Guarded
+    at m=LP_GUARD_M, like every worst-case program.
     """
-    cap = 6 if allow_large else LP_GUARD_M
-    if m > cap:
-        raise GuardError(f"worst-case program guarded at m={cap}")
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
-    rankings = list(itertools.permutations(range(m)))
-    idx = {r: i for i, r in enumerate(rankings)}
-    t = idx[target]
-    D = swap_distance_matrix(rankings)
-    sq = D * D
-    G = sq - sq[:, t : t + 1]
-    Gf = G.astype(float)
+    rankings, dist, G = _margins(m, target)
     obj = np.zeros(len(rankings))
-    obj[idx[focal]] = 1.0
-    active = np.flatnonzero(D[t] == 1).tolist()
+    obj[rankings.index(focal)] = 1.0
+    active = np.flatnonzero(dist == 1).tolist()
     while True:
-        sol = solve_lp(_single_program(obj, Gf, active))
+        sol = solve_lp(_optimality_program(obj, G, active))
         if sol.status != "Optimal":
             return WorstCaseResult(0.0, None, None)
-        slack = sol.values @ Gf
+        slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
         violated[active] = False
@@ -248,7 +246,7 @@ def worst_profile_single_ranking(
         if not len(viol):
             break
         active += viol[np.argsort(slack[viol], kind="stable")[:ROW_BATCH]].tolist()
-    full = _single_program(obj, Gf, (j for j in range(len(rankings)) if j != t))
+    full = _optimality_program(obj, G, np.flatnonzero(dist))
     if not verify_solution(full, sol, 1e-8):
         raise DataError("simplex output failed independent verification")
     tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
@@ -257,21 +255,19 @@ def worst_profile_single_ranking(
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact)
 
 
-def alpha_curve(m: int, allow_large: bool = False) -> AlphaCurve:
+def alpha_curve(m: int) -> AlphaCurve:
     """Worst normalized output distance from a weight-alpha ranking, by alpha.
 
     One program per target ranking with the focal ranking fixed to the
     identity; the staircase value at alpha is the farthest target still
-    attainable with that focal weight.
+    attainable with that focal weight.  Guarded at m=LP_GUARD_M, like
+    every worst-case program.
     """
-    cap = 6 if allow_large else LP_GUARD_M
-    if m > cap:
-        raise GuardError(f"alpha_curve guarded at m={cap}")
     focal = identity_ranking(m)
     dmax = max_swap_distance(m)
     attained: list[tuple[float, float]] = []  # (alpha_max, normalized distance)
     for target in itertools.permutations(range(m)):
-        res = worst_profile_single_ranking(m, focal, target, allow_large=allow_large)
+        res = worst_profile_single_ranking(m, focal, target)
         attained.append((res.alpha, swap_distance(focal, target) / dmax))
     return _staircase([(a, v) for a, v in attained if a > 1e-9], m,
                       "SingleRankingWorst")
@@ -291,37 +287,28 @@ def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
     return AlphaCurve(points, m, kind)
 
 
-def worst_group_curve(
-    m: int, grid: Sequence[float] | None = None, allow_large: bool = False
-) -> AlphaCurve:
+def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
     """Largest group that can sit at mean distance >= q from the optimum.
 
     For each q the program maximizes the group weight subject to the
     identity ranking being optimal and the group's mean distance to it
     being at least q (normalized); the result is flipped into a
-    value-versus-alpha staircase.
+    value-versus-alpha staircase.  Guarded at m=LP_GUARD_M, like every
+    worst-case program.
     """
-    cap = 6 if allow_large else LP_GUARD_M
-    if m > cap:
-        raise GuardError(f"worst_group_curve guarded at m={cap}")
+    rankings, dist, G = _margins(m, identity_ranking(m))
     if grid is None:
         grid = [k / 200 for k in range(0, 201)]
-    rankings = list(itertools.permutations(range(m)))
     n = len(rankings)
-    D = swap_distance_matrix(rankings).astype(float)
-    sq = D**2
     dmax = max_swap_distance(m)
-    t = 0  # identity ranking is first in lexicographic order
+    # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
+    obj = np.concatenate([np.zeros(n), np.ones(n)])
     pts: list[tuple[float, float]] = []
     for q in grid:
         if not 0 <= q <= 1:
             raise DataError(f"grid value out of [0,1]: {q}")
-        # variables: w_0..w_{n-1}, g_0..g_{n-1}
-        obj = np.concatenate([np.zeros(n), np.ones(n)])
-        lp = LinearProgram(obj, sense="max")
-        lp.add_row(np.concatenate([np.ones(n), np.zeros(n)]), "=", 1.0)
-        _add_optimality_rows(lp, sq, t)
-        _add_unhappy_group_rows(lp, n, D[:, t], q * dmax)
+        lp = _optimality_program(obj, G, np.flatnonzero(dist))
+        _add_unhappy_group_rows(lp, n, dist, q * dmax)
         sol = solve_lp(lp)
         if sol.status == "Optimal" and sol.objective_value > 1e-9:
             pts.append((float(sol.objective_value), q))

@@ -89,6 +89,9 @@ def cmd_axioms(args) -> int:
     if args.profile:
         profiles = [_load_profile(args.profile)]
     else:
+        if args.m < 2:
+            # a 2rp pair of distinct rankings needs two alternatives
+            raise DataError(f"random profiles need --m >= 2, got {args.m}")
         profiles = []
         rng = make_rng(args.seed)
         for k in range(args.random):
@@ -257,6 +260,13 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a usage error unless text is an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rankfair",
@@ -292,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="compute worst-case curves")
     p.add_argument("--curve", required=True, choices=["single", "group", "lower"])
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--grid", type=int, default=0, help="grid steps for q")
+    p.add_argument("--grid", type=_nonnegative_int, default=0,
+                   help="grid steps for q (default 0: 200 steps)")
     p.add_argument("--svg", help="also render the curve as SVG")
     common(p)
 

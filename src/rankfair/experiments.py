@@ -141,6 +141,11 @@ class ExperimentSpec:
             raise DataError(
                 f"unknown experiment {self.name!r}; options: {', '.join(EXPERIMENTS)}"
             )
+        accepted = EXPERIMENTS[self.name][1]
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise DataError(f"{self.name} does not take {', '.join(unknown)}; "
+                            f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -154,7 +159,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report = EXPERIMENTS[spec.name](spec, out)
+    report = EXPERIMENTS[spec.name][0](spec, out)
     from . import __version__
 
     manifest = {
@@ -228,11 +233,7 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
 
 def _run_alpha_curve(spec: ExperimentSpec, out: Path) -> dict:
     m = int(spec.params.get("m", 4))
-    raw = spec.params.get("allow_large", False)
-    flag = str(raw).strip().lower()
-    if flag not in ("0", "1", "false", "true"):
-        raise DataError(f"allow_large must be 0, 1, false or true, got {raw!r}")
-    curve = alpha_curve(m, allow_large=flag in ("1", "true"))
+    curve = alpha_curve(m)
     upper = theoretical_upper_curve(m)
     _write_csv(
         out / f"alpha_curve_m{m}.csv",
@@ -250,6 +251,8 @@ def _run_group_distance(spec: ExperimentSpec, out: Path) -> dict:
     m = int(spec.params.get("m", 8))
     n = int(spec.params.get("n", 50))
     trials = int(spec.params.get("trials", 100))
+    if trials < 1:
+        raise DataError(f"trials must be at least 1, got {trials}")
     alphas = [Fraction(k, 50) for k in range(1, 51)]
     sums = {"squared": [Fraction(0)] * len(alphas), "linear": [Fraction(0)] * len(alphas)}
     for t in range(trials):
@@ -324,12 +327,13 @@ def _run_embeddings(spec: ExperimentSpec, out: Path) -> dict:
     return report
 
 
-# experiment name -> runner; `ExperimentSpec` accepts exactly these names
+# experiment name -> (runner, the params it reads); `ExperimentSpec` accepts
+# exactly these names, each with only its own params
 EXPERIMENTS = {
-    "HotelInterpolation": _run_hotels,
-    "CityRanking": _run_cities,
-    "AlphaCurve": _run_alpha_curve,
-    "GroupDistance": _run_group_distance,
-    "Maps": _run_maps,
-    "EuclideanEmbeddings": _run_embeddings,
+    "HotelInterpolation": (_run_hotels, ()),
+    "CityRanking": (_run_cities, ("budget",)),
+    "AlphaCurve": (_run_alpha_curve, ("m",)),
+    "GroupDistance": (_run_group_distance, ("m", "n", "trials")),
+    "Maps": (_run_maps, ("m", "n", "culture")),
+    "EuclideanEmbeddings": (_run_embeddings, ("m", "n")),
 }

@@ -2,13 +2,11 @@
 
 Each test is self-contained and uses independent arithmetic (exact
 rationals, closed forms, or exhaustive enumeration) to validate the
-library outputs.  Set RANKFAIR_LONG=1 to include the long opt-in part
-of the staircase check.
+library outputs.
 """
 
 import functools
 import math
-import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -59,9 +57,6 @@ from rankfair.solver import (
     solve_kemeny_dp,
     swap_distance_matrix,
 )
-
-LONG = os.environ.get("RANKFAIR_LONG") == "1"
-
 
 def _mixed_profiles(count, rng, m_lo=2, m_hi=6, n_lo=3, n_hi=12):
     kinds = ("ic", "mallows", "mixture", "disc", "circle", "gaussians")
@@ -159,10 +154,6 @@ def test_alpha_staircases():
             cap = min(1.0, math.sqrt((1 - a) / a)) if a < 1 else 0.0
             assert v <= cap + 1e-9
             assert v <= single_ranking_bound(a, m) / dmax + 1e-9
-    if LONG:
-        curve6 = alpha_curve(6, allow_large=True)
-        assert abs(curve6.value_at(0.5) - 8 / 15) <= 1e-4
-        assert curve6.value_at(0.98) == 0.0
 
 
 def test_mahonian_second_moment_identity():

@@ -127,10 +127,10 @@ def test_worst_profile_exact_values_and_witness():
 
 
 def test_worst_profile_guard():
-    with pytest.raises(GuardError):
-        worst_profile_single_ranking(7, allow_large=True)
-    with pytest.raises(GuardError):
-        worst_profile_single_ranking(6)
+    # one guard, at m=5, for every worst-case program
+    for program in (worst_profile_single_ranking, alpha_curve, worst_group_curve):
+        with pytest.raises(GuardError, match="m=5"):
+            program(6)
 
 
 def test_alpha_curve_staircase():

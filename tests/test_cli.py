@@ -238,17 +238,37 @@ def test_boolean_order_entry_exit_4(tmp_path, capsys):
     assert code == 4 and "booleans" in err
 
 
-@pytest.mark.parametrize("flag, m, cap", [("0", 6, 5), ("false", 6, 5),
-                                          ("1", 7, 6), ("True", 7, 6)])
-def test_alpha_curve_allow_large_flag(flag, m, cap, tmp_path, capsys):
-    code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
-                 "--param", f"allow_large={flag}", "--param", f"m={m}"])
-    assert code == 3
-    assert f"m={cap}" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--curve", "single", "--m", "6"],
+    ["bounds", "--curve", "group", "--m", "6"],
+    ["experiment", "--name", "AlphaCurve", "--param", "m=6"],
+])
+def test_worst_case_m6_exit_3(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "guarded at m=5" in capsys.readouterr().err
 
 
-def test_alpha_curve_allow_large_bad_value_exit_4(tmp_path, capsys):
+def test_experiment_unknown_param_exit_4(tmp_path, capsys):
     code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
-                 "--param", "allow_large=yes"])
+                 "--param", "grid=5"])
     err = capsys.readouterr().err
-    assert code == 4 and "allow_large" in err
+    assert code == 4 and "grid" in err and "accepted: m" in err
+
+
+def test_experiment_zero_trials_exit_4(tmp_path, capsys):
+    code = main(["experiment", "--name", "GroupDistance", "--out", str(tmp_path),
+                 "--param", "trials=0"])
+    err = capsys.readouterr().err
+    assert code == 4 and "trials" in err and "Traceback" not in err
+
+
+def test_bounds_negative_grid_exit_2(capsys):
+    assert main(["bounds", "--curve", "group", "--m", "3", "--grid", "-1"]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_axioms_random_below_two_alternatives_exit_4(m, capsys):
+    # no second ranking differs from the first, so sampling a pair never ends
+    code = main(["axioms", "--check", "2rp", "--random", "3", "--m", m])
+    assert code == 4 and "--m" in capsys.readouterr().err

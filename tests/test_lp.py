@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -9,7 +8,6 @@ from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
 from rankfair.errors import DataError, GuardError
 from rankfair.lp import LinearProgram, _pivot, solve_lp, verify_solution
-from rankfair.solver import swap_distance_matrix
 
 
 def test_trivial_minimum():
@@ -245,12 +243,10 @@ def _full_single_program(m):
     """The whole program `worst_profile_single_ranking(m)` stands for: the
     identity's weight, with the reverse ranking optimal against every
     competitor."""
-    rankings = list(itertools.permutations(range(m)))
-    sq = swap_distance_matrix(rankings).astype(float) ** 2
-    t = len(rankings) - 1  # the reverse ranking is last, the identity first
+    rankings, dist, G = bounds._margins(m, tuple(reversed(range(m))))
     obj = np.zeros(len(rankings))
-    obj[0] = 1.0
-    return bounds._single_program(obj, sq - sq[:, [t]], range(t))
+    obj[0] = 1.0  # the identity, first in lexicographic order
+    return bounds._optimality_program(obj, G, np.flatnonzero(dist))
 
 
 def test_solution_counts_every_pivot(monkeypatch):

@@ -88,14 +88,12 @@ DEGENERACY_STREAK = 40
 REFRESH_EVERY = 150
 
 
-def _refresh(T: np.ndarray, basis: list[int], A: np.ndarray, b: np.ndarray,
-             cost: np.ndarray):
-    """Rebuild the tableau from the original data to shed rounding drift."""
+def _refresh(T: np.ndarray, basis: list[int], Ab: np.ndarray, cost: np.ndarray):
+    """Rebuild the tableau from the original data [A | b] to shed rounding
+    drift, with one factorization of the basis B."""
     m = len(basis)
-    B = A[:, basis]
     try:
-        T[:m, :-1] = np.linalg.solve(B, A)
-        T[:m, -1] = np.linalg.solve(B, b)
+        T[:m] = np.linalg.solve(Ab[:, basis], Ab)
     except np.linalg.LinAlgError:
         raise DataError("numerical breakdown: simplex basis became singular")
     cb = cost[basis]
@@ -107,8 +105,7 @@ def _simplex_phase(
     T: np.ndarray,
     basis: list[int],
     allowed: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
+    Ab: np.ndarray,
     cost_vec: np.ndarray,
     stats: Counter,
 ) -> str:
@@ -126,7 +123,7 @@ def _simplex_phase(
     since_refresh = 0
     while True:
         if since_refresh >= REFRESH_EVERY:
-            _refresh(T, basis, A, b, cost_vec)
+            _refresh(T, basis, Ab, cost_vec)
             stats["refactorizations"] += 1
             since_refresh = 0
         cost = T[-1, :-1]
@@ -145,7 +142,7 @@ def _simplex_phase(
         if not pos.any():
             if since_refresh == 0:
                 return "Unbounded"
-            _refresh(T, basis, A, b, cost_vec)
+            _refresh(T, basis, Ab, cost_vec)
             stats["refactorizations"] += 1
             since_refresh = 0
             continue
@@ -201,8 +198,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     struct = np.zeros(width - 1, dtype=bool)
     struct[:art_at] = True
-    A_full = T[:m, :-1].copy()
-    b_full = T[:m, -1].copy()
+    Ab = T[:m].copy()  # the constraint data [A | b], for refactorizing
     stats = Counter()
 
     if has_art.any():
@@ -212,7 +208,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for i in np.flatnonzero(has_art):
             T[-1] -= T[i]
         allowed = np.ones(width - 1, dtype=bool)
-        status = _simplex_phase(T, basis, allowed, A_full, b_full, phase1_cost, stats)
+        status = _simplex_phase(T, basis, allowed, Ab, phase1_cost, stats)
         if status != "Optimal":
             raise DataError("numerical breakdown in feasibility phase")
         if T[-1, -1] < -FEAS_TOL:
@@ -230,8 +226,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if len(keep) < m:
             T = np.vstack([T[keep], T[-1:]])
             basis = [basis[i] for i in keep]
-            A_full = A_full[keep]
-            b_full = b_full[keep]
+            Ab = Ab[keep]
             m = len(keep)
 
     # phase 2 cost row
@@ -242,7 +237,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for i, bi in enumerate(basis):
         if T[-1, bi] != 0:
             T[-1] -= T[-1, bi] * T[i]
-    status = _simplex_phase(T, basis, struct, A_full, b_full, phase2_cost, stats)
+    status = _simplex_phase(T, basis, struct, Ab, phase2_cost, stats)
     if status == "Unbounded":
         return LpSolution("Unbounded", **stats)
 

@@ -281,9 +281,8 @@ def mix(r1: Profile, r2: Profile, lam: Fraction) -> Profile:
         raise DataError(f"mixing weight must lie in (0,1), got {lam}")
     if r1.m != r2.m:
         raise DimensionError("profiles over different m")
-    entries: dict[Ranking, Fraction] = {}
-    for r, w in r1.entries.items():
-        entries[r] = entries.get(r, Fraction(0)) + lam * w
-    for r, w in r2.entries.items():
-        entries[r] = entries.get(r, Fraction(0)) + (1 - lam) * w
-    return Profile(entries, r1.m, r1.labels or r2.labels)
+    return Profile.from_weights(
+        [(r, lam * w) for r, w in r1.entries.items()]
+        + [(r, (1 - lam) * w) for r, w in r2.entries.items()],
+        labels=r1.labels or r2.labels,
+    )

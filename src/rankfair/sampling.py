@@ -114,11 +114,8 @@ def sample_profile(spec: CultureSpec) -> Profile:
         draws = [tuple(rng.permutation(m).tolist()) for _ in range(n)]
     else:  # pragma: no cover - guarded in CultureSpec
         raise DataError(spec.kind)
-    pairs: dict[Ranking, Fraction] = {}
     w = Fraction(1, n)
-    for r in draws:
-        pairs[r] = pairs.get(r, Fraction(0)) + w
-    return Profile(pairs, m)
+    return Profile.from_weights((r, w) for r in draws)
 
 
 def sample_points(
@@ -162,8 +159,7 @@ def profile_from_points(
     n = len(cfg.voter_points)
     if n == 0:
         raise DataError("no voter points")
-    pairs: dict[Ranking, Fraction] = {}
-    w = Fraction(1, n)
+    draws: list[Ranking] = []
     jitter_rng = rng if rng is not None else make_rng(0)
     for v in cfg.voter_points:
         point = v
@@ -174,9 +170,9 @@ def profile_from_points(
             point = point + jitter_rng.normal(size=2) * 1e-9
         else:
             raise DataError(f"voter at {v} equidistant to alternatives after jitter")
-        r = tuple(int(a) for a in np.argsort(d2, kind="stable"))
-        pairs[r] = pairs.get(r, Fraction(0)) + w
-    return Profile(pairs, cfg.m)
+        draws.append(tuple(int(a) for a in np.argsort(d2, kind="stable")))
+    w = Fraction(1, n)
+    return Profile.from_weights((r, w) for r in draws)
 
 
 def parse_preflib(text: str) -> Profile:
@@ -228,17 +224,17 @@ def parse_preflib(text: str) -> Profile:
         ids = list(range(1, m + 1))
     remap = {a: i for i, a in enumerate(ids)}
     total = sum(c for c, _ in votes)
-    pairs: dict[Ranking, Fraction] = {}
-    for ln_count, order in votes:
+    for _, order in votes:
         if sorted(order) != ids:
             raise DataError(
                 f"vote {order} is not a strict complete order over {len(ids)} "
                 "alternatives"
             )
-        r = tuple(remap[a] for a in order)
-        pairs[r] = pairs.get(r, Fraction(0)) + Fraction(ln_count, total)
-    labels = [alt_names.get(a, str(a)) for a in ids]
-    return Profile(pairs, len(ids), tuple(labels))
+    return Profile.from_weights(
+        ((tuple(remap[a] for a in order), Fraction(count, total))
+         for count, order in votes),
+        labels=[alt_names.get(a, str(a)) for a in ids],
+    )
 
 
 def restrict_profile(profile: Profile, keep: Sequence[int]) -> Profile:
@@ -249,11 +245,8 @@ def restrict_profile(profile: Profile, keep: Sequence[int]) -> Profile:
     if any(a < 0 or a >= profile.m for a in keep_set):
         raise DataError("keep contains an unknown alternative")
     remap = {a: i for i, a in enumerate(keep_set)}
-    pairs: dict[Ranking, Fraction] = {}
-    for r, w in profile.entries.items():
-        proj = tuple(remap[a] for a in r if a in remap)
-        pairs[proj] = pairs.get(proj, Fraction(0)) + w
-    labels = (
-        tuple(profile.labels[a] for a in keep_set) if profile.labels else None
+    return Profile.from_weights(
+        ((tuple(remap[a] for a in r if a in remap), w)
+         for r, w in profile.entries.items()),
+        labels=[profile.labels[a] for a in keep_set] if profile.labels else None,
     )
-    return Profile(pairs, len(keep_set), labels)

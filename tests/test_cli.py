@@ -242,7 +242,7 @@ def test_boolean_order_entry_exit_4(tmp_path, capsys):
     ["bounds", "--curve", "single", "--m", "6"],
     ["bounds", "--curve", "group", "--m", "6"],
     ["experiment", "--name", "AlphaCurve", "--param", "m=6"],
-])
+], ids=["single", "group", "AlphaCurve"])
 def test_worst_case_m6_exit_3(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "guarded at m=5" in capsys.readouterr().err

@@ -296,7 +296,7 @@ def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     value-versus-alpha staircase.  Guarded at m=LP_GUARD_M, like every
     worst-case program.
     """
-    rankings, dist, G = _margins(m, identity_ranking(m))
+    rankings, dist, G = _margins(m, as_ranking(range(m)))
     if grid is None:
         grid = [k / 200 for k in range(0, 201)]
     n = len(rankings)

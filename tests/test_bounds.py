@@ -154,6 +154,10 @@ def test_worst_group_curve_sane():
     for a, v in curve.points:
         if a > 0:
             assert v <= group_bound(a, 3) + 1e-6
+    # below two alternatives there is no ranking to keep optimal
+    for m in (1, 0, -3):
+        with pytest.raises(DataError):
+            worst_group_curve(m, [0.5])
 
 
 @pytest.mark.parametrize(

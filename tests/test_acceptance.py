@@ -58,6 +58,7 @@ from rankfair.solver import (
     swap_distance_matrix,
 )
 
+
 def _mixed_profiles(count, rng, m_lo=2, m_hi=6, n_lo=3, n_hi=12):
     kinds = ("ic", "mallows", "mixture", "disc", "circle", "gaussians")
     for k in range(count):

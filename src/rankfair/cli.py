@@ -13,9 +13,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Profile, as_ranking, swap_distance
+from .core import Profile, as_ranking
 from .errors import DataError, GuardError, RankfairError
-from .solver import CostSpec, emit_ilp, solve, solve_brute_force
+from .solver import CostSpec, IntCost, emit_ilp, solve, solve_brute_force
 from . import __version__
 
 EXIT_OK = 0
@@ -56,6 +56,7 @@ def cmd_aggregate(args) -> int:
     if args.emit_ilp:
         Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
     res = solve(profile, spec, method=args.method)
+    ic = IntCost(profile)
     doc = {
         "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
         "status": res.status,
@@ -64,8 +65,7 @@ def cmd_aggregate(args) -> int:
         "winners": [list(r) for r in res.winners],
         "ties_complete": res.ties_complete,
         "per_input_distances": {
-            " ".join(map(str, r)): swap_distance(r, res.winner)
-            for r in profile.support()
+            " ".join(map(str, r)): d for r, d in zip(ic.supp, ic.dists(res.winner))
         },
     }
     if res.status != "Exact":

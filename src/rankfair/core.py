@@ -102,8 +102,13 @@ def enumerate_rankings(m: int) -> Iterator[Ranking]:
 
 
 def mahonian(m: int) -> list[int]:
-    """M_i = number of rankings at swap distance i from any fixed ranking."""
-    if not 1 <= m <= MAHONIAN_CAP:
+    """M_i = number of rankings at swap distance i from any fixed ranking.
+
+    m < 1 is malformed (`DataError`); m above MAHONIAN_CAP is guarded.
+    """
+    if m < 1:
+        raise DataError(f"mahonian needs m >= 1, got {m}")
+    if m > MAHONIAN_CAP:
         raise GuardError(f"mahonian supports 1 <= m <= {MAHONIAN_CAP}, got {m}")
     # product of uniform blocks: prod_{k=1}^{m} (1 + x + ... + x^{k-1})
     coeffs = [1]
@@ -122,29 +127,46 @@ def permute_ranking(r: Ranking, tau: Ranking) -> Ranking:
     return tuple(tau[a] for a in r)
 
 
+def _integer_form(weights: list[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Weighted multiset of rankings; weights are exact rationals summing to 1."""
+    """Weighted multiset of rankings; weights are exact rationals summing to 1.
+
+    Construction validates the weights in integers and keeps that form:
+    the sorted support, each weight's numerator over the least common
+    denominator, and the denominator (see `scaled_int_weights`).
+    """
 
     entries: Mapping[Ranking, Fraction]
     m: int
     labels: tuple[str, ...] | None = None
+    _scaled: tuple[list[Ranking], list[int], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        total = Fraction(0)
         for r, w in self.entries.items():
             if len(r) != self.m:
                 raise DimensionError(f"ranking {r} does not match m={self.m}")
-            if w <= 0:
+            if w.numerator <= 0:
                 raise DataError(f"non-positive weight {w} for {r}")
-            total += w
-        if total != 1:
-            raise DataError(f"profile weights sum to {total}, expected 1")
+        supp = sorted(self.entries)
+        nums, denom = _integer_form([self.entries[r] for r in supp])
+        if sum(nums) != denom:
+            raise DataError(
+                f"profile weights sum to {Fraction(sum(nums), denom)}, expected 1"
+            )
         if not self.entries:
             raise DataError("empty profile")
         if self.labels is not None and len(self.labels) != self.m:
             raise DataError("label count does not match m")
         object.__setattr__(self, "entries", dict(self.entries))
+        object.__setattr__(self, "_scaled", (supp, nums, denom))
 
     @staticmethod
     def from_weights(
@@ -160,21 +182,23 @@ class Profile:
         for order, w in pairs.items() if isinstance(pairs, Mapping) else pairs:
             r = as_ranking(order)
             m = m or len(r)
-            w = Fraction(w)
-            if w < 0:
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise DataError(f"negative weight {w} for {r}")
-            if w == 0:
+            if not w.numerator:
                 continue
-            entries[r] = entries.get(r, Fraction(0)) + w
+            entries[r] = entries[r] + w if r in entries else w
         if m is None:
             raise DataError("empty profile")
         if normalize:
-            total = sum(entries.values(), Fraction(0))
-            entries = {r: w / total for r, w in entries.items()}
+            nums, _ = _integer_form(list(entries.values()))
+            total = sum(nums)
+            entries = {r: Fraction(n, total) for r, n in zip(entries, nums)}
         return Profile(entries, m, tuple(labels) if labels is not None else None)
 
     def support(self) -> list[Ranking]:
-        return sorted(self.entries)
+        return list(self._scaled[0])
 
     def weight(self, r: Ranking) -> Fraction:
         return self.entries.get(tuple(r), Fraction(0))
@@ -204,12 +228,10 @@ class Profile:
         )
 
     def scaled_int_weights(self) -> tuple[list[Ranking], list[int], int]:
-        """Support rankings with weights as integers over a common denominator."""
-        supp = self.support()
-        ws = [self.entries[r] for r in supp]
-        denom = math.lcm(*(w.denominator for w in ws))
-        nums = [w.numerator * (denom // w.denominator) for w in ws]
-        return supp, nums, denom
+        """Sorted support with weights as integers over their least common
+        denominator, as validated at construction (fresh lists)."""
+        supp, nums, denom = self._scaled
+        return list(supp), list(nums), denom
 
     def to_json(self) -> str:
         doc = {

@@ -148,6 +148,16 @@ class ExperimentSpec:
                             f"accepted: {', '.join(accepted) or 'none'}")
 
 
+def _int_param(spec: ExperimentSpec, key: str, default: int) -> int:
+    """spec.params[key] as an integer (default when absent); a value that is
+    not an integer numeral is a `DataError` naming the key."""
+    value = spec.params.get(key, default)
+    try:
+        return int(str(value))
+    except ValueError:
+        raise DataError(f"parameter {key} must be an integer, got {value!r}") from None
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -209,7 +219,7 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
     sq_cost = profile.power_cost(pub_sq, 2)
     lin_col_sq_cost = profile.power_cost(pub_lin, 2)
     locally_optimal = local_search(profile, pub_sq, CostSpec(2)) == pub_sq
-    budget = int(spec.params.get("budget", 200_000))
+    budget = _int_param(spec, "budget", 200_000)
     sq = solve_bnb(profile, CostSpec(2), node_budget=budget, seed_candidate=pub_sq,
                    find_all_ties=False)
 
@@ -232,7 +242,7 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
 
 
 def _run_alpha_curve(spec: ExperimentSpec, out: Path) -> dict:
-    m = int(spec.params.get("m", 4))
+    m = _int_param(spec, "m", 4)
     curve = alpha_curve(m)
     upper = theoretical_upper_curve(m)
     _write_csv(
@@ -248,9 +258,9 @@ def _run_alpha_curve(spec: ExperimentSpec, out: Path) -> dict:
 
 
 def _run_group_distance(spec: ExperimentSpec, out: Path) -> dict:
-    m = int(spec.params.get("m", 8))
-    n = int(spec.params.get("n", 50))
-    trials = int(spec.params.get("trials", 100))
+    m = _int_param(spec, "m", 8)
+    n = _int_param(spec, "n", 50)
+    trials = _int_param(spec, "trials", 100)
     if trials < 1:
         raise DataError(f"trials must be at least 1, got {trials}")
     alphas = [Fraction(k, 50) for k in range(1, 51)]
@@ -282,8 +292,8 @@ def _run_group_distance(spec: ExperimentSpec, out: Path) -> dict:
 
 
 def _run_maps(spec: ExperimentSpec, out: Path) -> dict:
-    m = int(spec.params.get("m", 5))
-    n = int(spec.params.get("n", 200))
+    m = _int_param(spec, "m", 5)
+    n = _int_param(spec, "n", 200)
     culture = str(spec.params.get("culture", "mallows"))
     profile = sample_profile(CultureSpec(culture, n=n, m=m, seed=spec.seed))
     sq = solve_brute_force(profile, CostSpec(2)).winners
@@ -302,8 +312,8 @@ def _run_maps(spec: ExperimentSpec, out: Path) -> dict:
 
 
 def _run_embeddings(spec: ExperimentSpec, out: Path) -> dict:
-    m = int(spec.params.get("m", 10))
-    n = int(spec.params.get("n", 40))
+    m = _int_param(spec, "m", 10)
+    n = _int_param(spec, "n", 40)
     rng = make_rng(spec.seed)
     alts = sample_points("gaussians", m, rng)
     voters = sample_points("gaussians", n, rng)

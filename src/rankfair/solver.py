@@ -1,8 +1,8 @@
 """Exact and heuristic optimizers for power-of-swap-distance aggregation.
 
-All solvers compare integer costs: `IntCost` scales profile weights by
-their common denominator, so ties are decided exactly, never by float
-rounding.
+All solvers compare integer costs: `IntCost` reads the profile's weights
+scaled by their common denominator, so ties are decided exactly, never by
+float rounding.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class SolveResult:
 
     winners is the full set of optimal rankings when status is "Exact"
     and ties were tracked, otherwise at least one best ranking found.
+    Once the tie set is capped (ties_complete=False with status "Exact"),
+    winners holds `TIE_ENUMERATION_CAP` optimal rankings, and which ones
+    depends on the method: brute force returns the lexicographically first
+    winners, the DP the first its backtrack reaches, and branch and bound
+    the first its depth-first search reaches, each listed in sorted order.
     """
 
     winners: tuple[Ranking, ...]
@@ -136,9 +141,10 @@ class IntCost:
     """A profile in integers, the one cost kernel every solver scores with.
 
     supp is the sorted support, nums its weights scaled by their common
-    denominator denom, and pos[v, a] the position of alternative a in
-    supp[v].  A ranking's integer cost, sum(nums * d^p) over its swap
-    distances d, is its exact cost times denom.
+    denominator denom (the form the profile keeps from construction), and
+    pos[v, a] the position of alternative a in supp[v].  A ranking's
+    integer cost, sum(nums * d^p) over its swap distances d, is its exact
+    cost times denom.
     """
 
     def __init__(self, profile: Profile):

@@ -179,6 +179,9 @@ def test_lower_bound_curve_guard():
     assert lower_bound_curve(12, [0.5]).points
     with pytest.raises(GuardError):
         lower_bound_curve(13, [0.5])
+    for m in (0, -2):
+        with pytest.raises(DataError, match="m >= 1"):
+            lower_bound_curve(m, [0.5])
 
 
 def _lower_bound_program(m, q):

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from rankfair.cli import main
-from rankfair.core import Profile
+from rankfair.core import Profile, swap_distance
+from rankfair.experiments import hotel_profile, load_profile
+from rankfair.sampling import CultureSpec, sample_profile
 
 
 @pytest.fixture
@@ -46,6 +48,36 @@ def test_aggregate_emit_ilp(profile_file, tmp_path, capsys):
     text = lp.read_text()
     assert text.splitlines()[0] == "Minimize"
     assert "Binaries" in text
+    capsys.readouterr()
+
+
+def _aggregate_profiles():
+    yield "profile_r1", load_profile("profile_r1")
+    yield "profile_r2", load_profile("profile_r2")
+    yield "hotels", hotel_profile(F(2, 7))
+    for m in range(3, 8):
+        for culture in ("ic", "mallows"):
+            params = {"phi": 0.6} if culture == "mallows" else {}
+            spec = CultureSpec(culture, n=12, m=m, seed=30 + m, params=params)
+            yield f"{culture}-m{m}", sample_profile(spec)
+
+
+@pytest.mark.parametrize("rule", ["sqk", "kemeny"])
+def test_aggregate_per_input_distances_match_swap_distance(rule, tmp_path, capsys):
+    for name, prof in _aggregate_profiles():
+        path = tmp_path / f"{name}.json"
+        path.write_text(prof.to_json())
+        out = tmp_path / f"{name}-res.json"
+        assert main(["aggregate", "--profile", str(path), "--rule", rule,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        winner = tuple(doc["winners"][0])
+        assert doc["per_input_distances"] == {
+            " ".join(map(str, r)): swap_distance(r, winner) for r in prof.support()
+        }, name
+        # keys in sorted support order, as the JSON lists them
+        assert list(doc["per_input_distances"]) == [
+            " ".join(map(str, r)) for r in sorted(prof.entries)]
     capsys.readouterr()
 
 
@@ -272,3 +304,26 @@ def test_axioms_random_below_two_alternatives_exit_4(m, capsys):
     # no second ranking differs from the first, so sampling a pair never ends
     code = main(["axioms", "--check", "2rp", "--random", "3", "--m", m])
     assert code == 4 and "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_bounds_lower_below_one_exit_4(m, capsys):
+    # a size below one is bad data, not a capacity refusal
+    code = main(["bounds", "--curve", "lower", "--m", m])
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("error:") and "m >= 1" in err
+
+
+@pytest.mark.parametrize("name, param", [
+    ("AlphaCurve", "m=abc"),
+    ("GroupDistance", "trials=1.5"),
+    ("GroupDistance", "n="),
+    ("CityRanking", "budget=1e5"),
+])
+def test_experiment_non_integer_param_exit_4(name, param, tmp_path, capsys):
+    key, value = param.split("=")
+    code = main(["experiment", "--name", name, "--out", str(tmp_path),
+                 "--param", param])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: parameter {key} must be an integer, got {value!r}\n"

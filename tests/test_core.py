@@ -1,9 +1,12 @@
 import itertools
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfair.core import (
     Profile,
@@ -123,6 +126,14 @@ def test_mahonian_guard():
         mahonian(13)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_mahonian_below_one_is_data_error(m):
+    # a malformed size, not a capacity refusal
+    with pytest.raises(DataError, match="m >= 1") as info:
+        mahonian(m)
+    assert not isinstance(info.value, GuardError)
+
+
 def test_profile_validation():
     with pytest.raises(DataError):
         Profile({(0, 1, 2): F(1, 2)}, 3)
@@ -141,6 +152,105 @@ def test_profile_power_cost():
     assert prof.kemeny_cost((2, 1, 0)) == F(2)
     with pytest.raises(DataError):
         prof.power_cost((0, 1, 2), 0)
+
+
+@pytest.mark.parametrize("args, kind, message", [
+    (({(0, 1, 2): F(1, 2)}, 3), DataError, "profile weights sum to 1/2, expected 1"),
+    (({}, 3), DataError, "profile weights sum to 0, expected 1"),
+    (({(0, 1): F(1)}, 3), DimensionError, "ranking (0, 1) does not match m=3"),
+    (({(0, 1): F(0), (1, 0): F(1)}, 2), DataError, "non-positive weight 0 for (0, 1)"),
+    (({(1, 0): F(2), (0, 1): F(-1)}, 2), DataError, "non-positive weight -1 for (0, 1)"),
+    # checked entry by entry: a wrong length before a later entry's weight
+    (({(0, 1): F(1, 2), (0, 1, 2): F(-1, 2)}, 2), DimensionError,
+     "ranking (0, 1, 2) does not match m=2"),
+    (({(0, 1): F(-1), (0, 1, 2): F(2)}, 2), DataError, "non-positive weight -1 for (0, 1)"),
+    # the sum is checked before the label count
+    (({(0, 1): F(2, 3)}, 2, ("a",)), DataError, "profile weights sum to 2/3, expected 1"),
+    (({(0, 1): F(2, 3), (1, 0): F(1, 3)}, 2, ("a",)), DataError,
+     "label count does not match m"),
+])
+def test_profile_validation_messages(args, kind, message):
+    with pytest.raises(kind) as info:
+        Profile(*args)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+profile_orders = st.integers(2, 4).flatmap(
+    lambda m: st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=6)
+)
+
+
+def as_given(w, form):
+    """A weight as from_weights may receive it: Fraction, string or integer."""
+    if form == "str":
+        return str(w)
+    if form == "int" and w.denominator == 1:
+        return w.numerator
+    return w
+
+
+@given(
+    rs=profile_orders,
+    data=st.data(),
+    balance=st.booleans(),
+    normalize=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_weights_validates_like_a_fraction_sum(rs, data, balance, normalize):
+    # duplicates, zeros and mixed denominators; half the cases topped up to 1
+    rs = list(rs)
+    ws = [F(data.draw(st.integers(-1, 6)), data.draw(st.integers(1, 12))) for _ in rs]
+    if balance and sum(ws, F(0)) < 1:
+        rs.append(rs[0])
+        ws.append(1 - sum(ws, F(0)))
+    forms = data.draw(st.lists(st.sampled_from(["frac", "str", "int"]),
+                               min_size=len(ws), max_size=len(ws)))
+    pairs = [(list(r), as_given(w, f)) for r, w, f in zip(rs, ws, forms)]
+    labels = [chr(97 + a) for a in range(len(rs[0]))]
+
+    negative = [(r, w) for r, w in zip(rs, ws) if w < 0]
+    merged: dict = {}
+    for r, w in zip(rs, ws):
+        if w:
+            merged[r] = merged.get(r, F(0)) + w
+    total = F(0)
+    for w in merged.values():
+        total += w
+    if negative:
+        r, w = negative[0]
+        with pytest.raises(DataError) as info:
+            Profile.from_weights(pairs, labels=labels, normalize=normalize)
+        assert str(info.value) == f"negative weight {w} for {r}"
+        return
+    if normalize and total:
+        merged = {r: w / total for r, w in merged.items()}
+        total = F(1)
+    if total != 1:
+        with pytest.raises(DataError) as info:
+            Profile.from_weights(pairs, labels=labels, normalize=normalize)
+        assert str(info.value) == f"profile weights sum to {total}, expected 1"
+        return
+
+    prof = Profile.from_weights(pairs, labels=labels, normalize=normalize)
+    assert prof.entries == merged and prof.labels == tuple(labels)
+    supp, nums, denom = prof.scaled_int_weights()
+    assert supp == prof.support() == sorted(merged)
+    # nums / denom are the weights, and a common factor would mean that a
+    # smaller denominator serves
+    assert [F(n, denom) for n in nums] == [merged[r] for r in supp]
+    assert math.gcd(denom, *nums) == 1
+    again = Profile.from_json(prof.to_json())
+    assert again == prof and again.scaled_int_weights() == prof.scaled_int_weights()
+
+
+def test_scaled_int_weights_returns_fresh_lists():
+    prof = Profile.from_weights({(1, 0): F(1, 6), (0, 1): F(5, 6)})
+    supp, nums, denom = prof.scaled_int_weights()
+    assert (supp, nums, denom) == ([(0, 1), (1, 0)], [5, 1], 6)
+    supp.append((0, 1))
+    nums[0] = 0
+    assert prof.scaled_int_weights() == ([(0, 1), (1, 0)], [5, 1], 6)
+    assert prof.support() == [(0, 1), (1, 0)]
 
 
 def test_profile_json_round_trip():

@@ -313,6 +313,24 @@ def test_tie_cap_all_methods_m8():
     assert time.perf_counter() - start < 1.0
 
 
+def test_capped_tie_sets_are_optimal_and_method_specific():
+    # each method keeps a different TIE_ENUMERATION_CAP-sized subset of the
+    # 8! tied rankings; brute force keeps the lexicographically first
+    prof = _all_tied(8)
+    cap = solver.TIE_ENUMERATION_CAP
+    brute, dp, bnb = (solve_brute_force(prof, CostSpec(1)), solve_kemeny_dp(prof),
+                      solve_bnb(prof, CostSpec(1), find_all_ties=True))
+    assert brute.winners == tuple(itertools.islice(enumerate_rankings(8), cap))
+    for res in (brute, dp, bnb):
+        assert (res.status, res.ties_complete) == ("Exact", False)
+        assert len(set(res.winners)) == len(res.winners) == cap
+        assert list(res.winners) == sorted(res.winners)
+    sets = [set(res.winners) for res in (brute, dp, bnb)]
+    assert sets[0] != sets[1] != sets[2] != sets[0]
+    for r in set.union(*sets):
+        assert prof.power_cost(r, 1) == brute.cost == dp.cost == bnb.cost
+
+
 @pytest.mark.parametrize("cap, complete", [(5, False), (6, True), (7, True)])
 def test_tie_cap_flags_exactly_a_left_out_winner(monkeypatch, cap, complete):
     monkeypatch.setattr(solver, "TIE_ENUMERATION_CAP", cap)

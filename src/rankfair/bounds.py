@@ -109,6 +109,8 @@ class WorstCaseResult(NamedTuple):
     alpha: float
     witness: Profile | None
     alpha_exact: Fraction | None
+    rounds: int = 0  # row-generation rounds, one `solve_lp` call each
+    pivots: int = 0  # simplex pivots over all rounds
 
 
 def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
@@ -220,7 +222,10 @@ def worst_profile_single_ranking(
     are generated: the program starts with the sum row and the m-1
     competitors adjacent to the target, and each round solves it, scores
     every competitor at once (slack = w @ G), and adds the ROW_BATCH most
-    violated rows not yet in it.  It stops when no competitor has slack
+    violated rows not yet in it.  Round 1 starts from the point mass on
+    the target and each later round from the previous optimal basis, a
+    dual simplex restart, so no round runs phase 1; the result counts the
+    rounds and their pivots.  It stops when no competitor has slack
     below -ROW_TOL; the restricted optimum, an upper bound on the full
     one, is then feasible for it and so optimal, which `verify_solution`
     rechecks on the full program.  The witness is the exact vertex of the
@@ -231,13 +236,21 @@ def worst_profile_single_ranking(
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
     rankings, dist, G = _margins(m, target)
-    obj = np.zeros(len(rankings))
+    n = len(rankings)
+    obj = np.zeros(n)
     obj[rankings.index(focal)] = 1.0
     active = np.flatnonzero(dist == 1).tolist()
+    # round 1 starts at the point mass on the target, a feasible and
+    # nondegenerate vertex: the target's weight is basic in the sum row and
+    # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
+    basis = [rankings.index(target), *range(n, n + len(active))]
+    rounds = pivots = 0
     while True:
-        sol = solve_lp(_optimality_program(obj, G, active))
+        sol = solve_lp(_optimality_program(obj, G, active), basis)
+        rounds += 1
+        pivots += sol.pivots
         if sol.status != "Optimal":
-            return WorstCaseResult(0.0, None, None)
+            return WorstCaseResult(0.0, None, None, rounds, pivots)
         slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
@@ -245,14 +258,30 @@ def worst_profile_single_ranking(
         viol = np.flatnonzero(violated)
         if not len(viol):
             break
-        active += viol[np.argsort(slack[viol], kind="stable")[:ROW_BATCH]].tolist()
+        new = viol[np.argsort(slack[viol], kind="stable")[:ROW_BATCH]].tolist()
+        # the optimal basis stays dual feasible with the new rows' slacks
+        # basic, so the next round is a dual simplex restart
+        basis = [*sol.basis, *range(n + len(active), n + len(active) + len(new))]
+        active += new
     full = _optimality_program(obj, G, np.flatnonzero(dist))
     if not verify_solution(full, sol, 1e-8):
         raise DataError("simplex output failed independent verification")
     tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
     witness = _exact_witness(sol.values, G, tight, rankings, target)
     alpha_exact = witness.weight(focal) if witness is not None else None
-    return WorstCaseResult(float(sol.objective_value), witness, alpha_exact)
+    return WorstCaseResult(float(sol.objective_value), witness, alpha_exact,
+                           rounds, pivots)
+
+
+def _mirror(r: Ranking) -> Ranking:
+    """r with every alternative a relabelled m-1-a, then reversed.
+
+    The map fixes the identity and preserves swap distance, so it carries
+    every profile keeping target t optimal to one keeping _mirror(t)
+    optimal with the identity's weight unchanged: the two targets' single
+    ranking programs have the same optimum.
+    """
+    return tuple(len(r) - 1 - a for a in reversed(r))
 
 
 def alpha_curve(m: int) -> AlphaCurve:
@@ -260,15 +289,20 @@ def alpha_curve(m: int) -> AlphaCurve:
 
     One program per target ranking with the focal ranking fixed to the
     identity; the staircase value at alpha is the farthest target still
-    attainable with that focal weight.  Guarded at m=LP_GUARD_M, like
-    every worst-case program.
+    attainable with that focal weight.  A target and its `_mirror` share
+    their program's optimum, so one program is solved per pair (64 of 120
+    at m=5).  Guarded at m=LP_GUARD_M, like every worst-case program.
     """
     focal = identity_ranking(m)
     dmax = max_swap_distance(m)
+    alpha_of: dict[Ranking, float] = {}
     attained: list[tuple[float, float]] = []  # (alpha_max, normalized distance)
     for target in itertools.permutations(range(m)):
-        res = worst_profile_single_ranking(m, focal, target)
-        attained.append((res.alpha, swap_distance(focal, target) / dmax))
+        alpha = alpha_of.get(_mirror(target))
+        if alpha is None:
+            alpha = worst_profile_single_ranking(m, focal, target).alpha
+        alpha_of[target] = alpha
+        attained.append((alpha, swap_distance(focal, target) / dmax))
     return _staircase([(a, v) for a, v in attained if a > 1e-9], m,
                       "SingleRankingWorst")
 

@@ -1,21 +1,26 @@
-"""Dense two-phase primal simplex in double precision, deterministic.
+"""Dense two-phase primal simplex in double precision, deterministic, with
+a dual simplex restart from a given basis.
 
 A program is max or min c'x over rows (coeffs, relation, rhs) with every
 variable nonnegative; an upper bound is a row, a free variable the
 difference of two.  The worst-case programs in `rankfair.bounds` have up
 to a few thousand dense variables and are highly degenerate.  The
 entering column has the most negative reduced cost, switching to Bland's
-rule after a streak of degenerate pivots so cycling cannot occur.  The
-standard form is written straight into the tableau, which is guarded by
-its size in bytes.  Each pivot is one rank-1 update over cache-sized row
-blocks that computes every entry exactly as row-by-row elimination
-would, so the blocking changes neither the pivot sequence nor any result.
+rule after a streak of degenerate pivots so cycling cannot occur.  A
+solve returns its final basis; passed back in after rows were appended,
+as row generation does, that basis is still dual feasible, so a dual
+simplex finishes the longer program without phase 1.  The standard form
+is written straight into the tableau, which is guarded by its size in
+bytes.  Each pivot is one rank-1 update over cache-sized row blocks that
+computes every entry exactly as row-by-row elimination would, so the
+blocking changes neither the pivot sequence nor any result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -61,11 +66,25 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome, its work counters and, if Optimal, its final basis.
+
+    `basis` holds one standard-form column per row, in row order.  The
+    standard-form columns are the structural variables first (column j is
+    variable j), then one slack per inequality row, in row order; an
+    equality row has none.  Appending rows therefore never renumbers the
+    existing columns: the appended rows' slacks take the next indices, so
+    `basis` plus those slacks is a valid start for `solve_lp` on the
+    longer program.  `basis` is None unless the status is Optimal, and
+    None when phase 1 dropped a redundant row, the one case in which an
+    artificial variable stays basic.
+    """
+
     status: str  # Optimal | Infeasible | Unbounded
     values: np.ndarray | None = None
     objective_value: float | None = None
     pivots: int = 0
     refactorizations: int = 0
+    basis: tuple[int, ...] | None = None
 
 
 # a pivot eliminates in row blocks of about this many tableau entries, so
@@ -161,10 +180,80 @@ def _simplex_phase(
         since_refresh += 1
 
 
+def _dual_phase(
+    T: np.ndarray,
+    basis: list[int],
+    Ab: np.ndarray,
+    cost_vec: np.ndarray,
+    stats: Counter,
+) -> str:
+    """Dual simplex: pivot a dual feasible tableau to primal feasibility.
+
+    Leaving row: the most negative right-hand side.  Entering column: the
+    smallest ratio of reduced cost to |entry| over the row's negative
+    entries, ties going to the largest |pivot|.  After a streak of
+    degenerate (zero-ratio) pivots it switches to Bland's rule, the
+    smallest basic index leaving and the smallest column entering, so
+    cycling cannot occur.  Refactorization and counting follow
+    `_simplex_phase`; a row with no negative entry, on a freshly
+    refactorized tableau, proves the program infeasible.
+    """
+    m = T.shape[0] - 1
+    degenerate = 0
+    since_refresh = 0
+    while True:
+        if since_refresh >= REFRESH_EVERY:
+            _refresh(T, basis, Ab, cost_vec)
+            stats["refactorizations"] += 1
+            since_refresh = 0
+        rhs = T[:m, -1]
+        if degenerate < DEGENERACY_STREAK:
+            leave = int(np.argmin(rhs))
+            if rhs[leave] >= -PIVOT_TOL:
+                return "Optimal"
+        else:
+            neg = np.flatnonzero(rhs < -PIVOT_TOL)
+            if len(neg) == 0:
+                return "Optimal"
+            leave = int(min(neg, key=lambda i: basis[i]))
+        row = T[leave, :-1]
+        neg = row < -PIVOT_TOL
+        if not neg.any():
+            if since_refresh == 0:
+                return "Infeasible"
+            _refresh(T, basis, Ab, cost_vec)
+            stats["refactorizations"] += 1
+            since_refresh = 0
+            continue
+        # reduced costs within tolerance of zero count as zero, so the
+        # dual step is never negative
+        reduced = np.maximum(T[-1, :-1], 0.0)
+        ratios = np.where(neg, reduced / np.where(neg, -row, 1.0), np.inf)
+        best = ratios.min()
+        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        if degenerate < DEGENERACY_STREAK:
+            enter = int(max(tied, key=lambda j: -row[j]))
+        else:
+            enter = int(tied[0])
+        degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+        _pivot(T, basis, leave, enter)
+        stats["pivots"] += 1
+        since_refresh += 1
+
+
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
+    """Solve lp; with no basis by the two-phase primal simplex, else from it.
+
+    A start basis lists one standard-form column per row (see
+    `LpSolution.basis`).  It is refactorized once; if it is primal
+    feasible, phase 2 runs from it, and if it is dual feasible, the dual
+    simplex runs and a phase-2 pass confirms optimality.  Neither phase 1
+    nor artificial variables are used.  A basis that is singular, or
+    neither primal nor dual feasible, raises DataError.
+    """
     n = lp.n
     c = -lp.objective if lp.sense == "max" else lp.objective
 
@@ -179,7 +268,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         flips.append(flip)
     m = len(lp.rows)
     rels = np.array(rels, dtype="<U2")
-    has_slack, has_art = rels != "=", rels != "<="
+    has_slack = rels != "="
+    # a warm start needs no artificial columns
+    has_art = rels != "<=" if basis is None else np.zeros(m, dtype=bool)
     art_at = n + int(has_slack.sum())
     width = art_at + int(has_art.sum()) + 1
     if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
@@ -194,58 +285,71 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     T[np.flatnonzero(has_slack), slack_col[has_slack]] = np.where(
         rels[has_slack] == "<=", 1.0, -1.0)
     T[np.flatnonzero(has_art), art_col[has_art]] = 1.0
-    basis = np.where(has_art, art_col, slack_col).tolist()
 
     struct = np.zeros(width - 1, dtype=bool)
     struct[:art_at] = True
     Ab = T[:m].copy()  # the constraint data [A | b], for refactorizing
     stats = Counter()
-
-    if has_art.any():
-        # phase 1: minimize the artificial total
-        phase1_cost = np.where(struct, 0.0, 1.0)
-        T[-1, :-1] = phase1_cost
-        for i in np.flatnonzero(has_art):
-            T[-1] -= T[i]
-        allowed = np.ones(width - 1, dtype=bool)
-        status = _simplex_phase(T, basis, allowed, Ab, phase1_cost, stats)
-        if status != "Optimal":
-            raise DataError("numerical breakdown in feasibility phase")
-        if T[-1, -1] < -FEAS_TOL:
-            return LpSolution("Infeasible", **stats)
-        # drive leftover artificials out of the basis or drop their rows
-        keep = []
-        for i in range(m):
-            if basis[i] >= art_at:
-                piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
-                if len(piv) == 0:
-                    continue  # redundant row
-                _pivot(T, basis, i, int(piv[0]))
-                stats["pivots"] += 1
-            keep.append(i)
-        if len(keep) < m:
-            T = np.vstack([T[keep], T[-1:]])
-            basis = [basis[i] for i in keep]
-            Ab = Ab[keep]
-            m = len(keep)
-
-    # phase 2 cost row
     phase2_cost = np.zeros(width - 1)
     phase2_cost[:n] = c
-    T[-1, :-1] = phase2_cost
-    T[-1, -1] = 0.0
-    for i, bi in enumerate(basis):
-        if T[-1, bi] != 0:
-            T[-1] -= T[-1, bi] * T[i]
+
+    if basis is None:
+        basis = np.where(has_art, art_col, slack_col).tolist()
+        if has_art.any():
+            # phase 1: minimize the artificial total
+            phase1_cost = np.where(struct, 0.0, 1.0)
+            T[-1, :-1] = phase1_cost
+            for i in np.flatnonzero(has_art):
+                T[-1] -= T[i]
+            allowed = np.ones(width - 1, dtype=bool)
+            status = _simplex_phase(T, basis, allowed, Ab, phase1_cost, stats)
+            if status != "Optimal":
+                raise DataError("numerical breakdown in feasibility phase")
+            if T[-1, -1] < -FEAS_TOL:
+                return LpSolution("Infeasible", **stats)
+            # drive leftover artificials out of the basis or drop their rows
+            keep = []
+            for i in range(m):
+                if basis[i] >= art_at:
+                    piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
+                    if len(piv) == 0:
+                        continue  # redundant row
+                    _pivot(T, basis, i, int(piv[0]))
+                    stats["pivots"] += 1
+                keep.append(i)
+            if len(keep) < m:
+                T = np.vstack([T[keep], T[-1:]])
+                basis = [basis[i] for i in keep]
+                Ab = Ab[keep]
+
+        # phase 2 cost row
+        T[-1, :-1] = phase2_cost
+        T[-1, -1] = 0.0
+        for i, bi in enumerate(basis):
+            if T[-1, bi] != 0:
+                T[-1] -= T[-1, bi] * T[i]
+    else:
+        basis = [int(j) for j in basis]
+        if len(basis) != m or not all(0 <= j < art_at for j in basis):
+            raise DataError(f"a start basis needs {m} columns in [0, {art_at}), "
+                            f"got {basis}")
+        _refresh(T, basis, Ab, phase2_cost)
+        stats["refactorizations"] += 1
+        if np.any(T[:m, -1] < -PIVOT_TOL):
+            if np.any(T[-1, :-1] < -FEAS_TOL):
+                raise DataError("start basis is neither primal nor dual feasible")
+            if _dual_phase(T, basis, Ab, phase2_cost, stats) == "Infeasible":
+                return LpSolution("Infeasible", **stats)
     status = _simplex_phase(T, basis, struct, Ab, phase2_cost, stats)
     if status == "Unbounded":
         return LpSolution("Unbounded", **stats)
 
     x_std = np.zeros(width - 1)
-    x_std[basis] = T[:m, -1]
+    x_std[basis] = T[: len(basis), -1]
     x = x_std[:n]
     obj = float(lp.objective @ x)
-    return LpSolution("Optimal", x, obj, **stats)
+    final = tuple(basis) if len(basis) == m else None  # None: a row was dropped
+    return LpSolution("Optimal", x, obj, basis=final, **stats)
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution, tol: float = 1e-8) -> bool:

@@ -10,7 +10,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import Profile, Ranking, as_ranking
-from .errors import DataError
+from .errors import DataError, GuardError
+
+# a Mallows draw costs about 30 us per alternative plus a term quadratic in
+# m; at these limits the largest allowed Mallows sample (n=30, m=1000)
+# takes about a second on a 2-core Xeon VM
+SAMPLE_GUARD_M = 1_000
+SAMPLE_GUARD_CELLS = 30_000  # n * m
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
@@ -57,6 +63,12 @@ class CultureSpec:
             raise DataError(f"unknown culture {self.kind!r}, pick from {self.KINDS}")
         if self.n < 1 or self.m < 2:
             raise DataError("need n >= 1 samples and m >= 2 alternatives")
+        if self.m > SAMPLE_GUARD_M:
+            raise GuardError(f"sampling is guarded at m <= {SAMPLE_GUARD_M}, "
+                             f"got m={self.m}")
+        if self.n * self.m > SAMPLE_GUARD_CELLS:
+            raise GuardError(f"sampling is guarded at n * m <= {SAMPLE_GUARD_CELLS}, "
+                             f"got {self.n} * {self.m}")
 
 
 def sample_mallows(

@@ -8,6 +8,9 @@ import pytest
 from rankfair.bounds import (
     AlphaCurve,
     _add_unhappy_group_rows,
+    _margins,
+    _mirror,
+    _optimality_program,
     _solve_exact,
     alpha_curve,
     group_bound,
@@ -288,6 +291,40 @@ def test_row_generation_matches_highs_with_exact_witnesses(m):
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
+
+
+def test_mirrored_targets_share_their_optimum():
+    m = 4
+    focal = tuple(range(m))
+    assert _mirror(focal) == focal
+    rankings = list(enumerate_rankings(m))
+    for a in rankings:
+        assert _mirror(_mirror(a)) == a
+        for b in rankings:
+            assert swap_distance(_mirror(a), _mirror(b)) == swap_distance(a, b)
+    # each program solved on its own, not through alpha_curve's reuse
+    exact = {t: worst_profile_single_ranking(m, focal, t).alpha_exact
+             for t in rankings}
+    assert len(exact) == 24 and None not in exact.values()
+    assert all(exact[t] == exact[_mirror(t)] for t in rankings)
+
+
+def test_row_generation_pivots_stay_below_full_programs():
+    # row generation with warm starts does less simplex work over all
+    # m=5 targets than solving each target's whole program cold
+    m = 5
+    focal = tuple(range(m))
+    generated = full = 0
+    for target in itertools.permutations(range(m)):
+        res = worst_profile_single_ranking(m, focal, target)
+        assert res.rounds >= 1
+        generated += res.pivots
+        _, dist, G = _margins(m, target)
+        obj = np.zeros(len(G))
+        obj[0] = 1.0
+        full += solve_lp(_optimality_program(obj, G, np.flatnonzero(dist))).pivots
+    assert generated < full
+    assert generated < 20_000
 
 
 def test_solve_exact_unique_solutions_only():

@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from rankfair.cli import main
 from rankfair.core import Profile, swap_distance
 from rankfair.experiments import hotel_profile, load_profile
-from rankfair.sampling import CultureSpec, sample_profile
+from rankfair.sampling import (
+    SAMPLE_GUARD_CELLS,
+    SAMPLE_GUARD_M,
+    CultureSpec,
+    sample_profile,
+)
 
 
 @pytest.fixture
@@ -137,6 +143,40 @@ def test_sample_roundtrip(culture, tmp_path, capsys):
     prof = Profile.from_json(out.read_text())
     assert prof.m == 4
     assert sum(prof.entries.values()) == 1
+    capsys.readouterr()
+
+
+@pytest.fixture
+def alarm_10s():
+    def timeout(signum, frame):
+        raise TimeoutError("request did not finish within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, m, limit", [
+    (6, 1_000_000, f"m <= {SAMPLE_GUARD_M}"),
+    (SAMPLE_GUARD_CELLS // SAMPLE_GUARD_M + 1, SAMPLE_GUARD_M,
+     f"n * m <= {SAMPLE_GUARD_CELLS}"),
+    (SAMPLE_GUARD_CELLS, 2, f"n * m <= {SAMPLE_GUARD_CELLS}"),
+])
+def test_sample_size_guard_exit_3(n, m, limit, alarm_10s, capsys):
+    code = main(["sample", "--culture", "mallows", "--m", str(m), "--n", str(n)])
+    assert code == 3
+    assert limit in capsys.readouterr().err
+
+
+def test_sample_just_inside_the_guard(alarm_10s, tmp_path, capsys):
+    out = tmp_path / "prof.json"
+    n = SAMPLE_GUARD_CELLS // SAMPLE_GUARD_M
+    code = main(["sample", "--culture", "mallows", "--m", str(SAMPLE_GUARD_M),
+                 "--n", str(n), "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert Profile.from_json(out.read_text()).m == SAMPLE_GUARD_M
     capsys.readouterr()
 
 

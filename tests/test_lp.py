@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -262,3 +263,144 @@ def test_solution_counts_every_pivot(monkeypatch):
     assert sol.pivots == len(calls) > lp_mod.REFRESH_EVERY
     assert sol.refactorizations >= 1
     assert solve_lp(LinearProgram([1.0], sense="min")).pivots == 0
+
+
+def _highs(prog):
+    """(status, objective) of prog from scipy's HiGHS: x >= 0, rows as given."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sign = -1.0 if prog.sense == "max" else 1.0
+    ub = [(c if r == "<=" else -c, b if r == "<=" else -b)
+          for c, r, b in prog.rows if r != "="]
+    eq = [(c, b) for c, r, b in prog.rows if r == "="]
+    ref = linprog(
+        sign * prog.objective,
+        A_ub=np.array([c for c, _ in ub]) if ub else None,
+        b_ub=[b for _, b in ub] if ub else None,
+        A_eq=np.array([c for c, _ in eq]) if eq else None,
+        b_eq=[b for _, b in eq] if eq else None,
+        bounds=(0, None), method="highs")
+    status = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}[ref.status]
+    return status, sign * ref.fun if status == "Optimal" else None
+
+
+def _slack_count(prog):
+    return sum(rel != "=" for _, rel, _ in prog.rows)
+
+
+def test_final_basis_reproduces_the_solution():
+    with_basis = 0
+    for seed in range(80):
+        prog, _ = _random_program(seed)
+        sol = solve_lp(prog)
+        if sol.status != "Optimal":
+            assert sol.basis is None
+            continue
+        if sol.basis is None:  # phase 1 dropped a redundant row
+            continue
+        with_basis += 1
+        assert len(sol.basis) == len(prog.rows)
+        assert len(set(sol.basis)) == len(sol.basis)
+        assert all(0 <= j < prog.n + _slack_count(prog) for j in sol.basis)
+        # the support of the solution is basic
+        assert set(np.flatnonzero(sol.values > 1e-9)) <= set(sol.basis)
+        # an optimal basis passed back in is primal feasible: phase 2 only,
+        # and it is already optimal
+        again = solve_lp(prog, sol.basis)
+        assert again.status == "Optimal" and again.pivots == 0
+        assert again.refactorizations == 1
+        assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-9)
+    assert with_basis >= 30
+
+
+def test_dropped_redundant_row_gives_no_basis():
+    lp = LinearProgram(objective=[1.0, 2.0], sense="min")
+    lp.add_row([1.0, 1.0], "=", 1.0)
+    lp.add_row([2.0, 2.0], "=", 2.0)
+    sol = solve_lp(lp)
+    assert sol.status == "Optimal" and sol.objective_value == pytest.approx(1.0)
+    assert sol.basis is None
+
+
+def test_warm_start_after_cuts_matches_cold_and_highs():
+    pytest.importorskip("scipy.optimize")
+    statuses = []
+    for seed in range(80):
+        prog, _ = _random_program(seed)
+        sol = solve_lp(prog)
+        if sol.basis is None:
+            continue
+        rng = np.random.default_rng(1000 + seed)
+        x = sol.values
+        start = list(sol.basis)
+        for k in range(int(rng.integers(1, 4))):
+            # a row that cuts the current optimum off by depth 1/4 to 3/2,
+            # as <= or as the same row negated to >=
+            a = rng.integers(-3, 4, size=prog.n).astype(float)
+            if not a.any():
+                a[int(rng.integers(prog.n))] = 1.0
+            b = float(a @ x) - 0.25 * int(rng.integers(1, 7))
+            if rng.random() < 0.5:
+                prog.add_row(a, "<=", b)
+            else:
+                prog.add_row(-a, ">=", -b)
+            start.append(prog.n + _slack_count(prog) - 1)
+        warm = solve_lp(prog, start)
+        cold = solve_lp(prog)
+        ref_status, ref_obj = _highs(prog)
+        assert warm.status == cold.status == ref_status, seed
+        if warm.status == "Optimal":
+            assert abs(warm.objective_value - cold.objective_value) <= 1e-8
+            assert abs(warm.objective_value - ref_obj) <= 1e-8
+            assert verify_solution(prog, warm)
+            assert len(warm.basis) == len(prog.rows)
+        statuses.append(warm.status)
+    assert statuses.count("Optimal") >= 15 and statuses.count("Infeasible") >= 15
+
+
+def test_bad_start_basis_is_data_error():
+    lp = LinearProgram(objective=[1.0, 1.0], sense="max")
+    lp.add_row([1.0, 1.0], ">=", 1.0)  # slack column 2
+    lp.add_row([1.0, 0.0], "<=", 3.0)  # slack column 3
+    lp.add_row([0.0, 1.0], "<=", 3.0)  # slack column 4
+    assert solve_lp(lp).objective_value == pytest.approx(6.0)
+    # the all-slack basis has slack 2 at -1 and negative reduced costs
+    with pytest.raises(DataError, match="neither primal nor dual feasible"):
+        solve_lp(lp, [2, 3, 4])
+    # a repeated column, and distinct but dependent ones: x1 = s3 - s2
+    with pytest.raises(DataError, match="singular"):
+        solve_lp(lp, [2, 2, 4])
+    with pytest.raises(DataError, match="singular"):
+        solve_lp(lp, [0, 2, 3])
+    for bad in ([2, 3], [2, 3, 4, 0], [2, 3, 5], [-1, 3, 4]):
+        with pytest.raises(DataError, match="start basis"):
+            solve_lp(lp, bad)
+
+
+def test_dual_phase_does_not_cycle():
+    # without the switch to Bland's rule, the dual simplex cycles in the
+    # third round of this target
+    def timeout(signum, frame):
+        raise TimeoutError("row generation did not finish")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res.alpha_exact == F(9, 20)
+    assert res.rounds >= 3
+
+
+def test_result_counts_every_pivot_of_every_round(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _pivot(*args)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counted)
+    res = worst_profile_single_ranking(5)
+    assert res.alpha_exact == F(231, 1318)
+    assert res.pivots == len(calls) > 0 and res.rounds > 1

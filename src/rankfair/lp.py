@@ -194,28 +194,35 @@ def _dual_phase(
     entries, ties going to the largest |pivot|.  After a streak of
     degenerate (zero-ratio) pivots it switches to Bland's rule, the
     smallest basic index leaving and the smallest column entering, so
-    cycling cannot occur.  Refactorization and counting follow
+    cycling cannot occur.  A reduced cost that rounding left below zero
+    counts as zero in the ratio test; if the entering column's own would
+    make the dual step fall below -PIVOT_TOL, undoing dual progress, its
+    cost is shifted to make it zero, and the tableau is refactorized with
+    the true costs before returning.  Refactorization and counting follow
     `_simplex_phase`; a row with no negative entry, on a freshly
     refactorized tableau, proves the program infeasible.
     """
     m = T.shape[0] - 1
     degenerate = 0
     since_refresh = 0
+    shifted = False
     while True:
         if since_refresh >= REFRESH_EVERY:
             _refresh(T, basis, Ab, cost_vec)
             stats["refactorizations"] += 1
             since_refresh = 0
+            shifted = False
         rhs = T[:m, -1]
+        below = np.flatnonzero(rhs < -PIVOT_TOL)
+        if len(below) == 0:
+            if shifted:
+                _refresh(T, basis, Ab, cost_vec)
+                stats["refactorizations"] += 1
+            return "Optimal"
         if degenerate < DEGENERACY_STREAK:
             leave = int(np.argmin(rhs))
-            if rhs[leave] >= -PIVOT_TOL:
-                return "Optimal"
         else:
-            neg = np.flatnonzero(rhs < -PIVOT_TOL)
-            if len(neg) == 0:
-                return "Optimal"
-            leave = int(min(neg, key=lambda i: basis[i]))
+            leave = int(min(below, key=lambda i: basis[i]))
         row = T[leave, :-1]
         neg = row < -PIVOT_TOL
         if not neg.any():
@@ -224,9 +231,8 @@ def _dual_phase(
             _refresh(T, basis, Ab, cost_vec)
             stats["refactorizations"] += 1
             since_refresh = 0
+            shifted = False
             continue
-        # reduced costs within tolerance of zero count as zero, so the
-        # dual step is never negative
         reduced = np.maximum(T[-1, :-1], 0.0)
         ratios = np.where(neg, reduced / np.where(neg, -row, 1.0), np.inf)
         best = ratios.min()
@@ -236,6 +242,9 @@ def _dual_phase(
         else:
             enter = int(tied[0])
         degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+        if T[-1, enter] < PIVOT_TOL * row[enter]:
+            T[-1, enter] = 0.0
+            shifted = True
         _pivot(T, basis, leave, enter)
         stats["pivots"] += 1
         since_refresh += 1

@@ -1,4 +1,5 @@
 import signal
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -376,21 +377,53 @@ def test_bad_start_basis_is_data_error():
             solve_lp(lp, bad)
 
 
-def test_dual_phase_does_not_cycle():
-    # without the switch to Bland's rule, the dual simplex cycles in the
-    # third round of this target
+@contextmanager
+def _within(seconds):
     def timeout(signum, frame):
-        raise TimeoutError("row generation did not finish")
+        raise TimeoutError(f"did not finish within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(20)
+    signal.alarm(seconds)
     try:
-        res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_dual_phase_does_not_cycle():
+    # without the switch to Bland's rule, the dual simplex cycles in the
+    # third round of this target
+    with _within(20):
+        res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
     assert res.alpha_exact == F(9, 20)
     assert res.rounds >= 3
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_dual_phase_never_steps_backwards(monkeypatch):
+    # in the fifth round of this m=6 target, entering reduced costs that
+    # rounding left below zero gave negative dual steps; unshifted, the
+    # round wandered for minutes, shifted it takes about two seconds
+    monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
+    rounds = []
+
+    def five_rounds(prog, basis=None):
+        if len(rounds) == 5:
+            raise _Stop
+        rounds.append((prog, solve_lp(prog, basis)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(bounds, "solve_lp", five_rounds)
+    with _within(30), pytest.raises(_Stop):
+        worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
+    prog, sol = rounds[-1]
+    assert sol.status == "Optimal" and verify_solution(prog, sol)
+    status, objective = _highs(prog)
+    assert status == "Optimal" and abs(sol.objective_value - objective) <= 1e-8
 
 
 def test_result_counts_every_pivot_of_every_round(monkeypatch):

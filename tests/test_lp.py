@@ -333,7 +333,7 @@ def test_warm_start_after_cuts_matches_cold_and_highs():
         rng = np.random.default_rng(1000 + seed)
         x = sol.values
         start = list(sol.basis)
-        for k in range(int(rng.integers(1, 4))):
+        for _ in range(int(rng.integers(1, 4))):
             # a row that cuts the current optimum off by depth 1/4 to 3/2,
             # as <= or as the same row negated to >=
             a = rng.integers(-3, 4, size=prog.n).astype(float)

@@ -3,6 +3,7 @@ single-crossing profiles, swap paths, domination, and instance checks."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,19 +63,32 @@ class SingleCrossingSequence:
         return self.rankings.index(tuple(r))
 
 
-def is_single_crossing(rankings: tuple[Ranking, ...]) -> bool:
-    """Does every pair of alternatives flip relative order at most once?"""
-    m = len(rankings[0])
-    poss = [positions(r) for r in rankings]
-    for a in range(m):
-        for b in range(a + 1, m):
-            flips = 0
-            for p1, p2 in zip(poss, poss[1:]):
-                if (p1[a] < p1[b]) != (p2[a] < p2[b]):
-                    flips += 1
-            if flips > 1:
-                return False
+def _inversions(r: Ranking) -> int:
+    """Bitmask of the pairs a < b that r ranks b above (bit a*m + b)."""
+    m = len(r)
+    return sum(1 << (a * m + b) for i, b in enumerate(r) for a in r[i + 1:] if a < b)
+
+
+def _nested(base: Ranking, rankings: Iterable[Ranking]) -> bool:
+    """Do the flip sets relative to `base` (the pairs each ranking orders
+    differently from base) grow by inclusion along `rankings`?"""
+    inv = _inversions(base)
+    prev = 0
+    for r in rankings:
+        flips = inv ^ _inversions(r)
+        if prev & ~flips:
+            return False
+        prev = flips
     return True
+
+
+def is_single_crossing(rankings: tuple[Ranking, ...]) -> bool:
+    """Does every pair of alternatives flip relative order at most once?
+
+    A pair flips at most once exactly when, once it differs from the first
+    ranking, it keeps differing: the flip sets from the first ranking nest.
+    """
+    return _nested(rankings[0], rankings)
 
 
 def two_rankings_expected(profile: Profile) -> set[Ranking]:
@@ -142,8 +156,9 @@ def _extend_to_maximal(order: list[Ranking]) -> SingleCrossingSequence:
 def find_single_crossing_order(profile: Profile) -> SingleCrossingSequence | None:
     """A maximal single-crossing sequence containing supp(R) in order, if any.
 
-    Tries the distance-sorted order from each support ranking first, then
-    falls back to exhaustive permutation of the support (8 rankings max).
+    The flip sets of a valid order nest from its first ranking, so its
+    distances from that ranking strictly increase: sorting the support by
+    distance from each support ranking in turn finds it whenever one exists.
     Returns None when no ordering is single-crossing.
     """
     if profile.m > 10:
@@ -151,30 +166,10 @@ def find_single_crossing_order(profile: Profile) -> SingleCrossingSequence | Non
     supp = profile.support()
     if len(supp) > 64:
         raise GuardError("single-crossing search guarded at 64 support rankings")
-    if len(supp) == 1:
-        return _extend_to_maximal(list(supp))
-
-    def works(order: list[Ranking]) -> bool:
-        # distances must be additive along the line and no pair may re-cross
-        base = order[0]
-        dists = [swap_distance(base, r) for r in order]
-        if any(d2 < d1 for d1, d2 in zip(dists, dists[1:])):
-            return False
-        for a, b, da, db in zip(order, order[1:], dists, dists[1:]):
-            if swap_distance(a, b) != db - da:
-                return False
-        return is_single_crossing(tuple(order))
-
     for anchor in supp:
         order = sorted(supp, key=lambda r: (swap_distance(anchor, r), r))
-        if works(order):
+        if _nested(anchor, order):
             return _extend_to_maximal(order)
-    if len(supp) <= 8:
-        import itertools
-
-        for perm in itertools.permutations(supp):
-            if works(list(perm)):
-                return _extend_to_maximal(list(perm))
     return None
 
 
@@ -193,72 +188,34 @@ def sc_proportional_expected(
     return {seq[i] for i in round_set(mu)}
 
 
-def enumerate_compatible_maximal_sequences(
-    profile: Profile, order: list[Ranking]
-) -> list[SingleCrossingSequence]:
-    """All maximal single-crossing sequences containing `order` as a subsequence.
-
-    Exhaustive, guarded at m=5; intended for the union-over-sequences
-    form of the proportionality check.
-    """
-    m = profile.m
-    if m > 5:
-        raise GuardError("maximal-sequence enumeration guarded at m=5")
-    dmax = max_swap_distance(m)
-    results: list[SingleCrossingSequence] = []
-
-    def compatible_future(
-        pos_0: list[int], cur: Ranking, next_support: list[Ranking]
-    ) -> bool:
-        # each pending support ranking must agree with cur on every pair
-        # that has already crossed (a pair never crosses twice)
-        pos_c = positions(cur)
-        for s in next_support:
-            pos_s = positions(s)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    crossed = (pos_0[a] < pos_0[b]) != (pos_c[a] < pos_c[b])
-                    if crossed and (pos_s[a] < pos_s[b]) != (pos_c[a] < pos_c[b]):
-                        return False
-        return True
-
-    def grow(pos_0: list[int], seq: list[Ranking], pending: list[Ranking]):
-        cur = seq[-1]
-        if len(seq) == dmax + 1:
-            if not pending:
-                results.append(SingleCrossingSequence(tuple(seq), maximal=True))
-            return
-        pos_c = positions(cur)
-        for i in range(m - 1):
-            a, b = cur[i], cur[i + 1]
-            # only swap pairs still in their original orientation
-            if (pos_0[a] < pos_0[b]) == (pos_c[a] < pos_c[b]):
-                nxt = list(cur)
-                nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
-                nxt = tuple(nxt)
-                still = pending[1:] if pending and nxt == pending[0] else pending
-                if compatible_future(pos_0, nxt, still):
-                    grow(pos_0, seq + [nxt], still)
-
-    for start in enumerate_rankings(m):
-        pos_0 = positions(start)
-        pending = list(order)
-        if pending and pending[0] == start:
-            pending = pending[1:]
-        if compatible_future(pos_0, start, pending):
-            grow(pos_0, [start], pending)
-    return results
-
-
 def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None:
-    """Union of expected sets over every compatible maximal sequence (m <= 5)."""
+    """Union of expected sets over every compatible maximal sequence (m <= 5).
+
+    A maximal sequence from a start s is a maximal chain of nested flip sets
+    (weak order: u <= v iff Inv(u) is a subset of Inv(v)), so every ranking x
+    on it sits at location d(s, x).  Hence the mean location depends on s
+    alone, and x lies on some sequence from s through the ordered support iff
+    its flip set is comparable with each support flip set.
+    """
     seq = find_single_crossing_order(profile)
     if seq is None:
         return None
+    if profile.m > 5:
+        raise GuardError("maximal-sequence enumeration guarded at m=5")
     order = [r for r in seq.rankings if r in profile.entries]
+    inv = {x: _inversions(x) for x in enumerate_rankings(profile.m)}
     out: set[Ranking] = set()
-    for s in enumerate_compatible_maximal_sequences(profile, order):
-        out |= sc_proportional_expected(profile, s)
+    for s, inv_s in inv.items():
+        if not _nested(s, order):
+            continue
+        supp_flips = [inv_s ^ inv[r] for r in order]
+        mu = sum(profile.entries[r] * f.bit_count() for r, f in zip(order, supp_flips))
+        locations = round_set(mu)
+        for x, inv_x in inv.items():
+            flips = inv_s ^ inv_x
+            if flips.bit_count() in locations and all(
+                    not f & ~flips or not flips & ~f for f in supp_flips):
+                out.add(x)
     return out
 
 

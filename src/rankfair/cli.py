@@ -275,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"rankfair {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=1)
+    def common(p, seed=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("aggregate", help="compute optimal rankings for a profile")
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile")
     p.add_argument("--random", type=int, default=0, help="number of random profiles")
     p.add_argument("--m", type=int, default=4)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("bounds", help="compute worst-case curves")
     p.add_argument("--curve", required=True, choices=["single", "group", "lower"])
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preflib", help="parse a strict-order PrefLib file instead")
     p.add_argument("--restrict", type=int,
                    help="keep this many random alternatives of a PrefLib profile")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("embed", help="plane embeddings and point fitting")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a bundled experiment")
     p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    common(p)
+    common(p, seed=True)
     return ap
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,6 @@ from rankfair.axioms import (
     check_participation_instance,
     check_reinforcement_instance,
     dominates,
-    enumerate_compatible_maximal_sequences,
     find_single_crossing_order,
     is_single_crossing,
     sc_proportional_expected,
@@ -19,8 +19,10 @@ from rankfair.axioms import (
 )
 from rankfair.core import (
     Profile,
+    enumerate_rankings,
     max_swap_distance,
     reverse_ranking,
+    round_set,
     swap_distance,
 )
 from rankfair.errors import DataError
@@ -124,15 +126,73 @@ def test_fixture_proportional_location():
     assert set(solve_brute_force(prof, CostSpec(1)).winners) == {seq[2]}
 
 
-def test_sequence_enumeration_contains_found_order():
+def _all_maximal_sequences(m):
+    """Every maximal swap sequence by unpruned DFS: from each start, swap any
+    adjacent pair still in its starting orientation until none is left."""
+    out = []
+
+    def grow(seq, start_pos):
+        cur = seq[-1]
+        if len(seq) == max_swap_distance(m) + 1:
+            out.append(tuple(seq))
+            return
+        for i in range(m - 1):
+            a, b = cur[i], cur[i + 1]
+            if start_pos[a] < start_pos[b]:
+                nxt = cur[:i] + (b, a) + cur[i + 2:]
+                grow(seq + [nxt], start_pos)
+
+    for start in enumerate_rankings(m):
+        grow([start], {a: i for i, a in enumerate(start)})
+    return out
+
+
+def _oracle_union(prof, sequences):
+    """Rounded mean locations over every maximal sequence holding the support."""
+    out, found = set(), False
+    for seq in sequences:
+        if all(r in seq for r in prof.entries):
+            found = True
+            mu = sum(w * seq.index(r) for r, w in prof.entries.items())
+            out |= {seq[i] for i in round_set(mu)}
+    return out if found else None
+
+
+def test_exhaustive_union_matches_sequence_dfs_m3():
+    sequences = _all_maximal_sequences(3)
+    assert len(sequences) == 12  # two reduced words per start
+    rankings = list(enumerate_rankings(3))
+    for k in (1, 2, 3):
+        for supp in itertools.combinations(rankings, k):
+            for raw in ([1] * k, list(range(1, k + 1)), [3, 1, 1][:k]):
+                prof = Profile.from_weights(
+                    {r: F(x, sum(raw)) for r, x in zip(supp, raw)})
+                assert sc_proportional_expected_exhaustive(prof) == \
+                    _oracle_union(prof, sequences)
+
+
+def test_exhaustive_union_matches_sequence_dfs_m4():
+    sequences = _all_maximal_sequences(4)
+    assert len(sequences) == 24 * 16
+    rankings = list(enumerate_rankings(4))
+    rng = np.random.default_rng(41)
+    single_crossing = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        supp = [rankings[i] for i in rng.choice(24, size=k, replace=False)]
+        raw = [int(rng.integers(1, 10)) for _ in supp]
+        prof = Profile.from_weights(
+            {r: F(x, sum(raw)) for r, x in zip(supp, raw)})
+        union = sc_proportional_expected_exhaustive(prof)
+        assert union == _oracle_union(prof, sequences)
+        single_crossing += union is not None
+    assert single_crossing >= 100
+
+
+def test_fixture_expected_within_exhaustive_union():
     prof, seq = single_crossing_fixture()
-    order = [r for r in seq.rankings if r in prof.entries]
-    seqs = enumerate_compatible_maximal_sequences(prof, order)
-    assert any(s.rankings == seq.rankings for s in seqs)
-    for s in seqs:
-        assert s.maximal
-        idx = [s.rankings.index(r) for r in order]
-        assert idx == sorted(idx)
+    assert sc_proportional_expected(prof, seq) <= \
+        sc_proportional_expected_exhaustive(prof)
 
 
 def test_exhaustive_union_equals_optima():

@@ -1,9 +1,14 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import rankfair
 from rankfair.cli import main
 from rankfair.core import Profile, swap_distance
 from rankfair.experiments import hotel_profile, load_profile
@@ -234,6 +239,21 @@ def test_usage_error_exit_2(capsys):
     assert main(["aggregate"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_seed_only_on_commands_that_sample(profile_file, capsys):
+    assert main(["aggregate", "--profile", profile_file, "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_python_dash_m_prints_version():
+    src = str(Path(rankfair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "rankfair", "--version"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"rankfair {rankfair.__version__}"
 
 
 def test_guard_exit_3(tmp_path, capsys):

@@ -311,7 +311,18 @@ def solve_bnb(
     slope-weighted votes.  A node's bound is the larger of two instances:
     the secant, t = d, and the tangent at the incumbent's distances T,
     t = max(d, T).  At p = 1 every slope is 1 and both are the Kemeny pair
-    bound.  All children of a node are bounded in one numpy batch.
+    bound, which a child placing c next raises by sum over the remaining j
+    of E[j, c], E = W - min(W, W^T) on the pair weights W: no per-voter
+    distances are kept.  At p >= 2 all children of a node are bounded in
+    one numpy batch.
+
+    Children are tested against the incumbent before they are pushed, with
+    the test a popped node gets.  The incumbent only falls, so a child that
+    fails it would fail when popped; the children that fail (those with
+    the largest bounds, which sit under their live siblings) become one
+    stack entry holding their count.  `nodes` counts the nodes the
+    depth-first search pops, these pruned children included, so a node
+    budget stops the search where it stopped when each child was pushed.
 
     Exact when it runs to completion; with a node budget it may return an
     anytime result flagged "Heuristic" together with a certified global
@@ -332,7 +343,7 @@ def solve_bnb(
     w = np.array(ic.nums, dtype=dtype)
     if p == 1:
         W = ic.pair_weights()
-        M = np.minimum(W, W.T)
+        E = W - np.minimum(W, W.T)
 
     seed = as_ranking(seed_candidate) if seed_candidate else approx_kemeny_seed(
         profile, cost
@@ -344,40 +355,46 @@ def solve_bnb(
     def slope(t):
         return (t + 1) ** p - t**p
 
-    def pair_term(s, ab, drop):
-        # s: slopes per node and voter; ab[v, i, j]: voter v puts i above j
-        ws = np.tensordot(s * w, ab, 1)
-        mins = np.minimum(ws, ws.transpose(0, 2, 1))
-        total = mins.sum(axis=(1, 2)) // 2
-        return total if drop is None else total - mins[drop, drop].sum(axis=1)
-
-    def bounds(D, ab, drop=None):
-        """Convex pair bound of node k: distances D[k], undecided pairs those
-        of ab without alternative drop[k]."""
+    def bounds(D, ab, children):
+        """Convex pair bound of node k with distances D[k]; the undecided
+        pairs are those of ab, less alternative k's when children."""
         t = np.maximum(D, T)
         s = slope(t)
-        secant = D**p @ w + pair_term(slope(D), ab, drop)
-        tangent = (t**p + s * (D - t)) @ w + pair_term(s, ab, drop)
+        # slope-weighted votes of the secant (rows 0) and the tangent (rows 1)
+        n, r = ab.shape[:2]
+        ws = (np.concatenate([slope(D), s]) * w) @ ab.reshape(n, r * r)
+        ws = ws.reshape(2, len(D), r, r)
+        mins = np.minimum(ws, ws.swapaxes(2, 3))
+        pair = mins.sum(axis=(2, 3)) // 2
+        if children:
+            k = np.arange(r)
+            pair -= mins[:, k, k].sum(axis=2)
+        secant = D**p @ w + pair[0]
+        tangent = (t**p + s * (D - t)) @ w + pair[1]
         return np.maximum(secant, tangent)
 
-    def expand(remaining, dvec):
-        """Distances and lower bounds of all children of a node."""
+    def expand(lb, remaining, dvec):
+        """Lower bounds and distances of all children of a node."""
         R = np.array(remaining)
+        if p == 1:
+            return (E[R[:, None], R].sum(axis=0) + lb).tolist(), [None] * len(R)
         pos = ic.pos[:, R]
         ab = pos[:, :, None] < pos[:, None, :]
         # child i adds, per voter, the remaining alternatives placed above R[i]
         D = dvec + ab.sum(axis=1).T
-        if p == 1:
-            MR = M[R[:, None], R]
-            lb = D @ w + MR.sum() // 2 - MR.sum(axis=1)
-        elif len(R) > 2:
-            lb = bounds(D, ab, np.arange(len(R)))
-        else:  # the children are complete rankings
-            lb = D**p @ w
-        return D, lb.tolist()
+        if len(R) > 2:
+            return bounds(D, ab, True).tolist(), D
+        return (D**p @ w).tolist(), D  # the children are complete rankings
+
+    def limit():
+        """The largest bound of a node still worth searching (bounds are
+        integers; one equal to the incumbent is kept while ties are kept)."""
+        return incumbent if find_all_ties and len(best) < full else incumbent - 1
 
     root_d = np.zeros(len(w), dtype=dtype)
-    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :])[0])
+    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :], False)[0])
+    # a node is (bound, prefix, remaining, distances); an int is that many
+    # pruned children
     stack = [(root_lb, (), tuple(range(m)), root_d)]
     nodes = 0
     exhausted = False
@@ -385,10 +402,16 @@ def solve_bnb(
         if node_budget is not None and nodes >= node_budget:
             exhausted = True
             break
-        lb, prefix, remaining, dvec = stack.pop()
+        node = stack.pop()
+        if isinstance(node, int):
+            taken = node if node_budget is None else min(node, node_budget - nodes)
+            nodes += taken
+            if taken < node:  # the budget ran out with these still on the stack
+                stack.append(node - taken)
+            continue
+        lb, prefix, remaining, dvec = node
         nodes += 1
-        if lb > incumbent or (lb == incumbent and (
-                not find_all_ties or len(best) >= full)):
+        if lb > limit():
             continue
         if len(remaining) == 1:  # a complete ranking, whose bound is its cost
             cand = prefix + remaining
@@ -397,13 +420,20 @@ def solve_bnb(
             elif cand != seed:  # the search reaches each ranking once
                 best.append(cand)
             continue
-        D, lbs = expand(remaining, dvec)
-        for i in sorted(range(len(lbs)), key=lbs.__getitem__, reverse=True):
+        lbs, D = expand(lb, remaining, dvec)
+        order = sorted(range(len(lbs)), key=lbs.__getitem__, reverse=True)
+        top = limit()
+        live = [i for i in order if lbs[i] <= top]
+        if len(live) < len(order):  # the pruned children have the largest bounds
+            stack.append(len(order) - len(live))
+        for i in live:
             rest = remaining[:i] + remaining[i + 1 :]
             stack.append((lbs[i], prefix + (remaining[i],), rest, D[i]))
 
     if exhausted:
-        frontier = min((node[0] for node in stack), default=incumbent)
+        frontier = min(
+            (node[0] for node in stack if not isinstance(node, int)), default=incumbent
+        )
         global_lb = min(incumbent, frontier)
         return SolveResult(
             winners=tuple(sorted(best)[:TIE_ENUMERATION_CAP]),

@@ -217,6 +217,39 @@ def test_bnb_linear_city_search_unchanged():
     )
 
 
+@pytest.mark.parametrize("p, ties, nodes, budget, budgeted", [
+    (2, False, 9808, 2000, ("Heuristic", 2000, F(74311, 10), F(74647, 10))),
+    (2, True, 13685, 4500, ("Heuristic", 4500, F(74151, 10), F(74647, 10))),
+    (1, False, 126760, 10000, ("Heuristic", 10000, F(703, 10), F(737, 10))),
+])
+def test_bnb_city_search_pinned(p, ties, nodes, budget, budgeted):
+    # children pruned before the push still count when the search reaches
+    # them, so a full search counts every child and a budget stops where it did
+    city = city_profile()
+    res = solve_bnb(city, CostSpec(p), find_all_ties=ties)
+    assert (res.status, res.nodes) == ("Exact", nodes)
+    assert res.cost == (F(733, 10) if p == 1 else F(74647, 10))
+    cut = solve_bnb(city, CostSpec(p), find_all_ties=ties, node_budget=budget)
+    assert (cut.status, cut.nodes, cut.lower_bound, cut.cost) == budgeted
+
+
+@pytest.mark.parametrize("p, budget, pinned", [
+    (1, 5, ("Heuristic", 5, F(43, 3), F(43, 3))),
+    (1, 50, ("Heuristic", 50, F(43, 3), F(43, 3))),
+    (1, 500, ("Heuristic", 500, F(43, 3), F(43, 3))),
+    (2, 5, ("Heuristic", 5, F(200), F(688, 3))),
+    (2, 50, ("Heuristic", 50, F(200), F(688, 3))),
+    (2, 500, ("Heuristic", 500, F(210), F(229))),
+    (3, 5, ("Heuristic", 5, F(9148, 3), F(3554))),
+    (3, 50, ("Heuristic", 50, F(9148, 3), F(3554))),
+    (3, 500, ("Heuristic", 500, F(10007, 3), F(3554))),
+])
+def test_bnb_budgeted_search_pinned(p, budget, pinned):
+    prof = sample_profile(CultureSpec("disc", n=6, m=9, seed=27))
+    res = solve_bnb(prof, CostSpec(p), node_budget=budget)
+    assert (res.status, res.nodes, res.lower_bound, res.cost) == pinned
+
+
 @pytest.mark.parametrize("m", range(1, 10))
 def test_ranking_table_is_lexicographic(m):
     # brute force's blocks, each prefix followed by rest[orders], list all

@@ -22,6 +22,9 @@ from .core import (
 from .errors import DataError, DimensionError, GuardError
 from .solver import CostSpec, solve_brute_force
 
+# the exhaustive proportionality union scores all m! rankings per start
+SC_UNION_GUARD_M = 5
+
 
 @dataclass(frozen=True)
 class SingleCrossingSequence:
@@ -189,7 +192,8 @@ def sc_proportional_expected(
 
 
 def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None:
-    """Union of expected sets over every compatible maximal sequence (m <= 5).
+    """Union of expected sets over every compatible maximal sequence (m <= 5),
+    None when the profile is not single-crossing.
 
     A maximal sequence from a start s is a maximal chain of nested flip sets
     (weak order: u <= v iff Inv(u) is a subset of Inv(v)), so every ranking x
@@ -197,11 +201,13 @@ def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None
     alone, and x lies on some sequence from s through the ordered support iff
     its flip set is comparable with each support flip set.
     """
+    if profile.m > SC_UNION_GUARD_M:
+        raise GuardError(
+            f"maximal-sequence enumeration guarded at m={SC_UNION_GUARD_M}, got {profile.m}"
+        )
     seq = find_single_crossing_order(profile)
     if seq is None:
         return None
-    if profile.m > 5:
-        raise GuardError("maximal-sequence enumeration guarded at m=5")
     order = [r for r in seq.rankings if r in profile.entries]
     inv = {x: _inversions(x) for x in enumerate_rankings(profile.m)}
     out: set[Ranking] = set()

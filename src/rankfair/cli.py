@@ -88,10 +88,18 @@ def cmd_axioms(args) -> int:
     counterexamples = []
     if args.profile:
         profiles = [_load_profile(args.profile)]
+        m = profiles[0].m
     else:
-        if args.m < 2:
+        m = args.m
+        if m < 2:
             # a 2rp pair of distinct rankings needs two alternatives
-            raise DataError(f"random profiles need --m >= 2, got {args.m}")
+            raise DataError(f"random profiles need --m >= 2, got {m}")
+    if args.check == "scp" and m > axioms.SC_UNION_GUARD_M:
+        raise GuardError(
+            f"--check scp compares with every compatible maximal sequence, "
+            f"guarded at m={axioms.SC_UNION_GUARD_M}, got m={m}"
+        )
+    if not args.profile:
         profiles = []
         rng = make_rng(args.seed)
         for k in range(args.random):
@@ -110,12 +118,9 @@ def cmd_axioms(args) -> int:
         if args.check == "2rp":
             ok = axioms.sqk_satisfies_2rp(prof)
         elif args.check == "scp":
-            seq = axioms.find_single_crossing_order(prof)
-            if seq is None:
-                ok = True  # vacuous for profiles that are not single-crossing
-            else:
-                expected = axioms.sc_proportional_expected(prof, seq)
-                ok = set(solve_brute_force(prof).winners) <= expected
+            expected = axioms.sc_proportional_expected_exhaustive(prof)
+            # vacuous for profiles that are not single-crossing
+            ok = expected is None or set(solve_brute_force(prof).winners) <= expected
         elif args.check == "efficiency":
             winners = solve_brute_force(prof).winners
             ok = all(

@@ -114,6 +114,37 @@ def test_axioms_efficiency(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_axioms_scp_compares_with_every_compatible_sequence(tmp_path, capsys):
+    # the squared optima lie on a compatible maximal sequence other than the
+    # one find_single_crossing_order builds
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 5, "entries": [
+        {"order": [1, 0, 2, 3, 4], "weight": "8/9"},
+        {"order": [3, 2, 1, 0, 4], "weight": "1/9"},
+    ]}))
+    out = tmp_path / "a.json"
+    assert main(["axioms", "--check", "scp", "--profile", str(path),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["checked"], doc["passed"], doc["counterexamples"]) == (1, 1, [])
+    capsys.readouterr()
+
+
+def test_axioms_scp_random(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert main(["axioms", "--check", "scp", "--random", "40", "--m", "4",
+                 "--seed", "5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passed"] == doc["checked"] == 40
+    capsys.readouterr()
+
+
+def test_axioms_scp_above_five_exit_3(capsys):
+    # refused before any profile is drawn, single-crossing or not
+    assert main(["axioms", "--check", "scp", "--random", "3", "--m", "6"]) == 3
+    assert "m=5" in capsys.readouterr().err
+
+
 def test_bounds_single_csv(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"

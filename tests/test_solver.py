@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -31,16 +32,24 @@ from rankfair.solver import (
 
 
 def brute_oracle(profile, p):
-    """Independent optimum: exact rational cost of every ranking."""
-    best = None
-    winners = []
-    for cand in enumerate_rankings(profile.m):
-        c = profile.power_cost(cand, p)
-        if best is None or c < best:
-            best, winners = c, [cand]
-        elif c == best:
-            winners.append(cand)
-    return tuple(winners), best
+    """Independent optimum: the exact cost of every ranking, in lexicographic
+    order, as sum(k * d^p) / L over the weights k / L on the common
+    denominator L, with d counted pair by pair."""
+    m = profile.m
+    rankings = list(itertools.permutations(range(m)))
+    pos = np.argsort(np.array(rankings, dtype=np.int8), axis=1)
+    pairs = list(itertools.combinations(range(m), 2))
+    denom = math.lcm(*(w.denominator for w in profile.entries.values()))
+    costs = np.zeros(len(rankings), dtype=object)
+    for r, w in profile.entries.items():
+        above = {(r[i], r[j]) for i, j in pairs}  # r puts r[i] above r[j]
+        d = sum((pos[:, a] > pos[:, b]) if (a, b) in above else (pos[:, a] < pos[:, b])
+                for a, b in pairs)
+        # swap distances and their powers stay small; the sum may leave int64
+        costs += int(w * denom) * d.astype(object) ** p
+    best = costs.min()
+    winners = tuple(rankings[i] for i in np.flatnonzero(costs == best))
+    return winners, F(best, denom)
 
 
 def test_cost_spec_validation():

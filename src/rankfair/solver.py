@@ -355,12 +355,12 @@ def solve_bnb(
     def slope(t):
         return (t + 1) ** p - t**p
 
-    def bounds(D, ab, children):
+    def bounds(D, ab, children=False):
         """Convex pair bound of node k with distances D[k]; the undecided
         pairs are those of ab, less alternative k's when children."""
         t = np.maximum(D, T)
         s = slope(t)
-        # slope-weighted votes of the secant (rows 0) and the tangent (rows 1)
+        # one product weighs the votes by the secant's slopes, then the tangent's
         n, r = ab.shape[:2]
         ws = (np.concatenate([slope(D), s]) * w) @ ab.reshape(n, r * r)
         ws = ws.reshape(2, len(D), r, r)
@@ -374,17 +374,17 @@ def solve_bnb(
         return np.maximum(secant, tangent)
 
     def expand(lb, remaining, dvec):
-        """Lower bounds and distances of all children of a node."""
+        """Distances and lower bounds of all children of a node."""
         R = np.array(remaining)
         if p == 1:
-            return (E[R[:, None], R].sum(axis=0) + lb).tolist(), [None] * len(R)
+            return [None] * len(R), (E[R[:, None], R].sum(axis=0) + lb).tolist()
         pos = ic.pos[:, R]
         ab = pos[:, :, None] < pos[:, None, :]
         # child i adds, per voter, the remaining alternatives placed above R[i]
         D = dvec + ab.sum(axis=1).T
         if len(R) > 2:
-            return bounds(D, ab, True).tolist(), D
-        return (D**p @ w).tolist(), D  # the children are complete rankings
+            return D, bounds(D, ab, children=True).tolist()
+        return D, (D**p @ w).tolist()  # the children are complete rankings
 
     def limit():
         """The largest bound of a node still worth searching (bounds are
@@ -392,7 +392,7 @@ def solve_bnb(
         return incumbent if find_all_ties and len(best) < full else incumbent - 1
 
     root_d = np.zeros(len(w), dtype=dtype)
-    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :], False)[0])
+    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :])[0])
     # a node is (bound, prefix, remaining, distances); an int is that many
     # pruned children
     stack = [(root_lb, (), tuple(range(m)), root_d)]
@@ -420,7 +420,7 @@ def solve_bnb(
             elif cand != seed:  # the search reaches each ranking once
                 best.append(cand)
             continue
-        lbs, D = expand(lb, remaining, dvec)
+        D, lbs = expand(lb, remaining, dvec)
         order = sorted(range(len(lbs)), key=lbs.__getitem__, reverse=True)
         top = limit()
         live = [i for i in order if lbs[i] <= top]

@@ -31,6 +31,7 @@ LP_GUARD_M = 5
 # a row or a weight counts as violated, tight or zero within ROW_TOL
 ROW_BATCH = 8
 ROW_TOL = 1e-9
+UPPER_CURVE_POINTS = 50  # theoretical_upper_curve samples alpha = k / 50
 
 
 def single_ranking_bound(alpha: Fraction | float, m: int) -> float:
@@ -264,7 +265,7 @@ def worst_profile_single_ranking(
         basis = [*sol.basis, *range(n + len(active), n + len(active) + len(new))]
         active += new
     full = _optimality_program(obj, G, np.flatnonzero(dist))
-    if not verify_solution(full, sol, 1e-8):
+    if not verify_solution(full, sol):
         raise DataError("simplex output failed independent verification")
     tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
     witness = _exact_witness(sol.values, G, tight, rankings, target)
@@ -388,11 +389,11 @@ def lower_bound_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     return _staircase(pts, m, "GroupLowerBound")
 
 
-def theoretical_upper_curve(m: int, n_points: int = 50) -> AlphaCurve:
+def theoretical_upper_curve(m: int) -> AlphaCurve:
     """The closed-form single-ranking cap as a plot-ready curve."""
     pts = []
     dmax = max_swap_distance(m)
-    for k in range(1, n_points + 1):
-        a = k / n_points
+    for k in range(1, UPPER_CURVE_POINTS + 1):
+        a = k / UPPER_CURVE_POINTS
         pts.append((a, single_ranking_bound(a, m) / dmax))
     return AlphaCurve(tuple(pts), m, "TheoreticalUpper")

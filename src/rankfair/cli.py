@@ -51,7 +51,7 @@ def _ranking_str(r, labels=None):
 
 def cmd_aggregate(args) -> int:
     profile = _load_profile(args.profile, args.normalize)
-    p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else int(args.power))
+    p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else args.power)
     spec = CostSpec(p)
     if args.emit_ilp:
         Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
@@ -110,6 +110,15 @@ def cmd_axioms(args) -> int:
                     r2 = tuple(rng.permutation(args.m))
                 w = Fraction(int(rng.integers(1, 100)), 100)
                 profiles.append(Profile.from_weights({r1: w, r2: 1 - w}))
+            elif args.check == "scp":
+                # 1-4 rankings on a random maximal sequence: single-crossing by
+                # construction, where impartial-culture draws almost never are
+                r = tuple(int(a) for a in rng.permutation(args.m))
+                path = axioms.build_swap_path(r, r[::-1]).rankings
+                k = int(rng.integers(1, min(4, len(path)) + 1))
+                picked = [path[i] for i in rng.choice(len(path), size=k, replace=False)]
+                weights = [int(w) for w in rng.integers(1, 10, size=k)]
+                profiles.append(Profile.from_weights(zip(picked, weights), normalize=True))
             else:
                 spec = CultureSpec("ic", n=6, m=args.m, seed=args.seed + k)
                 profiles.append(sample_profile(spec))

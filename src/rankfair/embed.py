@@ -4,18 +4,24 @@ point inducing a given ranking in a Euclidean configuration."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Ranking, as_ranking, swap_distance
+from .core import Ranking, as_ranking
 from .errors import DataError, DimensionError, GuardError
 from .sampling import PointConfig
 from .solver import swap_distance_matrix
 
 MDS_SIZE_GUARD = 512
+MDS_DIM = 2  # classical_mds keeps the top two eigenpairs: planar pictures
+SVG_SIZE = 600  # width and height of every rendered SVG, in pixels
+_SVG_HEAD = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}" '
+    f'width="{SVG_SIZE}" height="{SVG_SIZE}">\n'
+    f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>'
+)
 
 
 def distance_matrix(rankings: Sequence[Ranking]) -> np.ndarray:
@@ -48,7 +54,7 @@ class Embedding:
             raise DataError("negative stress")
 
 
-def classical_mds(D: np.ndarray, dim: int = 2) -> Embedding:
+def classical_mds(D: np.ndarray) -> Embedding:
     """Torgerson scaling: double-center the squared distances, take the
     top eigenpairs, clamp negative eigenvalues at zero."""
     D = np.asarray(D, dtype=float)
@@ -67,11 +73,11 @@ def classical_mds(D: np.ndarray, dim: int = 2) -> Embedding:
     vals, vecs = vals[::-1], vecs[:, ::-1]
     clamped = float(np.sum(np.abs(vals[vals < 0])))
     # an eigenvalue within rounding error of zero spans no direction
-    top = vals[:dim]
+    top = vals[:MDS_DIM]
     noise = n * np.finfo(float).eps * np.abs(vals).max()
-    coords = vecs[:, :dim] * np.sqrt(np.where(top > noise, top, 0.0))
+    coords = vecs[:, :MDS_DIM] * np.sqrt(np.where(top > noise, top, 0.0))
     # deterministic sign: first coordinate of visible magnitude positive
-    for k in range(dim):
+    for k in range(MDS_DIM):
         col = coords[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if len(nz) and col[nz[0]] < 0:
@@ -81,9 +87,16 @@ def classical_mds(D: np.ndarray, dim: int = 2) -> Embedding:
     return Embedding(coords, float(np.sum((fit - D[i, j]) ** 2)), clamped)
 
 
+def _induced_rankings(points: np.ndarray, alt_points: np.ndarray) -> np.ndarray:
+    """Row k: the alternatives by increasing distance from points[k], ties
+    broken by index."""
+    diff = alt_points[None, :, :] - points[:, None, :]
+    return np.argsort(np.einsum("kij,kij->ki", diff, diff), axis=1, kind="stable")
+
+
 def ranking_from_point(point: np.ndarray, alt_points: np.ndarray) -> Ranking:
-    d2 = np.einsum("ij,ij->i", alt_points - point, alt_points - point)
-    return tuple(int(a) for a in np.argsort(d2, kind="stable"))
+    induced = _induced_rankings(np.asarray(point)[None], np.asarray(alt_points))
+    return tuple(int(a) for a in induced[0])
 
 
 def fit_point_for_ranking(
@@ -94,7 +107,9 @@ def fit_point_for_ranking(
     Candidates cover every cell of the perpendicular-bisector
     arrangement of the alternatives (each bisector intersection nudged
     into its four surrounding cells), the voter points themselves, and a
-    64x64 safety grid.  Returns (point, induced ranking, its distance).
+    64x64 safety grid.  Returns (point, induced ranking, its distance);
+    among candidates at the least distance the first with the smallest
+    (x, y) rounded to 12 decimals wins.
     """
     target = as_ranking(target)
     A = cfg.alt_points
@@ -103,57 +118,44 @@ def fit_point_for_ranking(
         raise GuardError("point fitting guarded at m=12")
     if len(target) != m:
         raise DataError("target does not match the alternative count")
-    pairs = list(itertools.combinations(range(m), 2))
-    for a, b in pairs:
+    ia, ib = np.triu_indices(m, 1)
+    for a, b in zip(ia, ib):
         if np.allclose(A[a], A[b]):
             raise DataError(f"alternatives {a} and {b} coincide")
 
-    # bisector of (a,b): points x with n.x = c
-    lines = []
-    for a, b in pairs:
-        nvec = A[b] - A[a]
-        c = float(nvec @ (A[a] + A[b]) / 2)
-        lines.append((nvec, c))
+    # bisector of (a,b): points x with n.x = c, and its unit direction
+    normals = A[ib] - A[ia]
+    offsets = np.array([float(n @ (A[a] + A[b]) / 2) for n, a, b in zip(normals, ia, ib)])
+    perp = normals[:, ::-1] * [-1, 1]
+    dirs = perp / np.array([np.linalg.norm(d) for d in perp]).reshape(-1, 1)
+    li, lj = np.triu_indices(len(normals), 1)
+    M = np.stack([normals[li], normals[lj]], axis=1)
+    cut = np.abs(np.linalg.det(M)) >= 1e-12
+    p = np.linalg.solve(M[cut], np.stack([offsets[li], offsets[lj]], axis=1)[cut, :, None])
+    nudge = [s1 * dirs[li[cut]] + s2 * dirs[lj[cut]] for s1 in (-1, 1) for s2 in (-1, 1)]
+    pts = np.vstack([A, cfg.voter_points])
+    xs, ys = np.linspace(pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5, 64).T
+    cands = np.vstack([
+        cfg.voter_points,
+        (p[:, None, :, 0] + 1e-6 * np.stack(nudge, axis=1)).reshape(-1, 2),
+        np.column_stack([np.repeat(xs, 64), np.tile(ys, 64)]),
+    ])
 
-    cands: list[np.ndarray] = [v for v in cfg.voter_points]
-    eps = 1e-6
-    for (n1, c1), (n2, c2) in itertools.combinations(lines, 2):
-        M = np.array([n1, n2])
-        det = np.linalg.det(M)
-        if abs(det) < 1e-12:
-            continue
-        p = np.linalg.solve(M, np.array([c1, c2]))
-        d1 = np.array([-n1[1], n1[0]])
-        d1 /= np.linalg.norm(d1)
-        d2 = np.array([-n2[1], n2[0]])
-        d2 /= np.linalg.norm(d2)
-        for s1 in (-1, 1):
-            for s2 in (-1, 1):
-                cands.append(p + eps * (s1 * d1 + s2 * d2))
-    pts = np.vstack([A, cfg.voter_points]) if len(cfg.voter_points) else A
-    lo, hi = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
-    xs = np.linspace(lo[0], hi[0], 64)
-    ys = np.linspace(lo[1], hi[1], 64)
-    for x in xs:
-        for y in ys:
-            cands.append(np.array([x, y]))
+    induced = _induced_rankings(cands, A)
+    q = np.argsort(target)[induced]  # target positions, in induced order
+    defects = (q[:, ia] > q[:, ib]).sum(axis=1)
+    key = np.round(cands, 12)
+    best = np.lexsort((key[:, 1], key[:, 0], defects))[0]
+    return cands[best], tuple(int(a) for a in induced[best]), int(defects[best])
 
-    best = None
-    for p in cands:
-        r = ranking_from_point(p, A)
-        d = swap_distance(r, target)
-        key = (d, tuple(np.round(p, 12)))
-        if best is None or key < best[0]:
-            best = (key, p, r)
-    key, point, achieved = best
-    return point, achieved, key[0]
+
+def _px(x: float, y: float, pad: int) -> tuple[float, float]:
+    """Pixel position of (x, y) in the unit square, drawn pad pixels in from the edges."""
+    return pad + x * (SVG_SIZE - 2 * pad), SVG_SIZE - pad - y * (SVG_SIZE - 2 * pad)
 
 
 def render_map_svg(
-    coords: np.ndarray,
-    weights: Sequence[float],
-    marks: dict[str, Sequence[int]] | None = None,
-    size: int = 600,
+    coords: np.ndarray, weights: Sequence[float], marks: dict[str, Sequence[int]] | None = None
 ) -> str:
     """Scatter plot as standalone SVG: blue dots sized by weight, a red
     diamond for linear-cost optima and a green square for squared-cost
@@ -166,17 +168,9 @@ def render_map_svg(
     pad = 40
 
     def to_px(p):
-        q = (p - lo) / span
-        return (
-            pad + q[0] * (size - 2 * pad),
-            size - pad - q[1] * (size - 2 * pad),
-        )
+        return _px(*((p - lo) / span), pad)
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
-        f'width="{size}" height="{size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    out = [_SVG_HEAD]
     wmax = max(weights) if len(weights) else 1.0
     for i, p in enumerate(coords):
         x, y = to_px(p)
@@ -201,36 +195,25 @@ def render_map_svg(
     return "\n".join(out) + "\n"
 
 
-def render_curve_svg(
-    curves: dict[str, Sequence[tuple[float, float]]], size: int = 600
-) -> str:
+def render_curve_svg(curves: dict[str, Sequence[tuple[float, float]]]) -> str:
     """Polyline plot of one or more (x in [0,1], y in [0,1]) curves."""
     pad = 50
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#9467bd"]
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
-        f'width="{size}" height="{size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<rect x="{pad}" y="{pad}" width="{size - 2 * pad}" '
-        f'height="{size - 2 * pad}" fill="none" stroke="black"/>',
+        _SVG_HEAD,
+        f'<rect x="{pad}" y="{pad}" width="{SVG_SIZE - 2 * pad}" '
+        f'height="{SVG_SIZE - 2 * pad}" fill="none" stroke="black"/>',
     ]
-
-    def to_px(x, y):
-        return (
-            pad + x * (size - 2 * pad),
-            size - pad - y * (size - 2 * pad),
-        )
-
     for k, (name, pts) in enumerate(curves.items()):
         if not pts:
             continue
-        path = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in pts)
+        path = " ".join(f"{_px(x, y, pad)[0]:.2f},{_px(x, y, pad)[1]:.2f}" for x, y in pts)
         color = palette[k % len(palette)]
         out.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" '
             'stroke-width="2"/>'
         )
-        x0, y0 = to_px(0.02, 0.95 - 0.05 * k)
+        x0, y0 = _px(0.02, 0.95 - 0.05 * k, pad)
         out.append(f'<text x="{x0}" y="{y0}" fill="{color}">{name}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

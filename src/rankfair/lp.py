@@ -33,6 +33,7 @@ from .errors import DataError, DimensionError, GuardError
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+VERIFY_TOL = 1e-8  # verify_solution's slack on rows, signs and the objective
 # the tableau holds (rows + 1) x width doubles; solving also keeps a copy of
 # its constraint block and `_refresh` allocates a solve output of that size,
 # so 1 GiB of tableau stays near 3 GiB in all, inside a 7 GB machine
@@ -366,7 +367,7 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
     return LpSolution("Optimal", x, obj, basis=final, **stats)
 
 
-def verify_solution(lp: LinearProgram, sol: LpSolution, tol: float = 1e-8) -> bool:
+def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     """Independent constraint-by-constraint recheck of an Optimal solution."""
     if sol.status != "Optimal":
         raise DataError("verify_solution expects an Optimal solution")
@@ -375,12 +376,12 @@ def verify_solution(lp: LinearProgram, sol: LpSolution, tol: float = 1e-8) -> bo
         return False
     for coeffs, rel, rhs in lp.rows:
         v = float(np.dot(coeffs, x))
-        if rel == "<=" and v > rhs + tol:
+        if rel == "<=" and v > rhs + VERIFY_TOL:
             return False
-        if rel == ">=" and v < rhs - tol:
+        if rel == ">=" and v < rhs - VERIFY_TOL:
             return False
-        if rel == "=" and abs(v - rhs) > tol:
+        if rel == "=" and abs(v - rhs) > VERIFY_TOL:
             return False
-    if np.any(x < -tol):
+    if np.any(x < -VERIFY_TOL):
         return False
-    return abs(float(lp.objective @ x) - sol.objective_value) <= tol
+    return abs(float(lp.objective @ x) - sol.objective_value) <= VERIFY_TOL

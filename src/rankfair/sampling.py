@@ -122,10 +122,8 @@ def sample_profile(spec: CultureSpec) -> Profile:
         alt = sample_points(spec.kind, m, rng, spec.params)
         voters = sample_points(spec.kind, n, rng, spec.params)
         return profile_from_points(PointConfig(voters, alt), rng)
-    elif spec.kind == "ic":
+    else:  # "ic"; CultureSpec rejects every other kind
         draws = [tuple(rng.permutation(m).tolist()) for _ in range(n)]
-    else:  # pragma: no cover - guarded in CultureSpec
-        raise DataError(spec.kind)
     w = Fraction(1, n)
     return Profile.from_weights((r, w) for r in draws)
 

@@ -212,9 +212,10 @@ def _lower_bound_program(m, q):
     return lp
 
 
+# m = 4 is checked against HiGHS below: the dense simplex takes seconds on
+# its 625-row program
 @pytest.mark.parametrize("m, grid", [
     (3, [k / 200 for k in range(201)]),
-    (4, [0.0, 0.2, 0.35, 0.5, 0.8]),
 ])
 def test_lower_bound_curve_closed_form_matches_program(m, grid):
     for q in grid:
@@ -225,28 +226,25 @@ def test_lower_bound_curve_closed_form_matches_program(m, grid):
         assert abs(alpha - sol.objective_value) <= 1e-9
 
 
-def test_lower_bound_curve_m5_matches_highs():
-    # the 14,641-row program the dense simplex could not hold, sparse
+@pytest.mark.parametrize("m, grid", [
+    (4, [0.0, 0.2, 0.35, 0.5, 0.8]),
+    (5, [0.8]),
+])
+def test_lower_bound_curve_matches_highs(m, grid):
+    # the same program in sparse form, (m! + 1)^2 rows: 14,641 at m = 5,
+    # which the dense simplex could not hold
     sparse = pytest.importorskip("scipy.sparse")
     linprog = pytest.importorskip("scipy.optimize").linprog
-    m, q = 5, 0.8
     rankings = list(itertools.permutations(range(m)))
     n = len(rankings)
     D = swap_distance_matrix(rankings).astype(float)
-    floor = q * max_swap_distance(m)
     nv = n + n * n + 1
     g = n + np.arange(n * n).reshape(n, n)  # g[c, i]: column of g^c_i
-    eye = sparse.identity(n, format="csr")
-    # g^c_i - w_i <= 0 and sum_i g^c_i (floor - D[i, c]) <= 0, for every c
-    ub_rows = sparse.vstack([
-        sparse.csr_matrix((np.r_[-np.ones(n * n), np.ones(n * n)],
-                           (np.r_[np.arange(n * n), np.arange(n * n)],
-                            np.r_[np.tile(np.arange(n), n), g.ravel()])),
-                          shape=(n * n, nv)),
-        sparse.csr_matrix(((floor - D.T).ravel(),
-                           (np.repeat(np.arange(n), n), g.ravel())),
-                          shape=(n, nv)),
-    ])
+    # g^c_i - w_i <= 0, for every c and i
+    caps = sparse.csr_matrix((np.r_[-np.ones(n * n), np.ones(n * n)],
+                              (np.r_[np.arange(n * n), np.arange(n * n)],
+                               np.r_[np.tile(np.arange(n), n), g.ravel()])),
+                             shape=(n * n, nv))
     # sum_i w_i = 1 and sum_i g^c_i - alpha = 0, for every c
     eq_rows = sparse.vstack([
         sparse.csr_matrix((np.ones(n), (np.zeros(n), np.arange(n))), shape=(1, nv)),
@@ -255,14 +253,21 @@ def test_lower_bound_curve_m5_matches_highs():
                             np.r_[g.ravel(), np.full(n, nv - 1)])),
                           shape=(n, nv)),
     ])
-    assert ub_rows.shape[0] + eq_rows.shape[0] == 14_641
+    assert caps.shape[0] + n + eq_rows.shape[0] == (n + 1) ** 2
     c = np.zeros(nv)
     c[-1] = -1.0
-    ref = linprog(c, A_ub=ub_rows, b_ub=np.zeros(ub_rows.shape[0]), A_eq=eq_rows,
-                  b_eq=np.r_[1.0, np.zeros(n)], bounds=(0, None), method="highs")
-    assert ref.status == 0
-    ((alpha, _),) = lower_bound_curve(m, [q]).points
-    assert abs(alpha - -ref.fun) <= 1e-9
+    for q in grid:
+        floor = q * max_swap_distance(m)
+        # sum_i g^c_i (floor - D[i, c]) <= 0, for every c
+        ub_rows = sparse.vstack([caps, sparse.csr_matrix(
+            ((floor - D.T).ravel(), (np.repeat(np.arange(n), n), g.ravel())),
+            shape=(n, nv))])
+        ref = linprog(c, A_ub=ub_rows, b_ub=np.zeros(ub_rows.shape[0]), A_eq=eq_rows,
+                      b_eq=np.r_[1.0, np.zeros(n)], bounds=(0, None), method="highs")
+        assert ref.status == 0
+        ((alpha, value),) = lower_bound_curve(m, [q]).points
+        assert value == q
+        assert abs(alpha - -ref.fun) <= 1e-9
 
 
 def _highs_single(m, t):

@@ -130,12 +130,25 @@ def test_axioms_scp_compares_with_every_compatible_sequence(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_axioms_scp_random(tmp_path, capsys):
+def test_axioms_scp_random(tmp_path, capsys, monkeypatch):
+    # every drawn profile is single-crossing, so no check passes vacuously
+    from rankfair import axioms
+
+    exhaustive = axioms.sc_proportional_expected_exhaustive
+    vacuous = []
+
+    def counted(prof):
+        expected = exhaustive(prof)
+        vacuous.append(expected is None)
+        return expected
+
+    monkeypatch.setattr(axioms, "sc_proportional_expected_exhaustive", counted)
     out = tmp_path / "a.json"
     assert main(["axioms", "--check", "scp", "--random", "40", "--m", "4",
                  "--seed", "5", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] == doc["checked"] == 40
+    assert (len(vacuous), sum(vacuous)) == (40, 0)
     capsys.readouterr()
 
 

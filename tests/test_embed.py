@@ -125,6 +125,30 @@ def test_fit_point_grid_oracle():
         assert defect <= grid_best
 
 
+@pytest.mark.parametrize("m, seed, voters, point, achieved, defect", [
+    # a realizable target: 319 candidates reach defect 0, and 4 reach
+    # defect 7 at m = 8, so these also fix the tie-break on the rounded point
+    (4, 5, 6, ("-0x1.4b2b1947f0e85p+2", "0x1.05ec1ca2ff528p+0"), (1, 3, 0, 2), 0),
+    (8, 8, 3, ("-0x1.a2f2a87c19d04p-2", "0x1.78d1a5ed5600fp-5"),
+     (7, 3, 1, 5, 0, 4, 2, 6), 7),
+    (12, 12, 0, ("0x1.96f07a77d6861p+5", "-0x1.17649f3ca8b2ap+4"),
+     (2, 10, 8, 1, 3, 5, 9, 0, 4, 11, 7, 6), 22),
+], ids=["m4", "m8", "m12"])
+def test_fit_point_pinned(m, seed, voters, point, achieved, defect):
+    rng = np.random.default_rng(seed)
+    alt = rng.normal(size=(m, 2))
+    cfg = PointConfig(rng.normal(size=(voters, 2)), alt)
+    if m == 4:
+        target = ranking_from_point(rng.normal(size=2), alt)
+    else:
+        target = tuple(int(x) for x in rng.permutation(m))
+    got, got_achieved, got_defect = fit_point_for_ranking(cfg, target)
+    assert tuple(float(x).hex() for x in got) == point
+    assert (got_achieved, got_defect) == (achieved, defect)
+    assert ranking_from_point(got, alt) == achieved
+    assert swap_distance(achieved, target) == defect
+
+
 def test_fit_point_guard():
     cfg = PointConfig(np.zeros((1, 2)), np.random.default_rng(0).normal(size=(13, 2)))
     with pytest.raises(GuardError):

@@ -127,6 +127,21 @@ def permute_ranking(r: Ranking, tau: Ranking) -> Ranking:
     return tuple(tau[a] for a in r)
 
 
+def _json_weight(w) -> Fraction:
+    """A profile weight as JSON holds it: the plain "p" and "p/q" digit
+    strings `Profile.to_json` writes are read with `int`, anything else by
+    `Fraction` (numbers, signs, decimals, exponents); booleans are refused."""
+    if isinstance(w, str):
+        num, slash, den = w.partition("/")
+        if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()
+        ):
+            return Fraction(int(num), int(den) if slash else 1)
+    elif isinstance(w, bool):
+        raise DataError(f"weights must be numbers or strings, not booleans: {w}")
+    return Fraction(w)
+
+
 def _integer_form(weights: list[Fraction]) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     denom = math.lcm(*(w.denominator for w in weights))
@@ -255,12 +270,16 @@ class Profile:
         if not isinstance(doc, dict) or "entries" not in doc:
             raise DataError("profile JSON needs an 'entries' list")
         try:
-            pairs = [(e["order"], Fraction(e["weight"])) for e in doc["entries"]]
+            pairs = [(e["order"], _json_weight(e["weight"])) for e in doc["entries"]]
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed profile entry: {e}") from e
         except (ZeroDivisionError, OverflowError) as e:  # "1/0", 1e400
             raise DataError(f"profile weight is not a finite rational: {e}") from e
         labels = doc.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+        ):
+            raise DataError(f"profile labels must be a list of strings, got {labels!r}")
         prof = Profile.from_weights(pairs, labels=labels, normalize=normalize)
         if "m" in doc and doc["m"] != prof.m:
             raise DataError(f"declared m={doc['m']} but rankings have m={prof.m}")

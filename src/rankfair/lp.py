@@ -368,19 +368,19 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:
-    """Independent constraint-by-constraint recheck of an Optimal solution."""
+    """Independent recheck of an Optimal solution: every row (one product),
+    every sign and the objective, each within VERIFY_TOL."""
     if sol.status != "Optimal":
         raise DataError("verify_solution expects an Optimal solution")
     x = sol.values
     if x is None or not np.all(np.isfinite(x)):
         return False
-    for coeffs, rel, rhs in lp.rows:
-        v = float(np.dot(coeffs, x))
-        if rel == "<=" and v > rhs + VERIFY_TOL:
-            return False
-        if rel == ">=" and v < rhs - VERIFY_TOL:
-            return False
-        if rel == "=" and abs(v - rhs) > VERIFY_TOL:
+    if lp.rows:
+        coeffs, rel, b = zip(*lp.rows)
+        v, b, rel = np.array(coeffs) @ x, np.array(b), np.array(rel)
+        bad = np.where(rel == "<=", v > b + VERIFY_TOL, v < b - VERIFY_TOL)
+        bad = np.where(rel == "=", np.abs(v - b) > VERIFY_TOL, bad)
+        if bad.any():
             return False
     if np.any(x < -VERIFY_TOL):
         return False

@@ -182,6 +182,73 @@ class IntCost:
         return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
 
 
+def _voter_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
+                 signs: np.ndarray):
+    """Per block, the integer costs of its rankings (one buffer, refilled),
+    from per-voter distances.
+
+    Voter v's distance is fixed[b, v] plus its disagreements on the suffix
+    pairs, signs @ (-votes / 2) + pairs / 2: halves of integers below 64,
+    exact in float32, which BLAS multiplies.
+    """
+    dtype = ic.dtype(p)
+    nums = np.array(ic.nums, dtype=dtype)
+    half = _signs(ic.pos).T * np.float32(-0.5)
+    offset = (fixed + cols.shape[1] / 2).astype(np.float32)
+    rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
+    total = np.empty(len(signs), dtype=dtype)
+    for b in range(len(cols)):
+        votes = half[cols[b]]
+        for s in range(0, len(signs), rows):
+            dist = signs[s : s + rows] @ votes
+            dist += offset[b]
+            d = dist.astype(np.int64).astype(dtype, copy=False)
+            total[s : s + rows] = d**p @ nums
+        yield total
+
+
+def _moment_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
+                  signs: np.ndarray):
+    """Per block, 2^p times the integer costs of its rankings (p = 1 or 2; one
+    buffer, refilled), from the profile's pair votes and pair-pair moments.
+
+    With x_v voter v's pair signs, a ranking of block b whose suffix has
+    pair signs t is at twice the distance a_v - t.x_v[cols[b]] from v, with
+    a_v = (suffix pairs) + 2 fixed[b, v].  Weighted by w and summed over the
+    voters, these doubled distances give A - t.U, and their squares
+    K - 2 t.L + t'Mt, where A, K and L are per block and M = sum w x_v x_v'
+    is read at the suffix pairs: no product grows with the support.  Every
+    value formed is an integer of magnitude at most 4 P^2 N (P pairs,
+    N = denom), exact in float64 while that stays below 2^53.
+    """
+    X = _signs(ic.pos).astype(np.float64)
+    w = np.array(ic.nums, dtype=np.float64)
+    a = 2 * fixed + cols.shape[1]
+    if p == 1:
+        const = a @ w
+        lin = np.broadcast_to(-(w @ X), (len(cols), X.shape[1]))
+    else:
+        const = (a * a) @ w
+        lin = -2 * (a * w) @ X
+        M = X.T @ (w[:, None] * X)
+    # one float64 copy of the table: numpy multiplies float32 by float64
+    # without BLAS
+    signs = signs.astype(np.float64)
+    rows = max(1, _BLOCK_ENTRIES // cols.shape[1])
+    total = np.empty(len(signs))
+    for b, c in enumerate(cols):
+        u = lin[b, c]
+        if p == 2:
+            Q = M[c[:, None], c]
+        for s in range(0, len(signs), rows):
+            S = signs[s : s + rows]
+            t = S @ u
+            if p == 2:
+                t += np.einsum("ij,ij->i", S @ Q, S)
+            total[s : s + rows] = t + const[b]
+        yield total
+
+
 def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveResult:
     """Exact optimum by scoring every ranking; guarded at m=10.
 
@@ -189,10 +256,16 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     ordered prefix of k = max(0, m-7) alternatives followed by every order
     of the rest, from one cached table of at most 7! rows.  A ranking's
     distance to voter v is the prefix's disagreements, counted once per
-    block like a `solve_bnb` node's d, plus the suffix's, from one float32
-    matmul of the table's signs against v's votes on the remaining pairs.
-    Memory stays flat in m, and winners come out in lexicographic order,
-    the first `TIE_ENUMERATION_CAP` of them.
+    block like a `solve_bnb` node's d, plus the suffix's.
+
+    Linear costs, and squared costs once the support outnumbers the suffix
+    pairs, are scored from pair moments (`_moment_costs`), whose work does
+    not grow with the support; other exponents, smaller squared-cost
+    supports and weights whose moments would leave float64's exact
+    integers (4 P^2 N >= 2^53 for P pairs and denominator N) take per-voter
+    distances (`_voter_costs`).  Both give the same integer costs.  Memory
+    stays flat in m, and winners come out in lexicographic order, the first
+    `TIE_ENUMERATION_CAP` of them.
     """
     m = profile.m
     if m > BRUTE_FORCE_GUARD:
@@ -203,31 +276,28 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     ic = IntCost(profile)
     pre, rest, cols = _blocks(m)
     orders, signs = _ranking_table(rest.shape[1])
-    dtype = ic.dtype(p)
-    nums = np.array(ic.nums, dtype=dtype)
-    # distances are signs @ (-votes / 2) + (prefix disagreements + pairs / 2):
-    # halves of integers below 64, exact in float32, which BLAS multiplies
-    half = _signs(ic.pos).T * np.float32(-0.5)
-    offset = np.full((len(pre), len(nums)), cols.shape[1] / 2, dtype=np.float32)
+    # fixed[b, v]: voter v's disagreements with block b's prefix.  v has q[a]
+    # alternatives above prefix member a; all but the prefix members before a
+    # that v also puts above a, C(k, 2) minus the inversions in all, are
+    # disagreements
+    fixed = np.zeros((len(pre), len(ic.nums)), dtype=np.int64)
     k = pre.shape[1]
     if k:
-        # voter v has q[a] alternatives above prefix member a; all but the
-        # prefix members before a that v also puts above a, C(k, 2) minus the
-        # inversions in all, are disagreements
         q = ic.pos[:, pre]
         i, j = _pairs(k)
-        offset += (q.sum(axis=2) + (q[:, :, i] > q[:, :, j]).sum(axis=2) - len(i)).T
-    rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
-    total = np.empty(len(orders), dtype=dtype)
+        fixed += (q.sum(axis=2) + (q[:, :, i] > q[:, :, j]).sum(axis=2) - len(i)).T
+    # a squared-cost moment product costs about as much as a per-voter one
+    # with as many voters as suffix pairs
+    P = max_swap_distance(m)
+    if (p == 1 or p == 2 and len(ic.nums) > cols.shape[1]) and (
+        4 * P * P * ic.denom < 2**53
+    ):
+        blocks, scale = _moment_costs(ic, p, fixed, cols, signs), 2**p
+    else:
+        blocks, scale = _voter_costs(ic, p, fixed, cols, signs), 1
     full = TIE_ENUMERATION_CAP + 1
     best, found = None, []
-    for b in range(len(pre)):
-        votes = half[cols[b]]
-        for s in range(0, len(orders), rows):
-            dist = signs[s : s + rows] @ votes
-            dist += offset[b]
-            d = dist.astype(np.int64).astype(dtype, copy=False)
-            total[s : s + rows] = d**p @ nums
+    for b, total in enumerate(blocks):
         low = total.min()
         if best is None or low < best:
             best, found = low, []
@@ -237,7 +307,7 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
             found += (prefix + tuple(r) for r in rest[b][hits].tolist())
     return SolveResult(
         winners=tuple(found[:TIE_ENUMERATION_CAP]),
-        cost=Fraction(int(best), ic.denom),
+        cost=Fraction(int(best) // scale, ic.denom),
         status="Exact",
         method="brute_force",
         ties_complete=len(found) < full,

@@ -363,6 +363,36 @@ def test_fractional_order_entry_exit_4(tmp_path, capsys):
     assert code == 4 and "integers" in err
 
 
+def test_boolean_weight_exit_4(tmp_path, capsys):
+    code, err = _bad_profile_exit(
+        tmp_path, capsys, '{"entries": [{"order": [0, 1, 2], "weight": true}]}')
+    assert code == 4 and "booleans" in err
+
+
+@pytest.mark.parametrize("labels", [
+    "5",                    # not a list: a TypeError traceback before
+    '["a", "b", 3]',        # a non-string label: a traceback while printing
+    '"abc"',                # a string: taken as three labels before
+])
+def test_malformed_labels_exit_4(labels, tmp_path, capsys):
+    code, err = _bad_profile_exit(tmp_path, capsys, (
+        '{"labels": %s, "entries": [{"order": [0, 1, 2], "weight": "1"}]}' % labels))
+    assert code == 4 and "labels" in err
+
+
+def test_plain_and_other_weight_strings_load_alike(tmp_path, capsys):
+    # "p" and "p/q" take the integer parse; signs, spaces and decimals go
+    # through Fraction as before
+    entries = [([0, 1, 2], "1/4"), ([1, 0, 2], " 1/4"), ([2, 1, 0], "0.25"),
+               ([2, 0, 1], "+001/4")]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"entries": [
+        {"order": o, "weight": w} for o, w in entries]}))
+    prof = Profile.from_json(path.read_text())
+    assert set(prof.entries.values()) == {F(1, 4)}
+    assert Profile.from_json(prof.to_json()) == prof
+
+
 def test_experiment_unknown_name(capsys):
     assert main(["experiment", "--name", "nope"]) == 4
     capsys.readouterr()

@@ -111,6 +111,23 @@ def test_verify_solution_rejects_perturbation():
     assert not verify_solution(lp, bad)
 
 
+@pytest.mark.parametrize("x, ok", [
+    ((1.0, 1.0), True),
+    ((1.0 + 5e-9, 1.0), True),   # within VERIFY_TOL
+    ((1.1, 1.0), False),         # x0 = 1 violated from above
+    ((0.9, 1.5), False),         # ... and from below
+    ((1.0, 0.9), False),         # x1 >= 1 violated
+    ((1.0, 2.5), False),         # x0 + x1 <= 3 violated
+])
+def test_verify_solution_checks_every_relation(x, ok):
+    lp = LinearProgram(objective=[1.0, 1.0], sense="min")
+    lp.add_row([1.0, 0.0], "=", 1.0)
+    lp.add_row([0.0, 1.0], ">=", 1.0)
+    lp.add_row([1.0, 1.0], "<=", 3.0)
+    sol = lp_mod.LpSolution("Optimal", np.array(x), sum(x))
+    assert verify_solution(lp, sol) == ok
+
+
 def test_weak_duality_spot_check():
     # any feasible dual certificate bounds the primal from below
     lp = LinearProgram(objective=[2.0, 3.0], sense="min")

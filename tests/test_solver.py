@@ -151,6 +151,80 @@ def test_brute_force_guard():
         solve_brute_force(prof)
 
 
+def _only_path(monkeypatch, path):
+    """Make brute force fail unless it scores with `path` ("moments" or "voters")."""
+    other = "_voter_costs" if path == "moments" else "_moment_costs"
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran")
+    monkeypatch.setattr(solver, other, refuse)
+
+
+@pytest.mark.parametrize("m, culture, n", [
+    (5, "ic", 40), (5, "mallows", 300), (6, "ic", 120), (6, "mallows", 80),
+    (7, "ic", 60), (7, "mallows", 200),
+])
+@pytest.mark.parametrize("p", [1, 2])
+def test_brute_force_moments_match_oracle(m, culture, n, p, monkeypatch):
+    # supports above the C(m, 2) suffix pairs take the pair-moment path at p = 2
+    prof = sample_profile(CultureSpec(culture, n=n, m=m, seed=31 * m + n))
+    assert len(prof.support()) > max_swap_distance(m)
+    _only_path(monkeypatch, "moments")
+    res = solve_brute_force(prof, CostSpec(p))
+    assert (res.winners, res.cost, res.ties_complete) == (*brute_oracle(prof, p), True)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("huge", [False, True])
+def test_brute_force_falls_back_past_float64_moments(p, huge, monkeypatch):
+    # 4 P^2 N >= 2^53: the moments could leave float64's exact integers, so
+    # per-voter distances score, in int64 (N near 1e14) or in Python ints
+    supp = sample_profile(CultureSpec("ic", n=40, m=5, seed=77)).support()[:12]
+    rng = np.random.default_rng(77)
+    if huge:
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                  1000117, 1000121, 1000133, 1000151, 1000159, 1000171]
+        prof = Profile.from_weights({r: F(1, q) for r, q in zip(supp, primes)},
+                                    normalize=True)
+    else:
+        weights = rng.integers(10**12, 10**13, size=len(supp))
+        prof = Profile.from_weights(
+            {r: int(k) for r, k in zip(supp, weights)}, normalize=True)
+    ic = IntCost(prof)
+    assert 4 * max_swap_distance(5) ** 2 * ic.denom >= 2**53
+    assert len(ic.nums) > max_swap_distance(5)
+    assert (ic.dtype(p) is object) == huge
+    _only_path(monkeypatch, "voters")
+    res = solve_brute_force(prof, CostSpec(p))
+    assert (res.winners, res.cost) == brute_oracle(prof, p)
+
+
+@pytest.mark.parametrize("p, n", [(1, 20), (2, 40)])
+def test_brute_force_moments_across_prefix_blocks(p, n, monkeypatch):
+    # at m=8 each of the 8 prefix blocks folds its fixed pairs into a
+    # per-block constant and linear term
+    prof = sample_profile(CultureSpec("ic", n=n, m=8, seed=8 + n))
+    _only_path(monkeypatch, "moments")
+    res = solve_brute_force(prof, CostSpec(p))
+    assert (res.winners, res.cost) == brute_oracle(prof, p)
+    if p == 1:
+        assert (res.winners, res.cost) == (solve_kemeny_dp(prof).winners,
+                                           solve_kemeny_dp(prof).cost)
+
+
+def test_brute_force_moments_cap_the_kemeny_tie(monkeypatch):
+    # a ranking and its reverse at half weight each: all 8! rankings tie
+    # under the Kemeny rule, and brute force keeps the first in
+    # lexicographic order
+    r = tuple(range(8))
+    prof = Profile.from_weights({r: F(1, 2), r[::-1]: F(1, 2)})
+    _only_path(monkeypatch, "moments")
+    res = solve_brute_force(prof, CostSpec(1))
+    cap = solver.TIE_ENUMERATION_CAP
+    assert res.winners == tuple(itertools.islice(enumerate_rankings(8), cap))
+    assert (res.cost, res.status, res.ties_complete) == (14, "Exact", False)
+
+
 def test_bnb_equals_brute_force():
     rng = np.random.default_rng(2)
     for t in range(30):

@@ -180,14 +180,13 @@ def test_brute_force_falls_back_past_float64_moments(p, huge, monkeypatch):
     # 4 P^2 N >= 2^53: the moments could leave float64's exact integers, so
     # per-voter distances score, in int64 (N near 1e14) or in Python ints
     supp = sample_profile(CultureSpec("ic", n=40, m=5, seed=77)).support()[:12]
-    rng = np.random.default_rng(77)
     if huge:
         primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
                   1000117, 1000121, 1000133, 1000151, 1000159, 1000171]
         prof = Profile.from_weights({r: F(1, q) for r, q in zip(supp, primes)},
                                     normalize=True)
     else:
-        weights = rng.integers(10**12, 10**13, size=len(supp))
+        weights = np.random.default_rng(77).integers(10**12, 10**13, size=len(supp))
         prof = Profile.from_weights(
             {r: int(k) for r, k in zip(supp, weights)}, normalize=True)
     ic = IntCost(prof)
@@ -208,8 +207,8 @@ def test_brute_force_moments_across_prefix_blocks(p, n, monkeypatch):
     res = solve_brute_force(prof, CostSpec(p))
     assert (res.winners, res.cost) == brute_oracle(prof, p)
     if p == 1:
-        assert (res.winners, res.cost) == (solve_kemeny_dp(prof).winners,
-                                           solve_kemeny_dp(prof).cost)
+        dp = solve_kemeny_dp(prof)
+        assert (res.winners, res.cost) == (dp.winners, dp.cost)
 
 
 def test_brute_force_moments_cap_the_kemeny_tie(monkeypatch):

@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import DataError, GuardError
 from .lp import LinearProgram, solve_lp, verify_solution
-from .solver import IntCost, solve_brute_force, swap_distance_matrix
+from .solver import solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
 # row generation adds at most this many violated competitor rows per round;
@@ -71,7 +71,7 @@ def mu_alpha(
     for a in alphas:
         if not 0 < a <= 1:
             raise DataError(f"alpha must lie in (0, 1], got {a}")
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     far = sorted(zip(ic.dists(as_ranking(cand)), ic.nums), reverse=True)
     weight = list(itertools.accumulate((w for _, w in far), initial=0))
     mass = list(itertools.accumulate((w * d for d, w in far), initial=0))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .core import Profile, as_ranking
 from .errors import DataError, GuardError, RankfairError
-from .solver import CostSpec, IntCost, emit_ilp, solve, solve_brute_force
+from .solver import CostSpec, emit_ilp, solve, solve_brute_force
 from . import __version__
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def cmd_aggregate(args) -> int:
     if args.emit_ilp:
         Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
     res = solve(profile, spec, method=args.method)
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     doc = {
         "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
         "status": res.status,

@@ -1,12 +1,14 @@
 """Rankings, exact-rational weighted profiles, swap distance, and Mahonian counts.
 
 A ranking over m alternatives is a tuple of the alternative indices
-0..m-1, best first.  Weights are `fractions.Fraction`, kept exact
-throughout; no float ever enters a cost comparison.
+0..m-1, best first.  Weights are exact rationals: a profile keeps them as
+integers over a common denominator, which `IntCost`, the cost kernel every
+solver shares, scores with; no float ever enters a cost comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -14,6 +16,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import DataError, DimensionError, GuardError
 
@@ -31,17 +35,28 @@ def as_ranking(order: Iterable[int]) -> Ranking:
     """
     try:
         entries = tuple(order)
-        r = tuple(map(operator.index, entries))
+        # plain ints stand as they are; anything else must convert
+        r = entries if _PLAIN_INT.issuperset(map(type, entries)) else tuple(
+            map(operator.index, entries))
     except TypeError as e:
         raise DataError(f"ranking entries must be integers: {e}") from None
-    if bool in map(type, entries):
+    if r is not entries and bool in map(type, entries):
         raise DataError(f"ranking entries must be integers, not booleans: {entries}")
     m = len(r)
     if m < 2:
         raise DataError(f"a ranking needs at least 2 alternatives, got {m}")
-    if sorted(r) != list(range(m)):
+    if sorted(r) != _range_list(m):
         raise DataError(f"not a permutation of 0..{m - 1}: {r}")
     return r
+
+
+_PLAIN_INT = frozenset([int])
+
+
+@functools.cache
+def _range_list(m: int) -> list[int]:
+    """[0, ..., m-1], kept for comparisons only."""
+    return list(range(m))
 
 
 def identity_ranking(m: int) -> Ranking:
@@ -62,6 +77,12 @@ def positions(r: Ranking) -> list[int]:
 
 def max_swap_distance(m: int) -> int:
     return m * (m - 1) // 2
+
+
+@functools.cache
+def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of 0..m-1 in lexicographic order, as two index arrays."""
+    return np.triu_indices(m, 1)
 
 
 def swap_distance(r1: Ranking, r2: Ranking) -> int:
@@ -127,8 +148,9 @@ def permute_ranking(r: Ranking, tau: Ranking) -> Ranking:
     return tuple(tau[a] for a in r)
 
 
-def _json_weight(w) -> Fraction:
-    """A profile weight as JSON holds it: the plain "p" and "p/q" digit
+def _json_weight(w) -> tuple[int, int]:
+    """A profile weight as JSON holds it, as a numerator over a positive
+    denominator, not always in lowest terms.  The plain "p" and "p/q" digit
     strings `Profile.to_json` writes are read with `int`, anything else by
     `Fraction` (numbers, signs, decimals, exponents); booleans are refused."""
     if isinstance(w, str):
@@ -136,52 +158,148 @@ def _json_weight(w) -> Fraction:
         if num.isascii() and num.isdigit() and (
             not slash or den.isascii() and den.isdigit()
         ):
-            return Fraction(int(num), int(den) if slash else 1)
+            n, d = int(num), int(den) if slash else 1
+            if not d:
+                raise ZeroDivisionError(f"Fraction({n}, 0)")
+            return n, d
     elif isinstance(w, bool):
         raise DataError(f"weights must be numbers or strings, not booleans: {w}")
-    return Fraction(w)
+    w = Fraction(w)
+    return w.numerator, w.denominator
 
 
-def _integer_form(weights: list[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    denom = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (denom // w.denominator) for w in weights], denom
+def _fraction_parts(w) -> tuple[int, int]:
+    """A weight as `Profile.from_weights` takes it, in lowest terms."""
+    if not isinstance(w, Fraction):
+        w = Fraction(w)
+    return w.numerator, w.denominator
 
 
-@dataclass(frozen=True)
+def _scaled_profile(rows, weight, labels, normalize: bool) -> "Profile":
+    """Profile from (order, weight) rows, in integers throughout.
+
+    Row by row, the order is checked (`as_ranking`), then the weight is
+    read as (numerator, positive denominator) by `weight`, or taken as it
+    is when `weight` is None, refused if negative and dropped if zero.  The
+    weights of repeated orders add up over the least common denominator,
+    and the result is reduced.  m is the first order's length.
+    """
+    m = None
+    kept = []
+    misfit = None  # the first kept ranking whose length is not m
+    for order, w in rows:
+        r = as_ranking(order)
+        num, den = w if weight is None else weight(w)
+        if m is None:
+            m = len(r)
+        if num <= 0:
+            if num:
+                raise DataError(f"negative weight {Fraction(num, den)} for {r}")
+            continue
+        if misfit is None and len(r) != m:
+            misfit = r
+        kept.append((r, num, den))
+    if m is None:
+        raise DataError("empty profile")
+    if misfit is not None:
+        raise DimensionError(f"ranking {misfit} does not match m={m}")
+    denom = math.lcm(*{den for _, _, den in kept})
+    sums: dict[Ranking, int] = {}
+    for r, num, den in kept:
+        sums[r] = sums.get(r, 0) + num * (denom // den)
+    supp = sorted(sums)
+    nums = [sums[r] for r in supp]
+    if normalize and nums:
+        denom = sum(nums)
+    g = math.gcd(denom, *nums)
+    if g > 1:
+        nums = [n // g for n in nums]
+        denom //= g
+    return Profile._scaled(supp, nums, denom, m, labels)
+
+
 class Profile:
     """Weighted multiset of rankings; weights are exact rationals summing to 1.
 
-    Construction validates the weights in integers and keeps that form:
-    the sorted support, each weight's numerator over the least common
-    denominator, and the denominator (see `scaled_int_weights`).
+    A profile is held in integers: the sorted support, each weight's
+    numerator over the least common denominator, and that denominator
+    (`scaled_int_weights`).  The loaders build this form straight from
+    their input, and two profiles are equal when it, m and the labels are.
+    The `Fraction` weights by ranking, `entries`, are made on first use, and
+    so is the profile's `IntCost`, which every solver shares (`int_cost`).
+    Profiles are immutable.
     """
 
-    entries: Mapping[Ranking, Fraction]
-    m: int
-    labels: tuple[str, ...] | None = None
-    _scaled: tuple[list[Ranking], list[int], int] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("m", "labels", "_supp", "_nums", "_denom", "_entries", "_int_cost")
 
-    def __post_init__(self):
-        for r, w in self.entries.items():
-            if len(r) != self.m:
-                raise DimensionError(f"ranking {r} does not match m={self.m}")
+    def __init__(
+        self,
+        entries: Mapping[Ranking, Fraction],
+        m: int,
+        labels: tuple[str, ...] | None = None,
+    ):
+        for r, w in entries.items():
+            if len(r) != m:
+                raise DimensionError(f"ranking {r} does not match m={m}")
             if w.numerator <= 0:
                 raise DataError(f"non-positive weight {w} for {r}")
-        supp = sorted(self.entries)
-        nums, denom = _integer_form([self.entries[r] for r in supp])
+        supp = sorted(entries)
+        denom = math.lcm(*(w.denominator for w in entries.values()))
+        nums = [entries[r].numerator * (denom // entries[r].denominator) for r in supp]
+        self._set(supp, nums, denom, m, labels, dict(entries))
+
+    @classmethod
+    def _scaled(cls, supp, nums, denom, m, labels) -> "Profile":
+        """Profile from its integer form, sorted support and lowest terms."""
+        prof = cls.__new__(cls)
+        prof._set(supp, nums, denom, m, labels, None)
+        return prof
+
+    def _set(self, supp, nums, denom, m, labels, entries):
         if sum(nums) != denom:
             raise DataError(
                 f"profile weights sum to {Fraction(sum(nums), denom)}, expected 1"
             )
-        if not self.entries:
-            raise DataError("empty profile")
-        if self.labels is not None and len(self.labels) != self.m:
+        if labels is not None and len(labels) != m:
             raise DataError("label count does not match m")
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "_scaled", (supp, nums, denom))
+        for name, value in zip(
+            self.__slots__, (m, labels, supp, nums, denom, entries, None)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Profile")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.labels, self._supp, self._nums, self._denom) == (
+            other.m, other.labels, other._supp, other._nums, other._denom
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):  # copy and pickle without assigning fields
+        return Profile._scaled, (self._supp, self._nums, self._denom, self.m, self.labels)
+
+    def __repr__(self):
+        return f"Profile(entries={self.entries!r}, m={self.m!r}, labels={self.labels!r})"
+
+    @property
+    def entries(self) -> dict[Ranking, Fraction]:
+        """Weight by support ranking, as `Fraction`s (made on first use)."""
+        if self._entries is None:
+            denom = self._denom
+            object.__setattr__(self, "_entries", {
+                r: Fraction(n, denom) for r, n in zip(self._supp, self._nums)
+            })
+        return self._entries
+
+    def int_cost(self) -> "IntCost":
+        """The profile's `IntCost`, made on first use and then shared."""
+        if self._int_cost is None:
+            object.__setattr__(self, "_int_cost", IntCost(self))
+        return self._int_cost
 
     @staticmethod
     def from_weights(
@@ -192,28 +310,15 @@ class Profile:
     ) -> "Profile":
         """Profile from (order, weight) pairs, a mapping or a sequence; the
         weights of repeated orders add up."""
-        entries: dict[Ranking, Fraction] = {}
-        m = None
-        for order, w in pairs.items() if isinstance(pairs, Mapping) else pairs:
-            r = as_ranking(order)
-            m = m or len(r)
-            if not isinstance(w, Fraction):
-                w = Fraction(w)
-            if w.numerator < 0:
-                raise DataError(f"negative weight {w} for {r}")
-            if not w.numerator:
-                continue
-            entries[r] = entries[r] + w if r in entries else w
-        if m is None:
-            raise DataError("empty profile")
-        if normalize:
-            nums, _ = _integer_form(list(entries.values()))
-            total = sum(nums)
-            entries = {r: Fraction(n, total) for r, n in zip(entries, nums)}
-        return Profile(entries, m, tuple(labels) if labels is not None else None)
+        return _scaled_profile(
+            pairs.items() if isinstance(pairs, Mapping) else pairs,
+            _fraction_parts,
+            tuple(labels) if labels is not None else None,
+            normalize,
+        )
 
     def support(self) -> list[Ranking]:
-        return list(self._scaled[0])
+        return list(self._supp)
 
     def weight(self, r: Ranking) -> Fraction:
         return self.entries.get(tuple(r), Fraction(0))
@@ -224,9 +329,9 @@ class Profile:
             raise DimensionError(f"candidate over m={len(cand)}, profile m={self.m}")
         if p < 1:
             raise DataError(f"exponent must be >= 1, got {p}")
-        return sum(
-            (w * swap_distance(r, cand) ** p for r, w in self.entries.items()),
-            Fraction(0),
+        return Fraction(
+            sum(n * swap_distance(r, cand) ** p for r, n in zip(self._supp, self._nums)),
+            self._denom,
         )
 
     def kemeny_cost(self, cand: Ranking) -> Fraction:
@@ -244,17 +349,16 @@ class Profile:
 
     def scaled_int_weights(self) -> tuple[list[Ranking], list[int], int]:
         """Sorted support with weights as integers over their least common
-        denominator, as validated at construction (fresh lists)."""
-        supp, nums, denom = self._scaled
-        return list(supp), list(nums), denom
+        denominator (fresh lists)."""
+        return list(self._supp), list(self._nums), self._denom
 
     def to_json(self) -> str:
         doc = {
             "m": self.m,
             "labels": list(self.labels) if self.labels is not None else None,
             "entries": [
-                {"order": list(r), "weight": str(self.entries[r])}
-                for r in self.support()
+                {"order": list(r), "weight": str(Fraction(n, self._denom))}
+                for r, n in zip(self._supp, self._nums)
             ],
         }
         if doc["labels"] is None:
@@ -270,7 +374,7 @@ class Profile:
         if not isinstance(doc, dict) or "entries" not in doc:
             raise DataError("profile JSON needs an 'entries' list")
         try:
-            pairs = [(e["order"], _json_weight(e["weight"])) for e in doc["entries"]]
+            rows = [(e["order"], _json_weight(e["weight"])) for e in doc["entries"]]
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed profile entry: {e}") from e
         except (ZeroDivisionError, OverflowError) as e:  # "1/0", 1e400
@@ -280,10 +384,62 @@ class Profile:
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)
         ):
             raise DataError(f"profile labels must be a list of strings, got {labels!r}")
-        prof = Profile.from_weights(pairs, labels=labels, normalize=normalize)
-        if "m" in doc and doc["m"] != prof.m:
-            raise DataError(f"declared m={doc['m']} but rankings have m={prof.m}")
+        prof = _scaled_profile(
+            rows, None, tuple(labels) if labels is not None else None, normalize
+        )
+        if "m" in doc:
+            m = doc["m"]
+            if type(m) is not int:
+                raise DataError(f"profile 'm' must be an integer, got {m!r}")
+            if m != prof.m:
+                raise DataError(f"declared m={m} but rankings have m={prof.m}")
         return prof
+
+
+class IntCost:
+    """A profile in integers, the one cost kernel every solver scores with.
+
+    supp is the sorted support, nums its weights scaled by their common
+    denominator denom (the profile's own form), and pos[v, a] the position
+    of alternative a in supp[v].  A ranking's integer cost, sum(nums * d^p)
+    over its swap distances d, is its exact cost times denom.
+    """
+
+    def __init__(self, profile: Profile):
+        self.m = profile.m
+        self.supp, self.nums, self.denom = profile.scaled_int_weights()
+        n = len(self.supp)
+        orders = np.fromiter(itertools.chain.from_iterable(self.supp), np.intp, n * self.m)
+        self.pos = np.argsort(orders.reshape(n, self.m), axis=1)
+
+    def dtype(self, p: int, pair_bound: bool = False):
+        """int64 while every integer formed stays below 2^62, else object.
+
+        Costs reach sum(nums) * dmax^p; with pair_bound, the terms of
+        `solve_bnb`'s convex pair bound, up to (p+2) * sum(nums) * (dmax+1)^p.
+        """
+        dmax = max_swap_distance(self.m)
+        if pair_bound:
+            worst = (p + 2) * sum(self.nums) * (dmax + 1) ** p
+        else:
+            worst = sum(self.nums) * dmax**p
+        return np.int64 if worst < 2**62 else object
+
+    def pair_weights(self) -> np.ndarray:
+        """W[a, b] = scaled weight of the support rankings that put a above b."""
+        above = self.pos[:, :, None] < self.pos[:, None, :]
+        return np.tensordot(np.array(self.nums, dtype=self.dtype(1)), above, 1)
+
+    def dists(self, r: Ranking) -> list[int]:
+        """Swap distance from every support ranking to r."""
+        if len(r) != self.m:
+            raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
+        q = self.pos[:, list(r)]
+        i, j = pair_indices(self.m)
+        return (q[:, i] > q[:, j]).sum(axis=1).tolist()
+
+    def cost(self, r: Ranking, p: int) -> int:
+        return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
 
 
 @dataclass(frozen=True)

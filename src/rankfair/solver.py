@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Profile, Ranking, as_ranking, max_swap_distance
-from .errors import DataError, DimensionError, GuardError
+from .core import IntCost, Profile, Ranking, as_ranking, max_swap_distance, pair_indices
+from .errors import DataError, GuardError
 
 BRUTE_FORCE_GUARD = 10
 DP_GUARD = 20
@@ -73,15 +73,9 @@ class SolveResult:
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-@functools.cache
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j of 0..m-1 in lexicographic order, as two index arrays."""
-    return np.triu_indices(m, 1)
-
-
 def _signs(pos: np.ndarray) -> np.ndarray:
     """Row per row of pos, column per pair (i<j): +1 iff i sits above j."""
-    i, j = _pairs(pos.shape[1])
+    i, j = pair_indices(pos.shape[1])
     return np.where(pos[:, i] < pos[:, j], 1, -1).astype(np.int8)
 
 
@@ -121,8 +115,8 @@ def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.put_along_axis(keep, pre, False, axis=1)
     rest = np.nonzero(keep)[1].reshape(len(pre), m - k)
     col = np.zeros((m, m), dtype=np.intp)
-    col[_pairs(m)] = np.arange(max_swap_distance(m))
-    i, j = _pairs(m - k)
+    col[pair_indices(m)] = np.arange(max_swap_distance(m))
+    i, j = pair_indices(m - k)
     return pre, rest, col[rest[:, i], rest[:, j]]
 
 
@@ -135,51 +129,6 @@ def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
     """
     S = _signs(np.argsort(np.array(rankings), axis=1)).astype(np.float64)
     return (S.shape[1] - (S @ S.T).astype(np.int64)) // 2
-
-
-class IntCost:
-    """A profile in integers, the one cost kernel every solver scores with.
-
-    supp is the sorted support, nums its weights scaled by their common
-    denominator denom (the form the profile keeps from construction), and
-    pos[v, a] the position of alternative a in supp[v].  A ranking's
-    integer cost, sum(nums * d^p) over its swap distances d, is its exact
-    cost times denom.
-    """
-
-    def __init__(self, profile: Profile):
-        self.m = profile.m
-        self.supp, self.nums, self.denom = profile.scaled_int_weights()
-        self.pos = np.argsort(np.array(self.supp), axis=1)
-
-    def dtype(self, p: int, pair_bound: bool = False):
-        """int64 while every integer formed stays below 2^62, else object.
-
-        Costs reach sum(nums) * dmax^p; with pair_bound, the terms of
-        `solve_bnb`'s convex pair bound, up to (p+2) * sum(nums) * (dmax+1)^p.
-        """
-        dmax = max_swap_distance(self.m)
-        if pair_bound:
-            worst = (p + 2) * sum(self.nums) * (dmax + 1) ** p
-        else:
-            worst = sum(self.nums) * dmax**p
-        return np.int64 if worst < 2**62 else object
-
-    def pair_weights(self) -> np.ndarray:
-        """W[a, b] = scaled weight of the support rankings that put a above b."""
-        above = self.pos[:, :, None] < self.pos[:, None, :]
-        return np.tensordot(np.array(self.nums, dtype=self.dtype(1)), above, 1)
-
-    def dists(self, r: Ranking) -> list[int]:
-        """Swap distance from every support ranking to r."""
-        if len(r) != self.m:
-            raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
-        q = self.pos[:, list(r)]
-        i, j = _pairs(self.m)
-        return (q[:, i] > q[:, j]).sum(axis=1).tolist()
-
-    def cost(self, r: Ranking, p: int) -> int:
-        return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
 
 
 def _voter_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
@@ -223,13 +172,18 @@ def _moment_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
     """
     X = _signs(ic.pos).astype(np.float64)
     w = np.array(ic.nums, dtype=np.float64)
-    a = 2 * fixed + cols.shape[1]
+    # a and, at p = 2, a * w are the only (block, voter) tables made here;
+    # a is built in place, in float64 like every product below
+    a = fixed * 2.0
+    a += cols.shape[1]
     if p == 1:
         const = a @ w
         lin = np.broadcast_to(-(w @ X), (len(cols), X.shape[1]))
     else:
-        const = (a * a) @ w
-        lin = -2 * (a * w) @ X
+        aw = a * w
+        const = np.einsum("ij,ij->i", aw, a)
+        lin = aw @ X
+        lin *= -2
         M = X.T @ (w[:, None] * X)
     # one float64 copy of the table: numpy multiplies float32 by float64
     # without BLAS
@@ -263,8 +217,10 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     not grow with the support; other exponents, smaller squared-cost
     supports and weights whose moments would leave float64's exact
     integers (4 P^2 N >= 2^53 for P pairs and denominator N) take per-voter
-    distances (`_voter_costs`).  Both give the same integer costs.  Memory
-    stays flat in m, and winners come out in lexicographic order, the first
+    distances (`_voter_costs`).  Both give the same integer costs.  Above
+    m = 7 the prefix disagreements take one (block, voter) table of m!/7!
+    rows per support ranking, so memory grows with support x m!/7!.
+    Winners come out in lexicographic order, the first
     `TIE_ENUMERATION_CAP` of them.
     """
     m = profile.m
@@ -273,19 +229,25 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
             f"brute force over {m}! rankings exceeds the guard ({BRUTE_FORCE_GUARD})"
         )
     p = cost.exponent
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     pre, rest, cols = _blocks(m)
     orders, signs = _ranking_table(rest.shape[1])
     # fixed[b, v]: voter v's disagreements with block b's prefix.  v has q[a]
     # alternatives above prefix member a; all but the prefix members before a
     # that v also puts above a, C(k, 2) minus the inversions in all, are
-    # disagreements
+    # disagreements.  Added up one prefix place and one prefix pair at a
+    # time, so no temporary holds more than one (block, voter) table
     fixed = np.zeros((len(pre), len(ic.nums)), dtype=np.int64)
     k = pre.shape[1]
     if k:
-        q = ic.pos[:, pre]
-        i, j = _pairs(k)
-        fixed += (q.sum(axis=2) + (q[:, :, i] > q[:, :, j]).sum(axis=2) - len(i)).T
+        pos = ic.pos.T.astype(np.int8)  # pos[a, v]: place of a in supp[v]
+        q = [pos[pre[:, c]] for c in range(k)]
+        i, j = pair_indices(k)
+        fixed -= len(i)
+        for c in range(k):
+            fixed += q[c]
+        for c, d in zip(i, j):
+            fixed += q[c] > q[d]
     # a squared-cost moment product costs about as much as a per-voter one
     # with as many voters as suffix pairs
     P = max_swap_distance(m)
@@ -314,23 +276,40 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     )
 
 
+def _best_input(ic: IntCost, p: int) -> tuple[int, Ranking]:
+    """The least integer cost of a support ranking, and the first support
+    ranking with it.
+
+    Every support ranking is scored against the whole support at once:
+    two rankings with pair signs x and y are d = (P - x.y) / 2 apart, a dot
+    product of P signs, exact in float64.  Row blocks bound the memory.
+    """
+    X = _signs(ic.pos).astype(np.float64)
+    nums = np.array(ic.nums, dtype=ic.dtype(p))
+    rows = max(1, _BLOCK_ENTRIES // len(nums))
+    costs = np.concatenate([
+        ((X.shape[1] - X[s : s + rows] @ X.T) / 2).astype(np.int64).astype(
+            nums.dtype, copy=False) ** p @ nums
+        for s in range(0, len(nums), rows)
+    ])
+    v = int(np.argmin(costs))
+    return int(costs[v]), ic.supp[v]
+
+
 def approx_best_input(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Best ranking among those appearing in the profile itself."""
-    ic = IntCost(profile)
-    return min(ic.supp, key=lambda r: (ic.cost(r, cost.exponent), r))
+    return _best_input(profile.int_cost(), cost.exponent)[1]
 
 
 def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Cheap starting candidate: positional-average order, locally improved."""
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     avg = (np.array(ic.nums, dtype=ic.dtype(1)) @ ic.pos).tolist()
     seed = as_ranking(sorted(range(ic.m), key=lambda a: (avg[a], a)))
     seed = local_search(profile, seed, cost)
-    best_in = approx_best_input(profile, cost)
     p = cost.exponent
-    if ic.cost(best_in, p) < ic.cost(seed, p):
-        return best_in
-    return seed
+    best_cost, best_in = _best_input(ic, p)
+    return best_in if best_cost < ic.cost(seed, p) else seed
 
 
 def local_search(
@@ -338,7 +317,7 @@ def local_search(
 ) -> Ranking:
     """Greedy adjacent-swap descent from start, exact integer comparisons."""
     p = cost.exponent
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     cand = list(as_ranking(start))
     poss = ic.pos.tolist()
     dists = ic.dists(cand)
@@ -407,7 +386,7 @@ def solve_bnb(
     if find_all_ties is None:
         find_all_ties = m <= 12
     full = TIE_ENUMERATION_CAP + 1
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     denom = ic.denom
     dtype = ic.dtype(p, pair_bound=True)
     w = np.array(ic.nums, dtype=dtype)
@@ -533,7 +512,7 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult
     m = profile.m
     if m > DP_GUARD:
         raise GuardError(f"subset DP guarded at m={DP_GUARD}, got {m}")
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     W = ic.pair_weights()
     full = (1 << m) - 1
     # below[S, a] = sum of W[b, a] over b in S, the cost of placing a above
@@ -618,7 +597,7 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
         raise DataError("the integer program covers exponents 1 and 2 only")
     m = profile.m
     dmax = max_swap_distance(m)
-    ic = IntCost(profile)
+    ic = profile.int_cost()
     poss = ic.pos.tolist()
 
     obj_var = "sqdist" if p == 2 else "dist"

@@ -380,6 +380,29 @@ def test_malformed_labels_exit_4(labels, tmp_path, capsys):
     assert code == 4 and "labels" in err
 
 
+@pytest.mark.parametrize("m, shown", [('"3"', "'3'"), ("true", "True"), ("3.0", "3.0")])
+def test_declared_m_must_be_an_integer(m, shown, tmp_path, capsys):
+    # a string "3" read as "declared m=3 but rankings have m=3"; 3.0 passed
+    code, err = _bad_profile_exit(tmp_path, capsys, (
+        '{"m": %s, "entries": [{"order": [0, 1, 2], "weight": "1"}]}' % m))
+    assert code == 4 and err == f"error: profile 'm' must be an integer, got {shown}\n"
+
+
+GOLDEN = Path(__file__).parent / "data" / "aggregate_golden.json"
+
+
+def test_aggregate_golden(tmp_path, capsys):
+    # stdout and exit code of `rankfair aggregate` on small profiles (m = 3-9,
+    # repeated orders, labels, unreduced and zero weights, --normalize,
+    # --method=bnb, malformed files), as make_aggregate_golden.py wrote them
+    path = tmp_path / "profile.json"
+    for case in json.loads(GOLDEN.read_text()):
+        path.write_text(case["profile"])
+        code = main(["aggregate", "--profile", str(path), *case["argv"]])
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"]), (case["profile"], case["argv"])
+
+
 def test_plain_and_other_weight_strings_load_alike(tmp_path, capsys):
     # "p" and "p/q" take the integer parse; signs, spaces and decimals go
     # through Fraction as before

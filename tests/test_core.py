@@ -1,6 +1,9 @@
+import copy
 import itertools
 import json
 import math
+import pickle
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -259,9 +262,108 @@ def test_profile_json_round_trip():
     )
     again = Profile.from_json(prof.to_json())
     assert again == prof
+    assert pickle.loads(pickle.dumps(prof)) == copy.deepcopy(prof) == prof
     doc = json.loads(prof.to_json())
     assert doc["m"] == 3
     assert doc["entries"][0]["weight"] == "1/3"
+
+
+def _doc(*rows, **extra):
+    return json.dumps({**extra, "entries": [{"order": o, "weight": w} for o, w in rows]})
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ('{"entries": 5}', DataError, "malformed profile entry: 'int' object is not iterable"),
+    ('{"entries": [[0, 1]]}', DataError,
+     "malformed profile entry: list indices must be integers or slices, not str"),
+    ('{"entries": []}', DataError, "empty profile"),
+    (_doc(([0, 1, 2], "1/2"), ([0, 1], "1/2")), DimensionError,
+     "ranking (0, 1) does not match m=3"),
+    (_doc(([0, 1, 1], "1"),), DataError, "not a permutation of 0..2: (0, 1, 1)"),
+    (_doc(([True, False, 2], "1"),), DataError,
+     "ranking entries must be integers, not booleans: (True, False, 2)"),
+    (_doc(([0.0, 1, 2], "1"),), DataError,
+     "ranking entries must be integers: 'float' object cannot be interpreted as an integer"),
+    (_doc(([0, 1, 2], "-1/2"), ([2, 1, 0], "3/2")), DataError,
+     "negative weight -1/2 for (0, 1, 2)"),
+    (_doc(([0, 1, 2], "2/4"),), DataError, "profile weights sum to 1/2, expected 1"),
+    (_doc(([0, 1, 2], "0"), ([2, 1, 0], "0/7")), DataError,
+     "profile weights sum to 0, expected 1"),
+    (_doc(([0, 1, 2], "1"), labels=["a", "b"]), DataError, "label count does not match m"),
+    (_doc(([0, 1, 2], "1"), m=4), DataError, "declared m=4 but rankings have m=3"),
+    # every weight is read before any order is checked
+    (_doc(([0, 0, 1], "1/2"), ([0, 1, 2], "x")), DataError,
+     "malformed profile entry: Invalid literal for Fraction: 'x'"),
+    # orders and signs are checked entry by entry, lengths after all of them
+    (_doc(([0, 1, 2], "-1/2"), ([0, 0, 1], "1")), DataError,
+     "negative weight -1/2 for (0, 1, 2)"),
+    (_doc(([0, 1], "1"), ([0, 1, 2], "-1")), DataError, "negative weight -1 for (0, 1, 2)"),
+    # m is the first order's, even at weight 0
+    (_doc(([0, 1, 2], "0"), ([0, 1], "1")), DimensionError,
+     "ranking (0, 1) does not match m=3"),
+])
+def test_from_json_malformed_messages(text, kind, message):
+    with pytest.raises(kind) as info:
+        Profile.from_json(text)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+@st.composite
+def profile_docs(draw):
+    """A profile JSON document and the (order, Fraction) pairs it holds:
+    repeated orders, zero weights, and each weight in one of the forms a
+    file may use."""
+    m = draw(st.integers(2, 6))
+    orders = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=8))
+    orders += draw(st.lists(st.sampled_from(orders), max_size=3))
+    ks = draw(st.lists(st.integers(0, 6), min_size=len(orders), max_size=len(orders)))
+    ks[0] = ks[0] or 1
+    normalize = draw(st.booleans())
+    # normalized weights need not sum to 1
+    scale = draw(st.integers(1, 4)) if normalize else sum(ks)
+    pairs, entries = [], []
+    for order, k in zip(orders, ks):
+        w = F(k, scale)
+        forms = ["reduced", "unreduced"]
+        if not k:
+            forms += ["zero", "zero over seven"]
+        if w.denominator == 1:
+            forms.append("number")
+        if 10**6 % w.denominator == 0:
+            forms.append("decimal")
+        if 2**20 % w.denominator == 0:
+            forms.append("float")
+        form = draw(st.sampled_from(forms))
+        c = draw(st.integers(2, 3))
+        text = {
+            "reduced": str(w),
+            "unreduced": f"{c * w.numerator}/{c * w.denominator}",
+            "zero": "0",
+            "zero over seven": "0/7",
+            "number": w.numerator,
+            "decimal": str(Decimal(w.numerator) / Decimal(w.denominator)),
+            "float": float(w),
+        }[form]
+        pairs.append((order, w))
+        entries.append({"order": order, "weight": text})
+    labels = draw(st.sampled_from([None, [chr(97 + a) for a in range(m)]]))
+    doc = {"entries": entries}
+    if labels is not None:
+        doc["labels"] = labels
+    if draw(st.booleans()):
+        doc["m"] = m
+    return json.dumps(doc), pairs, labels, normalize
+
+
+@given(profile_docs())
+@settings(max_examples=300, deadline=None)
+def test_from_json_loads_like_from_weights(case):
+    text, pairs, labels, normalize = case
+    loaded = Profile.from_json(text, normalize=normalize)
+    built = Profile.from_weights(pairs, labels=labels, normalize=normalize)
+    assert loaded == built and loaded.to_json() == built.to_json()
+    assert loaded.entries == built.entries
+    assert loaded.scaled_int_weights() == built.scaled_int_weights()
 
 
 def test_profile_json_errors():

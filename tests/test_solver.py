@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankfair import solver
+from rankfair import core, solver
 from rankfair.core import Profile, enumerate_rankings, max_swap_distance, swap_distance
 from rankfair.errors import DataError, GuardError
 from rankfair.experiments import city_profile
@@ -135,6 +135,24 @@ def test_brute_force_m10_memory_is_flat():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert res.cost == prof.power_cost(res.winner, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_brute_force_prefix_tables_stay_small(p):
+    # at m=10 every support ranking costs one number per block in each of a
+    # few (block, voter) tables; a per-voter prefix table of all the prefix
+    # places and pairs took 91 bytes per (block, voter)
+    prof = sample_profile(CultureSpec("ic", n=300, m=10, seed=10))
+    cells = len(_blocks(10)[0]) * len(prof.support())
+    solve_brute_force(prof, CostSpec(p))
+    tracemalloc.start()
+    try:
+        res = solve_brute_force(prof, CostSpec(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * cells
+    assert res.cost == prof.power_cost(res.winner, p)
 
 
 def test_brute_force_caches_no_table_above_7():
@@ -478,6 +496,40 @@ def test_local_search_descends():
 def test_approx_best_input():
     prof = Profile.from_weights({(0, 1, 2): F(3, 5), (2, 1, 0): F(2, 5)})
     assert approx_best_input(prof) == (0, 1, 2)
+    # a tie goes to the first support ranking
+    tie = Profile.from_weights({(2, 1, 0): F(1, 2), (0, 1, 2): F(1, 2)})
+    assert approx_best_input(tie) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("m, n, p, huge", [
+    (4, 30, 1, False), (6, 300, 2, False), (7, 200, 3, False), (8, 150, 3, True),
+])
+def test_approx_best_input_is_the_first_cheapest_input(m, n, p, huge):
+    # supports of 150-300 rankings span several row blocks; huge weights
+    # take object costs
+    prof = sample_profile(CultureSpec("ic", n=n, m=m, seed=40 + m))
+    if huge:
+        weights = np.random.default_rng(m).integers(10**12, 10**13, size=n)
+        prof = Profile.from_weights(zip(prof.support(), map(int, weights)), normalize=True)
+        assert IntCost(prof).dtype(p) is object
+    best = min(prof.support(), key=lambda r: (prof.power_cost(r, p), r))
+    assert approx_best_input(prof, CostSpec(p)) == best
+
+
+def test_solvers_share_one_int_cost(monkeypatch):
+    built = []
+
+    class Counted(IntCost):
+        def __init__(self, profile):
+            built.append(profile)
+            super().__init__(profile)
+
+    monkeypatch.setattr(core, "IntCost", Counted)
+    prof = sample_profile(CultureSpec("ic", n=12, m=6, seed=5))
+    solve_bnb(prof, CostSpec(2))  # with its own seed: local search and best input
+    solve_brute_force(prof, CostSpec(1))
+    solve_kemeny_dp(prof)
+    assert built == [prof]
 
 
 def test_approx_kemeny_seed_cost_reasonable():

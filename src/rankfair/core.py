@@ -371,7 +371,7 @@ class Profile:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise DataError(f"invalid profile JSON: {e}") from e
-        if not isinstance(doc, dict) or "entries" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
             raise DataError("profile JSON needs an 'entries' list")
         try:
             rows = [(e["order"], _json_weight(e["weight"])) for e in doc["entries"]]

@@ -361,9 +361,11 @@ def solve_bnb(
     the secant, t = d, and the tangent at the incumbent's distances T,
     t = max(d, T).  At p = 1 every slope is 1 and both are the Kemeny pair
     bound, which a child placing c next raises by sum over the remaining j
-    of E[j, c], E = W - min(W, W^T) on the pair weights W: no per-voter
-    distances are kept.  At p >= 2 all children of a node are bounded in
-    one numpy batch.
+    of E[j, c], E = W - min(W, W^T) on the pair weights W.  A p = 1 node
+    carries these column sums of E over its remaining rows in place of
+    per-voter distances; its children's bounds are one gather of them and
+    their sums one subtraction of their rows.  At p >= 2 all children of a
+    node are bounded in one numpy batch.
 
     Children are tested against the incumbent before they are pushed, with
     the test a popped node gets.  The incumbent only falls, so a child that
@@ -423,10 +425,10 @@ def solve_bnb(
         return np.maximum(secant, tangent)
 
     def expand(lb, remaining, dvec):
-        """Distances and lower bounds of all children of a node."""
+        """Vectors and lower bounds of all children of a node."""
         R = np.array(remaining)
-        if p == 1:
-            return [None] * len(R), (E[R[:, None], R].sum(axis=0) + lb).tolist()
+        if p == 1:  # dvec holds the column sums of E over the remaining rows
+            return dvec - E[R], (dvec[R] + lb).tolist()
         pos = ic.pos[:, R]
         ab = pos[:, :, None] < pos[:, None, :]
         # child i adds, per voter, the remaining alternatives placed above R[i]
@@ -442,9 +444,10 @@ def solve_bnb(
 
     root_d = np.zeros(len(w), dtype=dtype)
     root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :])[0])
-    # a node is (bound, prefix, remaining, distances); an int is that many
-    # pruned children
-    stack = [(root_lb, (), tuple(range(m)), root_d)]
+    # a node is (bound, prefix, remaining, vector); the vector is the voters'
+    # distances at p >= 2 and the column sums of E over the remaining rows at
+    # p = 1.  An int is that many pruned children
+    stack = [(root_lb, (), tuple(range(m)), E.sum(axis=0) if p == 1 else root_d)]
     nodes = 0
     exhausted = False
     while stack:
@@ -465,7 +468,9 @@ def solve_bnb(
         if len(remaining) == 1:  # a complete ranking, whose bound is its cost
             cand = prefix + remaining
             if lb < incumbent:
-                incumbent, best, T = lb, [cand], dvec
+                incumbent, best = lb, [cand]
+                if p > 1:
+                    T = dvec
             elif cand != seed:  # the search reaches each ranking once
                 best.append(cand)
             continue
@@ -508,6 +513,11 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult
     """Exact linear-cost optimum via dynamic programming over subsets (m <= 20).
 
     dp[S] is the least cost of ranking the set S on top of all the others.
+    The sets are solved one size at a time, each size in one array pass
+    over all its (set, alternative) pairs.  Memory is the (2^m, m) table
+    `above` plus a few arrays the size of the largest layer's pairs; no
+    index table is kept between calls.  Winners are the first
+    `TIE_ENUMERATION_CAP` rankings the backtrack reaches, in sorted order.
     """
     m = profile.m
     if m > DP_GUARD:
@@ -515,22 +525,29 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult
     ic = profile.int_cost()
     W = ic.pair_weights()
     full = (1 << m) - 1
-    # below[S, a] = sum of W[b, a] over b in S, the cost of placing a above
-    # all of S.  Growing the top set to S by its lowest member a puts a above
-    # the rest, full ^ S: forward pass and backtrack both add below[full ^ S, a].
-    below = np.zeros((full + 1, m), dtype=W.dtype)
+    # above[S, a] = sum of W[b, a] over b outside S, the cost of placing a
+    # above all of them.  Growing the top set to S by its lowest member a
+    # puts a above the rest: forward pass and backtrack both add above[S, a].
+    above = np.empty((full + 1, m), dtype=W.dtype)
+    above[0] = W.sum(axis=0)
     size = np.zeros(full + 1, dtype=np.int8)
     for b in range(m):
-        below[1 << b : 2 << b] = below[: 1 << b] + W[b]
-        size[1 << b : 2 << b] = size[: 1 << b] + 1
+        np.subtract(above[: 1 << b], W[b], out=above[1 << b : 2 << b])
+        np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
     bits = 1 << np.arange(m)
-    top = sum(ic.nums) * max_swap_distance(m) + 1  # above every cost
-    dp = np.zeros(full + 1, dtype=W.dtype)
+    # dp starts at a sentinel above every cost.  For a non-member a of S,
+    # S ^ 1 << a is one set larger, not yet solved, so its step stays above
+    # the sentinel and the minimum over all a is the minimum over S's
+    # members: no membership mask.  The sentinel plus above stays below 2^63
+    # wherever W is int64 (IntCost.dtype)
+    top = sum(ic.nums) * max_swap_distance(m) + 1
+    dp = np.full(full + 1, top, dtype=W.dtype)
+    dp[0] = 0
     for c in range(1, m + 1):
-        S = np.flatnonzero(size == c)[:, None]
-        has = (S & bits) != 0
-        step = dp[np.where(has, S ^ bits, 0)] + below[full ^ S[:, 0]]
-        dp[S[:, 0]] = np.where(has, step, top).min(axis=1)
+        S = np.flatnonzero(size == c)
+        step = dp[S[:, None] ^ bits]
+        step += above[S]
+        dp[S] = step.min(axis=1)
 
     winners: list[Ranking] = []
     capped = False
@@ -544,7 +561,7 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult
             winners.append(suffix)
             return
         for a in range(m):
-            if S >> a & 1 and dp[S ^ 1 << a] + below[full ^ S, a] == dp[S]:
+            if S >> a & 1 and dp[S ^ 1 << a] + above[S, a] == dp[S]:
                 backtrack(S ^ 1 << a, (a,) + suffix)
                 if not find_all_ties:
                     return

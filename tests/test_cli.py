@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import signal
@@ -7,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rankfair
 from rankfair.cli import main
@@ -401,6 +406,78 @@ def test_aggregate_golden(tmp_path, capsys):
         code = main(["aggregate", "--profile", str(path), *case["argv"]])
         out = capsys.readouterr().out
         assert (code, out) == (case["exit"], case["stdout"]), (case["profile"], case["argv"])
+
+
+KEMENY_GOLDEN = Path(__file__).parent / "data" / "kemeny_golden.json"
+
+
+def test_kemeny_golden(tmp_path, capsys):
+    # stdout and exit code of `rankfair aggregate --rule kemeny` through the
+    # subset DP (m = 8-16) and --method=bnb (m = 8-12), with tie-heavy
+    # two-ranking profiles and an m = 8 profile past the tie cap, as
+    # make_kemeny_golden.py wrote them; long outputs by length and sha256
+    path = tmp_path / "profile.json"
+    for case in json.loads(KEMENY_GOLDEN.read_text()):
+        path.write_text(case["profile"])
+        code = main(["aggregate", "--profile", str(path), *case["argv"]])
+        out = capsys.readouterr().out
+        if "stdout" in case:
+            got, want = out, case["stdout"]
+        else:
+            got = (len(out), hashlib.sha256(out.encode()).hexdigest())
+            want = (case["stdout_len"], case["stdout_sha256"])
+        assert (code, got) == (case["exit"], want), (case["profile"], case["argv"])
+
+
+# what a mutation may put in place of a profile field (DELETE drops it)
+DELETE = object()
+JSON_VALUES = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(), st.integers(-3, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.none() | st.integers(-1, 4) | st.text(max_size=2), max_size=4),
+    st.dictionaries(st.text(max_size=6), st.none() | st.integers(0, 3), max_size=3),
+)
+
+
+@st.composite
+def mutated_profiles(draw):
+    """A valid m = 3 profile document with one to three of its `entries`,
+    `order`, `weight`, `labels` and `m` fields replaced or dropped."""
+    doc = {"m": 3, "labels": ["a", "b", "c"], "entries": [
+        {"order": [0, 1, 2], "weight": "1/2"}, {"order": [2, 0, 1], "weight": 0.5}]}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["entries", "order", "weight", "labels", "m"]))
+        value = draw(JSON_VALUES)
+        if key in ("order", "weight"):
+            if not isinstance(doc.get("entries"), list) or not doc["entries"]:
+                continue
+            target = doc["entries"][draw(st.integers(0, len(doc["entries"]) - 1))]
+        else:
+            target = doc
+        if value is DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_profiles())
+def test_mutated_profiles_exit_0_or_4(tmp_path, text):
+    # malformed profile fields end in exit 4 with one `error:` line
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["aggregate", "--profile", str(path)])
+    err = err.getvalue()
+    assert code in (0, 4), (text, code, err)
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+    else:
+        assert err == "", (text, err)
 
 
 def test_plain_and_other_weight_strings_load_alike(tmp_path, capsys):

@@ -273,7 +273,10 @@ def _doc(*rows, **extra):
 
 
 @pytest.mark.parametrize("text, kind, message", [
-    ('{"entries": 5}', DataError, "malformed profile entry: 'int' object is not iterable"),
+    ('{"entries": 5}', DataError, "profile JSON needs an 'entries' list"),
+    ('{"entries": {"x": 1}}', DataError, "profile JSON needs an 'entries' list"),
+    ('{"entries": "abc"}', DataError, "profile JSON needs an 'entries' list"),
+    ('{"entries": null}', DataError, "profile JSON needs an 'entries' list"),
     ('{"entries": [[0, 1]]}', DataError,
      "malformed profile entry: list indices must be integers or slices, not str"),
     ('{"entries": []}', DataError, "empty profile"),

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +426,80 @@ def test_kemeny_dp_full_tie_set():
     res = solve_kemeny_dp(prof)
     assert len(res.winners) == 6
     assert res.ties_complete
+
+
+@st.composite
+def tie_heavy_profiles(draw):
+    """Profiles at m = 3-7 with many tied optima: two orders at equal weight
+    (every ranking between them ties), or a few orders repeated."""
+    m = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.permutations(range(m)), min_size=2, max_size=2))
+        rows = [(tuple(r), 1) for r in orders]
+    else:
+        base = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(base), min_size=1, max_size=8))
+        rows = [(tuple(r), draw(st.integers(1, 3))) for r in picks]
+    return Profile.from_weights(rows, normalize=True)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(prof=tie_heavy_profiles(), ties=st.booleans())
+def test_kemeny_dp_matches_brute_oracle_hypothesis(prof, ties):
+    winners, cost = brute_oracle(prof, 1)
+    res = solve_kemeny_dp(prof, find_all_ties=ties)
+    assert (res.cost, res.status, res.ties_complete) == (cost, "Exact", ties)
+    if ties:
+        assert res.winners == winners
+    else:
+        assert len(res.winners) == 1 and res.winner in winners
+
+
+def test_kemeny_dp_object_costs_match_oracle():
+    # a ranking and its reverse tie every ranking; a weight of 1/3^40 on a
+    # third breaks the tie and puts the integer costs past int64, so the DP
+    # runs on Python ints with the same sentinel
+    r = (0, 1, 2, 3, 4, 5)
+    third = (2, 0, 5, 1, 4, 3)
+    eps = F(1, 3**40)
+    prof = Profile.from_weights({r: (1 - eps) / 2, r[::-1]: (1 - eps) / 2, third: eps})
+    assert IntCost(prof).dtype(1) is object
+    for ties in (True, False):
+        res = solve_kemeny_dp(prof, find_all_ties=ties)
+        assert (res.winners, res.cost) == brute_oracle(prof, 1) == ((third,), res.cost)
+        assert res.ties_complete == ties
+
+
+DP_MEMORY_PROBE = """
+import gc
+import tracemalloc
+from rankfair.sampling import CultureSpec, sample_profile
+from rankfair.solver import solve_kemeny_dp
+prof = sample_profile(CultureSpec("ic", n=30, m=16, seed=1))
+prof.int_cost()
+tracemalloc.start()
+res = solve_kemeny_dp(prof)
+gc.collect()  # the backtrack closure is a reference cycle
+kept, peak = tracemalloc.get_traced_memory()
+print(kept, peak, res.cost)
+"""
+
+
+def test_kemeny_dp_m16_memory_and_no_cache():
+    # a fresh process, so no table cached by an earlier call can hide: the
+    # m = 16 DP peaks at 13.2 MiB and keeps under 2 KiB reachable once it
+    # returns; a list of each layer's sets kept per m holds 0.5 MiB, and a
+    # table of every set's members 4 MiB
+    src = str(Path(solver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", DP_MEMORY_PROBE], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    kept, peak, cost = done.stdout.split()
+    assert int(peak) < 14 * 2**20
+    assert int(kept) < 2**16
+    assert F(cost) == solve_kemeny_dp(
+        sample_profile(CultureSpec("ic", n=30, m=16, seed=1))).cost
 
 
 def _all_tied(m):

@@ -370,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, RankfairError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as e:  # an output path that cannot be written
+        where = f"{e.filename}: " if e.filename is not None else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -417,6 +417,9 @@ class IntCost:
 
         Costs reach sum(nums) * dmax^p; with pair_bound, the terms of
         `solve_bnb`'s convex pair bound, up to (p+2) * sum(nums) * (dmax+1)^p.
+        `solve_bnb` forms that bound in float64 instead while
+        sum(nums) * (dmax^p + dmax * ((dmax+1)^p - dmax^p)) < 2^53, where
+        float64 holds it exactly (`bound_dtype`).
         """
         dmax = max_swap_distance(self.m)
         if pair_bound:
@@ -424,6 +427,20 @@ class IntCost:
         else:
             worst = sum(self.nums) * dmax**p
         return np.int64 if worst < 2**62 else object
+
+    def bound_dtype(self, p: int):
+        """The type `solve_bnb` forms its convex pair bound in.
+
+        float64, whose products run through BLAS, while every value formed
+        is an integer of magnitude at most N (P^p + P s) < 2^53, with
+        N = sum(nums), P = dmax and s = (P+1)^p - P^p the largest slope: the
+        slope-weighted votes and pair sums stay within P N s, the power and
+        tangent sums within N max(P^p, P s).  This stays below
+        (p+1) N (P+1)^p.  Otherwise dtype(p, pair_bound=True).
+        """
+        dmax = max_swap_distance(self.m)
+        worst = sum(self.nums) * (dmax**p + dmax * ((dmax + 1) ** p - dmax**p))
+        return np.float64 if worst < 2**53 else self.dtype(p, pair_bound=True)
 
     def pair_weights(self) -> np.ndarray:
         """W[a, b] = scaled weight of the support rankings that put a above b."""

@@ -338,6 +338,30 @@ def local_search(
     return tuple(cand)
 
 
+@functools.cache
+def _child_tables(r: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for the children of a node with r undecided alternatives, whose
+    pair-sign table has a column per pair (i < j of 0..r-1, in order) and a
+    last column of ones.
+
+    inc[k] sums a voter's row to twice the distance child k adds (-1 on the
+    pairs where k is first, +1 where second, r-1 on the ones); mask[k] is -1
+    on the pairs that avoid k and their count C(r-1, 2) on the ones; keep[k]
+    picks child k's columns out of the node's: the pairs avoiding k, then
+    the ones.
+    """
+    i, j = pair_indices(r)
+    n = len(i)
+    inc = np.zeros((r, n + 1), dtype=np.int64)
+    inc[i, np.arange(n)] = -1
+    inc[j, np.arange(n)] = 1
+    inc[:, n] = r - 1
+    avoid = inc[:, :n] == 0
+    mask = np.hstack([np.where(avoid, -1, 0), np.full((r, 1), (r - 1) * (r - 2) // 2)])
+    keep = np.array([np.append(np.flatnonzero(row), n) for row in avoid])
+    return inc.astype(dtype), mask.astype(dtype), keep.reshape(r, -1)
+
+
 def solve_bnb(
     profile: Profile,
     cost: CostSpec = CostSpec(),
@@ -359,13 +383,24 @@ def solve_bnb(
     the pairwise bound of Conitzer, Davenport and Kalagnanam on
     slope-weighted votes.  A node's bound is the larger of two instances:
     the secant, t = d, and the tangent at the incumbent's distances T,
-    t = max(d, T).  At p = 1 every slope is 1 and both are the Kemeny pair
-    bound, which a child placing c next raises by sum over the remaining j
-    of E[j, c], E = W - min(W, W^T) on the pair weights W.  A p = 1 node
-    carries these column sums of E over its remaining rows in place of
-    per-voter distances; its children's bounds are one gather of them and
-    their sums one subtraction of their rows.  At p >= 2 all children of a
-    node are bounded in one numpy batch.
+    t = max(d, T).  Each voter puts exactly one of a, b above the other,
+    so WS[a, b] + WS[b, a] = sigma = sum_v w_v s_v and the smaller side is
+    (sigma - |y_ab|) / 2, with y_ab = sum_v w_v s_v x_v[ab] over the
+    voters' pair signs x_v (+1 iff v puts a above b, a < b).  A node
+    carries the columns of its undecided pairs in the voters' sign table;
+    one product of its children's secant and tangent slopes with those
+    columns gives every y and sigma, and a per-r mask sums each child's
+    pairs.  The same columns give the children's distances.  This runs in
+    float64 through BLAS while every value formed is an integer of
+    magnitude at most N (P^p + P s_P) < 2^53 (N = sum of the scaled
+    weights, P = C(m, 2), s_P = (P+1)^p - P^p), else in int64 or Python
+    integers (`IntCost.bound_dtype`).  At p = 1 every slope is 1 and both
+    instances are the Kemeny pair bound, which a child placing c next
+    raises by sum over the remaining j of E[j, c], E = W - min(W, W^T) on
+    the pair weights W.  Below the root, a p = 1 node carries these column
+    sums of E over its remaining rows in place of per-voter distances; its
+    children's bounds are one gather of them and their sums one
+    subtraction of their rows.
 
     Children are tested against the incumbent before they are pushed, with
     the test a popped node gets.  The incumbent only falls, so a child that
@@ -390,64 +425,78 @@ def solve_bnb(
     full = TIE_ENUMERATION_CAP + 1
     ic = profile.int_cost()
     denom = ic.denom
-    dtype = ic.dtype(p, pair_bound=True)
+    dtype = ic.bound_dtype(p)
+    # bounds come back as integers
+    exact = np.int64 if dtype is np.float64 else dtype
     w = np.array(ic.nums, dtype=dtype)
+    P = max_swap_distance(m)
+    POW = np.array([d**p for d in range(P + 2)], dtype=dtype)
+    SLOPE = POW[1:] - POW[:-1]
+    # the tangent at t is t^p + s_t (d - t) = TAN[t] + s_t d
+    TAN = POW[:-1] - np.arange(P + 1) * SLOPE
     if p == 1:
         W = ic.pair_weights()
         E = W - np.minimum(W, W.T)
 
-    seed = as_ranking(seed_candidate) if seed_candidate else approx_kemeny_seed(
-        profile, cost
-    )
-    incumbent = ic.cost(seed, p)
+    seed = as_ranking(seed_candidate) if seed_candidate is not None else (
+        approx_kemeny_seed(profile, cost))
+    T = np.array(ic.dists(seed))
+    incumbent = int(POW[T] @ w)
     best: list[Ranking] = [seed]
-    T = np.array(ic.dists(seed), dtype=dtype)
 
-    def slope(t):
-        return (t + 1) ** p - t**p
+    def bounds(Dt, Y, mask):
+        """Convex pair bounds of the nodes whose distances D[k] fill the first
+        half of Dt, from the voters' pair signs Y (a column per undecided
+        pair, then ones); node k's pairs are those mask[k] weighs.  The
+        second half of Dt receives the tangent points, max(D, T)."""
+        K = len(Dt) // 2
+        D = Dt[:K]
+        np.maximum(D, T, out=Dt[K:])
+        Sw = SLOPE[Dt] * w
+        # the slope-weighted votes y_ab, then sigma; min(WS[a, b], WS[b, a])
+        # = (sigma - |y_ab|) / 2, summed over node k's pairs by mask[k]
+        Y = Sw @ Y
+        np.abs(Y, out=Y)
+        lb = np.vecdot(Y.reshape(2, K, -1), mask) // 2
+        # the secant and tangent lines at D, TAN[t] + s_t D
+        lb += np.vecdot(Sw.reshape(2, K, -1), D)
+        lb += (TAN[Dt] @ w).reshape(2, K)
+        return np.maximum(lb[0], lb[1]).astype(exact, copy=False)
 
-    def bounds(D, ab, children=False):
-        """Convex pair bound of node k with distances D[k]; the undecided
-        pairs are those of ab, less alternative k's when children."""
-        t = np.maximum(D, T)
-        s = slope(t)
-        # one product weighs the votes by the secant's slopes, then the tangent's
-        n, r = ab.shape[:2]
-        ws = (np.concatenate([slope(D), s]) * w) @ ab.reshape(n, r * r)
-        ws = ws.reshape(2, len(D), r, r)
-        mins = np.minimum(ws, ws.swapaxes(2, 3))
-        pair = mins.sum(axis=(2, 3)) // 2
-        if children:
-            k = np.arange(r)
-            pair -= mins[:, k, k].sum(axis=2)
-        secant = D**p @ w + pair[0]
-        tangent = (t**p + s * (D - t)) @ w + pair[1]
-        return np.maximum(secant, tangent)
-
-    def expand(lb, remaining, dvec):
-        """Vectors and lower bounds of all children of a node."""
-        R = np.array(remaining)
+    def expand(lb, remaining, dvec, cols):
+        """Vectors, sign columns and lower bounds of all children of a node."""
+        r = len(remaining)
         if p == 1:  # dvec holds the column sums of E over the remaining rows
-            return dvec - E[R], (dvec[R] + lb).tolist()
-        pos = ic.pos[:, R]
-        ab = pos[:, :, None] < pos[:, None, :]
-        # child i adds, per voter, the remaining alternatives placed above R[i]
-        D = dvec + ab.sum(axis=1).T
-        if len(R) > 2:
-            return D, bounds(D, ab, children=True).tolist()
-        return D, (D**p @ w).tolist()  # the children are complete rankings
+            R = np.array(remaining)
+            return dvec - E[R], [None] * r, (dvec[R] + lb).tolist()
+        inc, mask, keep = _child_tables(r, dtype)
+        Y = X.take(cols, axis=1)
+        # child k adds, per voter, the remaining alternatives placed above
+        # its alternative: ((r-1) + its pairs' signs, - where it is first) / 2
+        Dt = np.empty((2 * r, len(dvec)), dtype=np.intp)
+        D = Dt[:r]
+        np.copyto(D, inc @ Y.T, casting="unsafe")
+        D >>= 1
+        D += dvec
+        if r == 2:  # the children are complete rankings
+            return D, [None] * r, (POW[D] @ w).astype(exact, copy=False).tolist()
+        return D, cols[keep], bounds(Dt, Y, mask).tolist()
 
     def limit():
         """The largest bound of a node still worth searching (bounds are
         integers; one equal to the incumbent is kept while ties are kept)."""
         return incumbent if find_all_ties and len(best) < full else incumbent - 1
 
-    root_d = np.zeros(len(w), dtype=dtype)
-    root_lb = int(bounds(root_d[None], ic.pos[:, :, None] < ic.pos[:, None, :])[0])
-    # a node is (bound, prefix, remaining, vector); the vector is the voters'
-    # distances at p >= 2 and the column sums of E over the remaining rows at
-    # p = 1.  An int is that many pruned children
-    stack = [(root_lb, (), tuple(range(m)), E.sum(axis=0) if p == 1 else root_d)]
+    # the voters' pair signs and a column of ones, in the bound's type
+    X = np.hstack([_signs(ic.pos), np.ones((len(w), 1), dtype=np.int8)]).astype(dtype)
+    root_d = np.zeros((2, len(w)), dtype=np.intp)
+    root_lb = int(bounds(root_d, X, np.array([[-1] * P + [P]], dtype=dtype))[0])
+    # a node is (bound, prefix, remaining, vector, columns); the vector is the
+    # voters' distances at p >= 2 and the column sums of E over the remaining
+    # rows at p = 1, and the columns are those of X for the remaining pairs
+    # and the ones (p >= 2 only).  An int is that many pruned children
+    stack = [(root_lb, (), tuple(range(m)), E.sum(axis=0) if p == 1 else root_d[0],
+              None if p == 1 else np.arange(P + 1))]
     nodes = 0
     exhausted = False
     while stack:
@@ -461,7 +510,7 @@ def solve_bnb(
             if taken < node:  # the budget ran out with these still on the stack
                 stack.append(node - taken)
             continue
-        lb, prefix, remaining, dvec = node
+        lb, prefix, remaining, dvec, cols = node
         nodes += 1
         if lb > limit():
             continue
@@ -474,7 +523,7 @@ def solve_bnb(
             elif cand != seed:  # the search reaches each ranking once
                 best.append(cand)
             continue
-        D, lbs = expand(lb, remaining, dvec)
+        D, child_cols, lbs = expand(lb, remaining, dvec, cols)
         order = sorted(range(len(lbs)), key=lbs.__getitem__, reverse=True)
         top = limit()
         live = [i for i in order if lbs[i] <= top]
@@ -482,7 +531,7 @@ def solve_bnb(
             stack.append(len(order) - len(live))
         for i in live:
             rest = remaining[:i] + remaining[i + 1 :]
-            stack.append((lbs[i], prefix + (remaining[i],), rest, D[i]))
+            stack.append((lbs[i], prefix + (remaining[i],), rest, D[i], child_cols[i]))
 
     if exhausted:
         frontier = min(

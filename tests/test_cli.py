@@ -452,6 +452,8 @@ def mutated_profiles(draw):
             if not isinstance(doc.get("entries"), list) or not doc["entries"]:
                 continue
             target = doc["entries"][draw(st.integers(0, len(doc["entries"]) - 1))]
+            if not isinstance(target, dict):  # an entry already replaced
+                continue
         else:
             target = doc
         if value is DELETE:
@@ -512,6 +514,28 @@ def test_boolean_order_entry_exit_4(tmp_path, capsys):
 def test_worst_case_m6_exit_3(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "guarded at m=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["aggregate", "--profile", "PROFILE", "--out", "BAD"],
+    ["aggregate", "--profile", "PROFILE", "--emit-ilp", "BAD"],
+    ["axioms", "--check", "efficiency", "--random", "1", "--m", "3", "--out", "BAD"],
+    ["bounds", "--curve", "single", "--m", "3", "--out", "BAD"],
+    ["bounds", "--curve", "single", "--m", "3", "--svg", "BAD"],
+    ["sample", "--m", "3", "--n", "5", "--out", "BAD"],
+    ["embed", "--map", "PROFILE", "--out", "BAD"],
+    ["experiment", "--name", "HotelInterpolation", "--out", "BAD"],
+], ids=["aggregate", "emit-ilp", "axioms", "bounds", "bounds-svg", "sample", "embed",
+        "experiment"])
+def test_unwritable_output_exit_4(argv, profile_file, tmp_path, capsys):
+    # the output's parent is a regular file, so no path under it can be made
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / "file" / "out.json")
+    argv = [{"PROFILE": profile_file, "BAD": bad}.get(a, a) for a in argv]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err and "Traceback" not in err
 
 
 def test_experiment_unknown_param_exit_4(tmp_path, capsys):

@@ -307,6 +307,23 @@ def test_bnb_exact_at_int64_threshold(p):
         assert_bnb_matches_brute_force(prof, p)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_bnb_exact_at_float64_threshold(p):
+    # the pair-sign bound runs in float64 while N (P^p + P s) < 2^53, s the
+    # largest slope (P+1)^p - P^p; sum(nums) = N sits just under, then just over
+    m = 7
+    P = max_swap_distance(m)
+    unit = P**p + P * ((P + 1) ** p - P**p)
+    supp = sample_profile(CultureSpec("ic", n=6, m=m, seed=41 + p)).support()
+    for total, dtype in (((2**53 - 1) // unit, np.float64), ((2**53 - 1) // unit + 1, np.int64)):
+        nums = [1] + [(total - 1) // (len(supp) - 1)] * (len(supp) - 1)
+        nums[-1] += total - sum(nums)
+        prof = Profile.from_weights({r: F(k, total) for r, k in zip(supp, nums)})
+        ic = IntCost(prof)
+        assert ic.nums == nums and ic.bound_dtype(p) is dtype
+        assert_bnb_matches_brute_force(prof, p)
+
+
 def test_bnb_linear_city_search_unchanged():
     # the convex pair bound equals the Kemeny pair bound at p = 1, so the
     # linear search expands exactly the nodes it did with that bound
@@ -352,6 +369,32 @@ def test_bnb_budgeted_search_pinned(p, budget, pinned):
     prof = sample_profile(CultureSpec("disc", n=6, m=9, seed=27))
     res = solve_bnb(prof, CostSpec(p), node_budget=budget)
     assert (res.status, res.nodes, res.lower_bound, res.cost) == pinned
+
+
+@pytest.mark.parametrize("p, budget, pinned", [
+    (2, None, ("Exact", 2030, F(4126, 5), F(4126, 5),
+               ((4, 6, 5, 0, 3, 9, 7, 8, 1, 11, 2, 10),))),
+    (2, 500, ("Heuristic", 500, F(7943, 10), F(4126, 5),
+              ((4, 6, 5, 0, 3, 9, 7, 8, 1, 11, 2, 10),))),
+    (3, None, ("Exact", 17568, F(251709, 10), F(251709, 10),
+               ((4, 5, 0, 3, 6, 9, 7, 8, 1, 11, 2, 10),))),
+    (3, 500, ("Heuristic", 500, F(224841, 10), F(50599, 2),
+              ((4, 0, 6, 5, 3, 9, 8, 7, 1, 11, 2, 10),))),
+])
+def test_bnb_m12_search_pinned(p, budget, pinned):
+    # the search tree of a larger squared and cubic search: its node count,
+    # certified bound, cost and winners
+    prof = sample_profile(CultureSpec("ic", n=20, m=12, seed=1))
+    res = solve_bnb(prof, CostSpec(p), node_budget=budget)
+    assert (res.status, res.nodes, res.lower_bound, res.cost, res.winners) == pinned
+
+
+def test_bnb_seed_candidate_array_and_empty():
+    prof = sample_profile(CultureSpec("ic", n=10, m=4, seed=5))
+    seeded = solve_bnb(prof, CostSpec(2), seed_candidate=np.array([3, 2, 1, 0]))
+    assert seeded == solve_bnb(prof, CostSpec(2), seed_candidate=(3, 2, 1, 0))
+    with pytest.raises(DataError, match="at least 2 alternatives"):
+        solve_bnb(prof, CostSpec(2), seed_candidate=())
 
 
 @pytest.mark.parametrize("m", range(1, 10))

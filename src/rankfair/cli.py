@@ -35,12 +35,15 @@ def _load_profile(path: str, normalize: bool = False) -> Profile:
     return Profile.from_json(_read_text(path), normalize=normalize)
 
 
-def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out: str | None):
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _ranking_str(r, labels=None):
@@ -53,9 +56,18 @@ def cmd_aggregate(args) -> int:
     profile = _load_profile(args.profile, args.normalize)
     p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else args.power)
     spec = CostSpec(p)
-    if args.emit_ilp:
-        Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
-    res = solve(profile, spec, method=args.method)
+    # --out is checked before the solve; a file made here goes again if the solve fails
+    made = args.out and not Path(args.out).exists()
+    if args.out:
+        open(args.out, "a").close()
+    try:
+        if args.emit_ilp:
+            Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
+        res = solve(profile, spec, method=args.method)
+    except BaseException:
+        if made:
+            Path(args.out).unlink(missing_ok=True)
+        raise
     ic = profile.int_cost()
     doc = {
         "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
@@ -199,11 +211,7 @@ def cmd_sample(args) -> int:
             params["phi"] = args.phi
         spec = CultureSpec(args.culture, n=args.n, m=args.m, seed=args.seed, params=params)
         profile = sample_profile(spec)
-    text = profile.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(profile.to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -249,11 +257,7 @@ def cmd_embed(args) -> int:
         marks["sqk" if p == 2 else "kemeny"] = [rankings.index(r) for r in winners]
     emb = classical_mds(distance_matrix(rankings))
     weights = [float(profile.weight(r)) for r in rankings]
-    svg = render_map_svg(emb.coords, weights, marks)
-    if args.out:
-        Path(args.out).write_text(svg)
-    else:
-        sys.stdout.write(svg)
+    _write(render_map_svg(emb.coords, weights, marks), args.out)
     return EXIT_OK
 
 

@@ -85,6 +85,13 @@ def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
 
 
+def pair_signs(pos: np.ndarray) -> np.ndarray:
+    """Per row of positions (pos[..., a] = place of a), per pair i < j of
+    `pair_indices`: +1 iff i sits above j, else -1 (int8)."""
+    i, j = pair_indices(pos.shape[-1])
+    return (pos[..., i] < pos[..., j]).view(np.int8) * 2 - 1
+
+
 def swap_distance(r1: Ranking, r2: Ranking) -> int:
     """Kendall-tau distance: number of alternative pairs ordered differently."""
     if len(r1) != len(r2):
@@ -400,9 +407,11 @@ class IntCost:
     """A profile in integers, the one cost kernel every solver scores with.
 
     supp is the sorted support, nums its weights scaled by their common
-    denominator denom (the profile's own form), and pos[v, a] the position
-    of alternative a in supp[v].  A ranking's integer cost, sum(nums * d^p)
-    over its swap distances d, is its exact cost times denom.
+    denominator denom (the profile's own form), and signs[v, k] = +1 if
+    supp[v] puts i above j and -1 if not, for the k-th pair i < j of
+    `pair_indices`: every scorer reads a voter's pairs from this one int8
+    table.  A ranking's integer cost, sum(nums * d^p) over its swap
+    distances d, is its exact cost times denom.
     """
 
     def __init__(self, profile: Profile):
@@ -410,22 +419,12 @@ class IntCost:
         self.supp, self.nums, self.denom = profile.scaled_int_weights()
         n = len(self.supp)
         orders = np.fromiter(itertools.chain.from_iterable(self.supp), np.intp, n * self.m)
-        self.pos = np.argsort(orders.reshape(n, self.m), axis=1)
+        self.signs = pair_signs(np.argsort(orders.reshape(n, self.m), axis=1))
 
-    def dtype(self, p: int, pair_bound: bool = False):
-        """int64 while every integer formed stays below 2^62, else object.
-
-        Costs reach sum(nums) * dmax^p; with pair_bound, the terms of
-        `solve_bnb`'s convex pair bound, up to (p+2) * sum(nums) * (dmax+1)^p.
-        `solve_bnb` forms that bound in float64 instead while
-        sum(nums) * (dmax^p + dmax * ((dmax+1)^p - dmax^p)) < 2^53, where
-        float64 holds it exactly (`bound_dtype`).
-        """
-        dmax = max_swap_distance(self.m)
-        if pair_bound:
-            worst = (p + 2) * sum(self.nums) * (dmax + 1) ** p
-        else:
-            worst = sum(self.nums) * dmax**p
+    def dtype(self, p: int):
+        """int64 while every cost formed, up to sum(nums) * dmax^p, stays
+        below 2^62, else object."""
+        worst = sum(self.nums) * max_swap_distance(self.m) ** p
         return np.int64 if worst < 2**62 else object
 
     def bound_dtype(self, p: int):
@@ -435,25 +434,33 @@ class IntCost:
         is an integer of magnitude at most N (P^p + P s) < 2^53, with
         N = sum(nums), P = dmax and s = (P+1)^p - P^p the largest slope: the
         slope-weighted votes and pair sums stay within P N s, the power and
-        tangent sums within N max(P^p, P s).  This stays below
-        (p+1) N (P+1)^p.  Otherwise dtype(p, pair_bound=True).
+        tangent sums within N max(P^p, P s).  Otherwise int64 while the
+        bound's terms, up to (p+2) N (P+1)^p, stay below 2^62, else object.
         """
-        dmax = max_swap_distance(self.m)
-        worst = sum(self.nums) * (dmax**p + dmax * ((dmax + 1) ** p - dmax**p))
-        return np.float64 if worst < 2**53 else self.dtype(p, pair_bound=True)
+        N, P = sum(self.nums), max_swap_distance(self.m)
+        if N * (P**p + P * ((P + 1) ** p - P**p)) < 2**53:
+            return np.float64
+        return np.int64 if (p + 2) * N * (P + 1) ** p < 2**62 else object
 
     def pair_weights(self) -> np.ndarray:
-        """W[a, b] = scaled weight of the support rankings that put a above b."""
-        above = self.pos[:, :, None] < self.pos[:, None, :]
-        return np.tensordot(np.array(self.nums, dtype=self.dtype(1)), above, 1)
+        """W[a, b] = scaled weight of the support rankings that put a above b.
+
+        For a < b the pair's signed vote U = nums . signs splits the total
+        N as W[a, b] = (N + U) / 2 and W[b, a] = (N - U) / 2.
+        """
+        N, dtype = sum(self.nums), self.dtype(1)
+        U = np.array(self.nums, dtype=dtype) @ self.signs.astype(dtype)
+        W = np.zeros((self.m, self.m), dtype=dtype)
+        i, j = pair_indices(self.m)
+        W[i, j], W[j, i] = (N + U) // 2, (N - U) // 2
+        return W
 
     def dists(self, r: Ranking) -> list[int]:
-        """Swap distance from every support ranking to r."""
+        """Swap distance from every support ranking to r: the pairs whose
+        signs differ."""
         if len(r) != self.m:
             raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
-        q = self.pos[:, list(r)]
-        i, j = pair_indices(self.m)
-        return (q[:, i] > q[:, j]).sum(axis=1).tolist()
+        return (self.signs != pair_signs(np.argsort(r))).sum(axis=1).tolist()
 
     def cost(self, r: Ranking, p: int) -> int:
         return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import IntCost, Profile, Ranking, as_ranking, max_swap_distance, pair_indices
+from .core import (IntCost, Profile, Ranking, as_ranking, max_swap_distance, pair_indices,
+                   pair_signs, positions)
 from .errors import DataError, GuardError
 
 BRUTE_FORCE_GUARD = 10
@@ -73,12 +74,6 @@ class SolveResult:
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _signs(pos: np.ndarray) -> np.ndarray:
-    """Row per row of pos, column per pair (i<j): +1 iff i sits above j."""
-    i, j = pair_indices(pos.shape[1])
-    return np.where(pos[:, i] < pos[:, j], 1, -1).astype(np.int8)
-
-
 def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All m! rankings in lexicographic order (int8 rows) and their pair signs
     (float32, the type brute force multiplies in); m <= 7."""
@@ -94,30 +89,29 @@ def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
                            orders + (orders >= f)])
                 for f in range(k)
             ])
-        pos = np.empty_like(orders)
-        np.put_along_axis(pos, orders, np.arange(m, dtype=np.int8), axis=1)
-        _TABLES[m] = orders, _signs(pos).astype(np.float32)
+        _TABLES[m] = orders, pair_signs(np.argsort(orders, axis=1)).astype(np.float32)
     return _TABLES[m]
 
 
 @functools.cache
-def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The m! rankings of 0..m-1 as m!/r! lexicographic blocks, r = min(m, 7).
 
     Block b is the ordered prefix pre[b] (k = m - r alternatives, in
     itertools order) followed by rest[b][orders] for the orders of the r!
     table, rest[b] being the other alternatives in increasing order.
-    cols[b] are the columns of rest[b]'s pairs among the pairs of 0..m-1.
+    F[b] (int8) holds the signs every ranking of the block gives the pairs
+    of 0..m-1 with a prefix member, and 0 on the others, rest[b]'s pairs,
+    whose columns, in order, are cols[b].
     """
     k = max(0, m - _SUFFIX)
     pre = np.array(list(itertools.permutations(range(m), k)), dtype=np.intp)
-    keep = np.ones((len(pre), m), dtype=bool)
-    np.put_along_axis(keep, pre, False, axis=1)
-    rest = np.nonzero(keep)[1].reshape(len(pre), m - k)
-    col = np.zeros((m, m), dtype=np.intp)
-    col[pair_indices(m)] = np.arange(max_swap_distance(m))
-    i, j = pair_indices(m - k)
-    return pre, rest, col[rest[:, i], rest[:, j]]
+    place = np.full((len(pre), m), k)
+    np.put_along_axis(place, pre, np.arange(k), axis=1)
+    rest = np.argsort(place, axis=1, kind="stable")[:, k:]
+    i, j = pair_indices(m)
+    F = np.sign(place[:, j] - place[:, i]).astype(np.int8)
+    return pre, rest, np.nonzero(F == 0)[1].reshape(len(pre), -1), F
 
 
 def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
@@ -127,64 +121,65 @@ def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
     product of their pair signs is P - 2d.  The product runs through BLAS in
     float64, which holds every partial sum of P terms of +-1 exactly.
     """
-    S = _signs(np.argsort(np.array(rankings), axis=1)).astype(np.float64)
+    S = pair_signs(np.argsort(np.array(rankings), axis=1)).astype(np.float64)
     return (S.shape[1] - (S @ S.T).astype(np.int64)) // 2
 
 
-def _voter_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
+def _voter_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
                  signs: np.ndarray):
     """Per block, the integer costs of its rankings (one buffer, refilled),
     from per-voter distances.
 
-    Voter v's distance is fixed[b, v] plus its disagreements on the suffix
-    pairs, signs @ (-votes / 2) + pairs / 2: halves of integers below 64,
-    exact in float32, which BLAS multiplies.
+    Voter v, with pair signs x_v, is (P - x_v.F[b] - t.x_v[cols[b]]) / 2
+    from the block's ranking whose suffix has pair signs t: the offset
+    (P - X F[b]) / 2, one product per block, plus signs @ (-votes / 2),
+    halves of integers below 64, exact in float32, which BLAS multiplies.
     """
     dtype = ic.dtype(p)
     nums = np.array(ic.nums, dtype=dtype)
-    half = _signs(ic.pos).T * np.float32(-0.5)
-    offset = (fixed + cols.shape[1] / 2).astype(np.float32)
+    half = ic.signs.T * np.float32(-0.5)
+    F = F.astype(np.float32)
     rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
     total = np.empty(len(signs), dtype=dtype)
     for b in range(len(cols)):
         votes = half[cols[b]]
+        offset = F[b] @ half + half.shape[0] / 2
         for s in range(0, len(signs), rows):
             dist = signs[s : s + rows] @ votes
-            dist += offset[b]
+            dist += offset
             d = dist.astype(np.int64).astype(dtype, copy=False)
             total[s : s + rows] = d**p @ nums
         yield total
 
 
-def _moment_costs(ic: IntCost, p: int, fixed: np.ndarray, cols: np.ndarray,
+def _moment_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
                   signs: np.ndarray):
     """Per block, 2^p times the integer costs of its rankings (p = 1 or 2; one
     buffer, refilled), from the profile's pair votes and pair-pair moments.
 
     With x_v voter v's pair signs, a ranking of block b whose suffix has
     pair signs t is at twice the distance a_v - t.x_v[cols[b]] from v, with
-    a_v = (suffix pairs) + 2 fixed[b, v].  Weighted by w and summed over the
-    voters, these doubled distances give A - t.U, and their squares
-    K - 2 t.L + t'Mt, where A, K and L are per block and M = sum w x_v x_v'
-    is read at the suffix pairs: no product grows with the support.  Every
-    value formed is an integer of magnitude at most 4 P^2 N (P pairs,
-    N = denom), exact in float64 while that stays below 2^53.
+    a_v = P - x_v.F[b].  Weighted by w and summed over the voters, with
+    U = w X and M = X' diag(w) X, these doubled distances give
+    P N - F[b].U - t.U, and their squares K_b - 2 t.L_b + t'Mt, with
+    K_b = P^2 N - 2 P F[b].U + F[b]'M F[b] and L_b = P U - M F[b], read at
+    the suffix pairs: no product grows with the support.  Every value formed
+    is an integer of magnitude at most 4 P^2 N (P pairs, N = denom), exact
+    in float64 while that stays below 2^53.
     """
-    X = _signs(ic.pos).astype(np.float64)
+    X = ic.signs.astype(np.float64)
     w = np.array(ic.nums, dtype=np.float64)
-    # a and, at p = 2, a * w are the only (block, voter) tables made here;
-    # a is built in place, in float64 like every product below
-    a = fixed * 2.0
-    a += cols.shape[1]
+    F = F.astype(np.float64)
+    P, N = X.shape[1], float(ic.denom)
+    U = w @ X
     if p == 1:
-        const = a @ w
-        lin = np.broadcast_to(-(w @ X), (len(cols), X.shape[1]))
+        const = P * N - F @ U
+        lin = np.broadcast_to(-U, F.shape)
     else:
-        aw = a * w
-        const = np.einsum("ij,ij->i", aw, a)
-        lin = aw @ X
-        lin *= -2
         M = X.T @ (w[:, None] * X)
+        FM = F @ M
+        const = np.einsum("ij,ij->i", F, FM) - 2 * P * (F @ U) + P * P * N
+        lin = 2 * (FM - P * U)
     # one float64 copy of the table: numpy multiplies float32 by float64
     # without BLAS
     signs = signs.astype(np.float64)
@@ -208,20 +203,21 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
 
     The m! rankings are scored in m!/7! lexicographic blocks (`_blocks`): an
     ordered prefix of k = max(0, m-7) alternatives followed by every order
-    of the rest, from one cached table of at most 7! rows.  A ranking's
-    distance to voter v is the prefix's disagreements, counted once per
-    block like a `solve_bnb` node's d, plus the suffix's.
+    of the rest, from one cached table of at most 7! rows.  Every ranking
+    of a block gives the pairs with a prefix member the same signs, F[b],
+    so a voter's disagreements on them come from one product per block with
+    the voters' sign table, like a `solve_bnb` node's d.
 
     Linear costs, and squared costs once the support outnumbers the suffix
     pairs, are scored from pair moments (`_moment_costs`), whose work does
     not grow with the support; other exponents, smaller squared-cost
     supports and weights whose moments would leave float64's exact
     integers (4 P^2 N >= 2^53 for P pairs and denominator N) take per-voter
-    distances (`_voter_costs`).  Both give the same integer costs.  Above
-    m = 7 the prefix disagreements take one (block, voter) table of m!/7!
-    rows per support ranking, so memory grows with support x m!/7!.
-    Winners come out in lexicographic order, the first
-    `TIE_ENUMERATION_CAP` of them.
+    distances (`_voter_costs`).  Both give the same integer costs.  Neither
+    keeps a (block, voter) table: memory is the sign table, a few tables
+    of one row per voter, and the per-block tables, so at m = 10 with
+    3,000 support rankings brute force peaks at 2-3 MB.  Winners come out
+    in lexicographic order, the first `TIE_ENUMERATION_CAP` of them.
     """
     m = profile.m
     if m > BRUTE_FORCE_GUARD:
@@ -230,33 +226,17 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
         )
     p = cost.exponent
     ic = profile.int_cost()
-    pre, rest, cols = _blocks(m)
+    pre, rest, cols, F = _blocks(m)
     orders, signs = _ranking_table(rest.shape[1])
-    # fixed[b, v]: voter v's disagreements with block b's prefix.  v has q[a]
-    # alternatives above prefix member a; all but the prefix members before a
-    # that v also puts above a, C(k, 2) minus the inversions in all, are
-    # disagreements.  Added up one prefix place and one prefix pair at a
-    # time, so no temporary holds more than one (block, voter) table
-    fixed = np.zeros((len(pre), len(ic.nums)), dtype=np.int64)
-    k = pre.shape[1]
-    if k:
-        pos = ic.pos.T.astype(np.int8)  # pos[a, v]: place of a in supp[v]
-        q = [pos[pre[:, c]] for c in range(k)]
-        i, j = pair_indices(k)
-        fixed -= len(i)
-        for c in range(k):
-            fixed += q[c]
-        for c, d in zip(i, j):
-            fixed += q[c] > q[d]
     # a squared-cost moment product costs about as much as a per-voter one
     # with as many voters as suffix pairs
     P = max_swap_distance(m)
     if (p == 1 or p == 2 and len(ic.nums) > cols.shape[1]) and (
         4 * P * P * ic.denom < 2**53
     ):
-        blocks, scale = _moment_costs(ic, p, fixed, cols, signs), 2**p
+        blocks, scale = _moment_costs(ic, p, F, cols, signs), 2**p
     else:
-        blocks, scale = _voter_costs(ic, p, fixed, cols, signs), 1
+        blocks, scale = _voter_costs(ic, p, F, cols, signs), 1
     full = TIE_ENUMERATION_CAP + 1
     best, found = None, []
     for b, total in enumerate(blocks):
@@ -284,7 +264,7 @@ def _best_input(ic: IntCost, p: int) -> tuple[int, Ranking]:
     two rankings with pair signs x and y are d = (P - x.y) / 2 apart, a dot
     product of P signs, exact in float64.  Row blocks bound the memory.
     """
-    X = _signs(ic.pos).astype(np.float64)
+    X = ic.signs.astype(np.float64)
     nums = np.array(ic.nums, dtype=ic.dtype(p))
     rows = max(1, _BLOCK_ENTRIES // len(nums))
     costs = np.concatenate([
@@ -304,7 +284,8 @@ def approx_best_input(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
 def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Cheap starting candidate: positional-average order, locally improved."""
     ic = profile.int_cost()
-    avg = (np.array(ic.nums, dtype=ic.dtype(1)) @ ic.pos).tolist()
+    # weighted sums of positions: a's place in a ranking counts those above it
+    avg = ic.pair_weights().sum(axis=0).tolist()
     seed = as_ranking(sorted(range(ic.m), key=lambda a: (avg[a], a)))
     seed = local_search(profile, seed, cost)
     p = cost.exponent
@@ -315,25 +296,33 @@ def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking
 def local_search(
     profile: Profile, start: Ranking, cost: CostSpec = CostSpec()
 ) -> Ranking:
-    """Greedy adjacent-swap descent from start, exact integer comparisons."""
+    """Greedy adjacent-swap descent from start, exact integer comparisons.
+
+    Swapping neighbours a, b steps each voter's distance by +1 if it puts
+    a above b, else -1: the pair's sign column, negated when a > b.  The
+    swap is taken when it lowers the integer cost nums . d^p.
+    """
     p = cost.exponent
     ic = profile.int_cost()
+    dtype = ic.dtype(p)
+    nums = np.array(ic.nums, dtype=dtype)
+    X = ic.signs.T.astype(dtype)
+    col = np.zeros((ic.m, ic.m), dtype=np.intp)  # col[a, b]: the column of a < b
+    col[pair_indices(ic.m)] = np.arange(len(X))
+    col = col.tolist()
     cand = list(as_ranking(start))
-    poss = ic.pos.tolist()
-    dists = ic.dists(cand)
+    d = np.array(ic.dists(cand), dtype=dtype)
+    total = nums @ d**p
     improved = True
     while improved:
         improved = False
         for i in range(len(cand) - 1):
             a, b = cand[i], cand[i + 1]
-            steps = [-1 if pos[b] < pos[a] else 1 for pos in poss]
-            delta = sum(
-                w * ((d + step) ** p - d**p)
-                for w, d, step in zip(ic.nums, dists, steps)
-            )
-            if delta < 0:
+            e = d + X[col[a][b]] if a < b else d - X[col[b][a]]
+            t = nums @ e**p
+            if t < total:
                 cand[i], cand[i + 1] = b, a
-                dists = [d + step for d, step in zip(dists, steps)]
+                d, total = e, t
                 improved = True
     return tuple(cand)
 
@@ -488,7 +477,7 @@ def solve_bnb(
         return incumbent if find_all_ties and len(best) < full else incumbent - 1
 
     # the voters' pair signs and a column of ones, in the bound's type
-    X = np.hstack([_signs(ic.pos), np.ones((len(w), 1), dtype=np.int8)]).astype(dtype)
+    X = np.hstack([ic.signs, np.ones((len(w), 1), dtype=np.int8)]).astype(dtype)
     root_d = np.zeros((2, len(w)), dtype=np.intp)
     root_lb = int(bounds(root_d, X, np.array([[-1] * P + [P]], dtype=dtype))[0])
     # a node is (bound, prefix, remaining, vector, columns); the vector is the
@@ -664,7 +653,7 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
     m = profile.m
     dmax = max_swap_distance(m)
     ic = profile.int_cost()
-    poss = ic.pos.tolist()
+    poss = [positions(r) for r in ic.supp]
 
     obj_var = "sqdist" if p == 2 else "dist"
     obj_terms = " + ".join(f"{w} {obj_var}_{k}" for k, w in enumerate(ic.nums))

@@ -538,6 +538,29 @@ def test_unwritable_output_exit_4(argv, profile_file, tmp_path, capsys):
     assert bad in err and "Traceback" not in err
 
 
+def test_aggregate_unwritable_out_fails_before_solving(profile_file, tmp_path, capsys,
+                                                      monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+    monkeypatch.setattr(rankfair.cli, "solve", refuse)
+    bad = str(tmp_path / "missing" / "out.json")
+    assert main(["aggregate", "--profile", profile_file, "--out", bad]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_aggregate_failed_solve_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "m11.json"
+    path.write_text(Profile.from_weights({tuple(range(11)): F(1)}).to_json())
+    out = tmp_path / "res.json"
+    argv = ["aggregate", "--profile", str(path), "--method", "brute_force", "--out"]
+    assert main(argv + [str(out)]) == 3 and not out.exists()
+    # a file that was there before is left as it was
+    out.write_text("kept")
+    assert main(argv + [str(out)]) == 3 and out.read_text() == "kept"
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_unknown_param_exit_4(tmp_path, capsys):
     code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
                  "--param", "grid=5"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from .core import (IntCost, Profile, Ranking, as_ranking, max_swap_distance, pai
 from .errors import DataError, GuardError
 
 BRUTE_FORCE_GUARD = 10
+# per-voter brute force scores support x m! (ranking, voter) pairs, about
+# 4-5 ns each on one core of a 2-vCPU Xeon VM: 2^31 of them take about 9 s
+VOTER_PAIRS_GUARD = 2**31
 DP_GUARD = 20
 BNB_GUARD = 40
 # solvers report at most this many tied winners; they collect one more so
@@ -213,7 +217,9 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     not grow with the support; other exponents, smaller squared-cost
     supports and weights whose moments would leave float64's exact
     integers (4 P^2 N >= 2^53 for P pairs and denominator N) take per-voter
-    distances (`_voter_costs`).  Both give the same integer costs.  Neither
+    distances (`_voter_costs`).  Both give the same integer costs.  The
+    per-voter path's work grows with support x m!, and it refuses more
+    than `VOTER_PAIRS_GUARD` (2^31, about 9 s) of these pairs.  Neither
     keeps a (block, voter) table: memory is the sign table, a few tables
     of one row per voter, and the per-block tables, so at m = 10 with
     3,000 support rankings brute force peaks at 2-3 MB.  Winners come out
@@ -236,6 +242,13 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
     ):
         blocks, scale = _moment_costs(ic, p, F, cols, signs), 2**p
     else:
+        pairs = len(ic.nums) * math.factorial(m)
+        if pairs > VOTER_PAIRS_GUARD:
+            raise GuardError(
+                f"brute force scoring {len(ic.nums)} support rankings against "
+                f"{m}! rankings one voter at a time ({pairs:,} pairs) exceeds "
+                f"the guard ({VOTER_PAIRS_GUARD:,})"
+            )
         blocks, scale = _voter_costs(ic, p, F, cols, signs), 1
     full = TIE_ENUMERATION_CAP + 1
     best, found = None, []
@@ -547,70 +560,135 @@ def solve_bnb(
     )
 
 
-def solve_kemeny_dp(profile: Profile, find_all_ties: bool = True) -> SolveResult:
-    """Exact linear-cost optimum via dynamic programming over subsets (m <= 20).
+def _majority_components(W: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of the weak-majority relation
+    a -> b iff W[a, b] >= W[b, a], top first, each in increasing order.
 
-    dp[S] is the least cost of ranking the set S on top of all the others.
-    The sets are solved one size at a time, each size in one array pass
-    over all its (set, alternative) pairs.  Memory is the (2^m, m) table
-    `above` plus a few arrays the size of the largest layer's pairs; no
-    index table is kept between calls.  Winners are the first
-    `TIE_ENUMERATION_CAP` rankings the backtrack reaches, in sorted order.
+    Every pair has an edge, so the components are totally ordered and each
+    alternative strictly beats (W[a, b] > W[b, a]) every alternative of
+    every lower component.  Out-degrees fall strictly from one component
+    to the next: an alternative weakly beats at least every alternative
+    below its component, and one of the next component at most those
+    below it and the rest of its own, which are fewer.  So the components
+    are runs of the out-degree order, and a cut between two places of it
+    is a component boundary iff nothing below it weakly beats anything
+    above it.
     """
-    m = profile.m
-    if m > DP_GUARD:
-        raise GuardError(f"subset DP guarded at m={DP_GUARD}, got {m}")
-    ic = profile.int_cost()
-    W = ic.pair_weights()
-    full = (1 << m) - 1
-    # above[S, a] = sum of W[b, a] over b outside S, the cost of placing a
-    # above all of them.  Growing the top set to S by its lowest member a
-    # puts a above the rest: forward pass and backtrack both add above[S, a].
-    above = np.empty((full + 1, m), dtype=W.dtype)
+    beats = np.asarray(W >= W.T, dtype=bool)
+    order = np.argsort(-beats.sum(axis=1), kind="stable")
+    # the first place each place weakly beats (itself at the latest), and
+    # the least of these over each place and all below it
+    first = beats[np.ix_(order, order)].argmax(axis=1)
+    reach = np.minimum.accumulate(first[::-1])[::-1].tolist()
+    cuts = [0] + [j for j in range(1, len(W)) if reach[j] >= j] + [len(W)]
+    return [sorted(order[a:b].tolist()) for a, b in zip(cuts, cuts[1:])]
+
+
+def _subset_dp(W: np.ndarray, top) -> tuple[np.ndarray, np.ndarray]:
+    """dp[S], the least cost among W's k alternatives of ranking the set S
+    on top of the others, and above[S, a], the cost of placing a above all
+    alternatives outside S.
+
+    The sets are solved one size at a time, each size in one array pass
+    over all its (set, alternative) pairs.  dp starts at the sentinel top,
+    above every cost: for a non-member a of S, S ^ 1 << a is one set
+    larger, not yet solved, so its step stays above the sentinel and the
+    minimum over all a is the minimum over S's members, with no membership
+    mask.
+    """
+    k = len(W)
+    full = (1 << k) - 1
+    # growing the top set to S by its lowest member a puts a above the
+    # rest: forward pass and backtrack both add above[S, a]
+    above = np.empty((full + 1, k), dtype=W.dtype)
     above[0] = W.sum(axis=0)
     size = np.zeros(full + 1, dtype=np.int8)
-    for b in range(m):
+    for b in range(k):
         np.subtract(above[: 1 << b], W[b], out=above[1 << b : 2 << b])
         np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
-    bits = 1 << np.arange(m)
-    # dp starts at a sentinel above every cost.  For a non-member a of S,
-    # S ^ 1 << a is one set larger, not yet solved, so its step stays above
-    # the sentinel and the minimum over all a is the minimum over S's
-    # members: no membership mask.  The sentinel plus above stays below 2^63
-    # wherever W is int64 (IntCost.dtype)
-    top = sum(ic.nums) * max_swap_distance(m) + 1
+    bits = 1 << np.arange(k)
     dp = np.full(full + 1, top, dtype=W.dtype)
     dp[0] = 0
-    for c in range(1, m + 1):
+    for c in range(1, k + 1):
         S = np.flatnonzero(size == c)
         step = dp[S[:, None] ^ bits]
         step += above[S]
         dp[S] = step.min(axis=1)
+    return dp, above
 
-    winners: list[Ranking] = []
-    capped = False
 
-    def backtrack(S: int, suffix: tuple[int, ...]):
-        nonlocal capped
-        if len(winners) >= TIE_ENUMERATION_CAP:
-            capped = True
-            return
-        if S == 0:
-            winners.append(suffix)
-            return
-        for a in range(m):
-            if S >> a & 1 and dp[S ^ 1 << a] + above[S, a] == dp[S]:
-                backtrack(S ^ 1 << a, (a,) + suffix)
-                if not find_all_ties:
-                    return
+def _dp_rankings(dp: np.ndarray, above: np.ndarray, members: list[int], S: int,
+                 suffix: tuple[int, ...] = ()):
+    """The optimal rankings of the members in S above suffix, built from the
+    bottom: lower places vary slowest and each place tries the members in
+    increasing order."""
+    if S == 0:
+        yield suffix
+        return
+    for a, alt in enumerate(members):
+        if S >> a & 1 and dp[S ^ 1 << a] + above[S, a] == dp[S]:
+            yield from _dp_rankings(dp, above, members, S ^ 1 << a, (alt,) + suffix)
 
-    backtrack(full, ())
+
+def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> SolveResult:
+    """Exact linear-cost optimum via dynamic programming over subsets, one
+    pairwise-majority component at a time (components of at most 20).
+
+    The components of the weak-majority relation (`_majority_components`)
+    are totally ordered, and every pair across two of them is a strict
+    majority, so every optimal ranking lists them in that order: an
+    adjacent pair against it could be swapped for a strictly lower cost.
+    The optimum is the cost of the pairs across components, each placed
+    with its majority, plus each component's own optimum, and the winners
+    are the products of the components' winners.
+
+    Within a component of k alternatives, dp[S] is the least cost of
+    ranking the set S on top of the others (`_subset_dp`); memory is the
+    (2^k, k) table `above` of the largest component plus a few arrays the
+    size of its largest layer's pairs, and no table is kept between calls.
+    Winners are the first `TIE_ENUMERATION_CAP` rankings a backtrack from
+    the bottom of the whole ranking reaches, in sorted order: the bottom
+    component's choices vary slowest, each component's in its own
+    backtrack order.  find_all_ties=None reads as True.
+    """
+    ic = profile.int_cost()
+    W = ic.pair_weights()
+    components = _majority_components(W)
+    k = max(map(len, components))
+    if k > DP_GUARD:
+        raise GuardError(
+            f"subset DP guarded at {DP_GUARD} alternatives per majority "
+            f"component, got a component of {k}"
+        )
+    if find_all_ties is None:
+        find_all_ties = True
+    full = TIE_ENUMERATION_CAP + 1
+    # the pairs across components, each placed with its strict majority:
+    # W[b, a] for b in a lower component than a
+    level = np.empty(profile.m, dtype=np.intp)
+    for c, members in enumerate(components):
+        level[members] = c
+    cost = int(W[level[:, None] > level].sum())
+    # a sentinel above every cost, which plus above stays below 2^63
+    # wherever W is int64 (IntCost.dtype)
+    top = sum(ic.nums) * max_swap_distance(profile.m) + 1
+    ties = []
+    for members in components:
+        if len(members) == 1:
+            ties.append([tuple(members)])
+            continue
+        dp, above = _subset_dp(W[np.ix_(members, members)], top)
+        cost += int(dp[-1])
+        ties.append(list(itertools.islice(_dp_rankings(dp, above, members, len(dp) - 1),
+                                          full if find_all_ties else 1)))
+    found = [sum(reversed(combo), ()) for combo in
+             itertools.islice(itertools.product(*reversed(ties)), full)]
     return SolveResult(
-        winners=tuple(sorted(winners)),
-        cost=Fraction(int(dp[full]), ic.denom),
+        winners=tuple(sorted(found[:TIE_ENUMERATION_CAP])),
+        cost=Fraction(cost, ic.denom),
         status="Exact",
         method="kemeny_dp",
-        ties_complete=find_all_ties and not capped,
+        ties_complete=find_all_ties and len(found) < full,
     )
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import rankfair
 from rankfair.cli import main
 from rankfair.core import Profile, swap_distance
-from rankfair.experiments import hotel_profile, load_profile
+from rankfair.experiments import (city_profile, hotel_profile, load_profile,
+                                  published_city_columns)
 from rankfair.sampling import (
     SAMPLE_GUARD_CELLS,
     SAMPLE_GUARD_M,
@@ -54,6 +56,47 @@ def test_aggregate_kemeny(profile_file, tmp_path, capsys):
     assert [0, 1, 2] in doc["winners"]
     assert doc["cost"] == "6/5"
     capsys.readouterr()
+
+
+def test_aggregate_kemeny_dp_solves_the_city_table_by_components(tmp_path, capsys):
+    # 25 alternatives, but the largest pairwise-majority component has 16
+    city = city_profile()
+    path = tmp_path / "city.json"
+    path.write_text(city.to_json())
+    out = tmp_path / "res.json"
+    assert main(["aggregate", "--profile", str(path), "--rule", "kemeny",
+                 "--method", "kemeny_dp", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pub_lin, _ = published_city_columns()
+    assert doc["cost"] == str(city.power_cost(pub_lin, 1))
+    assert list(pub_lin) in doc["winners"] and doc["ties_complete"] is True
+    capsys.readouterr()
+
+
+def test_aggregate_kemeny_dp_guard_names_the_component(tmp_path, capsys):
+    # a ranking and its reverse at equal weight tie every pair: one
+    # component of all 21 alternatives
+    r = tuple(range(21))
+    path = tmp_path / "tied.json"
+    path.write_text(Profile.from_weights({r: F(1, 2), r[::-1]: F(1, 2)}).to_json())
+    assert main(["aggregate", "--profile", str(path), "--rule", "kemeny",
+                 "--method", "kemeny_dp"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "component of 21" in err
+
+
+def test_aggregate_brute_force_voter_guard_exit_3(tmp_path, capsys):
+    # 600 support rankings at m = 10 and exponent 3: 600 x 10! pairs
+    rows, rank = {}, list(range(10))
+    rng = random.Random(4)
+    while len(rows) < 600:
+        rng.shuffle(rank)
+        rows[tuple(rank)] = 1
+    path = tmp_path / "wide.json"
+    path.write_text(Profile.from_weights(rows, normalize=True).to_json())
+    assert main(["aggregate", "--profile", str(path), "--rule", "power", "--power", "3",
+                 "--method", "brute_force"]) == 3
+    assert "2,147,483,648" in capsys.readouterr().err
 
 
 def test_aggregate_emit_ilp(profile_file, tmp_path, capsys):

@@ -172,6 +172,39 @@ def test_brute_force_guard():
         solve_brute_force(prof)
 
 
+def _distinct_rankings(m, count, seed):
+    rng = np.random.default_rng(seed)
+    found = {}
+    while len(found) < count:
+        found[tuple(rng.permutation(m).tolist())] = 1
+    return Profile.from_weights(found, normalize=True)
+
+
+def test_brute_force_voter_path_guard():
+    # 600 support rankings x 10! rankings is past the 2^31 pairs of the
+    # per-voter path (about 9 s); the guard fires before any scoring
+    prof = _distinct_rankings(10, 600, seed=3)
+    start = time.perf_counter()
+    for p in (3, 4):
+        with pytest.raises(GuardError, match="2,147,483,648"):
+            solve_brute_force(prof, CostSpec(p))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_brute_force_voter_guard_boundary(p, monkeypatch):
+    # 8 support rankings at m = 5, no more than its 10 suffix pairs, so
+    # p = 2 scores per voter too; the guard lets exactly its limit through
+    prof = _distinct_rankings(5, 8, seed=p)
+    monkeypatch.setattr(solver, "VOTER_PAIRS_GUARD", 8 * 120)
+    assert solve_brute_force(prof, CostSpec(p)).cost == brute_oracle(prof, p)[1]
+    monkeypatch.setattr(solver, "VOTER_PAIRS_GUARD", 8 * 120 - 1)
+    with pytest.raises(GuardError, match="8 support rankings"):
+        solve_brute_force(prof, CostSpec(p))
+    # the moment path has no such limit
+    assert solve_brute_force(prof, CostSpec(1)).cost == brute_oracle(prof, 1)[1]
+
+
 def _only_path(monkeypatch, path):
     """Make brute force fail unless it scores with `path` ("moments" or "voters")."""
     other = "_voter_costs" if path == "moments" else "_moment_costs"
@@ -520,6 +553,147 @@ def test_kemeny_dp_object_costs_match_oracle():
         assert res.ties_complete == ties
 
 
+def kemeny_dp_reference(profile, find_all_ties=True):
+    """The subset DP over all m alternatives in one (2^m, m) table, with a
+    backtrack that builds winners from the bottom of the ranking."""
+    m = profile.m
+    ic = profile.int_cost()
+    W = ic.pair_weights()
+    full = (1 << m) - 1
+    above = np.empty((full + 1, m), dtype=W.dtype)
+    above[0] = W.sum(axis=0)
+    size = np.zeros(full + 1, dtype=np.int8)
+    for b in range(m):
+        np.subtract(above[: 1 << b], W[b], out=above[1 << b : 2 << b])
+        np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
+    bits = 1 << np.arange(m)
+    dp = np.full(full + 1, sum(ic.nums) * max_swap_distance(m) + 1, dtype=W.dtype)
+    dp[0] = 0
+    for c in range(1, m + 1):
+        S = np.flatnonzero(size == c)
+        step = dp[S[:, None] ^ bits]
+        step += above[S]
+        dp[S] = step.min(axis=1)
+
+    winners = []
+    capped = False
+
+    def backtrack(S, suffix):
+        nonlocal capped
+        if len(winners) >= solver.TIE_ENUMERATION_CAP:
+            capped = True
+            return
+        if S == 0:
+            winners.append(suffix)
+            return
+        for a in range(m):
+            if S >> a & 1 and dp[S ^ 1 << a] + above[S, a] == dp[S]:
+                backtrack(S ^ 1 << a, (a,) + suffix)
+                if not find_all_ties:
+                    return
+
+    backtrack(full, ())
+    return solver.SolveResult(
+        winners=tuple(sorted(winners)),
+        cost=F(int(dp[full]), ic.denom),
+        status="Exact",
+        method="kemeny_dp",
+        ties_complete=find_all_ties and not capped,
+    )
+
+
+def _block_reversed(sizes, seed=None):
+    """A ranking and its block-wise reverse at weight 1/2 each: a unanimous
+    vote keeps the blocks in order, and every order within a block ties.
+    With a seed, the alternatives are relabelled at random."""
+    r = list(range(sum(sizes)))
+    rev = list(itertools.chain.from_iterable(
+        r[s - k : s][::-1] for k, s in zip(sizes, itertools.accumulate(sizes))))
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(len(r)).tolist()
+        r, rev = [perm[a] for a in r], [perm[a] for a in rev]
+    return Profile.from_weights({tuple(r): F(1, 2), tuple(rev): F(1, 2)})
+
+
+def _reference_profiles():
+    cultures = [("ic", {}), ("mallows", {"phi": 0.7}), ("disc", {})]
+    for m in range(3, 15):
+        for k, (culture, params) in enumerate(cultures):
+            yield sample_profile(CultureSpec(culture, n=5 + 3 * k, m=m, seed=60 * m + k,
+                                             params=params))
+    # coprime denominators near 1e9 take object arithmetic
+    supp = sample_profile(CultureSpec("ic", n=4, m=9, seed=61)).support()
+    primes = [1000000007, 1000000009, 1000000021, 1000000033]
+    yield Profile.from_weights({r: F(1, q) for r, q in zip(supp, primes)}, normalize=True)
+    # tie products past TIE_ENUMERATION_CAP
+    for sizes in [(6, 6), (3, 4, 5), (1, 9, 3), (4, 4, 4)]:
+        yield _block_reversed(sizes)
+    yield _block_reversed((3, 4, 5), seed=1)
+
+
+def test_kemeny_dp_matches_reference():
+    profiles = list(_reference_profiles())
+    assert IntCost(profiles[36]).dtype(1) is object
+    capped = 0
+    for prof in profiles:
+        for ties in (True, False):
+            res = solve_kemeny_dp(prof, find_all_ties=ties)
+            assert res == kemeny_dp_reference(prof, ties)
+            capped += ties and not res.ties_complete
+    assert capped >= 5
+
+
+@st.composite
+def block_profiles(draw):
+    """Profiles at m <= 8 whose alternatives fall into blocks that every
+    ranking of weight 2 lists in one order, with at most one dissenting
+    ranking of weight 1: each pair across two blocks has a strict majority."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)
+                 .filter(lambda s: sum(s) <= 8))
+    labels = draw(st.permutations(range(sum(sizes))))
+    blocks = [labels[s - k : s] for k, s in zip(sizes, itertools.accumulate(sizes))]
+    rows = [(tuple(itertools.chain.from_iterable(draw(st.permutations(b)) for b in blocks)), 2)
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        rows.append((tuple(draw(st.permutations(range(sum(sizes))))), 1))
+    return Profile.from_weights(rows, normalize=True), blocks
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=block_profiles(), ties=st.booleans())
+def test_kemeny_dp_keeps_majority_blocks_hypothesis(case, ties):
+    prof, blocks = case
+    level = {a: i for i, block in enumerate(blocks) for a in block}
+    res = solve_kemeny_dp(prof, find_all_ties=ties)
+    for r in res.winners:
+        assert [level[a] for a in r] == sorted(level[a] for a in r)
+    winners, cost = brute_oracle(prof, 1)
+    assert (res.cost, res.ties_complete) == (cost, ties)
+    if ties:
+        assert res.winners == winners
+    else:
+        assert len(res.winners) == 1 and res.winner in winners
+
+
+def test_kemeny_dp_guards_its_largest_component():
+    # all pairs tied: one component of 21 alternatives
+    with pytest.raises(GuardError, match="component of 21"):
+        solve_kemeny_dp(_all_tied(21))
+    # 25 alternatives whose largest component has 16
+    city = city_profile()
+    res = solve_kemeny_dp(city)
+    bnb = solve_bnb(city, CostSpec(1), find_all_ties=True)
+    assert (res.winners, res.cost, res.ties_complete) == (bnb.winners, bnb.cost, True)
+
+
+def test_kemeny_dp_reads_no_tie_flag_as_tracking_ties():
+    prof = _all_tied(5)
+    res = solve(prof, CostSpec(1), method="kemeny_dp", find_all_ties=None)
+    assert res.ties_complete is True
+    assert res.winners == tuple(enumerate_rankings(5))
+    assert solve_kemeny_dp(prof, find_all_ties=False).ties_complete is False
+
+
 DP_MEMORY_PROBE = """
 import gc
 import tracemalloc
@@ -536,10 +710,11 @@ print(kept, peak, res.cost)
 
 
 def test_kemeny_dp_m16_memory_and_no_cache():
-    # a fresh process, so no table cached by an earlier call can hide: the
-    # m = 16 DP peaks at 13.2 MiB and keeps under 2 KiB reachable once it
-    # returns; a list of each layer's sets kept per m holds 0.5 MiB, and a
-    # table of every set's members 4 MiB
+    # a fresh process, so no table cached by an earlier call can hide: this
+    # m = 16 profile's majority components have 1 and 15 alternatives, and
+    # the DP peaks at 6.3 MiB (13.2 MiB for one component of 16) and keeps
+    # under 2 KiB reachable once it returns; a list of each layer's sets
+    # kept per m holds 0.5 MiB, and a table of every set's members 4 MiB
     src = str(Path(solver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", DP_MEMORY_PROBE], capture_output=True,

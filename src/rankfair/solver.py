@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ BRUTE_FORCE_GUARD = 10
 # 4-5 ns each on one core of a 2-vCPU Xeon VM: 2^31 of them take about 9 s
 VOTER_PAIRS_GUARD = 2**31
 DP_GUARD = 20
+# solve's "auto" takes the subset DP for a linear cost while the largest
+# majority component has at most this many alternatives
+DP_AUTO_LIMIT = 16
 BNB_GUARD = 40
 # solvers report at most this many tied winners; they collect one more so
 # that ties_complete=False says exactly that an optimal ranking was left out
@@ -584,50 +588,70 @@ def _majority_components(W: np.ndarray) -> list[list[int]]:
     return [sorted(order[a:b].tolist()) for a, b in zip(cuts, cuts[1:])]
 
 
-def _subset_dp(W: np.ndarray, top) -> tuple[np.ndarray, np.ndarray]:
+def _subset_dp(W: np.ndarray, top) -> np.ndarray:
     """dp[S], the least cost among W's k alternatives of ranking the set S
-    on top of the others, and above[S, a], the cost of placing a above all
-    alternatives outside S.
+    on top of the others.
 
-    The sets are solved one size at a time, each size in one array pass
-    over all its (set, alternative) pairs.  dp starts at the sentinel top,
-    above every cost: for a non-member a of S, S ^ 1 << a is one set
-    larger, not yet solved, so its step stays above the sentinel and the
-    minimum over all a is the minimum over S's members, with no membership
-    mask.
+    Growing the top set to S by its member a puts a above the alternatives
+    outside S, at above[S, a], the sum of their rows of W in column a.  No
+    table of it over all sets is formed: with h = k // 2, above[S] = lo[S
+    mod 2^h] + hi[S >> h], where lo holds the column sums of W less the
+    rows of each subset of the first h alternatives, and hi less the rows
+    of each subset of the rest (both kept a column per subset).  The sets
+    are solved one size at a time, in chunks of about `_BLOCK_ENTRIES`
+    (alternative, set) pairs, each chunk in one array pass.  dp starts at
+    the sentinel top, above every cost: for a non-member a of S, S ^ 1 << a
+    is one set larger, not yet solved, so its step stays above the
+    sentinel and the minimum over all a is the minimum over S's members,
+    with no membership mask.  Memory is dp and a uint8 popcount table, 9
+    bytes per set in int64, plus the half tables and one chunk's arrays.
     """
     k = len(W)
-    full = (1 << k) - 1
-    # growing the top set to S by its lowest member a puts a above the
-    # rest: forward pass and backtrack both add above[S, a]
-    above = np.empty((full + 1, k), dtype=W.dtype)
-    above[0] = W.sum(axis=0)
-    size = np.zeros(full + 1, dtype=np.int8)
-    for b in range(k):
-        np.subtract(above[: 1 << b], W[b], out=above[1 << b : 2 << b])
-        np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
-    bits = 1 << np.arange(k)
-    dp = np.full(full + 1, top, dtype=W.dtype)
+    h = k // 2
+    lo = np.empty((k, 1 << h), dtype=W.dtype)
+    lo[:, 0] = W.sum(axis=0)
+    for b in range(h):
+        np.subtract(lo[:, : 1 << b], W[b, :, None], out=lo[:, 1 << b : 2 << b])
+    hi = np.zeros((k, 1 << k - h), dtype=W.dtype)
+    for b in range(k - h):
+        np.subtract(hi[:, : 1 << b], W[h + b, :, None], out=hi[:, 1 << b : 2 << b])
+    size = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
+    bits = (1 << np.arange(k))[:, None]
+    chunk = _BLOCK_ENTRIES // k
+    dp = np.full(1 << k, top, dtype=W.dtype)
     dp[0] = 0
     for c in range(1, k + 1):
-        S = np.flatnonzero(size == c)
-        step = dp[S[:, None] ^ bits]
-        step += above[S]
-        dp[S] = step.min(axis=1)
-    return dp, above
+        layer = np.flatnonzero(size == c)
+        for s in range(0, len(layer), chunk):
+            S = layer[s : s + chunk]
+            q, r = np.divmod(S, 1 << h)
+            step = dp.take(bits ^ S)
+            step += lo.take(r, axis=1)
+            step += hi.take(q, axis=1)
+            dp[S] = step.min(axis=0)
+    return dp
 
 
-def _dp_rankings(dp: np.ndarray, above: np.ndarray, members: list[int], S: int,
+def _dp_rankings(dp: np.ndarray, members: list[tuple], S: int, above: list,
                  suffix: tuple[int, ...] = ()):
     """The optimal rankings of the members in S above suffix, built from the
     bottom: lower places vary slowest and each place tries the members in
-    increasing order."""
-    if S == 0:
-        yield suffix
-        return
-    for a, alt in enumerate(members):
-        if S >> a & 1 and dp[S ^ 1 << a] + above[S, a] == dp[S]:
-            yield from _dp_rankings(dp, above, members, S ^ 1 << a, (alt,) + suffix)
+    increasing order.
+
+    members holds each member's bit, label and row of W (a list); above[a]
+    is the cost of placing member a above the suffix, the sum of the
+    suffix's rows, so a step below S adds the placed member's row.  A
+    member may take the lowest place of S when dp[S] is dp of S without
+    it plus its above; the last member left is the ranking's top.
+    """
+    best = dp.item(S)
+    for a, (bit, alt, row) in enumerate(members):
+        if S & bit and dp.item(S ^ bit) + above[a] == best:
+            if S == bit:
+                yield (alt,) + suffix
+            else:
+                yield from _dp_rankings(dp, members, S ^ bit, list(map(operator.add, above, row)),
+                                        (alt,) + suffix)
 
 
 def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> SolveResult:
@@ -643,13 +667,14 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
     are the products of the components' winners.
 
     Within a component of k alternatives, dp[S] is the least cost of
-    ranking the set S on top of the others (`_subset_dp`); memory is the
-    (2^k, k) table `above` of the largest component plus a few arrays the
-    size of its largest layer's pairs, and no table is kept between calls.
-    Winners are the first `TIE_ENUMERATION_CAP` rankings a backtrack from
-    the bottom of the whole ranking reaches, in sorted order: the bottom
-    component's choices vary slowest, each component's in its own
-    backtrack order.  find_all_ties=None reads as True.
+    ranking the set S on top of the others (`_subset_dp`); memory is about
+    9 bytes per subset of the largest component (dp and a popcount table),
+    1.1 MiB under tracemalloc at k = 16, and no table is kept between
+    calls.  Winners are the first `TIE_ENUMERATION_CAP` rankings a
+    backtrack from the bottom of the whole ranking reaches, in sorted
+    order: the bottom component's choices vary slowest, each component's
+    in its own backtrack order (`_dp_rankings`).  find_all_ties=None reads
+    as True.
     """
     ic = profile.int_cost()
     W = ic.pair_weights()
@@ -677,10 +702,12 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
         if len(members) == 1:
             ties.append([tuple(members)])
             continue
-        dp, above = _subset_dp(W[np.ix_(members, members)], top)
+        sub = W[np.ix_(members, members)]
+        dp = _subset_dp(sub, top)
         cost += int(dp[-1])
-        ties.append(list(itertools.islice(_dp_rankings(dp, above, members, len(dp) - 1),
-                                          full if find_all_ties else 1)))
+        alts = [(1 << a, alt, row) for a, (alt, row) in enumerate(zip(members, sub.tolist()))]
+        winners = _dp_rankings(dp, alts, len(dp) - 1, [0] * len(members))
+        ties.append(list(itertools.islice(winners, full if find_all_ties else 1)))
     found = [sum(reversed(combo), ()) for combo in
              itertools.islice(itertools.product(*reversed(ties)), full)]
     return SolveResult(
@@ -692,26 +719,54 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
     )
 
 
+# the keywords each solver takes besides the profile and the cost
+_SOLVER_KEYWORDS = {
+    "brute_force": set(),
+    "kemeny_dp": {"find_all_ties"},
+    "bnb": {"node_budget", "find_all_ties", "seed_candidate"},
+}
+
+
 def solve(
     profile: Profile, cost: CostSpec = CostSpec(), method: str = "auto", **kw
 ) -> SolveResult:
-    """Dispatch: brute force for small m, DP for linear cost, else branch and bound."""
+    """Dispatch a solve to brute force, the subset DP or branch and bound.
+
+    "auto" takes brute force up to m = 7; then, at exponent 1, the subset
+    DP when the largest pairwise-majority component has at most
+    `DP_AUTO_LIMIT` alternatives (always so up to that m, where the
+    components are not computed); else branch and bound.  A keyword the
+    chosen solver does not take (node_budget, seed_candidate, or
+    find_all_ties for brute force) sends "auto" to branch and bound, the
+    one solver that takes them all; an explicit method given one raises
+    `DataError`.
+    """
     if method == "auto":
-        if profile.m <= 7:
+        m = profile.m
+        if m <= 7:
             method = "brute_force"
-        elif cost.exponent == 1 and profile.m <= 16:
+        elif cost.exponent == 1 and (
+            m <= DP_AUTO_LIMIT
+            or max(map(len, _majority_components(profile.int_cost().pair_weights())))
+            <= DP_AUTO_LIMIT
+        ):
             method = "kemeny_dp"
         else:
             method = "bnb"
+        if not kw.keys() <= _SOLVER_KEYWORDS[method]:
+            method = "bnb"
+    if method not in _SOLVER_KEYWORDS:
+        raise DataError(f"unknown solve method: {method}")
+    extra = sorted(kw.keys() - _SOLVER_KEYWORDS[method])
+    if extra:
+        raise DataError(f"solve method {method} takes no keyword {', '.join(extra)}")
     if method == "brute_force":
-        return solve_brute_force(profile, cost, **kw)
+        return solve_brute_force(profile, cost)
     if method == "kemeny_dp":
         if cost.exponent != 1:
             raise DataError("the subset DP handles exponent 1 only")
         return solve_kemeny_dp(profile, **kw)
-    if method == "bnb":
-        return solve_bnb(profile, cost, **kw)
-    raise DataError(f"unknown solve method: {method}")
+    return solve_bnb(profile, cost, **kw)
 
 
 def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:

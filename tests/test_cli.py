@@ -73,6 +73,20 @@ def test_aggregate_kemeny_dp_solves_the_city_table_by_components(tmp_path, capsy
     capsys.readouterr()
 
 
+def test_aggregate_kemeny_auto_takes_the_dp_on_the_city_table(tmp_path, capsys):
+    # with no --method, a linear solve whose largest majority component has
+    # at most 16 alternatives goes to the DP, which tracks every tie
+    city = city_profile()
+    path = tmp_path / "city.json"
+    path.write_text(city.to_json())
+    assert main(["aggregate", "--profile", str(path), "--rule", "kemeny"]) == 0
+    out = capsys.readouterr().out  # one line per winner, the cost, then JSON
+    doc = json.loads(out[out.index("{"):])
+    pub_lin, _ = published_city_columns()
+    assert (doc["method"], doc["cost"]) == ("kemeny_dp", str(city.power_cost(pub_lin, 1)))
+    assert len(doc["winners"]) == 4 and doc["ties_complete"] is True
+
+
 def test_aggregate_kemeny_dp_guard_names_the_component(tmp_path, capsys):
     # a ranking and its reverse at equal weight tie every pair: one
     # component of all 21 alternatives

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rankfair import core, solver
 from rankfair.core import Profile, enumerate_rankings, max_swap_distance, swap_distance
 from rankfair.errors import DataError, GuardError
-from rankfair.experiments import city_profile
+from rankfair.experiments import city_profile, published_city_columns
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import (
     CostSpec,
@@ -629,11 +629,16 @@ def _reference_profiles():
     for sizes in [(6, 6), (3, 4, 5), (1, 9, 3), (4, 4, 4)]:
         yield _block_reversed(sizes)
     yield _block_reversed((3, 4, 5), seed=1)
+    # one majority component of 17, larger than any above: the DP splits
+    # its sets into half tables of 8 and 9 alternatives
+    yield sample_profile(CultureSpec("ic", n=30, m=17, seed=3))
 
 
 def test_kemeny_dp_matches_reference():
     profiles = list(_reference_profiles())
     assert IntCost(profiles[36]).dtype(1) is object
+    assert [len(c) for c in solver._majority_components(profiles[-1].int_cost()
+                                                        .pair_weights())] == [17]
     capped = 0
     for prof in profiles:
         for ties in (True, False):
@@ -696,35 +701,39 @@ def test_kemeny_dp_reads_no_tie_flag_as_tracking_ties():
 
 DP_MEMORY_PROBE = """
 import gc
+import sys
 import tracemalloc
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_kemeny_dp
-prof = sample_profile(CultureSpec("ic", n=30, m=16, seed=1))
+prof = sample_profile(CultureSpec("ic", n=30, m=16, seed=int(sys.argv[1])))
 prof.int_cost()
 tracemalloc.start()
 res = solve_kemeny_dp(prof)
-gc.collect()  # the backtrack closure is a reference cycle
+gc.collect()  # only what stays reachable counts as kept
 kept, peak = tracemalloc.get_traced_memory()
 print(kept, peak, res.cost)
 """
 
 
 def test_kemeny_dp_m16_memory_and_no_cache():
-    # a fresh process, so no table cached by an earlier call can hide: this
-    # m = 16 profile's majority components have 1 and 15 alternatives, and
-    # the DP peaks at 6.3 MiB (13.2 MiB for one component of 16) and keeps
-    # under 2 KiB reachable once it returns; a list of each layer's sets
-    # kept per m holds 0.5 MiB, and a table of every set's members 4 MiB
+    # a fresh process per profile, so no table cached by an earlier call can
+    # hide: the majority components of these m = 16 profiles have 1 and 15
+    # (seed 1) and 16 (seed 2) alternatives, and the DP peaks at 0.8 and
+    # 1.1 MiB and keeps under 2 KiB reachable once it returns; a (2^16, 16)
+    # int64 table of every set's costs alone takes 8 MiB, and a list of
+    # each layer's sets kept per m 0.5 MiB
     src = str(Path(solver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", DP_MEMORY_PROBE], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    kept, peak, cost = done.stdout.split()
-    assert int(peak) < 14 * 2**20
-    assert int(kept) < 2**16
-    assert F(cost) == solve_kemeny_dp(
-        sample_profile(CultureSpec("ic", n=30, m=16, seed=1))).cost
+    for seed in (1, 2):
+        done = subprocess.run([sys.executable, "-c", DP_MEMORY_PROBE, str(seed)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        kept, peak, cost = done.stdout.split()
+        assert int(peak) < 4 * 2**20
+        assert int(kept) < 2**16
+        assert F(cost) == solve_kemeny_dp(
+            sample_profile(CultureSpec("ic", n=30, m=16, seed=seed))).cost
 
 
 def _all_tied(m):
@@ -782,6 +791,52 @@ def test_solve_dispatch():
         solve(prof, CostSpec(2), method="kemeny_dp")
     with pytest.raises(DataError):
         solve(prof, method="nope")
+
+
+def test_solve_auto_takes_the_dp_by_largest_component():
+    # 25 alternatives whose largest majority component has 16
+    city = city_profile()
+    res = solve(city, CostSpec(1))
+    pub_lin, _ = published_city_columns()
+    assert (res.method, res.status, res.cost) == ("kemeny_dp", "Exact",
+                                                  city.power_cost(pub_lin, 1))
+    assert len(res.winners) == 4 and res.ties_complete is True
+    assert res == solve_kemeny_dp(city)
+    # one component of 17 alternatives goes to branch and bound
+    assert solve(_all_tied(17), CostSpec(1)).method == "bnb"
+    # and so does every squared cost past brute force
+    assert solve(city, CostSpec(2), node_budget=10).method == "bnb"
+    mallows17 = sample_profile(CultureSpec("mallows", n=8, m=17, seed=2,
+                                           params={"phi": 0.5}))
+    assert solve(mallows17, CostSpec(2)).method == "bnb"
+    assert solve(mallows17, CostSpec(1)).method == "kemeny_dp"
+
+
+def test_solve_routes_solver_keywords(monkeypatch):
+    m12 = sample_profile(CultureSpec("ic", n=30, m=12, seed=1))
+    m6 = sample_profile(CultureSpec("ic", n=10, m=6, seed=1))
+    # below m = 17 auto reads no components: only the DP splits them
+    calls = []
+    split = solver._majority_components
+    monkeypatch.setattr(solver, "_majority_components", lambda W: calls.append(1) or split(W))
+    assert solve(m12, CostSpec(1)).method == "kemeny_dp" and len(calls) == 1
+    # auto sends a keyword only branch and bound takes to branch and bound
+    cut = solve(m12, CostSpec(1), node_budget=10)
+    assert (cut.method, cut.status, cut.nodes) == ("bnb", "Heuristic", 10)
+    seeded = solve(m6, CostSpec(1), seed_candidate=tuple(range(6)))
+    assert seeded.method == "bnb" and seeded == solve_bnb(m6, CostSpec(1),
+                                                          seed_candidate=tuple(range(6)))
+    assert solve(m6, CostSpec(2), find_all_ties=False).method == "bnb"
+    assert solve(m12, CostSpec(1), find_all_ties=False).method == "kemeny_dp"
+    # an explicit method refuses a keyword it does not take, by name
+    with pytest.raises(DataError, match="kemeny_dp takes no keyword node_budget"):
+        solve(m12, CostSpec(1), method="kemeny_dp", node_budget=10)
+    with pytest.raises(DataError, match="brute_force takes no keyword find_all_ties"):
+        solve(m6, CostSpec(2), method="brute_force", find_all_ties=False)
+    with pytest.raises(DataError, match="bnb takes no keyword budget"):
+        solve(m6, CostSpec(2), method="bnb", budget=10)
+    with pytest.raises(DataError, match="bnb takes no keyword budget"):
+        solve(m6, CostSpec(2), budget=10)
 
 
 def test_local_search_descends():

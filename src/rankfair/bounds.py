@@ -112,6 +112,7 @@ class WorstCaseResult(NamedTuple):
     alpha_exact: Fraction | None
     rounds: int = 0  # row-generation rounds, one `solve_lp` call each
     pivots: int = 0  # simplex pivots over all rounds
+    degenerate_pivots: int = 0  # those of them that stepped 0
 
 
 def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
@@ -153,14 +154,12 @@ def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
     weights w, the first n variables (g_i <= w_i), whose mean distance to
     the output is at least floor: sum_i g_i (dist[i] - floor) >= 0."""
     n = len(dist)
-    for i in range(n):
-        row = np.zeros(lp.n)
-        row[i] = -1.0
-        row[base + i] = 1.0
-        lp.add_row(row, "<=", 0.0)
-    row = np.zeros(lp.n)
-    row[base : base + n] = dist - floor
-    lp.add_row(row, ">=", 0.0)
+    rows = np.zeros((n + 1, lp.n))
+    rows[np.arange(n), np.arange(n)] = -1.0
+    rows[np.arange(n), base + np.arange(n)] = 1.0
+    rows[n, base : base + n] = dist - floor
+    lp.add_rows(rows[:n], "<=", 0.0)
+    lp.add_rows(rows[n:], ">=", 0.0)
 
 
 def _margins(m: int, target: Ranking) -> tuple[list[Ranking], np.ndarray, np.ndarray]:
@@ -181,14 +180,14 @@ def _margins(m: int, target: Ranking) -> tuple[list[Ranking], np.ndarray, np.nda
 def _optimality_program(obj: np.ndarray, G: np.ndarray, cols) -> LinearProgram:
     """max obj . x over x >= 0 whose first len(G) entries, the weights w,
     sum to 1, with one row w . G[:, j] >= 0 per competitor j in cols.  Rows
-    are zero-padded to len(obj), so a program can add variables and rows."""
+    are zero-padded to len(obj), so a program can add variables and rows;
+    they are built and validated as one block."""
     rows = np.zeros((len(cols) + 1, len(obj)))
     rows[0, : len(G)] = 1.0
     rows[1:, : len(G)] = G[:, cols].T
     lp = LinearProgram(obj, sense="max")
-    lp.add_row(rows[0], "=", 1.0)
-    for row in rows[1:]:
-        lp.add_row(row, ">=", 0.0)
+    lp.add_rows(rows[:1], "=", 1.0)
+    lp.add_rows(rows[1:], ">=", 0.0)
     return lp
 
 
@@ -225,14 +224,16 @@ def worst_profile_single_ranking(
     every competitor at once (slack = w @ G), and adds the ROW_BATCH most
     violated rows not yet in it.  Round 1 starts from the point mass on
     the target and each later round from the previous optimal basis, a
-    dual simplex restart, so no round runs phase 1; the result counts the
-    rounds and their pivots.  It stops when no competitor has slack
-    below -ROW_TOL; the restricted optimum, an upper bound on the full
-    one, is then feasible for it and so optimal, which `verify_solution`
-    rechecks on the full program.  The witness is the exact vertex of the
-    final solution (see `_exact_witness`), re-verified with the exact
-    solver; if that fails, `witness` and `alpha_exact` are None.  Guarded
-    at m=LP_GUARD_M, like every worst-case program.
+    dual simplex restart, so no round runs phase 1; each round's program
+    is the last one's rows plus the new ones, and the result counts the
+    rounds, their pivots and the degenerate ones among them.  It stops
+    when no competitor has slack below -ROW_TOL; the restricted optimum,
+    an upper bound on the full one, is then feasible for it and so
+    optimal, which `verify_solution` rechecks on the full program.  The
+    witness is the exact vertex of the final solution (see
+    `_exact_witness`), re-verified with the exact solver; if that fails,
+    `witness` and `alpha_exact` are None.  Guarded at m=LP_GUARD_M, like
+    every worst-case program.
     """
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
@@ -245,13 +246,15 @@ def worst_profile_single_ranking(
     # nondegenerate vertex: the target's weight is basic in the sum row and
     # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
     basis = [rankings.index(target), *range(n, n + len(active))]
-    rounds = pivots = 0
+    prog = _optimality_program(obj, G, active)
+    rounds = pivots = degenerate = 0
     while True:
-        sol = solve_lp(_optimality_program(obj, G, active), basis)
+        sol = solve_lp(prog, basis)
         rounds += 1
         pivots += sol.pivots
+        degenerate += sol.degenerate_pivots
         if sol.status != "Optimal":
-            return WorstCaseResult(0.0, None, None, rounds, pivots)
+            return WorstCaseResult(0.0, None, None, rounds, pivots, degenerate)
         slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
@@ -264,6 +267,10 @@ def worst_profile_single_ranking(
         # basic, so the next round is a dual simplex restart
         basis = [*sol.basis, *range(n + len(active), n + len(active) + len(new))]
         active += new
+        # the next program shares the solved one's rows, not its list, so
+        # a program once solved is never changed
+        prog = LinearProgram(obj, "max", list(prog.rows))
+        prog.add_rows(G[:, new].T, ">=", 0.0)
     full = _optimality_program(obj, G, np.flatnonzero(dist))
     if not verify_solution(full, sol):
         raise DataError("simplex output failed independent verification")
@@ -271,7 +278,7 @@ def worst_profile_single_ranking(
     witness = _exact_witness(sol.values, G, tight, rankings, target)
     alpha_exact = witness.weight(focal) if witness is not None else None
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact,
-                           rounds, pivots)
+                           rounds, pivots, degenerate)
 
 
 def _mirror(r: Ranking) -> Ranking:

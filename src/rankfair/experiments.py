@@ -214,8 +214,8 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
     profile = city_profile()
     pub_lin, pub_sq = published_city_columns()
 
-    lin = solve_bnb(profile, CostSpec(1), find_all_ties=True)
-    bumped = solve_bnb(city_profile(Fraction(1, 10**6)), CostSpec(1), find_all_ties=False)
+    lin = solve_kemeny_dp(profile)
+    bumped = solve_kemeny_dp(city_profile(Fraction(1, 10**6)), find_all_ties=False)
     sq_cost = profile.power_cost(pub_sq, 2)
     lin_col_sq_cost = profile.power_cost(pub_lin, 2)
     locally_optimal = local_search(profile, pub_sq, CostSpec(2)) == pub_sq

@@ -9,16 +9,21 @@ entering column has the most negative reduced cost, switching to Bland's
 rule after a streak of degenerate pivots so cycling cannot occur.  A
 solve returns its final basis; passed back in after rows were appended,
 as row generation does, that basis is still dual feasible, so a dual
-simplex finishes the longer program without phase 1.  The standard form
-is written straight into the tableau, which is guarded by its size in
-bytes.  Each pivot is one rank-1 update over cache-sized row blocks that
-computes every entry exactly as row-by-row elimination would, so the
-blocking changes neither the pivot sequence nor any result.  Solves are
-deterministic only for a fixed BLAS thread count: the BLAS calls (the
-refactorization and the reduced-cost products) round differently under
-another count, and the pivot path can follow (the 120 full m=5
-single-ranking programs take 133,544 pivots with one OpenBLAS thread and
-136,347 with two).
+simplex finishes the longer program without phase 1.  The dual simplex
+perturbs the costs: on entry it raises every nonbasic reduced cost by a
+small distinct amount, so its ratio test stops tying at zero on these
+dual-degenerate programs, and once primal feasible it refactorizes with
+the true costs, so the confirming phase-2 pass runs on the real program.
+Each solve counts its pivots, degenerate pivots and refactorizations.
+The standard form is written straight into the tableau, which is
+guarded by its size in bytes.  Each pivot is one rank-1 update over
+cache-sized row blocks that computes every entry exactly as row-by-row
+elimination would, so the blocking changes neither the pivot sequence
+nor any result.  Solves are deterministic only for a fixed BLAS thread
+count: the BLAS calls (the refactorization and the reduced-cost
+products) round differently under another count, and the pivot path
+can follow (the 120 full m=5 single-ranking programs take 133,544
+pivots with one OpenBLAS thread and 136,347 with two).
 """
 
 from __future__ import annotations
@@ -60,14 +65,23 @@ class LinearProgram:
         return len(self.objective)
 
     def add_row(self, coeffs, rel: str, rhs: float):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if len(coeffs) != self.n:
-            raise DimensionError(f"row width {len(coeffs)} != {self.n} variables")
+        self.add_rows([coeffs], rel, rhs)
+
+    def add_rows(self, coeffs, rel: str, rhs: float):
+        """Append one row per entry of coeffs, a matrix or a list of rows,
+        each with relation rel and right-hand side rhs.  The rows are
+        validated as one block; a row that is a float array already (a
+        matrix's rows are views into it) is kept as it is."""
+        block = np.asarray(coeffs, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.n:
+            raise DimensionError(f"rows of shape {block.shape} do not have "
+                                 f"{self.n} columns")
         if rel not in ("<=", "=", ">="):
             raise DataError(f"relation must be <=, = or >=, got {rel}")
-        if not (np.all(np.isfinite(coeffs)) and np.isfinite(rhs)):
+        if not (np.all(np.isfinite(block)) and np.isfinite(rhs)):
             raise DataError("non-finite constraint data")
-        self.rows.append((coeffs, rel, float(rhs)))
+        self.rows.extend((np.asarray(row, dtype=float), rel, float(rhs))
+                         for row in coeffs)
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,9 @@ class LpSolution:
     objective_value: float | None = None
     pivots: int = 0
     refactorizations: int = 0
+    degenerate_pivots: int = 0  # pivots whose ratio test stepped 0 (within PIVOT_TOL)
+    bland_pivots: int = 0  # pivots chosen by Bland's rule
+    cost_shifts: int = 0  # dual-phase entering costs shifted up to zero
     basis: tuple[int, ...] | None = None
 
 
@@ -140,8 +157,9 @@ def _simplex_phase(
     smallest-index rule after a streak of degenerate pivots so cycling
     cannot occur.  The tableau is refactorized from the original data at
     a fixed cadence, and before unboundedness is reported, so rounding
-    drift over long degenerate runs cannot corrupt the outcome.  Pivots
-    and refactorizations are counted into `stats`.
+    drift over long degenerate runs cannot corrupt the outcome.  Pivots,
+    degenerate and Bland pivots and refactorizations are counted into
+    `stats`.
     """
     m = T.shape[0] - 1
     degenerate = 0
@@ -180,10 +198,22 @@ def _simplex_phase(
             leave = int(max(tied, key=lambda i: col[i]))
         else:
             leave = int(min(tied, key=lambda i: basis[i]))
-        degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+            stats["bland_pivots"] += 1
+        if best <= PIVOT_TOL:
+            degenerate += 1
+            stats["degenerate_pivots"] += 1
+        else:
+            degenerate = 0
         _pivot(T, basis, leave, enter)
         stats["pivots"] += 1
         since_refresh += 1
+
+
+# the dual phase raises each nonbasic reduced cost by PERTURBATION times a
+# factor in [1, 2) from the golden-ratio sequence over the column index:
+# distinct and deterministic, so the dual ratio test rarely ties
+PERTURBATION = 1e-5
+_GOLDEN = (5**0.5 - 1) / 2
 
 
 def _dual_phase(
@@ -195,35 +225,45 @@ def _dual_phase(
 ) -> str:
     """Dual simplex: pivot a dual feasible tableau to primal feasibility.
 
-    Leaving row: the most negative right-hand side.  Entering column: the
-    smallest ratio of reduced cost to |entry| over the row's negative
-    entries, ties going to the largest |pivot|.  After a streak of
-    degenerate (zero-ratio) pivots it switches to Bland's rule, the
-    smallest basic index leaving and the smallest column entering, so
-    cycling cannot occur.  A reduced cost that rounding left below zero
-    counts as zero in the ratio test; if the entering column's own would
-    make the dual step fall below -PIVOT_TOL, undoing dual progress, its
-    cost is shifted to make it zero, and the tableau is refactorized with
-    the true costs before returning.  Refactorization and counting follow
-    `_simplex_phase`; a row with no negative entry, on a freshly
-    refactorized tableau, proves the program infeasible.
+    On entry every nonbasic reduced cost is raised by a small distinct
+    amount (`PERTURBATION`, a cost perturbation: the basic costs are
+    unchanged, so the tableau stays consistent and dual feasible), which
+    keeps the ratio test below from tying at zero on the highly
+    dual-degenerate worst-case programs; refactorizations inside the
+    phase keep the perturbed costs.  Leaving row: the most negative
+    right-hand side.  Entering column: the smallest ratio of reduced cost
+    to |entry| over the row's negative entries, ties going to the largest
+    |pivot|.  After a streak of degenerate (zero-ratio) pivots it switches
+    to Bland's rule, the smallest basic index leaving and the smallest
+    column entering, so cycling cannot occur.  A reduced cost that
+    rounding left below zero counts as zero in the ratio test; if the
+    entering column's own would make the dual step fall below
+    -PIVOT_TOL, undoing dual progress, its cost is shifted to make it
+    zero.  On Optimal the tableau is refactorized with the true costs,
+    shedding perturbation and shifts, so the caller's phase 2 finishes
+    on the real program.  Refactorization and counting follow
+    `_simplex_phase`, and the cost shifts are counted too; a row with no
+    negative entry, on a freshly refactorized tableau, proves the program
+    infeasible.
     """
     m = T.shape[0] - 1
+    nonbasic = np.ones(len(cost_vec), dtype=bool)
+    nonbasic[basis] = False
+    delta = PERTURBATION * (1.0 + np.arange(len(cost_vec)) * _GOLDEN % 1.0) * nonbasic
+    T[-1, :-1] += delta
+    cost = cost_vec + delta
     degenerate = 0
     since_refresh = 0
-    shifted = False
     while True:
         if since_refresh >= REFRESH_EVERY:
-            _refresh(T, basis, Ab, cost_vec)
+            _refresh(T, basis, Ab, cost)
             stats["refactorizations"] += 1
             since_refresh = 0
-            shifted = False
         rhs = T[:m, -1]
         below = np.flatnonzero(rhs < -PIVOT_TOL)
         if len(below) == 0:
-            if shifted:
-                _refresh(T, basis, Ab, cost_vec)
-                stats["refactorizations"] += 1
+            _refresh(T, basis, Ab, cost_vec)
+            stats["refactorizations"] += 1
             return "Optimal"
         if degenerate < DEGENERACY_STREAK:
             leave = int(np.argmin(rhs))
@@ -234,10 +274,9 @@ def _dual_phase(
         if not neg.any():
             if since_refresh == 0:
                 return "Infeasible"
-            _refresh(T, basis, Ab, cost_vec)
+            _refresh(T, basis, Ab, cost)
             stats["refactorizations"] += 1
             since_refresh = 0
-            shifted = False
             continue
         reduced = np.maximum(T[-1, :-1], 0.0)
         ratios = np.where(neg, reduced / np.where(neg, -row, 1.0), np.inf)
@@ -247,10 +286,15 @@ def _dual_phase(
             enter = int(max(tied, key=lambda j: -row[j]))
         else:
             enter = int(tied[0])
-        degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
+            stats["bland_pivots"] += 1
+        if best <= PIVOT_TOL:
+            degenerate += 1
+            stats["degenerate_pivots"] += 1
+        else:
+            degenerate = 0
         if T[-1, enter] < PIVOT_TOL * row[enter]:
             T[-1, enter] = 0.0
-            shifted = True
+            stats["cost_shifts"] += 1
         _pivot(T, basis, leave, enter)
         stats["pivots"] += 1
         since_refresh += 1

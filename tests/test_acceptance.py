@@ -5,6 +5,7 @@ rationals, closed forms, or exhaustive enumeration) to validate the
 library outputs.
 """
 
+import csv
 import functools
 import math
 from fractions import Fraction as F
@@ -39,6 +40,7 @@ from rankfair.embed import classical_mds
 from rankfair.experiments import (
     ExperimentSpec,
     city_profile,
+    city_rankings,
     divergence_profile,
     hotel_profile,
     load_data,
@@ -265,6 +267,16 @@ def test_city_table_reproduction(tmp_path):
     assert exact.cost == prof.power_cost(pub_sq, 2)
     report = run_experiment(ExperimentSpec("CityRanking", out_dir=tmp_path))["report"]
     assert (report["squared_status"], report["squared_gap"]) == ("Exact", "0")
+    # the linear column: four tied optima, and the one the GDP bump picks
+    # is the published column, which the CSV lists
+    assert (report["linear_status"], report["linear_cost"]) == ("Exact", "733/10")
+    assert report["linear_tie_count"] == 4
+    assert report["perturbed_pick_matches_published"] is True
+    labels, _ = city_rankings()
+    with open(tmp_path / "city_ranking.csv", newline="") as f:
+        table = list(csv.DictReader(f))
+    assert [r["linear_cost_rule"] for r in table] == [labels[a] for a in pub_lin]
+    assert [r["squared_cost_rule"] for r in table] == [labels[a] for a in pub_sq]
 
 
 def test_disc_culture_group_distance_direction():

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,18 +286,35 @@ def _highs_single(m, t):
     return -ref.fun
 
 
+GOLDEN = Path(__file__).parent / "data" / "worst_case_golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    # as make_worst_case_golden.py wrote it
+    return json.loads(GOLDEN.read_text())
+
+
 @pytest.mark.parametrize("m", [4, 5])
-def test_row_generation_matches_highs_with_exact_witnesses(m):
+def test_row_generation_matches_highs_with_exact_witnesses(m, golden):
     focal = tuple(range(m))
     for t, target in enumerate(itertools.permutations(range(m))):
         res = worst_profile_single_ranking(m, focal, target)
         assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
+        assert str(res.alpha_exact) == golden["alpha_exact"][str(m)]["".join(map(str, target))]
         # every witness is exact: it holds alpha_exact on the focal
         # ranking and keeps the target optimal under the squared cost
         assert res.witness is not None
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
+
+
+def test_row_generation_curves_match_golden(golden):
+    # the exact optima are pinned above; the curves are pinned float for float
+    for m in (4, 5):
+        assert alpha_curve(m).points == tuple(map(tuple, golden["alpha_curve"][str(m)]))
+    assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
 
 
 def test_mirrored_targets_share_their_optimum():
@@ -320,12 +339,17 @@ def test_row_generation_pivots_stay_below_full_programs():
     m = 5
     focal = tuple(range(m))
     targets = list(itertools.permutations(range(m)))
-    generated = 0
+    generated = degenerate = 0
     for target in targets:
         res = worst_profile_single_ranking(m, focal, target)
         assert res.rounds >= 1
         generated += res.pivots
-    assert generated < 20_000
+        degenerate += res.degenerate_pivots
+    # 4,324 pivots with one BLAS thread, 170 of them degenerate (19 in the
+    # dual phases); without the dual phase's cost perturbation 12,654 and
+    # 11,104
+    assert generated < 6_000
+    assert degenerate < 300
     # pivot counts are nonnegative, so once a prefix of the full programs'
     # total exceeds `generated`, the whole total does
     full = 0

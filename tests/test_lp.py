@@ -1,14 +1,19 @@
+import os
 import signal
+import subprocess
+import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
-from rankfair.errors import DataError, GuardError
+from rankfair.errors import DataError, DimensionError, GuardError
 from rankfair.lp import LinearProgram, _pivot, solve_lp, verify_solution
 
 
@@ -454,3 +459,126 @@ def test_result_counts_every_pivot_of_every_round(monkeypatch):
     res = worst_profile_single_ranking(5)
     assert res.alpha_exact == F(231, 1318)
     assert res.pivots == len(calls) > 0 and res.rounds > 1
+
+
+def test_degenerate_pivots_count_the_zero_steps(monkeypatch):
+    # every pivot of a row-generation solve is a phase-2 or a dual-phase
+    # pivot (warm starts run no phase 1), told apart by the leaving row's
+    # right-hand side.  A pivot is degenerate when the ratio test's least
+    # ratio is at most PIVOT_TOL; the pivot taken may be any within
+    # PIVOT_TOL of the least, so its own ratio is at most 2 * PIVOT_TOL
+    steps = []
+
+    def recorded(T, basis, row, col):
+        if T[row, -1] < -lp_mod.PIVOT_TOL:  # dual: the reduced cost over |entry|
+            steps.append(max(T[-1, col], 0.0) / -T[row, col])
+        else:  # primal: the right-hand side over the entry
+            steps.append(T[row, -1] / T[row, col])
+        return _pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", recorded)
+    total = 0
+    for target in [(1, 3, 4, 2, 0), (4, 3, 2, 1, 0), (2, 4, 1, 3, 0)]:
+        res = worst_profile_single_ranking(5, None, target)
+        total += res.degenerate_pivots
+        assert res.pivots == len(steps)
+        assert (sum(s <= lp_mod.PIVOT_TOL for s in steps) <= res.degenerate_pivots
+                <= sum(s <= 2 * lp_mod.PIVOT_TOL for s in steps))
+        steps.clear()
+    assert total > 0
+
+
+def test_add_rows_matches_add_row_and_validates_the_block():
+    block = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]])
+    one, many = (LinearProgram(np.ones(2), sense="min") for _ in range(2))
+    for row in block:
+        one.add_row(row, ">=", 1.0)
+    many.add_rows(block, ">=", 1.0)
+    assert [(r.tolist(), rel, b) for r, rel, b in many.rows] == [
+        (r.tolist(), rel, b) for r, rel, b in one.rows]
+    assert all(np.shares_memory(r, block) for r, _, _ in many.rows)
+    lp = LinearProgram(np.ones(2), sense="min")
+    with pytest.raises(DimensionError):
+        lp.add_rows(np.ones((2, 3)), "<=", 1.0)
+    with pytest.raises(DimensionError):
+        lp.add_rows(np.ones(2), "<=", 1.0)
+    with pytest.raises(DataError, match="relation"):
+        lp.add_rows(np.ones((2, 2)), "<", 1.0)
+    with pytest.raises(DataError, match="non-finite"):
+        lp.add_rows([[1.0, np.inf]], "<=", 1.0)
+    with pytest.raises(DataError, match="non-finite"):
+        lp.add_rows(np.ones((2, 2)), "<=", np.nan)
+    assert lp.rows == []
+
+
+def _dual_phase_stats(monkeypatch):
+    """Sum the counters of every dual phase run from now on."""
+    dual = Counter()
+    real = lp_mod._dual_phase
+
+    def counted(T, basis, Ab, cost_vec, stats):
+        own = Counter()
+        status = real(T, basis, Ab, cost_vec, own)
+        stats.update(own)
+        dual.update(own)
+        return status
+
+    monkeypatch.setattr(lp_mod, "_dual_phase", counted)
+    return dual
+
+
+def test_dual_phase_bland_rule_fires_without_perturbation(monkeypatch):
+    # the cost perturbation keeps this target's dual phases off Bland's
+    # rule; without it they take hundreds of Bland pivots, and the
+    # switch to it is what stops them from cycling
+    monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
+    dual = _dual_phase_stats(monkeypatch)
+    with _within(20):
+        res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
+    assert res.alpha_exact == F(9, 20)
+    assert dual["bland_pivots"] > 0
+
+
+def test_dual_phase_cost_shift_fires_without_perturbation(monkeypatch):
+    # test_dual_phase_never_steps_backwards's fifth round with the
+    # perturbation off: the entering-cost shift must fire, and the round
+    # must still match HiGHS
+    monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
+    monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
+    rounds = []
+
+    def five_rounds(prog, basis=None):
+        if len(rounds) == 5:
+            raise _Stop
+        rounds.append((prog, solve_lp(prog, basis)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(bounds, "solve_lp", five_rounds)
+    with _within(30), pytest.raises(_Stop):
+        worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
+    prog, sol = rounds[-1]
+    assert sol.cost_shifts > 0
+    assert sol.status == "Optimal" and verify_solution(prog, sol)
+    status, objective = _highs(prog)
+    assert status == "Optimal" and abs(sol.objective_value - objective) <= 1e-8
+
+
+WORST_CASE_PROBE = """
+import sys
+from rankfair.bounds import worst_group_curve, worst_profile_single_ranking
+worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
+worst_group_curve(3, [0.5])
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_worst_case_programs_do_not_import_numpy_random():
+    # the dual phase's perturbation is a fixed sequence: numpy.random alone
+    # adds about 6 MB to a bare process's peak memory
+    src = str(Path(lp_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", WORST_CASE_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

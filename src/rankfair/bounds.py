@@ -22,7 +22,7 @@ from .core import (
     reverse_ranking,
     swap_distance,
 )
-from .errors import DataError, GuardError
+from .errors import DataError, DimensionError, GuardError
 from .lp import LinearProgram, solve_lp, verify_solution
 from .solver import solve_brute_force, swap_distance_matrix
 
@@ -232,11 +232,15 @@ def worst_profile_single_ranking(
     optimal, which `verify_solution` rechecks on the full program.  The
     witness is the exact vertex of the final solution (see
     `_exact_witness`), re-verified with the exact solver; if that fails,
-    `witness` and `alpha_exact` are None.  Guarded at m=LP_GUARD_M, like
-    every worst-case program.
+    `witness` and `alpha_exact` are None.  A focal or target ranking of
+    other than m alternatives raises DimensionError.  Guarded at
+    m=LP_GUARD_M, like every worst-case program.
     """
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
+    for name, r in (("focal", focal), ("target", target)):
+        if len(r) != m:
+            raise DimensionError(f"{name} {r} ranks {len(r)} alternatives, not m={m}")
     rankings, dist, G = _margins(m, target)
     n = len(rankings)
     obj = np.zeros(n)

@@ -4,17 +4,22 @@ restart from a given basis.
 A program is max or min c'x over rows (coeffs, relation, rhs) with every
 variable nonnegative; an upper bound is a row, a free variable the
 difference of two.  The worst-case programs in `rankfair.bounds` have up
-to a few thousand dense variables and are highly degenerate.  The
-entering column has the most negative reduced cost, switching to Bland's
-rule after a streak of degenerate pivots so cycling cannot occur.  A
+to a few thousand dense variables and are highly degenerate.  One pivot
+loop drives the primal and the dual simplex alike: it refactorizes the
+tableau at a fixed cadence and before it accepts an unbounded or
+infeasible verdict, switches to Bland's rule after a streak of
+degenerate pivots so cycling cannot occur, and counts the pivots,
+degenerate pivots and refactorizations.  Each phase supplies only its
+pivot rule: the primal one enters the column of most negative reduced
+cost, the dual one leaves the row of most negative right-hand side.  A
 solve returns its final basis; passed back in after rows were appended,
-as row generation does, that basis is still dual feasible, so a dual
+as row generation does, that basis is still dual feasible, so the dual
 simplex finishes the longer program without phase 1.  The dual simplex
 perturbs the costs: on entry it raises every nonbasic reduced cost by a
 small distinct amount, so its ratio test stops tying at zero on these
 dual-degenerate programs, and once primal feasible it refactorizes with
 the true costs, so the confirming phase-2 pass runs on the real program.
-Each solve counts its pivots, degenerate pivots and refactorizations.
+One pricing routine writes every cost row.
 The standard form is written straight into the tableau, which is
 guarded by its size in bytes.  Each pivot is one rank-1 update over
 cache-sized row blocks that computes every entry exactly as row-by-row
@@ -22,8 +27,8 @@ elimination would, so the blocking changes neither the pivot sequence
 nor any result.  Solves are deterministic only for a fixed BLAS thread
 count: the BLAS calls (the refactorization and the reduced-cost
 products) round differently under another count, and the pivot path
-can follow (the 120 full m=5 single-ranking programs take 133,544
-pivots with one OpenBLAS thread and 136,347 with two).
+can follow (the 120 full m=5 single-ranking programs take 131,757
+pivots with one OpenBLAS thread and 134,130 with two).
 """
 
 from __future__ import annotations
@@ -130,74 +135,55 @@ DEGENERACY_STREAK = 40
 REFRESH_EVERY = 150
 
 
-def _refresh(T: np.ndarray, basis: list[int], Ab: np.ndarray, cost: np.ndarray):
-    """Rebuild the tableau from the original data [A | b] to shed rounding
-    drift, with one factorization of the basis B."""
+def _price(T: np.ndarray, basis: list[int], cost: np.ndarray):
+    """Write the cost row cost - c_B B^-1 [A | b] under rows B^-1 [A | b]."""
     m = len(basis)
-    try:
-        T[:m] = np.linalg.solve(Ab[:, basis], Ab)
-    except np.linalg.LinAlgError:
-        raise DataError("numerical breakdown: simplex basis became singular")
     cb = cost[basis]
     T[-1, :-1] = cost - cb @ T[:m, :-1]
     T[-1, -1] = -float(cb @ T[:m, -1])
 
 
-def _simplex_phase(
-    T: np.ndarray,
-    basis: list[int],
-    allowed: np.ndarray,
-    Ab: np.ndarray,
-    cost_vec: np.ndarray,
-    stats: Counter,
-) -> str:
-    """Pivot the tableau (cost row last) to optimality.
+def _refresh(T: np.ndarray, basis: list[int], Ab: np.ndarray, cost: np.ndarray,
+             stats: Counter):
+    """Rebuild the tableau from the original data [A | b] to shed rounding
+    drift, with one factorization of the basis B, and count it."""
+    try:
+        T[: len(basis)] = np.linalg.solve(Ab[:, basis], Ab)
+    except np.linalg.LinAlgError:
+        raise DataError("numerical breakdown: simplex basis became singular")
+    _price(T, basis, cost)
+    stats["refactorizations"] += 1
 
-    Entering variable: most negative reduced cost, switching to Bland's
-    smallest-index rule after a streak of degenerate pivots so cycling
-    cannot occur.  The tableau is refactorized from the original data at
-    a fixed cadence, and before unboundedness is reported, so rounding
-    drift over long degenerate runs cannot corrupt the outcome.  Pivots,
-    degenerate and Bland pivots and refactorizations are counted into
-    `stats`.
+
+def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
+                cost: np.ndarray, stats: Counter, choose) -> str:
+    """Pivot the tableau (cost row last) by the rule `choose` to a verdict.
+
+    choose(bland) gives the next pivot as (leaving row, entering column,
+    the ratio test's least ratio), or a verdict if there is none.  After
+    a streak of degenerate pivots (least ratio at most PIVOT_TOL) bland
+    is True and the rule follows Bland's smallest-index rule, so cycling
+    cannot occur.  The tableau is refactorized from the original data,
+    with `cost`, at a fixed cadence and before any verdict but "Optimal"
+    is accepted, so rounding drift over long degenerate runs cannot
+    corrupt the outcome.  Pivots, degenerate and Bland pivots and
+    refactorizations are counted into `stats`.
     """
-    m = T.shape[0] - 1
-    degenerate = 0
-    since_refresh = 0
+    degenerate = since_refresh = 0
     while True:
         if since_refresh >= REFRESH_EVERY:
-            _refresh(T, basis, Ab, cost_vec)
-            stats["refactorizations"] += 1
+            _refresh(T, basis, Ab, cost, stats)
             since_refresh = 0
-        cost = T[-1, :-1]
-        masked = np.where(allowed, cost, 0.0)
-        if degenerate < DEGENERACY_STREAK:
-            enter = int(np.argmin(masked))
-            if masked[enter] >= -PIVOT_TOL:
-                return "Optimal"
-        else:
-            neg = np.flatnonzero(masked < -PIVOT_TOL)
-            if len(neg) == 0:
-                return "Optimal"
-            enter = int(neg[0])
-        col = T[:m, enter]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            if since_refresh == 0:
-                return "Unbounded"
-            _refresh(T, basis, Ab, cost_vec)
-            stats["refactorizations"] += 1
+        bland = degenerate >= DEGENERACY_STREAK
+        step = choose(bland)
+        if isinstance(step, str):
+            if step == "Optimal" or since_refresh == 0:
+                return step
+            _refresh(T, basis, Ab, cost, stats)
             since_refresh = 0
             continue
-        ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
-        best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        if degenerate < DEGENERACY_STREAK:
-            # prefer the largest pivot element so the basis stays well
-            # conditioned through long degenerate stretches
-            leave = int(max(tied, key=lambda i: col[i]))
-        else:
-            leave = int(min(tied, key=lambda i: basis[i]))
+        leave, enter, best = step
+        if bland:
             stats["bland_pivots"] += 1
         if best <= PIVOT_TOL:
             degenerate += 1
@@ -207,6 +193,41 @@ def _simplex_phase(
         _pivot(T, basis, leave, enter)
         stats["pivots"] += 1
         since_refresh += 1
+
+
+def _simplex_phase(T: np.ndarray, basis: list[int], allowed: np.ndarray,
+                   Ab: np.ndarray, cost_vec: np.ndarray, stats: Counter) -> str:
+    """Primal simplex: pivot the tableau to optimality by `_pivot_loop`.
+
+    Entering variable: the allowed column of most negative reduced cost,
+    under Bland's rule the first negative one.  Leaving row: the least
+    ratio of right-hand side to entry over the column's positive entries,
+    ties going to the largest pivot, under Bland's rule to the smallest
+    basic index.  A column with no positive entry, on a freshly
+    refactorized tableau, proves the program unbounded.
+    """
+    m = T.shape[0] - 1
+
+    def choose(bland):
+        masked = np.where(allowed, T[-1, :-1], 0.0)
+        # Bland's rule: the first column below -PIVOT_TOL, if any
+        enter = int(np.argmax(masked < -PIVOT_TOL) if bland else np.argmin(masked))
+        if masked[enter] >= -PIVOT_TOL:
+            return "Optimal"
+        col = T[:m, enter]
+        pos = col > PIVOT_TOL
+        if not pos.any():
+            return "Unbounded"
+        ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
+        best = ratios.min()
+        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        if bland:
+            return int(min(tied, key=lambda i: basis[i])), enter, best
+        # prefer the largest pivot element so the basis stays well
+        # conditioned through long degenerate stretches
+        return int(max(tied, key=lambda i: col[i])), enter, best
+
+    return _pivot_loop(T, basis, Ab, cost_vec, stats, choose)
 
 
 # the dual phase raises each nonbasic reduced cost by PERTURBATION times a
@@ -216,14 +237,10 @@ PERTURBATION = 1e-5
 _GOLDEN = (5**0.5 - 1) / 2
 
 
-def _dual_phase(
-    T: np.ndarray,
-    basis: list[int],
-    Ab: np.ndarray,
-    cost_vec: np.ndarray,
-    stats: Counter,
-) -> str:
-    """Dual simplex: pivot a dual feasible tableau to primal feasibility.
+def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
+                cost_vec: np.ndarray, stats: Counter) -> str:
+    """Dual simplex: pivot a dual feasible tableau to primal feasibility
+    by `_pivot_loop`.
 
     On entry every nonbasic reduced cost is raised by a small distinct
     amount (`PERTURBATION`, a cost perturbation: the basic costs are
@@ -231,73 +248,49 @@ def _dual_phase(
     keeps the ratio test below from tying at zero on the highly
     dual-degenerate worst-case programs; refactorizations inside the
     phase keep the perturbed costs.  Leaving row: the most negative
-    right-hand side.  Entering column: the smallest ratio of reduced cost
-    to |entry| over the row's negative entries, ties going to the largest
-    |pivot|.  After a streak of degenerate (zero-ratio) pivots it switches
-    to Bland's rule, the smallest basic index leaving and the smallest
-    column entering, so cycling cannot occur.  A reduced cost that
-    rounding left below zero counts as zero in the ratio test; if the
-    entering column's own would make the dual step fall below
-    -PIVOT_TOL, undoing dual progress, its cost is shifted to make it
-    zero.  On Optimal the tableau is refactorized with the true costs,
-    shedding perturbation and shifts, so the caller's phase 2 finishes
-    on the real program.  Refactorization and counting follow
-    `_simplex_phase`, and the cost shifts are counted too; a row with no
-    negative entry, on a freshly refactorized tableau, proves the program
-    infeasible.
+    right-hand side, under Bland's rule the smallest basic index among
+    the negative ones.  Entering column: the smallest ratio of reduced
+    cost to |entry| over the row's negative entries, ties going to the
+    largest |pivot|, under Bland's rule to the smallest column.  A
+    reduced cost that rounding left below zero counts as zero in the
+    ratio test; if the entering column's own would make the dual step
+    fall below -PIVOT_TOL, undoing dual progress, its cost is shifted to
+    make it zero, and the shift is counted.  On Optimal the tableau is
+    refactorized with the true costs, shedding perturbation and shifts,
+    so the caller's phase 2 finishes on the real program.  A row with no
+    negative entry, on a freshly refactorized tableau, proves the
+    program infeasible.
     """
     m = T.shape[0] - 1
     nonbasic = np.ones(len(cost_vec), dtype=bool)
     nonbasic[basis] = False
     delta = PERTURBATION * (1.0 + np.arange(len(cost_vec)) * _GOLDEN % 1.0) * nonbasic
     T[-1, :-1] += delta
-    cost = cost_vec + delta
-    degenerate = 0
-    since_refresh = 0
-    while True:
-        if since_refresh >= REFRESH_EVERY:
-            _refresh(T, basis, Ab, cost)
-            stats["refactorizations"] += 1
-            since_refresh = 0
+
+    def choose(bland):
         rhs = T[:m, -1]
         below = np.flatnonzero(rhs < -PIVOT_TOL)
         if len(below) == 0:
-            _refresh(T, basis, Ab, cost_vec)
-            stats["refactorizations"] += 1
             return "Optimal"
-        if degenerate < DEGENERACY_STREAK:
-            leave = int(np.argmin(rhs))
-        else:
-            leave = int(min(below, key=lambda i: basis[i]))
+        leave = int(min(below, key=lambda i: basis[i])) if bland else int(np.argmin(rhs))
         row = T[leave, :-1]
         neg = row < -PIVOT_TOL
         if not neg.any():
-            if since_refresh == 0:
-                return "Infeasible"
-            _refresh(T, basis, Ab, cost)
-            stats["refactorizations"] += 1
-            since_refresh = 0
-            continue
+            return "Infeasible"
         reduced = np.maximum(T[-1, :-1], 0.0)
         ratios = np.where(neg, reduced / np.where(neg, -row, 1.0), np.inf)
         best = ratios.min()
         tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        if degenerate < DEGENERACY_STREAK:
-            enter = int(max(tied, key=lambda j: -row[j]))
-        else:
-            enter = int(tied[0])
-            stats["bland_pivots"] += 1
-        if best <= PIVOT_TOL:
-            degenerate += 1
-            stats["degenerate_pivots"] += 1
-        else:
-            degenerate = 0
+        enter = int(tied[0]) if bland else int(max(tied, key=lambda j: -row[j]))
         if T[-1, enter] < PIVOT_TOL * row[enter]:
             T[-1, enter] = 0.0
             stats["cost_shifts"] += 1
-        _pivot(T, basis, leave, enter)
-        stats["pivots"] += 1
-        since_refresh += 1
+        return leave, enter, best
+
+    status = _pivot_loop(T, basis, Ab, cost_vec + delta, stats, choose)
+    if status == "Optimal":
+        _refresh(T, basis, Ab, cost_vec, stats)
+    return status
 
 
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
@@ -357,9 +350,7 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
         if has_art.any():
             # phase 1: minimize the artificial total
             phase1_cost = np.where(struct, 0.0, 1.0)
-            T[-1, :-1] = phase1_cost
-            for i in np.flatnonzero(has_art):
-                T[-1] -= T[i]
+            _price(T, basis, phase1_cost)
             allowed = np.ones(width - 1, dtype=bool)
             status = _simplex_phase(T, basis, allowed, Ab, phase1_cost, stats)
             if status != "Optimal":
@@ -381,19 +372,13 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
                 basis = [basis[i] for i in keep]
                 Ab = Ab[keep]
 
-        # phase 2 cost row
-        T[-1, :-1] = phase2_cost
-        T[-1, -1] = 0.0
-        for i, bi in enumerate(basis):
-            if T[-1, bi] != 0:
-                T[-1] -= T[-1, bi] * T[i]
+        _price(T, basis, phase2_cost)
     else:
         basis = [int(j) for j in basis]
         if len(basis) != m or not all(0 <= j < art_at for j in basis):
             raise DataError(f"a start basis needs {m} columns in [0, {art_at}), "
                             f"got {basis}")
-        _refresh(T, basis, Ab, phase2_cost)
-        stats["refactorizations"] += 1
+        _refresh(T, basis, Ab, phase2_cost, stats)
         if np.any(T[:m, -1] < -PIVOT_TOL):
             if np.any(T[-1, :-1] < -FEAS_TOL):
                 raise DataError("start basis is neither primal nor dual feasible")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rankfair import bounds
 from rankfair.bounds import (
     AlphaCurve,
     _add_unhappy_group_rows,
@@ -31,7 +32,7 @@ from rankfair.core import (
     reverse_ranking,
     swap_distance,
 )
-from rankfair.errors import DataError, GuardError
+from rankfair.errors import DataError, DimensionError, GuardError
 from rankfair.lp import LinearProgram, solve_lp
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_brute_force, swap_distance_matrix
@@ -295,11 +296,18 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+# the simplex's work over all targets: pivots, degenerate pivots and
+# rounds, the same with one and two BLAS threads
+ROW_GENERATION_WORK = {4: (218, 14, 52), 5: (4324, 170, 389)}
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_row_generation_matches_highs_with_exact_witnesses(m, golden):
     focal = tuple(range(m))
+    work = np.zeros(3, dtype=int)
     for t, target in enumerate(itertools.permutations(range(m))):
         res = worst_profile_single_ranking(m, focal, target)
+        work += (res.pivots, res.degenerate_pivots, res.rounds)
         assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
         assert str(res.alpha_exact) == golden["alpha_exact"][str(m)]["".join(map(str, target))]
         # every witness is exact: it holds alpha_exact on the focal
@@ -308,13 +316,32 @@ def test_row_generation_matches_highs_with_exact_witnesses(m, golden):
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
+    assert tuple(work) == ROW_GENERATION_WORK[m]
 
 
-def test_row_generation_curves_match_golden(golden):
+def test_row_generation_curves_match_golden(golden, monkeypatch):
     # the exact optima are pinned above; the curves are pinned float for float
     for m in (4, 5):
         assert alpha_curve(m).points == tuple(map(tuple, golden["alpha_curve"][str(m)]))
+    sols = []
+
+    def recorded(prog, basis=None):
+        sols.append(solve_lp(prog, basis))
+        return sols[-1]
+
+    monkeypatch.setattr(bounds, "solve_lp", recorded)
     assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
+    # one cold program per grid point, the same with one and two BLAS threads
+    assert len(sols) == 201
+    assert sum(s.pivots for s in sols) == 7821
+    assert sum(s.degenerate_pivots for s in sols) == 4864
+
+
+def test_single_ranking_rankings_must_rank_m_alternatives():
+    with pytest.raises(DimensionError, match="focal .* not m=4"):
+        worst_profile_single_ranking(4, (0, 1, 2))
+    with pytest.raises(DimensionError, match="target .* not m=4"):
+        worst_profile_single_ranking(4, None, (0, 1, 2, 3, 4))
 
 
 def test_mirrored_targets_share_their_optimum():

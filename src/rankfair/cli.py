@@ -48,8 +48,55 @@ def _emit(doc: dict, out: str | None):
 
 def _ranking_str(r, labels=None):
     if labels:
-        return " > ".join(labels[a] for a in r)
-    return " > ".join(str(a) for a in r)
+        return " > ".join([labels[a] for a in r])
+    return " > ".join(map(str, r))
+
+
+# `json.dumps(doc, indent=2)` encodes in pure Python, since `indent` turns
+# json's C encoder off; these C encoders write the two nested values of an
+# aggregate document with the same separators, a winner's entries 6 spaces
+# in and the distances 4
+_WINNER_ENTRIES = json.JSONEncoder(separators=(",\n      ", ": "))
+_DISTANCE_ITEMS = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _aggregate_json(doc: dict) -> str:
+    """`json.dumps(doc, indent=2)` of an aggregate document, byte for byte:
+    a nonempty list of nonempty winner lists, a nonempty distance mapping
+    and scalars."""
+    fields = []
+    for key, value in doc.items():
+        if key == "winners":
+            # the encoder writes [[2,\n      0],\n      [0, ...]]; each winner
+            # then gets its brackets on lines of their own
+            text = _WINNER_ENTRIES.encode(value)[2:-2].replace(
+                "],\n      [", "\n    ],\n    [\n      ")
+            text = f"[\n    [\n      {text}\n    ]\n  ]"
+        elif key == "per_input_distances":
+            text = f"{{\n    {_DISTANCE_ITEMS.encode(value)[1:-1]}\n  }}"
+        else:
+            text = json.dumps(value)
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def _aggregate_doc(profile: Profile, res, p: int) -> dict:
+    """The JSON document of an aggregate answer."""
+    ic = profile.int_cost()
+    key = " ".join(["%d"] * profile.m).__mod__  # "2 0 1" for (2, 0, 1)
+    doc = {
+        "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
+        "status": res.status,
+        "method": res.method,
+        "cost": str(res.cost),
+        "winners": [list(r) for r in res.winners],
+        "ties_complete": res.ties_complete,
+        "per_input_distances": dict(zip(map(key, ic.supp), ic.dists(res.winner))),
+    }
+    if res.status != "Exact":
+        doc["lower_bound"] = str(res.lower_bound)
+        doc["gap"] = str(res.cost - res.lower_bound)
+    return doc
 
 
 def cmd_aggregate(args) -> int:
@@ -68,25 +115,10 @@ def cmd_aggregate(args) -> int:
         if made:
             Path(args.out).unlink(missing_ok=True)
         raise
-    ic = profile.int_cost()
-    doc = {
-        "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
-        "status": res.status,
-        "method": res.method,
-        "cost": str(res.cost),
-        "winners": [list(r) for r in res.winners],
-        "ties_complete": res.ties_complete,
-        "per_input_distances": {
-            " ".join(map(str, r)): d for r, d in zip(ic.supp, ic.dists(res.winner))
-        },
-    }
-    if res.status != "Exact":
-        doc["lower_bound"] = str(res.lower_bound)
-        doc["gap"] = str(res.cost - res.lower_bound)
-    for r in res.winners:
-        print(_ranking_str(r, profile.labels))
-    print(f"cost {res.cost} ({res.status.lower()})")
-    _emit(doc, args.out)
+    labels = profile.labels
+    sys.stdout.write("".join([_ranking_str(r, labels) + "\n" for r in res.winners])
+                     + f"cost {res.cost} ({res.status.lower()})\n")
+    _write(_aggregate_json(_aggregate_doc(profile, res, p)) + "\n", args.out)
     return EXIT_OK
 
 

@@ -795,8 +795,10 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
     for a in range(m):
         for b in range(a + 1, m):
             lines.append(f" comp_{a}_{b}: x_{a}_{b} + x_{b}_{a} = 1")
-    for a, b, c in itertools.permutations(range(m), 3):
-        lines.append(f" tri_{a}_{b}_{c}: x_{a}_{b} + x_{b}_{c} + x_{c}_{a} <= 2")
+    # one row per 3-cycle: its rotations would repeat the row
+    for a, b, c in itertools.combinations(range(m), 3):
+        for u, v in ((b, c), (c, b)):
+            lines.append(f" tri_{a}_{u}_{v}: x_{a}_{u} + x_{u}_{v} + x_{v}_{a} <= 2")
     for k, pos in enumerate(poss):
         terms = " - ".join(
             f"x_{j}_{i}"

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rankfair
-from rankfair.cli import main
+from rankfair.cli import _aggregate_doc, _aggregate_json, main
 from rankfair.core import Profile, swap_distance
 from rankfair.experiments import (city_profile, hotel_profile, load_profile,
                                   published_city_columns)
@@ -25,6 +25,7 @@ from rankfair.sampling import (
     CultureSpec,
     sample_profile,
 )
+from rankfair.solver import TIE_ENUMERATION_CAP, CostSpec, solve_brute_force, solve_bnb
 
 
 @pytest.fixture
@@ -484,6 +485,48 @@ def test_kemeny_golden(tmp_path, capsys):
             got = (len(out), hashlib.sha256(out.encode()).hexdigest())
             want = (case["stdout_len"], case["stdout_sha256"])
         assert (code, got) == (case["exit"], want), (case["profile"], case["argv"])
+
+
+def test_aggregate_json_is_json_dumps_indent_2():
+    # the aggregate document, written through json's C encoder, on answers
+    # the golden files never reach
+    answers = []
+    prof = sample_profile(CultureSpec("ic", n=20, m=9, seed=3))
+    answers.append((prof, solve_bnb(prof, CostSpec(2), node_budget=50), 2))
+    prof = Profile.from_weights({tuple(range(8)): F(1, 2), tuple(range(7, -1, -1)): F(1, 2)})
+    answers.append((prof, solve_brute_force(prof, CostSpec(1)), 1))
+    prof = Profile.from_weights({(0, 1): F(1, 3), (1, 0): F(2, 3)})
+    answers.append((prof, solve_brute_force(prof, CostSpec(2)), 2))
+    prof = city_profile()
+    answers.append((prof, solve_bnb(prof, CostSpec(2), node_budget=200), 2))
+    prof = sample_profile(CultureSpec("mallows", n=30, m=5, seed=2, params={"phi": 0.8}))
+    answers.append((prof, solve_brute_force(prof, CostSpec(3)), 3))
+    docs = [_aggregate_doc(prof, res, p) for prof, res, p in answers]
+    assert docs[0]["status"] == docs[3]["status"] == "Heuristic"
+    assert "gap" in docs[0] and "lower_bound" in docs[3]
+    assert len(docs[1]["winners"]) == TIE_ENUMERATION_CAP and not docs[1]["ties_complete"]
+    assert [len(d["winners"][0]) for d in docs] == [9, 8, 2, 25, 5]
+    assert docs[4]["rule"] == "power-3"
+    for doc in docs:
+        assert _aggregate_json(doc) == json.dumps(doc, indent=2)
+
+
+LOADER_ERRORS_GOLDEN = Path(__file__).parent / "data" / "loader_errors_golden.json"
+
+
+def test_loader_errors_golden(tmp_path):
+    # exit code and stderr of `rankfair aggregate` on 204 malformed profile
+    # documents, some with faults in two entries, as
+    # make_loader_errors_golden.py wrote them: the loader's messages and the
+    # order of its checks
+    path = tmp_path / "profile.json"
+    for case in json.loads(LOADER_ERRORS_GOLDEN.read_text()):
+        path.write_text(case["profile"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["aggregate", "--profile", str(path), *case["argv"]])
+        got = (code, err.getvalue().replace(str(path), "PROFILE"))
+        assert got == (case["exit"], case["stderr"]), (case["profile"], case["argv"])
 
 
 # what a mutation may put in place of a profile field (DELETE drops it)

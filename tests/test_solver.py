@@ -947,9 +947,9 @@ def test_emit_ilp_structure():
     assert lines[0] == "Minimize"
     for section in ("Subject To", "Bounds", "Binaries", "End"):
         assert section in lines
-    # m=3: 3 completeness equalities, 6 triangle rows, tangents at 0,1,2
+    # m=3: 3 completeness equalities, one triangle row per 3-cycle, tangents at 0,1,2
     assert sum(1 for ln in lines if ln.startswith(" comp_")) == 3
-    assert sum(1 for ln in lines if ln.startswith(" tri_")) == 6
+    assert sum(1 for ln in lines if ln.startswith(" tri_")) == 2
     assert sum(1 for ln in lines if ln.startswith(" tan_")) == 2 * 3
     assert " tan_0_0: sqdist_0 - 1 dist_0 >= 0" in text
     binaries = [ln for ln in lines if ln.startswith(" x_")]

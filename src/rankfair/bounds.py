@@ -4,6 +4,7 @@ statistic, and the linear programs that map out worst-case profiles."""
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ LP_GUARD_M = 5
 ROW_BATCH = 8
 ROW_TOL = 1e-9
 UPPER_CURVE_POINTS = 50  # theoretical_upper_curve samples alpha = k / 50
+# the most grid steps `rankfair bounds --grid` takes: a group curve solves one
+# program per step, and the grid itself is built as a list of floats
+GRID_GUARD_STEPS = 10_000
 
 
 def single_ranking_bound(alpha: Fraction | float, m: int) -> float:
@@ -113,6 +117,7 @@ class WorstCaseResult(NamedTuple):
     rounds: int = 0  # row-generation rounds, one `solve_lp` call each
     pivots: int = 0  # simplex pivots over all rounds
     degenerate_pivots: int = 0  # those of them that stepped 0
+    refactorizations: int = 0  # tableau refactorizations over all rounds
 
 
 def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
@@ -162,7 +167,20 @@ def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
     lp.add_rows(rows[n:], ">=", 0.0)
 
 
-def _margins(m: int, target: Ranking) -> tuple[list[Ranking], np.ndarray, np.ndarray]:
+@functools.cache
+def _distances(m: int) -> tuple[tuple[Ranking, ...], np.ndarray, np.ndarray]:
+    """The m! rankings in lexicographic order, their swap distance matrix D
+    and D * D, built once per m; the arrays are read-only, since every
+    caller shares them."""
+    rankings = tuple(itertools.permutations(range(m)))
+    D = swap_distance_matrix(rankings)
+    sq = D * D
+    D.flags.writeable = sq.flags.writeable = False
+    return rankings, D, sq
+
+
+def _margins(m: int, target: Ranking
+             ) -> tuple[tuple[Ranking, ...], np.ndarray, np.ndarray]:
     """The m! rankings in lexicographic order, their swap distances to the
     target (ranking t), and the target's integer squared-cost margins
     G = sq - sq[:, t]: weights w keep the target optimal against competitor
@@ -170,10 +188,8 @@ def _margins(m: int, target: Ranking) -> tuple[list[Ranking], np.ndarray, np.nda
     here, at LP_GUARD_M."""
     if m > LP_GUARD_M:
         raise GuardError(f"worst-case programs are guarded at m={LP_GUARD_M}")
-    rankings = list(itertools.permutations(range(m)))
+    rankings, D, sq = _distances(m)
     t = rankings.index(target)
-    D = swap_distance_matrix(rankings)
-    sq = D * D
     return rankings, D[t], sq - sq[:, t : t + 1]
 
 
@@ -226,7 +242,8 @@ def worst_profile_single_ranking(
     the target and each later round from the previous optimal basis, a
     dual simplex restart, so no round runs phase 1; each round's program
     is the last one's rows plus the new ones, and the result counts the
-    rounds, their pivots and the degenerate ones among them.  It stops
+    rounds, their pivots, the degenerate ones among them and their
+    refactorizations.  It stops
     when no competitor has slack below -ROW_TOL; the restricted optimum,
     an upper bound on the full one, is then feasible for it and so
     optimal, which `verify_solution` rechecks on the full program.  The
@@ -251,14 +268,16 @@ def worst_profile_single_ranking(
     # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
     basis = [rankings.index(target), *range(n, n + len(active))]
     prog = _optimality_program(obj, G, active)
-    rounds = pivots = degenerate = 0
+    rounds = pivots = degenerate = refactorizations = 0
     while True:
         sol = solve_lp(prog, basis)
         rounds += 1
         pivots += sol.pivots
         degenerate += sol.degenerate_pivots
+        refactorizations += sol.refactorizations
         if sol.status != "Optimal":
-            return WorstCaseResult(0.0, None, None, rounds, pivots, degenerate)
+            return WorstCaseResult(0.0, None, None, rounds, pivots, degenerate,
+                                   refactorizations)
         slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
@@ -282,7 +301,7 @@ def worst_profile_single_ranking(
     witness = _exact_witness(sol.values, G, tight, rankings, target)
     alpha_exact = witness.weight(focal) if witness is not None else None
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact,
-                           rounds, pivots, degenerate)
+                           rounds, pivots, degenerate, refactorizations)
 
 
 def _mirror(r: Ranking) -> Ranking:
@@ -319,6 +338,16 @@ def alpha_curve(m: int) -> AlphaCurve:
                       "SingleRankingWorst")
 
 
+def _checked_grid(grid: Sequence[float] | None) -> list[float]:
+    """The curve's q values, k/200 for k = 0..200 by default, refused as a
+    whole if any lies outside [0, 1], before any is used."""
+    grid = [k / 200 for k in range(0, 201)] if grid is None else list(grid)
+    for q in grid:
+        if not 0 <= q <= 1:
+            raise DataError(f"grid value out of [0,1]: {q}")
+    return grid
+
+
 def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
     """Flip (alpha, value) program optima into a value-versus-alpha staircase:
     the value at alpha is the largest attained at any alpha' >= alpha."""
@@ -343,16 +372,13 @@ def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     worst-case program.
     """
     rankings, dist, G = _margins(m, as_ranking(range(m)))
-    if grid is None:
-        grid = [k / 200 for k in range(0, 201)]
+    grid = _checked_grid(grid)
     n = len(rankings)
     dmax = max_swap_distance(m)
     # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
     obj = np.concatenate([np.zeros(n), np.ones(n)])
     pts: list[tuple[float, float]] = []
     for q in grid:
-        if not 0 <= q <= 1:
-            raise DataError(f"grid value out of [0,1]: {q}")
         lp = _optimality_program(obj, G, np.flatnonzero(dist))
         _add_unhappy_group_rows(lp, n, dist, q * dmax)
         sol = solve_lp(lp)
@@ -380,13 +406,10 @@ def lower_bound_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     `mahonian` caps m at MAHONIAN_CAP.
     """
     counts = mahonian(m)
-    if grid is None:
-        grid = [k / 200 for k in range(0, 201)]
+    grid = _checked_grid(grid)
     dmax = max_swap_distance(m)
     pts: list[tuple[float, float]] = []
     for q in grid:
-        if not 0 <= q <= 1:
-            raise DataError(f"grid value out of [0,1]: {q}")
         floor = Fraction(q) * dmax
         size = excess = Fraction(0)  # group size in rankings, its sum of d - floor
         for d in range(dmax, -1, -1):

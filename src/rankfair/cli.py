@@ -203,9 +203,11 @@ def cmd_axioms(args) -> int:
 def cmd_bounds(args) -> int:
     import csv
 
-    from .bounds import alpha_curve, lower_bound_curve, worst_group_curve
+    from .bounds import GRID_GUARD_STEPS, alpha_curve, lower_bound_curve, worst_group_curve
     from .embed import render_curve_svg
 
+    if args.grid > GRID_GUARD_STEPS:
+        raise GuardError(f"--grid takes at most {GRID_GUARD_STEPS} steps, got {args.grid}")
     grid = [k / args.grid for k in range(args.grid + 1)] if args.grid else None
     if args.curve == "single":
         curve = alpha_curve(args.m)

@@ -11,24 +11,33 @@ infeasible verdict, switches to Bland's rule after a streak of
 degenerate pivots so cycling cannot occur, and counts the pivots,
 degenerate pivots and refactorizations.  Each phase supplies only its
 pivot rule: the primal one enters the column of most negative reduced
-cost, the dual one leaves the row of most negative right-hand side.  A
-solve returns its final basis; passed back in after rows were appended,
-as row generation does, that basis is still dual feasible, so the dual
+cost, the dual one leaves the row of most negative right-hand side.
+Each rule is a fixed handful of whole-array reductions into buffers
+allocated once per phase, whatever the tableau's size: the ratio test
+is one `np.divide(..., where=)` and its minimum, and the ratios within
+PIVOT_TOL of that minimum tie.  A tie goes to the first index of the
+largest pivot entry (`np.where(tied, entry, -inf).argmax()`), under
+Bland's rule to the smallest basic index (an `argmin` over the tied
+rows' basic columns) or to the first tied column.  A solve returns its
+final basis; passed back in after rows were appended, as row
+generation does, that basis is still dual feasible, so the dual
 simplex finishes the longer program without phase 1.  The dual simplex
 perturbs the costs: on entry it raises every nonbasic reduced cost by a
 small distinct amount, so its ratio test stops tying at zero on these
 dual-degenerate programs, and once primal feasible it refactorizes with
 the true costs, so the confirming phase-2 pass runs on the real program.
-One pricing routine writes every cost row.
-The standard form is written straight into the tableau, which is
-guarded by its size in bytes.  Each pivot is one rank-1 update over
-cache-sized row blocks that computes every entry exactly as row-by-row
-elimination would, so the blocking changes neither the pivot sequence
-nor any result.  Solves are deterministic only for a fixed BLAS thread
-count: the BLAS calls (the refactorization and the reduced-cost
-products) round differently under another count, and the pivot path
-can follow (the 120 full m=5 single-ranking programs take 131,757
-pivots with one OpenBLAS thread and 134,130 with two).
+One pricing routine writes every cost row.  The standard form is
+written straight into the tableau in blocks (the rows stacked once,
+flipped rows by a sign vector, the slack and artificial columns by
+fancy indexing), once the tableau has passed its guard on size in
+bytes.  Each pivot is one rank-1 update over cache-sized row blocks
+that computes every entry exactly as row-by-row elimination would, so
+the blocking changes neither the pivot sequence nor any result.
+Solves are deterministic only for a fixed BLAS thread count: the BLAS
+calls (the refactorization and the reduced-cost products) round
+differently under another count, and the pivot path can follow (the
+120 full m=5 single-ranking programs take 131,757 pivots with one
+OpenBLAS thread and 134,130 with two).
 """
 
 from __future__ import annotations
@@ -195,37 +204,41 @@ def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
         since_refresh += 1
 
 
-def _simplex_phase(T: np.ndarray, basis: list[int], allowed: np.ndarray,
+def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
                    Ab: np.ndarray, cost_vec: np.ndarray, stats: Counter) -> str:
     """Primal simplex: pivot the tableau to optimality by `_pivot_loop`.
 
-    Entering variable: the allowed column of most negative reduced cost,
-    under Bland's rule the first negative one.  Leaving row: the least
-    ratio of right-hand side to entry over the column's positive entries,
-    ties going to the largest pivot, under Bland's rule to the smallest
-    basic index.  A column with no positive entry, on a freshly
-    refactorized tableau, proves the program unbounded.
+    Entering variable: of the first `allowed` columns, the one of most
+    negative reduced cost (the first such, as `argmin` gives), under
+    Bland's rule the first negative one.  Leaving row: the least ratio of
+    right-hand side to entry over the column's positive entries, ties
+    (ratios within PIVOT_TOL of the least) going to the first row of
+    largest pivot entry, under Bland's rule to the row of smallest basic
+    index.  A column with no positive entry, on a freshly refactorized
+    tableau, proves the program unbounded.
     """
     m = T.shape[0] - 1
+    reduced, rhs = T[-1, :allowed], T[:m, -1]  # views: pivots update T in place
+    ratios = np.empty(m)
 
     def choose(bland):
-        masked = np.where(allowed, T[-1, :-1], 0.0)
         # Bland's rule: the first column below -PIVOT_TOL, if any
-        enter = int(np.argmax(masked < -PIVOT_TOL) if bland else np.argmin(masked))
-        if masked[enter] >= -PIVOT_TOL:
+        enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
+        if reduced[enter] >= -PIVOT_TOL:
             return "Optimal"
         col = T[:m, enter]
         pos = col > PIVOT_TOL
         if not pos.any():
             return "Unbounded"
-        ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
         best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        tied = ratios <= best + PIVOT_TOL
         if bland:
-            return int(min(tied, key=lambda i: basis[i])), enter, best
+            return int(np.where(tied, basis, T.shape[1]).argmin()), enter, best
         # prefer the largest pivot element so the basis stays well
         # conditioned through long degenerate stretches
-        return int(max(tied, key=lambda i: col[i])), enter, best
+        return int(np.where(tied, col, -np.inf).argmax()), enter, best
 
     return _pivot_loop(T, basis, Ab, cost_vec, stats, choose)
 
@@ -248,10 +261,11 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     keeps the ratio test below from tying at zero on the highly
     dual-degenerate worst-case programs; refactorizations inside the
     phase keep the perturbed costs.  Leaving row: the most negative
-    right-hand side, under Bland's rule the smallest basic index among
-    the negative ones.  Entering column: the smallest ratio of reduced
-    cost to |entry| over the row's negative entries, ties going to the
-    largest |pivot|, under Bland's rule to the smallest column.  A
+    right-hand side (the first such), under Bland's rule the smallest
+    basic index among the negative ones.  Entering column: the smallest
+    ratio of reduced cost to |entry| over the row's negative entries,
+    ties (ratios within PIVOT_TOL of the least) going to the first column
+    of largest |entry|, under Bland's rule to the first tied column.  A
     reduced cost that rounding left below zero counts as zero in the
     ratio test; if the entering column's own would make the dual step
     fall below -PIVOT_TOL, undoing dual progress, its cost is shifted to
@@ -266,24 +280,29 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     nonbasic[basis] = False
     delta = PERTURBATION * (1.0 + np.arange(len(cost_vec)) * _GOLDEN % 1.0) * nonbasic
     T[-1, :-1] += delta
+    cost, rhs = T[-1, :-1], T[:m, -1]  # views: pivots update T in place
+    reduced, size, ratios = (np.empty(len(cost_vec)) for _ in range(3))
 
     def choose(bland):
-        rhs = T[:m, -1]
-        below = np.flatnonzero(rhs < -PIVOT_TOL)
-        if len(below) == 0:
+        if bland:
+            leave = int(np.where(rhs < -PIVOT_TOL, basis, T.shape[1]).argmin())
+        else:
+            leave = int(rhs.argmin())
+        if rhs[leave] >= -PIVOT_TOL:
             return "Optimal"
-        leave = int(min(below, key=lambda i: basis[i])) if bland else int(np.argmin(rhs))
         row = T[leave, :-1]
-        neg = row < -PIVOT_TOL
+        np.negative(row, out=size)
+        neg = size > PIVOT_TOL
         if not neg.any():
             return "Infeasible"
-        reduced = np.maximum(T[-1, :-1], 0.0)
-        ratios = np.where(neg, reduced / np.where(neg, -row, 1.0), np.inf)
+        np.maximum(cost, 0.0, out=reduced)
+        ratios.fill(np.inf)
+        np.divide(reduced, size, out=ratios, where=neg)
         best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        enter = int(tied[0]) if bland else int(max(tied, key=lambda j: -row[j]))
-        if T[-1, enter] < PIVOT_TOL * row[enter]:
-            T[-1, enter] = 0.0
+        tied = ratios <= best + PIVOT_TOL
+        enter = int(tied.argmax() if bland else np.where(tied, size, -np.inf).argmax())
+        if cost[enter] < PIVOT_TOL * row[enter]:
+            cost[enter] = 0.0
             stats["cost_shifts"] += 1
         return leave, enter, best
 
@@ -293,7 +312,18 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     return status
 
 
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+# a row's relation as the sign of its slack column: x + s = b for <=,
+# x - s = b for >=, no slack for =
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
+
+
+def _row_data(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The rows' coefficient vectors (unstacked), their relations as slack
+    signs (see `_SLACK_SIGN`) and their right-hand sides, as arrays."""
+    if not rows:
+        return (), np.empty(0), np.empty(0)
+    coeffs, rels, rhss = zip(*rows)
+    return coeffs, np.array([_SLACK_SIGN[r] for r in rels]), np.array(rhss)
 
 
 def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
@@ -312,47 +342,45 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
     # normalize to nonnegative rhs first so slack/artificial counts are right;
     # a >= row with zero rhs flips to <= form so its slack can start basic
     # and no artificial variable is needed
-    rels, rhss, flips = [], [], []
-    for _, rel, rhs in lp.rows:
-        flip = rhs < 0 or (rel == ">=" and rhs == 0)
-        rels.append(_FLIPPED[rel] if flip else rel)
-        rhss.append(-rhs if rhs < 0 else rhs)
-        flips.append(flip)
-    m = len(lp.rows)
-    rels = np.array(rels, dtype="<U2")
-    has_slack = rels != "="
-    # a warm start needs no artificial columns
-    has_art = rels != "<=" if basis is None else np.zeros(m, dtype=bool)
-    art_at = n + int(has_slack.sum())
-    width = art_at + int(has_art.sum()) + 1
+    coeffs, rel, rhs = _row_data(lp.rows)
+    m = len(rhs)
+    # a row flips when its rhs is negative or, at zero rhs, its slack sign is
+    sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
+    slack = rel * sign  # each row's slack sign once flipped
+    slack_rows = np.flatnonzero(slack)
+    # in a cold start each row whose slack cannot start basic (a >= or =
+    # row, once flipped) gets an artificial column; a warm start needs none
+    art_rows = np.flatnonzero(slack != 1 if basis is None else np.zeros(m, dtype=bool))
+    art_at = n + len(slack_rows)
+    width = art_at + len(art_rows) + 1
     if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
         raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
                          f"exceeds {TABLEAU_GUARD_BYTES} bytes")
     T = np.zeros((m + 1, width))
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        T[i, :n] = -coeffs if flips[i] else coeffs
-    T[:m, -1] = rhss
-    slack_col = n - 1 + np.cumsum(has_slack)
-    art_col = art_at - 1 + np.cumsum(has_art)
-    T[np.flatnonzero(has_slack), slack_col[has_slack]] = np.where(
-        rels[has_slack] == "<=", 1.0, -1.0)
-    T[np.flatnonzero(has_art), art_col[has_art]] = 1.0
+    if m:
+        np.multiply(np.array(coeffs), sign[:, None], out=T[:m, :n])
+    T[:m, -1] = np.where(rhs < 0, -rhs, rhs)
+    slack_cols = n + np.arange(len(slack_rows))
+    art_cols = art_at + np.arange(len(art_rows))
+    T[slack_rows, slack_cols] = slack[slack_rows]
+    T[art_rows, art_cols] = 1.0
 
-    struct = np.zeros(width - 1, dtype=bool)
-    struct[:art_at] = True
     Ab = T[:m].copy()  # the constraint data [A | b], for refactorizing
     stats = Counter()
     phase2_cost = np.zeros(width - 1)
     phase2_cost[:n] = c
 
     if basis is None:
-        basis = np.where(has_art, art_col, slack_col).tolist()
-        if has_art.any():
+        start = np.empty(m, dtype=int)
+        start[slack_rows] = slack_cols
+        start[art_rows] = art_cols  # a row's artificial column, if it has one
+        basis = start.tolist()
+        if len(art_rows):
             # phase 1: minimize the artificial total
-            phase1_cost = np.where(struct, 0.0, 1.0)
+            phase1_cost = np.zeros(width - 1)
+            phase1_cost[art_at:] = 1.0
             _price(T, basis, phase1_cost)
-            allowed = np.ones(width - 1, dtype=bool)
-            status = _simplex_phase(T, basis, allowed, Ab, phase1_cost, stats)
+            status = _simplex_phase(T, basis, width - 1, Ab, phase1_cost, stats)
             if status != "Optimal":
                 raise DataError("numerical breakdown in feasibility phase")
             if T[-1, -1] < -FEAS_TOL:
@@ -384,7 +412,7 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
                 raise DataError("start basis is neither primal nor dual feasible")
             if _dual_phase(T, basis, Ab, phase2_cost, stats) == "Infeasible":
                 return LpSolution("Infeasible", **stats)
-    status = _simplex_phase(T, basis, struct, Ab, phase2_cost, stats)
+    status = _simplex_phase(T, basis, art_at, Ab, phase2_cost, stats)
     if status == "Unbounded":
         return LpSolution("Unbounded", **stats)
 
@@ -405,10 +433,10 @@ def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     if x is None or not np.all(np.isfinite(x)):
         return False
     if lp.rows:
-        coeffs, rel, b = zip(*lp.rows)
-        v, b, rel = np.array(coeffs) @ x, np.array(b), np.array(rel)
-        bad = np.where(rel == "<=", v > b + VERIFY_TOL, v < b - VERIFY_TOL)
-        bad = np.where(rel == "=", np.abs(v - b) > VERIFY_TOL, bad)
+        coeffs, rel, b = _row_data(lp.rows)
+        v = np.array(coeffs) @ x
+        bad = np.where(rel > 0, v > b + VERIFY_TOL, v < b - VERIFY_TOL)
+        bad = np.where(rel == 0, np.abs(v - b) > VERIFY_TOL, bad)
         if bad.any():
             return False
     if np.any(x < -VERIFY_TOL):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -190,6 +191,32 @@ def test_lower_bound_curve_guard():
             lower_bound_curve(m, [0.5])
 
 
+def test_curves_check_the_whole_grid_before_the_first_program(monkeypatch):
+    record = _work_record(monkeypatch)
+    for bad in (1.5, -0.25, float("nan")):
+        with pytest.raises(DataError, match="grid value"):
+            worst_group_curve(3, [0.5, bad])
+        with pytest.raises(DataError, match="grid value"):
+            lower_bound_curve(3, [0.5, bad])
+    assert record["rounds"] == 0
+
+
+def test_margins_share_one_read_only_distance_table():
+    target = (3, 1, 2, 0)
+    rankings, dist, G = _margins(4, target)
+    assert _margins(4, (0, 1, 2, 3))[0] is rankings
+    assert rankings == tuple(itertools.permutations(range(4)))
+    D = swap_distance_matrix(list(rankings))
+    t = rankings.index(target)
+    assert (dist == D[t]).all()
+    assert (G == D * D - (D * D)[:, [t]]).all()
+    # every request shares the cached distances, so none can change them
+    with pytest.raises(ValueError, match="read-only"):
+        dist[0] = 1
+    with pytest.raises(GuardError):
+        _margins(bounds.LP_GUARD_M + 1, tuple(range(bounds.LP_GUARD_M + 1)))
+
+
 def _lower_bound_program(m, q):
     """The lower-bound program as a dense LinearProgram: one profile w, for
     each candidate output c a group g^c <= w of weight alpha at mean
@@ -300,14 +327,43 @@ def golden():
 # rounds, the same with one and two BLAS threads
 ROW_GENERATION_WORK = {4: (218, 14, 52), 5: (4324, 170, 389)}
 
+# the full work record of every solve_lp call, summed: of the same sweep,
+# and of worst_group_curve(4)'s 201 cold programs.  The same with one and
+# two BLAS threads; a pivot rule that broke a tie another way would move
+# at least one of these counts
+_WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
+                "refactorizations")
+ROW_GENERATION_RECORD = {
+    4: dict(pivots=218, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
+            refactorizations=80, rounds=52),
+    5: dict(pivots=4324, degenerate_pivots=170, bland_pivots=0, cost_shifts=7,
+            refactorizations=658, rounds=389),
+}
+GROUP_CURVE_RECORD = dict(pivots=7821, degenerate_pivots=4864, bland_pivots=0,
+                          cost_shifts=0, refactorizations=0, rounds=201)
+
+
+def _work_record(monkeypatch) -> Counter:
+    """Sum the work counters of every solve_lp call `bounds` makes from now on."""
+    record = Counter()
+
+    def recorded(prog, basis=None):
+        sol = solve_lp(prog, basis)
+        record.update({f: getattr(sol, f) for f in _WORK_FIELDS}, rounds=1)
+        return sol
+
+    monkeypatch.setattr(bounds, "solve_lp", recorded)
+    return record
+
 
 @pytest.mark.parametrize("m", [4, 5])
-def test_row_generation_matches_highs_with_exact_witnesses(m, golden):
+def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatch):
     focal = tuple(range(m))
-    work = np.zeros(3, dtype=int)
+    work = np.zeros(4, dtype=int)
+    record = _work_record(monkeypatch)
     for t, target in enumerate(itertools.permutations(range(m))):
         res = worst_profile_single_ranking(m, focal, target)
-        work += (res.pivots, res.degenerate_pivots, res.rounds)
+        work += (res.pivots, res.degenerate_pivots, res.rounds, res.refactorizations)
         assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
         assert str(res.alpha_exact) == golden["alpha_exact"][str(m)]["".join(map(str, target))]
         # every witness is exact: it holds alpha_exact on the focal
@@ -316,25 +372,23 @@ def test_row_generation_matches_highs_with_exact_witnesses(m, golden):
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
-    assert tuple(work) == ROW_GENERATION_WORK[m]
+    assert tuple(work[:3]) == ROW_GENERATION_WORK[m]
+    assert record == ROW_GENERATION_RECORD[m]
+    # the result sums its rounds' refactorizations like their pivots
+    assert work[3] == record["refactorizations"]
 
 
 def test_row_generation_curves_match_golden(golden, monkeypatch):
     # the exact optima are pinned above; the curves are pinned float for float
     for m in (4, 5):
         assert alpha_curve(m).points == tuple(map(tuple, golden["alpha_curve"][str(m)]))
-    sols = []
-
-    def recorded(prog, basis=None):
-        sols.append(solve_lp(prog, basis))
-        return sols[-1]
-
-    monkeypatch.setattr(bounds, "solve_lp", recorded)
+    record = _work_record(monkeypatch)
     assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
     # one cold program per grid point, the same with one and two BLAS threads
-    assert len(sols) == 201
-    assert sum(s.pivots for s in sols) == 7821
-    assert sum(s.degenerate_pivots for s in sols) == 4864
+    assert record["rounds"] == 201
+    assert record["pivots"] == 7821
+    assert record["degenerate_pivots"] == 4864
+    assert record == GROUP_CURVE_RECORD
 
 
 def test_single_ranking_rankings_must_rank_m_alternatives():

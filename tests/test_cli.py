@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rankfair
+from rankfair.bounds import GRID_GUARD_STEPS
 from rankfair.cli import _aggregate_doc, _aggregate_json, main
 from rankfair.core import Profile, swap_distance
 from rankfair.experiments import (city_profile, hotel_profile, load_profile,
@@ -678,6 +679,14 @@ def test_experiment_zero_trials_exit_4(tmp_path, capsys):
 def test_bounds_negative_grid_exit_2(capsys):
     assert main(["bounds", "--curve", "group", "--m", "3", "--grid", "-1"]) == 2
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [GRID_GUARD_STEPS + 1, 10**12])
+def test_bounds_grid_over_the_cap_exit_3(steps, capsys):
+    # refused before the grid's floats are built
+    code = main(["bounds", "--curve", "lower", "--m", "3", "--grid", str(steps)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("guard:") and "--grid" in err
 
 
 @pytest.mark.parametrize("m", ["0", "1"])

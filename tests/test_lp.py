@@ -511,6 +511,100 @@ def test_add_rows_matches_add_row_and_validates_the_block():
     assert lp.rows == []
 
 
+def _first_pivot(monkeypatch, phase, *args):
+    """The (row, column) of the first pivot `phase` takes on its tableau."""
+    taken = []
+
+    def stop(T, basis, row, col):
+        taken.append((row, col))
+        raise _Stop
+
+    monkeypatch.setattr(lp_mod, "_pivot", stop)
+    with pytest.raises(_Stop):
+        phase(*args)
+    return taken[0]
+
+
+def _tableau(rows, cost, rhs, basis):
+    """A tableau of the given rows, cost row and right-hand sides, with a
+    unit entry under each row's basic column."""
+    T = np.zeros((len(rows) + 1, len(cost) + 1))
+    T[:-1, :-1], T[-1, :-1], T[:-1, -1] = rows, cost, rhs
+    T[np.arange(len(basis)), basis] = 1.0
+    return T
+
+
+# in columns 1 and 2, rows 0-3 tie at the least ratio 2, row 1 within
+# PIVOT_TOL of it: the largest entry, 2, is in rows 1 and 2, and of the tied
+# rows row 3 has the smallest basic index (5); row 4 has a smaller one (4)
+# and column 2's largest entry, and row 5 a negative entry, but they are
+# not tied
+PRIMAL_TIES = dict(
+    rows=[[0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0],
+          [0, 2, 2, 0, 0, 0, 0, 0, 0, 0],
+          [0, 2, 2, 0, 0, 0, 0, 0, 0, 0],
+          [0, 1, 1, 0, 0, 0, 0, 0, 0, 0],
+          [0, 0, 3, 0, 0, 0, 0, 0, 0, 0],
+          [0, 0, -1, 0, 0, 0, 0, 0, 0, 0]],
+    cost=[0.5, -1, -3, -2, 0, 0, 0, 0, 0, 0],
+    rhs=[1, 4 + 1e-9, 4, 2, 10, 1],
+    basis=[9, 8, 6, 5, 4, 7])
+
+
+@pytest.mark.parametrize("bland, pivot", [
+    # the most negative reduced cost enters, and of the rows tied at the
+    # least ratio the first of largest entry leaves
+    (False, (1, 2)),
+    # Bland's rule: the first negative reduced cost enters, and of the
+    # tied rows the one of smallest basic index leaves
+    (True, (3, 1)),
+])
+def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
+    if bland:
+        monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
+    T = _tableau(**PRIMAL_TIES)
+    basis = list(PRIMAL_TIES["basis"])
+    Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
+    assert _first_pivot(monkeypatch, lp_mod._simplex_phase, T, basis, 10, Ab,
+                        cost, Counter()) == pivot
+
+
+# the most negative right-hand side is row 1's; of the negative ones, row 3
+# has the smallest basic index (7), row 2 a smaller one (6) but a positive
+# right-hand side.  Row 1 ties columns 0-3 at the least ratio 2 (column 2
+# within PIVOT_TOL of it), the largest |entry| in columns 2 and 3; row 3
+# ties columns 1-3 at 1.  Column 5 has the largest |entry| of both rows and
+# column 4 a positive one, but neither is tied
+DUAL_TIES = dict(
+    rows=[[-1, -1, -1, -1, -1, -1, 0, 0, 0, 0],
+          [-1, -0.5, -2, -2, 1, -3, 0, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+          [-1, -1, -4, -4, 1, -3, 0, 0, 0, 0]],
+    cost=[2, 1, 4 + 1e-9, 4, 3, 30, 0, 0, 0, 0],
+    rhs=[-1, -3, 0.5, -2],
+    basis=[9, 8, 6, 7])
+
+
+@pytest.mark.parametrize("bland, pivot", [
+    # the most negative right-hand side leaves, and of the columns tied at
+    # the least ratio the first of largest |entry| enters
+    (False, (1, 2)),
+    # Bland's rule: of the negative right-hand sides the row of smallest
+    # basic index leaves, and the smallest tied column enters
+    (True, (3, 1)),
+])
+def test_dual_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
+    # unperturbed, so the ratios tie as written
+    monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
+    if bland:
+        monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
+    T = _tableau(**DUAL_TIES)
+    basis = list(DUAL_TIES["basis"])
+    Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
+    assert _first_pivot(monkeypatch, lp_mod._dual_phase, T, basis, Ab, cost,
+                        Counter()) == pivot
+
+
 def _dual_phase_stats(monkeypatch):
     """Sum the counters of every dual phase run from now on."""
     dual = Counter()

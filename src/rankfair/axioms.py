@@ -176,21 +176,6 @@ def find_single_crossing_order(profile: Profile) -> SingleCrossingSequence | Non
     return None
 
 
-def sc_proportional_expected(
-    profile: Profile, seq: SingleCrossingSequence
-) -> set[Ranking]:
-    """Rounded weighted-mean locations along a compatible maximal sequence."""
-    if not seq.maximal:
-        raise DataError("expected a maximal sequence")
-    index = {r: i for i, r in enumerate(seq.rankings)}
-    mu = Fraction(0)
-    for r, w in profile.entries.items():
-        if r not in index:
-            raise DataError(f"support ranking {r} not on the sequence")
-        mu += w * index[r]
-    return {seq[i] for i in round_set(mu)}
-
-
 def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None:
     """Union of expected sets over every compatible maximal sequence (m <= 5),
     None when the profile is not single-crossing.

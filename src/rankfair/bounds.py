@@ -24,7 +24,7 @@ from .core import (
     swap_distance,
 )
 from .errors import DataError, DimensionError, GuardError
-from .lp import LinearProgram, solve_lp, verify_solution
+from .lp import LinearProgram, ParametricRhs, parametric_rhs, solve_lp, verify_solution
 from .solver import solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
@@ -33,8 +33,12 @@ LP_GUARD_M = 5
 ROW_BATCH = 8
 ROW_TOL = 1e-9
 UPPER_CURVE_POINTS = 50  # theoretical_upper_curve samples alpha = k / 50
-# the most grid steps `rankfair bounds --grid` takes: a group curve solves one
-# program per step, and the grid itself is built as a list of floats
+# worst_group_curve: a breakpoint of F counts as fitting a group at mean
+# distance >= q * dmax while F(alpha) / alpha falls short of q * dmax by at
+# most PIECE_TOL
+PIECE_TOL = 1e-12
+# the most grid steps `rankfair bounds --grid` takes: the grid is built as a
+# list of floats, and a curve reads or computes one point per step
 GRID_GUARD_STEPS = 10_000
 
 
@@ -153,20 +157,6 @@ def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
     return x
 
 
-def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
-                            floor: float):
-    """Rows making the variables g = base..base+n-1 a group inside the
-    weights w, the first n variables (g_i <= w_i), whose mean distance to
-    the output is at least floor: sum_i g_i (dist[i] - floor) >= 0."""
-    n = len(dist)
-    rows = np.zeros((n + 1, lp.n))
-    rows[np.arange(n), np.arange(n)] = -1.0
-    rows[np.arange(n), base + np.arange(n)] = 1.0
-    rows[n, base : base + n] = dist - floor
-    lp.add_rows(rows[:n], "<=", 0.0)
-    lp.add_rows(rows[n:], ">=", 0.0)
-
-
 @functools.cache
 def _distances(m: int) -> tuple[tuple[Ranking, ...], np.ndarray, np.ndarray]:
     """The m! rankings in lexicographic order, their swap distance matrix D
@@ -246,7 +236,9 @@ def worst_profile_single_ranking(
     refactorizations.  It stops
     when no competitor has slack below -ROW_TOL; the restricted optimum,
     an upper bound on the full one, is then feasible for it and so
-    optimal, which `verify_solution` rechecks on the full program.  The
+    optimal.  That exit test covers the rows never added, at ROW_TOL, and
+    `verify_solution` rechecks the solved program's rows, signs and
+    objective, so the full program is never built.  The
     witness is the exact vertex of the final solution (see
     `_exact_witness`), re-verified with the exact solver; if that fails,
     `witness` and `alpha_exact` are None.  A focal or target ranking of
@@ -294,8 +286,9 @@ def worst_profile_single_ranking(
         # a program once solved is never changed
         prog = LinearProgram(obj, "max", list(prog.rows))
         prog.add_rows(G[:, new].T, ">=", 0.0)
-    full = _optimality_program(obj, G, np.flatnonzero(dist))
-    if not verify_solution(full, sol):
+    # the loop's exit test checked every competitor row at ROW_TOL, the
+    # solved program's rows are rechecked here
+    if not verify_solution(prog, sol):
         raise DataError("simplex output failed independent verification")
     tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
     witness = _exact_witness(sol.values, G, tight, rankings, target)
@@ -362,28 +355,62 @@ def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
     return AlphaCurve(points, m, kind)
 
 
+@functools.cache
+def _group_pieces(m: int) -> ParametricRhs:
+    """F(alpha), the largest total distance sum_i d_i g_i of a group g <= w
+    of weight at most alpha, over the profiles w that keep the identity
+    ranking optimal, d_i being ranking i's distance to the identity:
+    traced for alpha from 1 down to 0 by one parametric pass, once per m.
+    Its arrays are read-only, since every caller shares them.  The group
+    g = 0 keeps the program feasible down to alpha = 0."""
+    rankings, dist, G = _margins(m, identity_ranking(m))
+    n = len(rankings)
+    # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
+    lp = _optimality_program(np.concatenate([np.zeros(n), dist]), G,
+                             np.flatnonzero(dist))
+    rows = np.zeros((n + 1, 2 * n))
+    rows[np.arange(n), np.arange(n)] = -1.0
+    rows[np.arange(n), n + np.arange(n)] = 1.0
+    rows[n, n:] = 1.0
+    lp.add_rows(rows[:n], "<=", 0.0)  # g_i <= w_i
+    lp.add_rows(rows[n:], "<=", 1.0)  # sum(g) <= alpha, from alpha = 1
+    return parametric_rhs(lp, len(lp.rows) - 1)
+
+
 def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
     """Largest group that can sit at mean distance >= q from the optimum.
 
-    For each q the program maximizes the group weight subject to the
-    identity ranking being optimal and the group's mean distance to it
-    being at least q (normalized); the result is flipped into a
-    value-versus-alpha staircase.  Guarded at m=LP_GUARD_M, like every
-    worst-case program.
+    For each q the largest weight alpha of a group whose mean distance to
+    the optimal identity ranking is at least q (normalized) is
+    alpha*(q) = max {alpha in [0, 1] : F(alpha) >= q * dmax * alpha}, F
+    from `_group_pieces`.  F is concave and piecewise linear with
+    F(0) = 0, so F(alpha) / alpha falls as alpha grows: q's last fitting
+    breakpoint is found by bisection, and alpha*(q) where F crosses
+    q * dmax * alpha on the next piece.  The result is flipped into a
+    value-versus-alpha staircase.  m and every grid value are checked
+    before the pass; guarded at m=LP_GUARD_M, like every worst-case
+    program.
     """
-    rankings, dist, G = _margins(m, as_ranking(range(m)))
+    _margins(m, as_ranking(range(m)))
     grid = _checked_grid(grid)
-    n = len(rankings)
+    pieces = _group_pieces(m)
+    alphas, values, slopes = (a.tolist() for a in
+                              (pieces.breakpoints, pieces.values, pieces.slopes))
+    # -F/alpha at breakpoints 1.., nondecreasing; breakpoint 0 is alpha = 0
+    keys = [-f / a for a, f in zip(alphas[1:], values[1:])]
     dmax = max_swap_distance(m)
-    # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
-    obj = np.concatenate([np.zeros(n), np.ones(n)])
     pts: list[tuple[float, float]] = []
     for q in grid:
-        lp = _optimality_program(obj, G, np.flatnonzero(dist))
-        _add_unhappy_group_rows(lp, n, dist, q * dmax)
-        sol = solve_lp(lp)
-        if sol.status == "Optimal" and sol.objective_value > 1e-9:
-            pts.append((float(sol.objective_value), q))
+        target = q * dmax
+        k = bisect.bisect_right(keys, -target + PIECE_TOL)
+        if k == len(keys):
+            alpha = alphas[-1]
+        else:
+            a, f, slope = alphas[k], values[k], slopes[k]
+            over = f - target * a  # >= -PIECE_TOL * a: breakpoint k fits
+            alpha = a + max(over, 0.0) / (target - slope) if target > slope else a
+        if alpha > 1e-9:
+            pts.append((alpha, q))
     return _staircase(pts, m, "GroupWorst")
 
 

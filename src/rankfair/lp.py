@@ -1,5 +1,5 @@
 """Dense two-phase primal simplex in double precision, with a dual simplex
-restart from a given basis.
+restart from a given basis and a parametric pass over one right-hand side.
 
 A program is max or min c'x over rows (coeffs, relation, rhs) with every
 variable nonnegative; an upper bound is a row, a free variable the
@@ -33,6 +33,14 @@ fancy indexing), once the tableau has passed its guard on size in
 bytes.  Each pivot is one rank-1 update over cache-sized row blocks
 that computes every entry exactly as row-by-row elimination would, so
 the blocking changes neither the pivot sequence nor any result.
+`parametric_rhs` traces the optimum of a program as the right-hand side
+t of one <= row falls from its own value to 0, in one pass: a cold
+solve at the top, one rebuild of the tableau from that basis (from the
+same standard-form block as `solve_lp`), then one dual pivot per
+breakpoint on the same pivot loop.  Between breakpoints the optimum is
+linear in t, and the tableau column of the row's slack gives both the
+direction in which the basic values move and the slope; the pivot rule
+shares the dual simplex's entering rule, `_dual_ratio_test`.
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
 differently under another count, and the pivot path can follow (the
@@ -250,6 +258,43 @@ PERTURBATION = 1e-5
 _GOLDEN = (5**0.5 - 1) / 2
 
 
+def _dual_ratio_test(T: np.ndarray, stats: Counter):
+    """The dual simplex's entering rule on tableau T (cost row last), as a
+    function of the leaving row and of bland, into buffers allocated once.
+
+    Entering column: the smallest ratio of reduced cost to |entry| over
+    the leaving row's negative entries, ties (ratios within PIVOT_TOL of
+    the least) going to the first column of largest |entry|, under
+    Bland's rule to the first tied column.  A reduced cost that rounding
+    left below zero counts as zero; if the entering column's own would
+    make the dual step fall below -PIVOT_TOL, undoing dual progress, its
+    cost is shifted to make it zero, and the shift is counted.  The
+    function gives (entering column, least ratio), or None when the row
+    has no negative entry.
+    """
+    cost = T[-1, :-1]  # a view: pivots update T in place
+    reduced, size, ratios = (np.empty(T.shape[1] - 1) for _ in range(3))
+
+    def enter_for(leave: int, bland: bool):
+        row = T[leave, :-1]
+        np.negative(row, out=size)
+        neg = size > PIVOT_TOL
+        if not neg.any():
+            return None
+        np.maximum(cost, 0.0, out=reduced)
+        ratios.fill(np.inf)
+        np.divide(reduced, size, out=ratios, where=neg)
+        best = ratios.min()
+        tied = ratios <= best + PIVOT_TOL
+        enter = int(tied.argmax() if bland else np.where(tied, size, -np.inf).argmax())
+        if cost[enter] < PIVOT_TOL * row[enter]:
+            cost[enter] = 0.0
+            stats["cost_shifts"] += 1
+        return enter, best
+
+    return enter_for
+
+
 def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
                 cost_vec: np.ndarray, stats: Counter) -> str:
     """Dual simplex: pivot a dual feasible tableau to primal feasibility
@@ -258,18 +303,11 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     On entry every nonbasic reduced cost is raised by a small distinct
     amount (`PERTURBATION`, a cost perturbation: the basic costs are
     unchanged, so the tableau stays consistent and dual feasible), which
-    keeps the ratio test below from tying at zero on the highly
-    dual-degenerate worst-case programs; refactorizations inside the
-    phase keep the perturbed costs.  Leaving row: the most negative
+    keeps the ratio test of `_dual_ratio_test` from tying at zero on the
+    highly dual-degenerate worst-case programs; refactorizations inside
+    the phase keep the perturbed costs.  Leaving row: the most negative
     right-hand side (the first such), under Bland's rule the smallest
-    basic index among the negative ones.  Entering column: the smallest
-    ratio of reduced cost to |entry| over the row's negative entries,
-    ties (ratios within PIVOT_TOL of the least) going to the first column
-    of largest |entry|, under Bland's rule to the first tied column.  A
-    reduced cost that rounding left below zero counts as zero in the
-    ratio test; if the entering column's own would make the dual step
-    fall below -PIVOT_TOL, undoing dual progress, its cost is shifted to
-    make it zero, and the shift is counted.  On Optimal the tableau is
+    basic index among the negative ones.  On Optimal the tableau is
     refactorized with the true costs, shedding perturbation and shifts,
     so the caller's phase 2 finishes on the real program.  A row with no
     negative entry, on a freshly refactorized tableau, proves the
@@ -280,8 +318,8 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     nonbasic[basis] = False
     delta = PERTURBATION * (1.0 + np.arange(len(cost_vec)) * _GOLDEN % 1.0) * nonbasic
     T[-1, :-1] += delta
-    cost, rhs = T[-1, :-1], T[:m, -1]  # views: pivots update T in place
-    reduced, size, ratios = (np.empty(len(cost_vec)) for _ in range(3))
+    rhs = T[:m, -1]  # a view: pivots update T in place
+    enter_for = _dual_ratio_test(T, stats)
 
     def choose(bland):
         if bland:
@@ -290,21 +328,10 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
             leave = int(rhs.argmin())
         if rhs[leave] >= -PIVOT_TOL:
             return "Optimal"
-        row = T[leave, :-1]
-        np.negative(row, out=size)
-        neg = size > PIVOT_TOL
-        if not neg.any():
+        step = enter_for(leave, bland)
+        if step is None:
             return "Infeasible"
-        np.maximum(cost, 0.0, out=reduced)
-        ratios.fill(np.inf)
-        np.divide(reduced, size, out=ratios, where=neg)
-        best = ratios.min()
-        tied = ratios <= best + PIVOT_TOL
-        enter = int(tied.argmax() if bland else np.where(tied, size, -np.inf).argmax())
-        if cost[enter] < PIVOT_TOL * row[enter]:
-            cost[enter] = 0.0
-            stats["cost_shifts"] += 1
-        return leave, enter, best
+        return leave, *step
 
     status = _pivot_loop(T, basis, Ab, cost_vec + delta, stats, choose)
     if status == "Optimal":
@@ -326,6 +353,41 @@ def _row_data(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
     return coeffs, np.array([_SLACK_SIGN[r] for r in rels]), np.array(rhss)
 
 
+def _standard_form(lp: LinearProgram, cold: bool
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lp's standard-form tableau [A | b] over a zero cost row (last), the
+    rows that have a slack column and the rows that have an artificial one.
+
+    Every row is first normalized to a nonnegative right-hand side, and a
+    >= row with zero rhs flips to <= form, so its slack can start basic.
+    The columns are the structural variables, then one slack per row that
+    has one (every row but an equality), then, in a cold start only, one
+    artificial per row whose slack cannot start basic (a >= or = row, once
+    flipped), then b.  The tableau is guarded at TABLEAU_GUARD_BYTES before
+    it is allocated.
+    """
+    n = lp.n
+    coeffs, rel, rhs = _row_data(lp.rows)
+    m = len(rhs)
+    # a row flips when its rhs is negative or, at zero rhs, its slack sign is
+    sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
+    slack = rel * sign  # each row's slack sign once flipped
+    slack_rows = np.flatnonzero(slack)
+    art_rows = np.flatnonzero(slack != 1 if cold else np.zeros(m, dtype=bool))
+    art_at = n + len(slack_rows)
+    width = art_at + len(art_rows) + 1
+    if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
+        raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
+                         f"exceeds {TABLEAU_GUARD_BYTES} bytes")
+    T = np.zeros((m + 1, width))
+    if m:
+        np.multiply(np.array(coeffs), sign[:, None], out=T[:m, :n])
+    T[:m, -1] = np.where(rhs < 0, -rhs, rhs)
+    T[slack_rows, n + np.arange(len(slack_rows))] = slack[slack_rows]
+    T[art_rows, art_at + np.arange(len(art_rows))] = 1.0
+    return T, slack_rows, art_rows
+
+
 def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
     """Solve lp; with no basis by the two-phase primal simplex, else from it.
 
@@ -338,32 +400,11 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
     """
     n = lp.n
     c = -lp.objective if lp.sense == "max" else lp.objective
-
-    # normalize to nonnegative rhs first so slack/artificial counts are right;
-    # a >= row with zero rhs flips to <= form so its slack can start basic
-    # and no artificial variable is needed
-    coeffs, rel, rhs = _row_data(lp.rows)
-    m = len(rhs)
-    # a row flips when its rhs is negative or, at zero rhs, its slack sign is
-    sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
-    slack = rel * sign  # each row's slack sign once flipped
-    slack_rows = np.flatnonzero(slack)
-    # in a cold start each row whose slack cannot start basic (a >= or =
-    # row, once flipped) gets an artificial column; a warm start needs none
-    art_rows = np.flatnonzero(slack != 1 if basis is None else np.zeros(m, dtype=bool))
+    T, slack_rows, art_rows = _standard_form(lp, basis is None)
+    m, width = T.shape[0] - 1, T.shape[1]
     art_at = n + len(slack_rows)
-    width = art_at + len(art_rows) + 1
-    if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
-        raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
-                         f"exceeds {TABLEAU_GUARD_BYTES} bytes")
-    T = np.zeros((m + 1, width))
-    if m:
-        np.multiply(np.array(coeffs), sign[:, None], out=T[:m, :n])
-    T[:m, -1] = np.where(rhs < 0, -rhs, rhs)
     slack_cols = n + np.arange(len(slack_rows))
     art_cols = art_at + np.arange(len(art_rows))
-    T[slack_rows, slack_cols] = slack[slack_rows]
-    T[art_rows, art_cols] = 1.0
 
     Ab = T[:m].copy()  # the constraint data [A | b], for refactorizing
     stats = Counter()
@@ -422,6 +463,115 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
     obj = float(lp.objective @ x)
     final = tuple(basis) if len(basis) == m else None  # None: a row was dropped
     return LpSolution("Optimal", x, obj, basis=final, **stats)
+
+
+@dataclass(frozen=True)
+class ParametricRhs:
+    """A program's optimum F(t) as the right-hand side t of one of its <=
+    rows runs from that row's own value down to the lowest t at which the
+    program stays feasible (0 when it does throughout): piecewise linear,
+    concave for a max program and convex for a min one.
+
+    The arrays are read-only.  `breakpoints` is increasing; `values`
+    holds F there, and `slopes[k]` its slope between breakpoints k and
+    k + 1.  `start` is the cold solve at the row's own right-hand side;
+    the counters are the pass's own, after it: its dual pivots, those of
+    them at a breakpoint already reached (a zero-width piece), its Bland
+    pivots, cost shifts and refactorizations (the first rebuilds the
+    tableau from `start.basis`).
+    """
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    start: LpSolution
+    pivots: int = 0
+    degenerate_pivots: int = 0
+    bland_pivots: int = 0
+    cost_shifts: int = 0
+    refactorizations: int = 0
+
+
+def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
+    """Trace lp's optimum over the right-hand side t of its <= row `row`,
+    from the row's own value b > 0 down to 0, in one parametric pass.
+
+    lp is solved cold at t = b by `solve_lp`, and the tableau is rebuilt
+    once from that solution's basis.  While the basis B stays optimal the
+    basic values are B^-1 b(t) = beta - (b - t) gamma, where gamma is the
+    tableau column of the row's slack, so F is linear with slope c_B gamma
+    (the slack's reduced cost).  t falls to the next breakpoint, where
+    the first basic value reaches zero (the least ratio beta_i / gamma_i
+    over gamma_i > 0); that row leaves the basis by one dual simplex pivot
+    (`_dual_ratio_test`), which keeps the basis optimal below the
+    breakpoint.  A tie goes to the row of largest gamma_i, the one that
+    would turn most negative, under Bland's rule to the smallest basic
+    index.  Pivots on `_pivot_loop`, with its refactorization cadence and
+    its switch to Bland's rule after a streak of pivots at a breakpoint
+    already reached; a leaving row with no negative entry, on a freshly
+    refactorized tableau, ends the pass where the program turns
+    infeasible.  A row that is not <= with positive right-hand side, or
+    a start that is not Optimal with a basis, raises DataError.
+    """
+    _, rel, rhs = _row_data(lp.rows)
+    if not (0 <= row < len(rhs) and rel[row] > 0 and rhs[row] > 0):
+        raise DataError(f"row {row} is not a <= row with positive right-hand side")
+    start = solve_lp(lp)
+    if start.status != "Optimal" or start.basis is None:
+        raise DataError(f"the program at its own right-hand side is {start.status}, "
+                        "with no basis to start from")
+    T, slack_rows, _ = _standard_form(lp, cold=False)
+    m = T.shape[0] - 1
+    s = lp.n + int(np.searchsorted(slack_rows, row))  # the row's slack column
+    Ab = T[:m].copy()
+    objective = np.zeros(T.shape[1] - 1)
+    objective[: lp.n] = lp.objective
+    cost = -objective if lp.sense == "max" else objective
+    basis = list(start.basis)
+    stats = Counter()
+    _refresh(T, basis, Ab, cost, stats)
+    gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
+    clipped, ratios = np.empty(m), np.empty(m)
+    enter_for = _dual_ratio_test(T, stats)
+    # F at the breakpoints and its slope between them, t falling; F and the
+    # slopes come from the true objective, since a cost shift leaves the
+    # cost row off by up to PIVOT_TOL until the next refactorization
+    points = [(Ab[row, -1], float(objective[basis] @ beta))]
+    slopes = []
+
+    def choose(bland):
+        t = Ab[row, -1]
+        pos = gamma > PIVOT_TOL
+        ratios.fill(np.inf)
+        np.divide(np.maximum(beta, 0.0, out=clipped), gamma, out=ratios, where=pos)
+        step = min(ratios.min(), t)
+        if step > 0:
+            c_b = objective[basis]
+            slope = float(c_b @ gamma)
+            T[:m, -1] -= step * gamma
+            Ab[row, -1] = t - step
+            # a step within PIVOT_TOL is rounding: no piece of its own
+            if step > PIVOT_TOL or step == t:
+                slopes.append(slope)
+                points.append((t - step, float(c_b @ beta)))
+        if step == t:
+            return "Optimal"
+        tied = ratios <= step + PIVOT_TOL
+        if bland:
+            leave = int(np.where(tied, basis, T.shape[1]).argmin())
+        else:
+            leave = int(np.where(tied, gamma, -np.inf).argmax())
+        entering = enter_for(leave, bland)
+        if entering is None:
+            return "Infeasible"
+        return leave, entering[0], step
+
+    _pivot_loop(T, basis, Ab, cost, stats, choose)
+    t, f = zip(*reversed(points))
+    arrays = (np.array(t), np.array(f), np.array(slopes[::-1]))
+    for a in arrays:
+        a.flags.writeable = False
+    return ParametricRhs(*arrays, start, **stats)
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:

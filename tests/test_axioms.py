@@ -12,7 +12,6 @@ from rankfair.axioms import (
     dominates,
     find_single_crossing_order,
     is_single_crossing,
-    sc_proportional_expected,
     sc_proportional_expected_exhaustive,
     sqk_satisfies_2rp,
     two_rankings_expected,
@@ -33,6 +32,20 @@ from rankfair.solver import CostSpec, solve_brute_force
 
 def two_ranking_profile(r1, r2, w1):
     return Profile.from_weights({tuple(r1): F(w1), tuple(r2): 1 - F(w1)})
+
+
+def sc_proportional_expected(profile: Profile, seq: SingleCrossingSequence) -> set:
+    """Rounded weighted-mean locations along one compatible maximal sequence:
+    the one-sequence reference for `sc_proportional_expected_exhaustive`."""
+    if not seq.maximal:
+        raise DataError("expected a maximal sequence")
+    index = {r: i for i, r in enumerate(seq.rankings)}
+    mu = F(0)
+    for r, w in profile.entries.items():
+        if r not in index:
+            raise DataError(f"support ranking {r} not on the sequence")
+        mu += w * index[r]
+    return {seq[i] for i in round_set(mu)}
 
 
 def test_two_rankings_expected_requires_two():

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 from rankfair import bounds
 from rankfair.bounds import (
     AlphaCurve,
-    _add_unhappy_group_rows,
+    _group_pieces,
     _margins,
     _mirror,
     _optimality_program,
@@ -34,7 +37,7 @@ from rankfair.core import (
     swap_distance,
 )
 from rankfair.errors import DataError, DimensionError, GuardError
-from rankfair.lp import LinearProgram, solve_lp
+from rankfair.lp import LinearProgram, parametric_rhs, solve_lp
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_brute_force, swap_distance_matrix
 
@@ -192,13 +195,14 @@ def test_lower_bound_curve_guard():
 
 
 def test_curves_check_the_whole_grid_before_the_first_program(monkeypatch):
+    _group_pieces.cache_clear()  # so a group curve would have to run its pass
     record = _work_record(monkeypatch)
     for bad in (1.5, -0.25, float("nan")):
         with pytest.raises(DataError, match="grid value"):
             worst_group_curve(3, [0.5, bad])
         with pytest.raises(DataError, match="grid value"):
             lower_bound_curve(3, [0.5, bad])
-    assert record["rounds"] == 0
+    assert record["rounds"] == record["passes"] == 0
 
 
 def test_margins_share_one_read_only_distance_table():
@@ -215,6 +219,20 @@ def test_margins_share_one_read_only_distance_table():
         dist[0] = 1
     with pytest.raises(GuardError):
         _margins(bounds.LP_GUARD_M + 1, tuple(range(bounds.LP_GUARD_M + 1)))
+
+
+def _add_unhappy_group_rows(lp: LinearProgram, base: int, dist: np.ndarray,
+                            floor: float):
+    """Rows making the variables g = base..base+n-1 a group inside the
+    weights w, the first n variables (g_i <= w_i), whose mean distance to
+    the output is at least floor: sum_i g_i (dist[i] - floor) >= 0."""
+    n = len(dist)
+    rows = np.zeros((n + 1, lp.n))
+    rows[np.arange(n), np.arange(n)] = -1.0
+    rows[np.arange(n), base + np.arange(n)] = 1.0
+    rows[n, base : base + n] = dist - floor
+    lp.add_rows(rows[:n], "<=", 0.0)
+    lp.add_rows(rows[n:], ">=", 0.0)
 
 
 def _lower_bound_program(m, q):
@@ -327,10 +345,9 @@ def golden():
 # rounds, the same with one and two BLAS threads
 ROW_GENERATION_WORK = {4: (218, 14, 52), 5: (4324, 170, 389)}
 
-# the full work record of every solve_lp call, summed: of the same sweep,
-# and of worst_group_curve(4)'s 201 cold programs.  The same with one and
-# two BLAS threads; a pivot rule that broke a tie another way would move
-# at least one of these counts
+# the full work record of every solve_lp call, summed, over the same sweep.
+# The same with one and two BLAS threads; a pivot rule that broke a tie
+# another way would move at least one of these counts
 _WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
                 "refactorizations")
 ROW_GENERATION_RECORD = {
@@ -339,12 +356,21 @@ ROW_GENERATION_RECORD = {
     5: dict(pivots=4324, degenerate_pivots=170, bland_pivots=0, cost_shifts=7,
             refactorizations=658, rounds=389),
 }
-GROUP_CURVE_RECORD = dict(pivots=7821, degenerate_pivots=4864, bland_pivots=0,
-                          cost_shifts=0, refactorizations=0, rounds=201)
+# worst_group_curve(4)'s one parametric pass: the cold solve at alpha = 1, the
+# pass's own work after it (degenerate: pivots at a breakpoint already
+# reached) and the pieces it traced.  The same with one and two BLAS threads
+GROUP_PASS_RECORD = dict(
+    start=dict(pivots=48, degenerate_pivots=30, bland_pivots=0, cost_shifts=0,
+               refactorizations=0),
+    walk=dict(pivots=87, degenerate_pivots=53, bland_pivots=0, cost_shifts=0,
+              refactorizations=1),
+    pieces=35,
+)
 
 
 def _work_record(monkeypatch) -> Counter:
-    """Sum the work counters of every solve_lp call `bounds` makes from now on."""
+    """Sum the work counters of every solve_lp call `bounds` makes from now
+    on, and count its parametric passes."""
     record = Counter()
 
     def recorded(prog, basis=None):
@@ -352,7 +378,12 @@ def _work_record(monkeypatch) -> Counter:
         record.update({f: getattr(sol, f) for f in _WORK_FIELDS}, rounds=1)
         return sol
 
+    def counted(prog, row):
+        record["passes"] += 1
+        return parametric_rhs(prog, row)
+
     monkeypatch.setattr(bounds, "solve_lp", recorded)
+    monkeypatch.setattr(bounds, "parametric_rhs", counted)
     return record
 
 
@@ -378,17 +409,110 @@ def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatc
     assert work[3] == record["refactorizations"]
 
 
-def test_row_generation_curves_match_golden(golden, monkeypatch):
+def test_row_generation_curves_match_golden(golden):
     # the exact optima are pinned above; the curves are pinned float for float
     for m in (4, 5):
         assert alpha_curve(m).points == tuple(map(tuple, golden["alpha_curve"][str(m)]))
-    record = _work_record(monkeypatch)
     assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
-    # one cold program per grid point, the same with one and two BLAS threads
-    assert record["rounds"] == 201
-    assert record["pivots"] == 7821
-    assert record["degenerate_pivots"] == 4864
-    assert record == GROUP_CURVE_RECORD
+
+
+def _highs(prog):
+    """The optimum of a max program, solved by HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A = np.array([row for row, _, _ in prog.rows])
+    b = np.array([rhs for _, _, rhs in prog.rows])
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] for _, rel, _ in prog.rows])
+    ub = sign != 0
+    ref = linprog(-prog.objective, A_ub=A[ub] * sign[ub, None], b_ub=b[ub] * sign[ub],
+                  A_eq=A[~ub], b_eq=b[~ub], bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def _group_program(m, q):
+    """One q's group program, as worst_group_curve solved it before the
+    parametric pass: the largest group weight at mean distance >= q * dmax
+    from the identity, over the profiles that keep the identity optimal."""
+    rankings, dist, G = _margins(m, tuple(range(m)))
+    n = len(rankings)
+    lp = _optimality_program(np.r_[np.zeros(n), np.ones(n)], G, np.flatnonzero(dist))
+    _add_unhappy_group_rows(lp, n, dist, q * max_swap_distance(m))
+    return lp
+
+
+@pytest.mark.parametrize("m, grid", [
+    (3, [k / 200 for k in range(201)]),
+    (4, [k / 200 for k in range(201)]),
+    (5, [0.0, 0.3, 0.55, 0.8, 1.0]),
+])
+def test_group_curve_matches_highs_per_q(m, grid):
+    for q in grid:
+        ref = _highs(_group_program(m, q))
+        points = worst_group_curve(m, [q]).points
+        if ref <= 1e-9:
+            assert points == ()
+        else:
+            ((alpha, value),) = points
+            assert value == q
+            assert abs(alpha - ref) <= 1e-9
+
+
+def test_group_pieces_are_shared_read_only_and_concave():
+    pieces = _group_pieces(4)
+    assert _group_pieces(4) is pieces
+    alphas, values, slopes = pieces.breakpoints, pieces.values, pieces.slopes
+    for a in (alphas, values, slopes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert alphas[0] == 0.0 and alphas[-1] == 1.0 and (np.diff(alphas) > 0).all()
+    # F(0) = 0 and F is concave: each piece ends where the next starts, and
+    # the slopes fall as alpha grows, from the farthest ranking's distance
+    assert abs(values[0]) <= 1e-12
+    assert np.allclose(values[:-1] + slopes * np.diff(alphas), values[1:], rtol=0, atol=1e-12)
+    assert (np.diff(slopes) <= 1e-9).all()
+    assert abs(slopes[0] - max_swap_distance(4)) <= 1e-9
+    assert abs(values[-1] - pieces.start.objective_value) <= 1e-12
+
+
+def test_group_pass_work_record():
+    pieces = _group_pieces(4)
+    assert {f: getattr(pieces.start, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["start"]
+    assert {f: getattr(pieces, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["walk"]
+    assert len(pieces.slopes) == GROUP_PASS_RECORD["pieces"]
+
+
+@contextmanager
+def _within(seconds):
+    def timeout(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_group_curve_m5_in_one_pass():
+    # one pass of about 0.4 s on one core, where one program per q took 13-16 s
+    _group_pieces.cache_clear()
+    with _within(3):
+        curve = worst_group_curve(5)
+    assert len(curve.points) == 101
+    assert curve.points[0] == (0.175265554, 1.0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    # twice the weights: every competitor's slack keeps its sign, the sum row breaks
+    lambda sol: dataclasses.replace(sol, values=2 * sol.values),
+    lambda sol: dataclasses.replace(sol, objective_value=sol.objective_value + 1e-6),
+])
+def test_single_ranking_refuses_a_corrupted_solution(corrupt, monkeypatch):
+    monkeypatch.setattr(bounds, "solve_lp", lambda prog, basis=None: corrupt(solve_lp(prog, basis)))
+    with pytest.raises(DataError, match="independent verification"):
+        worst_profile_single_ranking(4, None, (1, 3, 2, 0))
 
 
 def test_single_ranking_rankings_must_rank_m_alternatives():

@@ -14,7 +14,7 @@ import pytest
 from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
 from rankfair.errors import DataError, DimensionError, GuardError
-from rankfair.lp import LinearProgram, _pivot, solve_lp, verify_solution
+from rankfair.lp import LinearProgram, _pivot, parametric_rhs, solve_lp, verify_solution
 
 
 def test_trivial_minimum():
@@ -655,6 +655,108 @@ def test_dual_phase_cost_shift_fires_without_perturbation(monkeypatch):
     assert sol.status == "Optimal" and verify_solution(prog, sol)
     status, objective = _highs(prog)
     assert status == "Optimal" and abs(sol.objective_value - objective) <= 1e-8
+
+
+def _at(res, t):
+    """The traced optimum at t, read off its pieces."""
+    k = min(int(np.searchsorted(res.breakpoints, t, side="right")) - 1, len(res.slopes) - 1)
+    return res.values[k] + res.slopes[k] * (t - res.breakpoints[k])
+
+
+def test_parametric_rhs_traces_a_small_program():
+    # max 3x + 2y with x + y <= t, x <= 1, y <= 2: F = 3t up to t = 1, then
+    # 2t + 1 up to t = 3, then 7
+    lp = LinearProgram([3.0, 2.0], "max")
+    lp.add_row([1.0, 1.0], "<=", 4.0)
+    lp.add_row([1.0, 0.0], "<=", 1.0)
+    lp.add_row([0.0, 1.0], "<=", 2.0)
+    res = parametric_rhs(lp, 0)
+    assert res.start.status == "Optimal" and res.start.objective_value == pytest.approx(7.0)
+    assert res.breakpoints == pytest.approx([0.0, 1.0, 3.0, 4.0])
+    assert res.values == pytest.approx([0.0, 3.0, 7.0, 7.0])
+    assert res.slopes == pytest.approx([3.0, 2.0, 0.0])
+    assert res.breakpoints[0] == 0.0 and res.breakpoints[-1] == 4.0
+    with pytest.raises(ValueError, match="read-only"):
+        res.slopes[0] = 1.0
+    # a min program's optimum is convex in t
+    flipped = parametric_rhs(LinearProgram([-3.0, -2.0], "min", list(lp.rows)), 0)
+    assert flipped.breakpoints == pytest.approx(res.breakpoints)
+    assert flipped.values == pytest.approx(-res.values)
+    assert flipped.slopes == pytest.approx(-res.slopes)
+    # x >= 0.5 makes the program infeasible below t = 0.5: the pass ends there
+    lp.add_row([1.0, 0.0], ">=", 0.5)
+    res = parametric_rhs(lp, 0)
+    assert res.breakpoints == pytest.approx([0.5, 1.0, 3.0, 4.0])
+    assert res.values == pytest.approx([1.5, 3.0, 7.0, 7.0])
+    assert res.slopes == pytest.approx([3.0, 2.0, 0.0])
+
+
+def test_parametric_rhs_needs_a_positive_le_row_and_an_optimum():
+    lp = LinearProgram([1.0, 1.0], "max")
+    lp.add_row([1.0, 1.0], "<=", 2.0)
+    lp.add_row([1.0, 0.0], ">=", 1.0)
+    lp.add_row([0.0, 1.0], "<=", 0.0)
+    lp.add_row([0.0, 1.0], "=", 1.0)
+    for row in (1, 2, 3, 4, -1):
+        with pytest.raises(DataError, match="not a <= row"):
+            parametric_rhs(lp, row)
+    unbounded = LinearProgram([1.0, 1.0], "max")
+    unbounded.add_row([1.0, 0.0], "<=", 2.0)
+    with pytest.raises(DataError, match="Unbounded"):
+        parametric_rhs(unbounded, 0)
+
+
+def test_parametric_rhs_matches_cold_solves():
+    # small integer programs, often degenerate, some turning infeasible
+    # below a positive t: the pieces give every cold optimum at t in between
+    rng = np.random.default_rng(26)
+    passes = Counter()
+    for _ in range(40):
+        n, k = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        lp = LinearProgram(rng.integers(-2, 6, n).astype(float), "max")
+        for row in rng.integers(0, 4, (k, n)).astype(float):
+            lp.add_row(row, "<=", float(rng.integers(0, 6)))
+        lp.add_row(np.ones(n), "<=", 10.0)
+        if rng.random() < 0.3:
+            lp.add_row(rng.integers(0, 3, n).astype(float), ">=", 1.0)
+        row = int(rng.choice([i for i, (_, rel, rhs) in enumerate(lp.rows)
+                              if rel == "<=" and rhs > 0]))
+        top = lp.rows[row][2]
+        start = solve_lp(lp)
+        if start.status != "Optimal" or start.basis is None:
+            continue
+        res = parametric_rhs(lp, row)
+        passes.update(pivots=res.pivots, degenerate=res.degenerate_pivots, runs=1)
+        assert res.breakpoints[-1] == top and (np.diff(res.breakpoints) > 0).all()
+        assert (np.diff(res.slopes) <= 1e-9).all()  # concave
+        for t in np.linspace(0.0, top, 13):
+            rows = list(lp.rows)
+            rows[row] = (rows[row][0], "<=", t)
+            sol = solve_lp(LinearProgram(lp.objective, "max", rows))
+            if t < res.breakpoints[0] - 1e-9:
+                assert sol.status == "Infeasible"
+            elif t >= res.breakpoints[0]:
+                assert sol.status == "Optimal"
+                assert abs(_at(res, t) - sol.objective_value) <= 1e-9
+    assert passes["runs"] >= 30 and passes["degenerate"] > 0
+
+
+def test_parametric_rhs_under_bland_rule_traces_the_same_optimum(monkeypatch):
+    # worst_group_curve(4)'s program, its pass taken by Bland's rule from the
+    # first pivot: another pivot path, the same piecewise linear optimum
+    seen = []
+    monkeypatch.setattr(bounds, "parametric_rhs",
+                        lambda prog, row: seen.append((prog, row)) or parametric_rhs(prog, row))
+    bounds._group_pieces.cache_clear()
+    ref = bounds._group_pieces(4)
+    monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
+    bland = parametric_rhs(*seen[0])
+    # the same with one and two BLAS threads; a Bland rule that broke a tie
+    # another way would move them
+    assert bland.bland_pivots == bland.pivots == 169
+    assert bland.degenerate_pivots == 99
+    for t in np.linspace(0.0, 1.0, 401):
+        assert abs(_at(bland, t) - _at(ref, t)) <= 1e-9
 
 
 WORST_CASE_PROBE = """

@@ -7,6 +7,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -24,7 +25,7 @@ from .core import (
     swap_distance,
 )
 from .errors import DataError, DimensionError, GuardError
-from .lp import LinearProgram, ParametricRhs, parametric_rhs, solve_lp, verify_solution
+from .lp import LinearProgram, LiveTableau, ParametricRhs, parametric_rhs, verify_solution
 from .solver import solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
@@ -118,10 +119,17 @@ class WorstCaseResult(NamedTuple):
     alpha: float
     witness: Profile | None
     alpha_exact: Fraction | None
-    rounds: int = 0  # row-generation rounds, one `solve_lp` call each
-    pivots: int = 0  # simplex pivots over all rounds
+    rounds: int = 0  # row-generation rounds, one `LiveTableau.solve` each
+    # the rounds' `LpSolution` work counters, summed
+    pivots: int = 0  # simplex pivots
     degenerate_pivots: int = 0  # those of them that stepped 0
-    refactorizations: int = 0  # tableau refactorizations over all rounds
+    bland_pivots: int = 0  # those of them chosen by Bland's rule
+    cost_shifts: int = 0  # dual-phase entering costs shifted up to zero
+    refactorizations: int = 0  # tableau refactorizations
+
+
+_WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
+                "refactorizations")
 
 
 def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
@@ -228,17 +236,17 @@ def worst_profile_single_ranking(
     are generated: the program starts with the sum row and the m-1
     competitors adjacent to the target, and each round solves it, scores
     every competitor at once (slack = w @ G), and adds the ROW_BATCH most
-    violated rows not yet in it.  Round 1 starts from the point mass on
-    the target and each later round from the previous optimal basis, a
-    dual simplex restart, so no round runs phase 1; each round's program
-    is the last one's rows plus the new ones, and the result counts the
-    rounds, their pivots, the degenerate ones among them and their
-    refactorizations.  It stops
+    violated rows not yet in it.  The rounds share one `LiveTableau`:
+    round 1 loads the point mass on the target as its basis, and each
+    later round appends its rows to the last round's optimal tableau, in
+    its basis, and restarts the dual simplex there, so no round runs
+    phase 1, rebuilds the standard form or refactorizes to start.  The
+    result counts the rounds and sums their work counters.  It stops
     when no competitor has slack below -ROW_TOL; the restricted optimum,
     an upper bound on the full one, is then feasible for it and so
     optimal.  That exit test covers the rows never added, at ROW_TOL, and
-    `verify_solution` rechecks the solved program's rows, signs and
-    objective, so the full program is never built.  The
+    `verify_solution` rechecks the final restricted program's rows,
+    signs and objective, so the full program is never built.  The
     witness is the exact vertex of the final solution (see
     `_exact_witness`), re-verified with the exact solver; if that fails,
     `witness` and `alpha_exact` are None.  A focal or target ranking of
@@ -259,17 +267,14 @@ def worst_profile_single_ranking(
     # nondegenerate vertex: the target's weight is basic in the sum row and
     # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
     basis = [rankings.index(target), *range(n, n + len(active))]
-    prog = _optimality_program(obj, G, active)
-    rounds = pivots = degenerate = refactorizations = 0
+    live = LiveTableau(_optimality_program(obj, G, active), basis)
+    rounds, work = 0, Counter()
     while True:
-        sol = solve_lp(prog, basis)
+        sol = live.solve()
         rounds += 1
-        pivots += sol.pivots
-        degenerate += sol.degenerate_pivots
-        refactorizations += sol.refactorizations
+        work.update({f: getattr(sol, f) for f in _WORK_FIELDS})
         if sol.status != "Optimal":
-            return WorstCaseResult(0.0, None, None, rounds, pivots, degenerate,
-                                   refactorizations)
+            return WorstCaseResult(0.0, None, None, rounds, **work)
         slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
@@ -278,23 +283,17 @@ def worst_profile_single_ranking(
         if not len(viol):
             break
         new = viol[np.argsort(slack[viol], kind="stable")[:ROW_BATCH]].tolist()
-        # the optimal basis stays dual feasible with the new rows' slacks
-        # basic, so the next round is a dual simplex restart
-        basis = [*sol.basis, *range(n + len(active), n + len(active) + len(new))]
         active += new
-        # the next program shares the solved one's rows, not its list, so
-        # a program once solved is never changed
-        prog = LinearProgram(obj, "max", list(prog.rows))
-        prog.add_rows(G[:, new].T, ">=", 0.0)
+        live.add_rows(G[:, new].T, ">=", 0.0)
     # the loop's exit test checked every competitor row at ROW_TOL, the
     # solved program's rows are rechecked here
-    if not verify_solution(prog, sol):
+    if not verify_solution(live.lp, sol):
         raise DataError("simplex output failed independent verification")
     tight = [j for j in active if abs(slack[j]) <= ROW_TOL]
     witness = _exact_witness(sol.values, G, tight, rankings, target)
     alpha_exact = witness.weight(focal) if witness is not None else None
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact,
-                           rounds, pivots, degenerate, refactorizations)
+                           rounds, **work)
 
 
 def _mirror(r: Ranking) -> Ranking:
@@ -355,14 +354,26 @@ def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
     return AlphaCurve(points, m, kind)
 
 
+class _GroupPieces(NamedTuple):
+    """F's pieces as one parametric pass traced them, and the same as
+    tuples of floats, with the bisection keys, for the per-q lookups."""
+
+    traced: ParametricRhs
+    alphas: tuple[float, ...]
+    values: tuple[float, ...]
+    slopes: tuple[float, ...]
+    keys: tuple[float, ...]  # -F/alpha at breakpoints 1.., nondecreasing
+
+
 @functools.cache
-def _group_pieces(m: int) -> ParametricRhs:
+def _group_pieces(m: int) -> _GroupPieces:
     """F(alpha), the largest total distance sum_i d_i g_i of a group g <= w
     of weight at most alpha, over the profiles w that keep the identity
     ranking optimal, d_i being ranking i's distance to the identity:
     traced for alpha from 1 down to 0 by one parametric pass, once per m.
-    Its arrays are read-only, since every caller shares them.  The group
-    g = 0 keeps the program feasible down to alpha = 0."""
+    Its arrays are read-only and its lookups tuples, since every caller
+    shares them.  The group g = 0 keeps the program feasible down to
+    alpha = 0."""
     rankings, dist, G = _margins(m, identity_ranking(m))
     n = len(rankings)
     # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
@@ -374,7 +385,12 @@ def _group_pieces(m: int) -> ParametricRhs:
     rows[n, n:] = 1.0
     lp.add_rows(rows[:n], "<=", 0.0)  # g_i <= w_i
     lp.add_rows(rows[n:], "<=", 1.0)  # sum(g) <= alpha, from alpha = 1
-    return parametric_rhs(lp, len(lp.rows) - 1)
+    traced = parametric_rhs(lp, len(lp.rows) - 1)
+    alphas, values, slopes = (tuple(a.tolist()) for a in
+                              (traced.breakpoints, traced.values, traced.slopes))
+    # breakpoint 0 is alpha = 0
+    keys = tuple(-f / a for a, f in zip(alphas[1:], values[1:]))
+    return _GroupPieces(traced, alphas, values, slopes, keys)
 
 
 def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
@@ -385,19 +401,15 @@ def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     alpha*(q) = max {alpha in [0, 1] : F(alpha) >= q * dmax * alpha}, F
     from `_group_pieces`.  F is concave and piecewise linear with
     F(0) = 0, so F(alpha) / alpha falls as alpha grows: q's last fitting
-    breakpoint is found by bisection, and alpha*(q) where F crosses
-    q * dmax * alpha on the next piece.  The result is flipped into a
-    value-versus-alpha staircase.  m and every grid value are checked
-    before the pass; guarded at m=LP_GUARD_M, like every worst-case
-    program.
+    breakpoint is found by bisection over the cached keys, and alpha*(q)
+    where F crosses q * dmax * alpha on the next piece.  The result is
+    flipped into a value-versus-alpha staircase.  m and every grid value
+    are checked before the pass; guarded at m=LP_GUARD_M, like every
+    worst-case program.
     """
     _margins(m, as_ranking(range(m)))
     grid = _checked_grid(grid)
-    pieces = _group_pieces(m)
-    alphas, values, slopes = (a.tolist() for a in
-                              (pieces.breakpoints, pieces.values, pieces.slopes))
-    # -F/alpha at breakpoints 1.., nondecreasing; breakpoint 0 is alpha = 0
-    keys = [-f / a for a, f in zip(alphas[1:], values[1:])]
+    _, alphas, values, slopes, keys = _group_pieces(m)
     dmax = max_swap_distance(m)
     pts: list[tuple[float, float]] = []
     for q in grid:

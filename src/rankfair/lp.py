@@ -19,18 +19,27 @@ PIVOT_TOL of that minimum tie.  A tie goes to the first index of the
 largest pivot entry (`np.where(tied, entry, -inf).argmax()`), under
 Bland's rule to the smallest basic index (an `argmin` over the tied
 rows' basic columns) or to the first tied column.  A solve returns its
-final basis; passed back in after rows were appended, as row
-generation does, that basis is still dual feasible, so the dual
-simplex finishes the longer program without phase 1.  The dual simplex
-perturbs the costs: on entry it raises every nonbasic reduced cost by a
-small distinct amount, so its ratio test stops tying at zero on these
-dual-degenerate programs, and once primal feasible it refactorizes with
-the true costs, so the confirming phase-2 pass runs on the real program.
-One pricing routine writes every cost row.  The standard form is
-written straight into the tableau in blocks (the rows stacked once,
-flipped rows by a sign vector, the slack and artificial columns by
-fancy indexing), once the tableau has passed its guard on size in
-bytes.  Each pivot is one rank-1 update over cache-sized row blocks
+final basis; passed back in after rows were appended, that basis is
+still dual feasible, so the dual simplex finishes the longer program
+without phase 1.  Row generation does not even rebuild: a
+`LiveTableau` keeps the optimal tableau between rounds and appends
+each batch of rows in the current basis, as B^-1 times the new rows of
+[A | b] with their slacks basic, so the dual simplex restarts on it
+with no new standard form and no refactorization to start; the
+constraint data that refactorizations start from grows with it, and
+the tableau counts its updates (pivots and appends) since the last
+refactorization across every round and phase, so the refactorization
+cadence and the one before a non-Optimal verdict see all its drift.
+`solve_lp` is one solve of a `LiveTableau`.  The dual simplex perturbs
+the costs: on entry it raises every nonbasic reduced cost by a small
+distinct amount, so its ratio test stops tying at zero on these dual-degenerate
+programs, and once primal feasible it re-prices the cost row with the
+true costs, with no refactorization, so the confirming phase-2 pass
+runs on the real program.  One pricing routine writes every cost row.
+The standard form is written straight into the tableau in blocks (the
+rows stacked once, flipped rows by a sign vector, the slack and
+artificial columns by fancy indexing), once the tableau has passed its
+guard on size in bytes.  Each pivot is one rank-1 update over cache-sized row blocks
 that computes every entry exactly as row-by-row elimination would, so
 the blocking changes neither the pivot sequence nor any result.
 `parametric_rhs` traces the optimum of a program as the right-hand side
@@ -173,7 +182,8 @@ def _refresh(T: np.ndarray, basis: list[int], Ab: np.ndarray, cost: np.ndarray,
 
 
 def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
-                cost: np.ndarray, stats: Counter, choose) -> str:
+                cost: np.ndarray, stats: Counter, choose,
+                since_refresh: int) -> tuple[str, int]:
     """Pivot the tableau (cost row last) by the rule `choose` to a verdict.
 
     choose(bland) gives the next pivot as (leaving row, entering column,
@@ -183,10 +193,13 @@ def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     cannot occur.  The tableau is refactorized from the original data,
     with `cost`, at a fixed cadence and before any verdict but "Optimal"
     is accepted, so rounding drift over long degenerate runs cannot
-    corrupt the outcome.  Pivots, degenerate and Bland pivots and
-    refactorizations are counted into `stats`.
+    corrupt the outcome.  since_refresh is the number of updates T has
+    taken since it was last refactorized (0: fresh), so the cadence and
+    that check see the drift of earlier phases too; the loop gives its
+    verdict and the count it leaves.  Pivots, degenerate and Bland
+    pivots and refactorizations are counted into `stats`.
     """
-    degenerate = since_refresh = 0
+    degenerate = 0
     while True:
         if since_refresh >= REFRESH_EVERY:
             _refresh(T, basis, Ab, cost, stats)
@@ -195,7 +208,7 @@ def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
         step = choose(bland)
         if isinstance(step, str):
             if step == "Optimal" or since_refresh == 0:
-                return step
+                return step, since_refresh
             _refresh(T, basis, Ab, cost, stats)
             since_refresh = 0
             continue
@@ -213,7 +226,8 @@ def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
 
 
 def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
-                   Ab: np.ndarray, cost_vec: np.ndarray, stats: Counter) -> str:
+                   Ab: np.ndarray, cost_vec: np.ndarray, stats: Counter,
+                   since_refresh: int) -> tuple[str, int]:
     """Primal simplex: pivot the tableau to optimality by `_pivot_loop`.
 
     Entering variable: of the first `allowed` columns, the one of most
@@ -223,7 +237,8 @@ def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
     (ratios within PIVOT_TOL of the least) going to the first row of
     largest pivot entry, under Bland's rule to the row of smallest basic
     index.  A column with no positive entry, on a freshly refactorized
-    tableau, proves the program unbounded.
+    tableau, proves the program unbounded.  since_refresh and the result
+    are as for `_pivot_loop`.
     """
     m = T.shape[0] - 1
     reduced, rhs = T[-1, :allowed], T[:m, -1]  # views: pivots update T in place
@@ -248,7 +263,7 @@ def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
         # conditioned through long degenerate stretches
         return int(np.where(tied, col, -np.inf).argmax()), enter, best
 
-    return _pivot_loop(T, basis, Ab, cost_vec, stats, choose)
+    return _pivot_loop(T, basis, Ab, cost_vec, stats, choose, since_refresh)
 
 
 # the dual phase raises each nonbasic reduced cost by PERTURBATION times a
@@ -296,7 +311,8 @@ def _dual_ratio_test(T: np.ndarray, stats: Counter):
 
 
 def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
-                cost_vec: np.ndarray, stats: Counter) -> str:
+                cost_vec: np.ndarray, stats: Counter,
+                since_refresh: int) -> tuple[str, int]:
     """Dual simplex: pivot a dual feasible tableau to primal feasibility
     by `_pivot_loop`.
 
@@ -307,9 +323,12 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     highly dual-degenerate worst-case programs; refactorizations inside
     the phase keep the perturbed costs.  Leaving row: the most negative
     right-hand side (the first such), under Bland's rule the smallest
-    basic index among the negative ones.  On Optimal the tableau is
-    refactorized with the true costs, shedding perturbation and shifts,
-    so the caller's phase 2 finishes on the real program.  A row with no
+    basic index among the negative ones.  On Optimal the cost row is
+    re-priced with the true costs (`_price`, no refactorization),
+    shedding perturbation and shifts, so the caller's phase 2 finishes
+    on the real program.  The re-price leaves the rows as drifted as the
+    phase left them, so the count it returns (see `_pivot_loop`) lets
+    phase 2 refactorize before it accepts "Unbounded".  A row with no
     negative entry, on a freshly refactorized tableau, proves the
     program infeasible.
     """
@@ -333,10 +352,11 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
             return "Infeasible"
         return leave, *step
 
-    status = _pivot_loop(T, basis, Ab, cost_vec + delta, stats, choose)
+    status, since_refresh = _pivot_loop(T, basis, Ab, cost_vec + delta, stats,
+                                        choose, since_refresh)
     if status == "Optimal":
-        _refresh(T, basis, Ab, cost_vec, stats)
-    return status
+        _price(T, basis, cost_vec)
+    return status, since_refresh
 
 
 # a row's relation as the sign of its slack column: x + s = b for <=,
@@ -353,39 +373,215 @@ def _row_data(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
     return coeffs, np.array([_SLACK_SIGN[r] for r in rels]), np.array(rhss)
 
 
+def _oriented(rows: list) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows' coefficient vectors (unstacked) and, as arrays, each row's
+    sign (-1 for a row flipped), its slack's sign once flipped (see
+    `_SLACK_SIGN`) and its right-hand side once flipped.
+
+    A row flips to a nonnegative right-hand side, and a >= row with zero
+    rhs flips to <= form, so its slack can start basic.
+    """
+    coeffs, rel, rhs = _row_data(rows)
+    sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
+    return coeffs, sign, rel * sign, np.where(rhs < 0, -rhs, rhs)
+
+
 def _standard_form(lp: LinearProgram, cold: bool
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lp's standard-form tableau [A | b] over a zero cost row (last), the
     rows that have a slack column and the rows that have an artificial one.
 
-    Every row is first normalized to a nonnegative right-hand side, and a
-    >= row with zero rhs flips to <= form, so its slack can start basic.
-    The columns are the structural variables, then one slack per row that
-    has one (every row but an equality), then, in a cold start only, one
-    artificial per row whose slack cannot start basic (a >= or = row, once
-    flipped), then b.  The tableau is guarded at TABLEAU_GUARD_BYTES before
-    it is allocated.
+    Every row is first oriented by `_oriented`.  The columns are the
+    structural variables, then one slack per row that has one (every row
+    but an equality), then, in a cold start only, one artificial per row
+    whose slack cannot start basic (a >= or = row, once flipped), then b.
+    The tableau is guarded at TABLEAU_GUARD_BYTES before it is allocated.
     """
     n = lp.n
-    coeffs, rel, rhs = _row_data(lp.rows)
+    coeffs, sign, slack, rhs = _oriented(lp.rows)
     m = len(rhs)
-    # a row flips when its rhs is negative or, at zero rhs, its slack sign is
-    sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
-    slack = rel * sign  # each row's slack sign once flipped
     slack_rows = np.flatnonzero(slack)
     art_rows = np.flatnonzero(slack != 1 if cold else np.zeros(m, dtype=bool))
     art_at = n + len(slack_rows)
     width = art_at + len(art_rows) + 1
-    if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
-        raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
-                         f"exceeds {TABLEAU_GUARD_BYTES} bytes")
+    _guard(m, width)
     T = np.zeros((m + 1, width))
     if m:
         np.multiply(np.array(coeffs), sign[:, None], out=T[:m, :n])
-    T[:m, -1] = np.where(rhs < 0, -rhs, rhs)
+    T[:m, -1] = rhs
     T[slack_rows, n + np.arange(len(slack_rows))] = slack[slack_rows]
     T[art_rows, art_at + np.arange(len(art_rows))] = 1.0
     return T, slack_rows, art_rows
+
+
+def _guard(m: int, width: int):
+    if (m + 1) * width * 8 > TABLEAU_GUARD_BYTES:
+        raise GuardError(f"dense simplex tableau of {m + 1} x {width} doubles "
+                         f"exceeds {TABLEAU_GUARD_BYTES} bytes")
+
+
+class LiveTableau:
+    """A program's simplex tableau, kept live between solves for row
+    generation: rows appended to an optimal tableau are re-optimized from
+    its current basis, with no rebuild and no refactorization to start.
+
+    The standard form is built once, here (see `_standard_form`); with a
+    start basis (see `LpSolution.basis`) the tableau is refactorized at it
+    once, without one the first `solve` runs the two-phase simplex.
+    `solve` gives the program's current optimum as an `LpSolution` whose
+    counters are the work since the last `solve` returned.  `add_rows`
+    appends rows to the program (`lp`, changed in place) and to the
+    tableau, in the current basis, each with its slack basic, numbered as
+    `LpSolution.basis` documents; the constraint data [A | b] that
+    refactorizations start from grows with it.  The tableau counts its
+    updates since it was built or last refactorized (`since_refresh`:
+    pivots of every phase, and one per append) across solves, so the
+    REFRESH_EVERY cadence and the refactorization before a non-Optimal
+    verdict (see `_pivot_loop`) cover the drift of earlier rounds too.
+    The basis stays dual feasible, so the next `solve` runs the dual
+    simplex and a confirming phase-2 pass.
+    """
+
+    def __init__(self, lp: LinearProgram, basis: Sequence[int] | None = None):
+        self.lp = lp
+        n = lp.n
+        self.T, slack_rows, art_rows = _standard_form(lp, basis is None)
+        m, width = self.T.shape[0] - 1, self.T.shape[1]
+        # the columns an optimum may use: structural and slack, not artificial
+        self.art_at = n + len(slack_rows)
+        self.Ab = self.T[:m].copy()  # the constraint data [A | b], for refactorizing
+        self.stats = Counter()
+        self.cost = np.zeros(width - 1)  # phase 2's
+        self.cost[:n] = -lp.objective if lp.sense == "max" else lp.objective
+        self.phase1 = basis is None and len(art_rows) > 0  # due at the first solve
+        self.optimal = False  # an Optimal solve left a basis with a column per row
+        # updates since the tableau was built or last refactorized: the
+        # cadence and the check before a non-Optimal verdict span every
+        # phase, solve and append (see `_pivot_loop`)
+        self.since_refresh = 0
+        if basis is None:
+            start = np.empty(m, dtype=int)
+            start[slack_rows] = n + np.arange(len(slack_rows))
+            start[art_rows] = self.art_at + np.arange(len(art_rows))
+            self.basis = start.tolist()
+            _price(self.T, self.basis, self.cost)
+        else:
+            self.basis = [int(j) for j in basis]
+            if len(self.basis) != m or not all(0 <= j < self.art_at for j in self.basis):
+                raise DataError(f"a start basis needs {m} columns in [0, {self.art_at}), "
+                                f"got {self.basis}")
+            _refresh(self.T, self.basis, self.Ab, self.cost, self.stats)
+
+    def _run_phase1(self) -> bool:
+        """Minimize the artificial total from the cold basis, then drive the
+        artificials left basic out of it or drop their redundant rows.
+        False when the program is infeasible."""
+        T, basis, art_at = self.T, self.basis, self.art_at
+        m, width = T.shape[0] - 1, T.shape[1]
+        phase1_cost = np.zeros(width - 1)
+        phase1_cost[art_at:] = 1.0
+        _price(T, basis, phase1_cost)
+        status, self.since_refresh = _simplex_phase(
+            T, basis, width - 1, self.Ab, phase1_cost, self.stats, self.since_refresh)
+        if status != "Optimal":
+            raise DataError("numerical breakdown in feasibility phase")
+        if T[-1, -1] < -FEAS_TOL:
+            return False
+        keep = []
+        for i in range(m):
+            if basis[i] >= art_at:
+                piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
+                if len(piv) == 0:
+                    continue  # redundant row
+                _pivot(T, basis, i, int(piv[0]))
+                self.stats["pivots"] += 1
+                self.since_refresh += 1
+            keep.append(i)
+        if len(keep) < m:
+            self.T = np.vstack([T[keep], T[-1:]])
+            self.basis = [basis[i] for i in keep]
+            self.Ab = self.Ab[keep]
+        return True
+
+    def _result(self, status: str) -> LpSolution:
+        stats, self.stats = self.stats, Counter()
+        if status != "Optimal":
+            return LpSolution(status, **stats)
+        basis = self.basis
+        x_std = np.zeros(self.T.shape[1] - 1)
+        x_std[basis] = self.T[: len(basis), -1]
+        x = x_std[: self.lp.n]
+        obj = float(self.lp.objective @ x)
+        # None: phase 1 dropped a row
+        final = tuple(basis) if len(basis) == len(self.lp.rows) else None
+        self.optimal = final is not None
+        return LpSolution("Optimal", x, obj, basis=final, **stats)
+
+    def solve(self) -> LpSolution:
+        """The program's optimum from the current basis.  The first solve
+        of a cold start with artificial columns runs phase 1; otherwise a
+        basis that is not primal feasible runs the dual simplex first, and
+        one neither primal nor dual feasible raises DataError.  Phase 2
+        finishes every solve."""
+        self.optimal = False
+        if self.phase1:
+            self.phase1 = False
+            if not self._run_phase1():
+                return self._result("Infeasible")
+            _price(self.T, self.basis, self.cost)
+        elif np.any(self.T[: len(self.basis), -1] < -PIVOT_TOL):
+            if np.any(self.T[-1, :-1] < -FEAS_TOL):
+                raise DataError("start basis is neither primal nor dual feasible")
+            status, self.since_refresh = _dual_phase(
+                self.T, self.basis, self.Ab, self.cost, self.stats, self.since_refresh)
+            if status == "Infeasible":
+                return self._result("Infeasible")
+        status, self.since_refresh = _simplex_phase(
+            self.T, self.basis, self.art_at, self.Ab, self.cost, self.stats,
+            self.since_refresh)
+        return self._result(status)
+
+    def add_rows(self, coeffs, rel: str, rhs: float):
+        """Append rows, as `LinearProgram.add_rows` takes them, to the program
+        and to its optimal tableau in the current basis B.
+
+        Each row u of [A | b], oriented as `_standard_form` orients it,
+        enters the tableau as (u - u_B B^-1 [A | b]) / s, its slack
+        column's sign s, so the slack is basic with value a x - b for a
+        >= row: negative when x violates it.  The cost row is unchanged,
+        since a slack costs nothing.  Only an inequality row has a slack
+        to start basic, and only a tableau left Optimal with a basis for
+        every row takes rows; otherwise DataError.  A cold tableau's
+        artificial columns, nonbasic at its optimum, are dropped here.
+        The new rows carry the tableau's drift, so an append counts as
+        one update towards the next refactorization.  The size guard runs
+        before anything changes: a GuardError leaves program and tableau
+        as they were.
+        """
+        if rel == "=":
+            raise DataError("an appended row needs a slack to start basic, not =")
+        if not self.optimal:
+            raise DataError("rows are appended to an Optimal tableau with a basis only")
+        k, w, m = len(coeffs), self.art_at, len(self.basis)
+        _guard(m + k, w + k + 1)
+        old = len(self.lp.rows)
+        self.lp.add_rows(coeffs, rel, rhs)
+        new, sign, slack, b = _oriented(self.lp.rows[old:])
+        n = self.lp.n
+        U = np.zeros((k, w + k + 1))
+        np.multiply(np.array(new), sign[:, None], out=U[:, :n])
+        U[np.arange(k), w + np.arange(k)] = slack
+        U[:, -1] = b
+        T = np.zeros((m + k + 1, w + k + 1))
+        T[:m, :w], T[:m, -1] = self.T[:m, :w], self.T[:m, -1]
+        T[-1, :w], T[-1, -1] = self.T[-1, :w], self.T[-1, -1]
+        T[m:-1] = (U - U[:, self.basis] @ T[:m]) / slack[:, None]
+        Ab = np.zeros((m + k, w + k + 1))
+        Ab[:m, :w], Ab[:m, -1], Ab[m:] = self.Ab[:, :w], self.Ab[:, -1], U
+        self.cost = np.concatenate([self.cost[:w], np.zeros(k)])
+        self.T, self.Ab, self.art_at = T, Ab, w + k
+        self.basis += range(w, w + k)
+        self.since_refresh += 1
 
 
 def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
@@ -396,73 +592,10 @@ def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolutio
     feasible, phase 2 runs from it, and if it is dual feasible, the dual
     simplex runs and a phase-2 pass confirms optimality.  Neither phase 1
     nor artificial variables are used.  A basis that is singular, or
-    neither primal nor dual feasible, raises DataError.
+    neither primal nor dual feasible, raises DataError.  One solve of a
+    `LiveTableau`, which leaves lp unchanged.
     """
-    n = lp.n
-    c = -lp.objective if lp.sense == "max" else lp.objective
-    T, slack_rows, art_rows = _standard_form(lp, basis is None)
-    m, width = T.shape[0] - 1, T.shape[1]
-    art_at = n + len(slack_rows)
-    slack_cols = n + np.arange(len(slack_rows))
-    art_cols = art_at + np.arange(len(art_rows))
-
-    Ab = T[:m].copy()  # the constraint data [A | b], for refactorizing
-    stats = Counter()
-    phase2_cost = np.zeros(width - 1)
-    phase2_cost[:n] = c
-
-    if basis is None:
-        start = np.empty(m, dtype=int)
-        start[slack_rows] = slack_cols
-        start[art_rows] = art_cols  # a row's artificial column, if it has one
-        basis = start.tolist()
-        if len(art_rows):
-            # phase 1: minimize the artificial total
-            phase1_cost = np.zeros(width - 1)
-            phase1_cost[art_at:] = 1.0
-            _price(T, basis, phase1_cost)
-            status = _simplex_phase(T, basis, width - 1, Ab, phase1_cost, stats)
-            if status != "Optimal":
-                raise DataError("numerical breakdown in feasibility phase")
-            if T[-1, -1] < -FEAS_TOL:
-                return LpSolution("Infeasible", **stats)
-            # drive leftover artificials out of the basis or drop their rows
-            keep = []
-            for i in range(m):
-                if basis[i] >= art_at:
-                    piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
-                    if len(piv) == 0:
-                        continue  # redundant row
-                    _pivot(T, basis, i, int(piv[0]))
-                    stats["pivots"] += 1
-                keep.append(i)
-            if len(keep) < m:
-                T = np.vstack([T[keep], T[-1:]])
-                basis = [basis[i] for i in keep]
-                Ab = Ab[keep]
-
-        _price(T, basis, phase2_cost)
-    else:
-        basis = [int(j) for j in basis]
-        if len(basis) != m or not all(0 <= j < art_at for j in basis):
-            raise DataError(f"a start basis needs {m} columns in [0, {art_at}), "
-                            f"got {basis}")
-        _refresh(T, basis, Ab, phase2_cost, stats)
-        if np.any(T[:m, -1] < -PIVOT_TOL):
-            if np.any(T[-1, :-1] < -FEAS_TOL):
-                raise DataError("start basis is neither primal nor dual feasible")
-            if _dual_phase(T, basis, Ab, phase2_cost, stats) == "Infeasible":
-                return LpSolution("Infeasible", **stats)
-    status = _simplex_phase(T, basis, art_at, Ab, phase2_cost, stats)
-    if status == "Unbounded":
-        return LpSolution("Unbounded", **stats)
-
-    x_std = np.zeros(width - 1)
-    x_std[basis] = T[: len(basis), -1]
-    x = x_std[:n]
-    obj = float(lp.objective @ x)
-    final = tuple(basis) if len(basis) == m else None  # None: a row was dropped
-    return LpSolution("Optimal", x, obj, basis=final, **stats)
+    return LiveTableau(lp, basis).solve()
 
 
 @dataclass(frozen=True)
@@ -566,7 +699,7 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
             return "Infeasible"
         return leave, entering[0], step
 
-    _pivot_loop(T, basis, Ab, cost, stats, choose)
+    _pivot_loop(T, basis, Ab, cost, stats, choose, 0)
     t, f = zip(*reversed(points))
     arrays = (np.array(t), np.array(f), np.array(slopes[::-1]))
     for a in arrays:

@@ -37,7 +37,8 @@ from rankfair.core import (
     swap_distance,
 )
 from rankfair.errors import DataError, DimensionError, GuardError
-from rankfair.lp import LinearProgram, parametric_rhs, solve_lp
+from rankfair import lp as lp_mod
+from rankfair.lp import LinearProgram, LiveTableau, parametric_rhs, solve_lp
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_brute_force, swap_distance_matrix
 
@@ -343,18 +344,21 @@ def golden():
 
 # the simplex's work over all targets: pivots, degenerate pivots and
 # rounds, the same with one and two BLAS threads
-ROW_GENERATION_WORK = {4: (218, 14, 52), 5: (4324, 170, 389)}
+ROW_GENERATION_WORK = {4: (222, 14, 52), 5: (4272, 169, 387)}
 
-# the full work record of every solve_lp call, summed, over the same sweep.
-# The same with one and two BLAS threads; a pivot rule that broke a tie
-# another way would move at least one of these counts
+# the full work record of every target's result, summed, over the same
+# sweep.  The same with one and two BLAS threads; a pivot rule that broke a
+# tie another way would move at least one of these counts.  The live
+# tableau refactorizes once to load round 1's basis, and again only when
+# REFRESH_EVERY updates have piled up across its rounds: three m=5 targets
+# refactorize twice
 _WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
                 "refactorizations")
 ROW_GENERATION_RECORD = {
-    4: dict(pivots=218, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
-            refactorizations=80, rounds=52),
-    5: dict(pivots=4324, degenerate_pivots=170, bland_pivots=0, cost_shifts=7,
-            refactorizations=658, rounds=389),
+    4: dict(pivots=222, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
+            refactorizations=24, rounds=52),
+    5: dict(pivots=4272, degenerate_pivots=169, bland_pivots=0, cost_shifts=6,
+            refactorizations=123, rounds=387),
 }
 # worst_group_curve(4)'s one parametric pass: the cold solve at alpha = 1, the
 # pass's own work after it (degenerate: pivots at a breakpoint already
@@ -369,12 +373,14 @@ GROUP_PASS_RECORD = dict(
 
 
 def _work_record(monkeypatch) -> Counter:
-    """Sum the work counters of every solve_lp call `bounds` makes from now
-    on, and count its parametric passes."""
+    """Sum the work counters of every solve from now on, a row-generation
+    round or a `solve_lp` call alike (both are `LiveTableau.solve`), count
+    the solves as rounds, and count `bounds`'s parametric passes."""
     record = Counter()
+    solve = LiveTableau.solve
 
-    def recorded(prog, basis=None):
-        sol = solve_lp(prog, basis)
+    def recorded(live):
+        sol = solve(live)
         record.update({f: getattr(sol, f) for f in _WORK_FIELDS}, rounds=1)
         return sol
 
@@ -382,7 +388,7 @@ def _work_record(monkeypatch) -> Counter:
         record["passes"] += 1
         return parametric_rhs(prog, row)
 
-    monkeypatch.setattr(bounds, "solve_lp", recorded)
+    monkeypatch.setattr(LiveTableau, "solve", recorded)
     monkeypatch.setattr(bounds, "parametric_rhs", counted)
     return record
 
@@ -390,11 +396,11 @@ def _work_record(monkeypatch) -> Counter:
 @pytest.mark.parametrize("m", [4, 5])
 def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatch):
     focal = tuple(range(m))
-    work = np.zeros(4, dtype=int)
+    work = Counter()
     record = _work_record(monkeypatch)
     for t, target in enumerate(itertools.permutations(range(m))):
         res = worst_profile_single_ranking(m, focal, target)
-        work += (res.pivots, res.degenerate_pivots, res.rounds, res.refactorizations)
+        work.update({f: getattr(res, f) for f in (*_WORK_FIELDS, "rounds")})
         assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
         assert str(res.alpha_exact) == golden["alpha_exact"][str(m)]["".join(map(str, target))]
         # every witness is exact: it holds alpha_exact on the focal
@@ -403,10 +409,11 @@ def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatc
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
-    assert tuple(work[:3]) == ROW_GENERATION_WORK[m]
-    assert record == ROW_GENERATION_RECORD[m]
-    # the result sums its rounds' refactorizations like their pivots
-    assert work[3] == record["refactorizations"]
+    assert (work["pivots"], work["degenerate_pivots"], work["rounds"]) == ROW_GENERATION_WORK[m]
+    assert work == ROW_GENERATION_RECORD[m]
+    # the result sums every counter of its rounds' solves, and no other
+    # solve runs
+    assert record == work
 
 
 def test_row_generation_curves_match_golden(golden):
@@ -458,12 +465,22 @@ def test_group_curve_matches_highs_per_q(m, grid):
 
 
 def test_group_pieces_are_shared_read_only_and_concave():
-    pieces = _group_pieces(4)
-    assert _group_pieces(4) is pieces
+    cached = _group_pieces(4)
+    assert _group_pieces(4) is cached
+    pieces = cached.traced
     alphas, values, slopes = pieces.breakpoints, pieces.values, pieces.slopes
     for a in (alphas, values, slopes):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+    # the lookups every request reads: the same floats as tuples, and the
+    # bisection keys -F/alpha past alpha = 0, nondecreasing since F is concave
+    lookups = (cached.alphas, cached.values, cached.slopes, cached.keys)
+    assert all(type(t) is tuple for t in lookups)
+    assert cached.alphas == tuple(alphas.tolist())
+    assert cached.values == tuple(values.tolist())
+    assert cached.slopes == tuple(slopes.tolist())
+    assert cached.keys == tuple((-values[1:] / alphas[1:]).tolist())
+    assert all(a <= b for a, b in zip(cached.keys, cached.keys[1:]))
     assert alphas[0] == 0.0 and alphas[-1] == 1.0 and (np.diff(alphas) > 0).all()
     # F(0) = 0 and F is concave: each piece ends where the next starts, and
     # the slopes fall as alpha grows, from the farthest ranking's distance
@@ -475,7 +492,7 @@ def test_group_pieces_are_shared_read_only_and_concave():
 
 
 def test_group_pass_work_record():
-    pieces = _group_pieces(4)
+    pieces = _group_pieces(4).traced
     assert {f: getattr(pieces.start, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["start"]
     assert {f: getattr(pieces, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["walk"]
     assert len(pieces.slopes) == GROUP_PASS_RECORD["pieces"]
@@ -510,9 +527,50 @@ def test_group_curve_m5_in_one_pass():
     lambda sol: dataclasses.replace(sol, objective_value=sol.objective_value + 1e-6),
 ])
 def test_single_ranking_refuses_a_corrupted_solution(corrupt, monkeypatch):
-    monkeypatch.setattr(bounds, "solve_lp", lambda prog, basis=None: corrupt(solve_lp(prog, basis)))
+    # every round's solution is corrupted; the tableau itself is not
+    solve = LiveTableau.solve
+    monkeypatch.setattr(LiveTableau, "solve", lambda live: corrupt(solve(live)))
     with pytest.raises(DataError, match="independent verification"):
         worst_profile_single_ranking(4, None, (1, 3, 2, 0))
+
+
+def test_row_generation_builds_the_standard_form_once(monkeypatch):
+    # every round after the first appends its rows to the live tableau:
+    # the standard form is built once and round 1's basis is the only one
+    # refactorized (all its rounds take fewer than REFRESH_EVERY pivots)
+    builds = []
+    build = lp_mod._standard_form
+    monkeypatch.setattr(lp_mod, "_standard_form",
+                        lambda prog, cold: builds.append(len(prog.rows)) or build(prog, cold))
+    res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
+    assert res.rounds >= 3 and res.alpha_exact == F(9, 20)
+    assert builds == [5]  # the sum row and the m - 1 adjacent competitors
+    assert res.refactorizations == 1
+
+
+def test_row_generation_refactorizes_across_rounds(monkeypatch):
+    # the refactorization cadence counts every update of the live tableau,
+    # pivots and appended rows alike, whatever round or phase it falls in:
+    # this target's rounds take 170 pivots, more than REFRESH_EVERY, none
+    # of them with more than a few dozen
+    run = {"since": 0, "most": 0}
+    pivot, refresh = lp_mod._pivot, lp_mod._refresh
+
+    def counted_pivot(*args):
+        run["since"] += 1
+        run["most"] = max(run["most"], run["since"])
+        return pivot(*args)
+
+    def counted_refresh(*args):
+        run["since"] = 0
+        return refresh(*args)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counted_pivot)
+    monkeypatch.setattr(lp_mod, "_refresh", counted_refresh)
+    res = worst_profile_single_ranking(5, (0, 1, 2, 3, 4), (3, 1, 4, 0, 2))
+    assert res.pivots > lp_mod.REFRESH_EVERY
+    assert run["most"] <= lp_mod.REFRESH_EVERY
+    assert res.refactorizations == 2
 
 
 def test_single_ranking_rankings_must_rank_m_alternatives():
@@ -550,9 +608,9 @@ def test_row_generation_pivots_stay_below_full_programs():
         assert res.rounds >= 1
         generated += res.pivots
         degenerate += res.degenerate_pivots
-    # 4,324 pivots with one BLAS thread, 170 of them degenerate (19 in the
-    # dual phases); without the dual phase's cost perturbation 12,654 and
-    # 11,104
+    # 4,272 pivots with one BLAS thread, 169 of them degenerate; without
+    # the dual phase's cost perturbation (and with a rebuild per round)
+    # 12,654 and 11,104
     assert generated < 6_000
     assert degenerate < 300
     # pivot counts are nonnegative, so once a prefix of the full programs'

@@ -14,7 +14,14 @@ import pytest
 from rankfair import bounds, lp as lp_mod
 from rankfair.bounds import worst_profile_single_ranking
 from rankfair.errors import DataError, DimensionError, GuardError
-from rankfair.lp import LinearProgram, _pivot, parametric_rhs, solve_lp, verify_solution
+from rankfair.lp import (
+    LinearProgram,
+    LiveTableau,
+    _pivot,
+    parametric_rhs,
+    solve_lp,
+    verify_solution,
+)
 
 
 def test_trivial_minimum():
@@ -345,11 +352,16 @@ def test_dropped_redundant_row_gives_no_basis():
 
 
 def test_warm_start_after_cuts_matches_cold_and_highs():
+    # the same cuts three ways: a warm start from the optimal basis plus
+    # their slacks, a cold solve, and appended to the live tableau of the
+    # cold solve before them, artificial columns and all
     pytest.importorskip("scipy.optimize")
     statuses = []
     for seed in range(80):
         prog, _ = _random_program(seed)
-        sol = solve_lp(prog)
+        live = LiveTableau(LinearProgram(prog.objective, prog.sense, list(prog.rows)))
+        sol = live.solve()
+        assert sol.status == solve_lp(prog).status
         if sol.basis is None:
             continue
         rng = np.random.default_rng(1000 + seed)
@@ -364,20 +376,87 @@ def test_warm_start_after_cuts_matches_cold_and_highs():
             b = float(a @ x) - 0.25 * int(rng.integers(1, 7))
             if rng.random() < 0.5:
                 prog.add_row(a, "<=", b)
+                live.add_rows([a], "<=", b)
             else:
                 prog.add_row(-a, ">=", -b)
+                live.add_rows([-a], ">=", -b)
             start.append(prog.n + _slack_count(prog) - 1)
+        assert live.basis == start
+        # the appended rows are B^-1 [A | b] of the grown constraint data, as
+        # a refactorization at the same basis would write them
+        assert np.allclose(np.linalg.solve(live.Ab[:, live.basis], live.Ab), live.T[:-1],
+                           rtol=0, atol=1e-9)
         warm = solve_lp(prog, start)
         cold = solve_lp(prog)
+        cut = live.solve()
         ref_status, ref_obj = _highs(prog)
-        assert warm.status == cold.status == ref_status, seed
+        assert warm.status == cold.status == cut.status == ref_status, seed
         if warm.status == "Optimal":
             assert abs(warm.objective_value - cold.objective_value) <= 1e-8
             assert abs(warm.objective_value - ref_obj) <= 1e-8
-            assert verify_solution(prog, warm)
-            assert len(warm.basis) == len(prog.rows)
+            assert abs(cut.objective_value - ref_obj) <= 1e-8
+            assert verify_solution(prog, warm) and verify_solution(prog, cut)
+            assert len(warm.basis) == len(cut.basis) == len(prog.rows)
         statuses.append(warm.status)
     assert statuses.count("Optimal") >= 15 and statuses.count("Infeasible") >= 15
+
+
+def test_live_tableau_appends_only_slack_rows_to_an_optimum():
+    lp = LinearProgram(objective=[1.0, 1.0], sense="max")
+    lp.add_row([1.0, 1.0], "<=", 4.0)
+    live = LiveTableau(lp)
+    with pytest.raises(DataError, match="Optimal tableau"):
+        live.add_rows([[1.0, 0.0]], "<=", 1.0)  # not solved yet
+    assert live.solve().objective_value == pytest.approx(4.0)
+    with pytest.raises(DataError, match="not ="):
+        live.add_rows([[1.0, 0.0]], "=", 1.0)
+    assert len(lp.rows) == 1
+    live.add_rows([[1.0, 0.0]], "<=", 1.0)
+    assert live.solve().objective_value == pytest.approx(4.0)
+    # y >= 5 leaves nothing feasible, and an infeasible tableau takes no rows
+    live.add_rows([[0.0, 1.0]], ">=", 5.0)
+    assert live.solve().status == "Infeasible"
+    with pytest.raises(DataError, match="Optimal tableau"):
+        live.add_rows([[0.0, 1.0]], "<=", 9.0)
+    assert len(lp.rows) == 3
+
+
+def test_live_tableau_refactorizes_before_an_infeasible_verdict():
+    # x + y >= 3 against x + y <= 2: the appended row has no negative entry,
+    # so the dual simplex's first choice is "Infeasible".  The start basis
+    # (x) is optimal, so no pivot follows its loading refactorization, yet
+    # the rows computed on that tableau must be refactorized before the
+    # verdict is accepted
+    lp = LinearProgram(objective=[1.0, 1.0], sense="max")
+    lp.add_row([1.0, 1.0], "<=", 2.0)
+    live = LiveTableau(lp, [0])
+    first = live.solve()
+    assert first.objective_value == pytest.approx(2.0)
+    assert first.pivots == 0 and first.refactorizations == 1
+    live.add_rows([[1.0, 1.0]], ">=", 3.0)
+    sol = live.solve()
+    assert sol.status == "Infeasible"
+    assert sol.pivots == 0 and sol.refactorizations >= 1
+
+
+def test_live_tableau_guard_leaves_program_and_tableau_unchanged(monkeypatch):
+    lp = LinearProgram(objective=[1.0, 1.0], sense="max")
+    lp.add_row([1.0, 1.0], "<=", 4.0)
+    live = LiveTableau(lp)
+    assert live.solve().objective_value == pytest.approx(4.0)
+    T, Ab, basis = live.T.copy(), live.Ab.copy(), list(live.basis)
+    # room for the 2 x 4 tableau, not for the 4 x 6 one two more rows make
+    monkeypatch.setattr(lp_mod, "TABLEAU_GUARD_BYTES", 3 * 5 * 8)
+    with pytest.raises(GuardError):
+        live.add_rows([[1.0, 0.0], [0.0, 1.0]], "<=", 1.0)
+    assert len(live.lp.rows) == 1
+    assert np.array_equal(live.T, T) and np.array_equal(live.Ab, Ab)
+    assert live.basis == basis
+    # within the guard, the same rows append and solve
+    monkeypatch.undo()
+    live.add_rows([[1.0, 0.0], [0.0, 1.0]], "<=", 1.0)
+    assert live.solve().objective_value == pytest.approx(2.0)
+    assert len(live.lp.rows) == 3
 
 
 def test_bad_start_basis_is_data_error():
@@ -426,20 +505,29 @@ class _Stop(Exception):
     pass
 
 
+def _five_rounds(monkeypatch) -> list:
+    """Stop row generation at its sixth round, keeping each round's program
+    (a copy of the live tableau's, as solved) and solution."""
+    monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
+    rounds = []
+    solve = LiveTableau.solve
+
+    def five_rounds(live):
+        if len(rounds) == 5:
+            raise _Stop
+        prog = LinearProgram(live.lp.objective, live.lp.sense, list(live.lp.rows))
+        rounds.append((prog, solve(live)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(LiveTableau, "solve", five_rounds)
+    return rounds
+
+
 def test_dual_phase_never_steps_backwards(monkeypatch):
     # in the fifth round of this m=6 target, entering reduced costs that
     # rounding left below zero gave negative dual steps; unshifted, the
-    # round wandered for minutes, shifted it takes about two seconds
-    monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
-    rounds = []
-
-    def five_rounds(prog, basis=None):
-        if len(rounds) == 5:
-            raise _Stop
-        rounds.append((prog, solve_lp(prog, basis)))
-        return rounds[-1][1]
-
-    monkeypatch.setattr(bounds, "solve_lp", five_rounds)
+    # round wandered for minutes, shifted the five rounds take about 0.1 s
+    rounds = _five_rounds(monkeypatch)
     with _within(30), pytest.raises(_Stop):
         worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
     prog, sol = rounds[-1]
@@ -566,7 +654,7 @@ def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     basis = list(PRIMAL_TIES["basis"])
     Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
     assert _first_pivot(monkeypatch, lp_mod._simplex_phase, T, basis, 10, Ab,
-                        cost, Counter()) == pivot
+                        cost, Counter(), 0) == pivot
 
 
 # the most negative right-hand side is row 1's; of the negative ones, row 3
@@ -602,7 +690,7 @@ def test_dual_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     basis = list(DUAL_TIES["basis"])
     Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
     assert _first_pivot(monkeypatch, lp_mod._dual_phase, T, basis, Ab, cost,
-                        Counter()) == pivot
+                        Counter(), 0) == pivot
 
 
 def _dual_phase_stats(monkeypatch):
@@ -610,12 +698,12 @@ def _dual_phase_stats(monkeypatch):
     dual = Counter()
     real = lp_mod._dual_phase
 
-    def counted(T, basis, Ab, cost_vec, stats):
+    def counted(T, basis, Ab, cost_vec, stats, since_refresh):
         own = Counter()
-        status = real(T, basis, Ab, cost_vec, own)
+        verdict = real(T, basis, Ab, cost_vec, own, since_refresh)
         stats.update(own)
         dual.update(own)
-        return status
+        return verdict
 
     monkeypatch.setattr(lp_mod, "_dual_phase", counted)
     return dual
@@ -638,16 +726,7 @@ def test_dual_phase_cost_shift_fires_without_perturbation(monkeypatch):
     # perturbation off: the entering-cost shift must fire, and the round
     # must still match HiGHS
     monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
-    monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
-    rounds = []
-
-    def five_rounds(prog, basis=None):
-        if len(rounds) == 5:
-            raise _Stop
-        rounds.append((prog, solve_lp(prog, basis)))
-        return rounds[-1][1]
-
-    monkeypatch.setattr(bounds, "solve_lp", five_rounds)
+    rounds = _five_rounds(monkeypatch)
     with _within(30), pytest.raises(_Stop):
         worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
     prog, sol = rounds[-1]
@@ -748,7 +827,7 @@ def test_parametric_rhs_under_bland_rule_traces_the_same_optimum(monkeypatch):
     monkeypatch.setattr(bounds, "parametric_rhs",
                         lambda prog, row: seen.append((prog, row)) or parametric_rhs(prog, row))
     bounds._group_pieces.cache_clear()
-    ref = bounds._group_pieces(4)
+    ref = bounds._group_pieces(4).traced
     monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
     bland = parametric_rhs(*seen[0])
     # the same with one and two BLAS threads; a Bland rule that broke a tie

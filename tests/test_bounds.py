@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -496,6 +497,32 @@ def test_group_pass_work_record():
     assert {f: getattr(pieces.start, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["start"]
     assert {f: getattr(pieces, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["walk"]
     assert len(pieces.slopes) == GROUP_PASS_RECORD["pieces"]
+
+
+# every (row, column) that `lp._pivot` takes over the m=5 row generations
+# (the 120 single-ranking targets in order) and then worst_group_curve(4)'s
+# cold solve and parametric pass: their count and the SHA-256 of the
+# sequence as little-endian int64 pairs.  The same with one and two BLAS
+# threads; a change to the simplex that keeps every pivot keeps this digest
+PIVOT_PATH = (4272 + 135, "7c742c1fd5d34e6f81ee392a1f056ed57872f6f41cc6cfc345aa715250bc9197")
+
+
+def test_row_generation_and_group_pass_pivot_path(monkeypatch):
+    path = []
+    pivot = lp_mod._pivot
+
+    def recorded(T, basis, row, col):
+        path.append((row, col))
+        return pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", recorded)
+    focal = tuple(range(5))
+    for target in itertools.permutations(range(5)):
+        worst_profile_single_ranking(5, focal, target)
+    _group_pieces.cache_clear()  # so the curve runs its pass
+    worst_group_curve(4)
+    digest = hashlib.sha256(np.array(path, dtype="<i8").tobytes()).hexdigest()
+    assert (len(path), digest) == PIVOT_PATH
 
 
 @contextmanager

@@ -1,55 +1,26 @@
-"""Dense two-phase primal simplex in double precision, with a dual simplex
-restart from a given basis and a parametric pass over one right-hand side.
+"""Dense simplex in double precision: a two-phase primal simplex, a dual
+simplex restart from a given basis and a parametric pass over one
+right-hand side, all on one kind of tableau.
 
 A program is max or min c'x over rows (coeffs, relation, rhs) with every
 variable nonnegative; an upper bound is a row, a free variable the
 difference of two.  The worst-case programs in `rankfair.bounds` have up
-to a few thousand dense variables and are highly degenerate.  One pivot
-loop drives the primal and the dual simplex alike: it refactorizes the
-tableau at a fixed cadence and before it accepts an unbounded or
-infeasible verdict, switches to Bland's rule after a streak of
-degenerate pivots so cycling cannot occur, and counts the pivots,
-degenerate pivots and refactorizations.  Each phase supplies only its
-pivot rule: the primal one enters the column of most negative reduced
-cost, the dual one leaves the row of most negative right-hand side.
-Each rule is a fixed handful of whole-array reductions into buffers
-allocated once per phase, whatever the tableau's size: the ratio test
-is one `np.divide(..., where=)` and its minimum, and the ratios within
-PIVOT_TOL of that minimum tie.  A tie goes to the first index of the
-largest pivot entry (`np.where(tied, entry, -inf).argmax()`), under
-Bland's rule to the smallest basic index (an `argmin` over the tied
-rows' basic columns) or to the first tied column.  A solve returns its
-final basis; passed back in after rows were appended, that basis is
-still dual feasible, so the dual simplex finishes the longer program
-without phase 1.  Row generation does not even rebuild: a
-`LiveTableau` keeps the optimal tableau between rounds and appends
-each batch of rows in the current basis, as B^-1 times the new rows of
-[A | b] with their slacks basic, so the dual simplex restarts on it
-with no new standard form and no refactorization to start; the
-constraint data that refactorizations start from grows with it, and
-the tableau counts its updates (pivots and appends) since the last
-refactorization across every round and phase, so the refactorization
-cadence and the one before a non-Optimal verdict see all its drift.
-`solve_lp` is one solve of a `LiveTableau`.  The dual simplex perturbs
-the costs: on entry it raises every nonbasic reduced cost by a small
-distinct amount, so its ratio test stops tying at zero on these dual-degenerate
-programs, and once primal feasible it re-prices the cost row with the
-true costs, with no refactorization, so the confirming phase-2 pass
-runs on the real program.  One pricing routine writes every cost row.
-The standard form is written straight into the tableau in blocks (the
-rows stacked once, flipped rows by a sign vector, the slack and
-artificial columns by fancy indexing), once the tableau has passed its
-guard on size in bytes.  Each pivot is one rank-1 update over cache-sized row blocks
-that computes every entry exactly as row-by-row elimination would, so
-the blocking changes neither the pivot sequence nor any result.
-`parametric_rhs` traces the optimum of a program as the right-hand side
-t of one <= row falls from its own value to 0, in one pass: a cold
-solve at the top, one rebuild of the tableau from that basis (from the
-same standard-form block as `solve_lp`), then one dual pivot per
-breakpoint on the same pivot loop.  Between breakpoints the optimum is
-linear in t, and the tableau column of the row's slack gives both the
-direction in which the basic values move and the slope; the pivot rule
-shares the dual simplex's entering rule, `_dual_ratio_test`.
+to a few thousand dense variables and are highly degenerate.
+
+The simplex state lives on a `LiveTableau`: the tableau, its basis, the
+constraint data [A | b] that refactorizations start from, the work
+counters and the count of updates since the last refactorization.  Its
+constructor is the one place a standard form is built.  The phases take
+the tableau and give a verdict: the primal (`_simplex_phase`) and the
+dual (`_dual_phase`) simplex each supply only a pivot rule to one pivot
+loop, `_pivot_loop`, which pivots and counts through `_step`,
+refactorizes through `_refresh` at a fixed cadence and before it accepts
+a verdict other than Optimal, and switches to Bland's rule after a
+streak of degenerate pivots.  `solve_lp` is one solve of a new tableau;
+row generation keeps one between rounds and appends rows to it in the
+current basis (`LiveTableau.add_rows`); `parametric_rhs` warm-starts one
+at a cold solve's basis and runs its pass on the same loop.
+
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
 differently under another count, and the pivot path can follow (the
@@ -70,9 +41,12 @@ from .errors import DataError, DimensionError, GuardError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 VERIFY_TOL = 1e-8  # verify_solution's slack on rows, signs and the objective
-# the tableau holds (rows + 1) x width doubles; solving also keeps a copy of
-# its constraint block and `_refresh` allocates a solve output of that size,
-# so 1 GiB of tableau stays near 3 GiB in all, inside a 7 GB machine
+# the tableau holds (rows + 1) x width doubles and its constraint data [A | b]
+# about as many again.  Beyond both, a refactorization allocates 1.40 times
+# the tableau's bytes (the basis matrix and the solve's output) and an append
+# of 10 rows 2.04 times (the new tableau and [A | b], built while the old ones
+# are held), measured under tracemalloc on a 1,000-row, 2,501-column tableau:
+# at the guard an append peaks near 4 GiB, inside a 7 GB machine
 TABLEAU_GUARD_BYTES = 1 << 30
 
 
@@ -147,6 +121,8 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int):
+    """One rank-1 update in row blocks, each entry computed exactly as
+    row-by-row elimination would compute it."""
     T[row] /= T[row, col]
     piv = T[row]
     f = T[:, col].copy()
@@ -169,65 +145,63 @@ def _price(T: np.ndarray, basis: list[int], cost: np.ndarray):
     T[-1, -1] = -float(cb @ T[:m, -1])
 
 
-def _refresh(T: np.ndarray, basis: list[int], Ab: np.ndarray, cost: np.ndarray,
-             stats: Counter):
-    """Rebuild the tableau from the original data [A | b] to shed rounding
-    drift, with one factorization of the basis B, and count it."""
+def _step(tab: LiveTableau, row: int, col: int):
+    """Pivot the tableau on (row, col) and count the pivot as an update."""
+    _pivot(tab.T, tab.basis, row, col)
+    tab.stats["pivots"] += 1
+    tab.since_refresh += 1
+
+
+def _refresh(tab: LiveTableau, cost: np.ndarray):
+    """Rebuild the tableau's rows from its constraint data [A | b] to shed
+    rounding drift, with one factorization of the basis B, and price them
+    with `cost`.  Counts the refactorization and resets the update count."""
     try:
-        T[: len(basis)] = np.linalg.solve(Ab[:, basis], Ab)
+        tab.T[: len(tab.basis)] = np.linalg.solve(tab.Ab[:, tab.basis], tab.Ab)
     except np.linalg.LinAlgError:
         raise DataError("numerical breakdown: simplex basis became singular")
-    _price(T, basis, cost)
-    stats["refactorizations"] += 1
+    _price(tab.T, tab.basis, cost)
+    tab.stats["refactorizations"] += 1
+    tab.since_refresh = 0
 
 
-def _pivot_loop(T: np.ndarray, basis: list[int], Ab: np.ndarray,
-                cost: np.ndarray, stats: Counter, choose,
-                since_refresh: int) -> tuple[str, int]:
-    """Pivot the tableau (cost row last) by the rule `choose` to a verdict.
+def _pivot_loop(tab: LiveTableau, cost: np.ndarray, choose) -> str:
+    """Pivot the tableau by the rule `choose` to a verdict.
 
     choose(bland) gives the next pivot as (leaving row, entering column,
     the ratio test's least ratio), or a verdict if there is none.  After
     a streak of degenerate pivots (least ratio at most PIVOT_TOL) bland
     is True and the rule follows Bland's smallest-index rule, so cycling
-    cannot occur.  The tableau is refactorized from the original data,
-    with `cost`, at a fixed cadence and before any verdict but "Optimal"
-    is accepted, so rounding drift over long degenerate runs cannot
-    corrupt the outcome.  since_refresh is the number of updates T has
-    taken since it was last refactorized (0: fresh), so the cadence and
-    that check see the drift of earlier phases too; the loop gives its
-    verdict and the count it leaves.  Pivots, degenerate and Bland
-    pivots and refactorizations are counted into `stats`.
+    cannot occur.  The tableau is refactorized, with `cost`, once its
+    update count (`since_refresh`, which spans earlier phases and solves)
+    reaches REFRESH_EVERY and before any verdict but "Optimal" is
+    accepted, so rounding drift over long degenerate runs cannot corrupt
+    the outcome.  Degenerate and Bland pivots are counted here, pivots by
+    `_step`.
     """
     degenerate = 0
     while True:
-        if since_refresh >= REFRESH_EVERY:
-            _refresh(T, basis, Ab, cost, stats)
-            since_refresh = 0
+        if tab.since_refresh >= REFRESH_EVERY:
+            _refresh(tab, cost)
         bland = degenerate >= DEGENERACY_STREAK
         step = choose(bland)
         if isinstance(step, str):
-            if step == "Optimal" or since_refresh == 0:
-                return step, since_refresh
-            _refresh(T, basis, Ab, cost, stats)
-            since_refresh = 0
+            if step == "Optimal" or tab.since_refresh == 0:
+                return step
+            _refresh(tab, cost)
             continue
         leave, enter, best = step
         if bland:
-            stats["bland_pivots"] += 1
+            tab.stats["bland_pivots"] += 1
         if best <= PIVOT_TOL:
             degenerate += 1
-            stats["degenerate_pivots"] += 1
+            tab.stats["degenerate_pivots"] += 1
         else:
             degenerate = 0
-        _pivot(T, basis, leave, enter)
-        stats["pivots"] += 1
-        since_refresh += 1
+        _step(tab, leave, enter)
 
 
-def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
-                   Ab: np.ndarray, cost_vec: np.ndarray, stats: Counter,
-                   since_refresh: int) -> tuple[str, int]:
+def _simplex_phase(tab: LiveTableau, allowed: int, cost: np.ndarray) -> str:
     """Primal simplex: pivot the tableau to optimality by `_pivot_loop`.
 
     Entering variable: of the first `allowed` columns, the one of most
@@ -237,9 +211,9 @@ def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
     (ratios within PIVOT_TOL of the least) going to the first row of
     largest pivot entry, under Bland's rule to the row of smallest basic
     index.  A column with no positive entry, on a freshly refactorized
-    tableau, proves the program unbounded.  since_refresh and the result
-    are as for `_pivot_loop`.
+    tableau, proves the program unbounded.
     """
+    T, basis = tab.T, tab.basis
     m = T.shape[0] - 1
     reduced, rhs = T[-1, :allowed], T[:m, -1]  # views: pivots update T in place
     ratios = np.empty(m)
@@ -263,7 +237,7 @@ def _simplex_phase(T: np.ndarray, basis: list[int], allowed: int,
         # conditioned through long degenerate stretches
         return int(np.where(tied, col, -np.inf).argmax()), enter, best
 
-    return _pivot_loop(T, basis, Ab, cost_vec, stats, choose, since_refresh)
+    return _pivot_loop(tab, cost, choose)
 
 
 # the dual phase raises each nonbasic reduced cost by PERTURBATION times a
@@ -273,9 +247,9 @@ PERTURBATION = 1e-5
 _GOLDEN = (5**0.5 - 1) / 2
 
 
-def _dual_ratio_test(T: np.ndarray, stats: Counter):
-    """The dual simplex's entering rule on tableau T (cost row last), as a
-    function of the leaving row and of bland, into buffers allocated once.
+def _dual_ratio_test(tab: LiveTableau):
+    """The dual simplex's entering rule on the tableau, as a function of
+    the leaving row and of bland, into buffers allocated once.
 
     Entering column: the smallest ratio of reduced cost to |entry| over
     the leaving row's negative entries, ties (ratios within PIVOT_TOL of
@@ -287,6 +261,7 @@ def _dual_ratio_test(T: np.ndarray, stats: Counter):
     function gives (entering column, least ratio), or None when the row
     has no negative entry.
     """
+    T = tab.T
     cost = T[-1, :-1]  # a view: pivots update T in place
     reduced, size, ratios = (np.empty(T.shape[1] - 1) for _ in range(3))
 
@@ -304,15 +279,13 @@ def _dual_ratio_test(T: np.ndarray, stats: Counter):
         enter = int(tied.argmax() if bland else np.where(tied, size, -np.inf).argmax())
         if cost[enter] < PIVOT_TOL * row[enter]:
             cost[enter] = 0.0
-            stats["cost_shifts"] += 1
+            tab.stats["cost_shifts"] += 1
         return enter, best
 
     return enter_for
 
 
-def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
-                cost_vec: np.ndarray, stats: Counter,
-                since_refresh: int) -> tuple[str, int]:
+def _dual_phase(tab: LiveTableau, cost: np.ndarray) -> str:
     """Dual simplex: pivot a dual feasible tableau to primal feasibility
     by `_pivot_loop`.
 
@@ -326,19 +299,19 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
     basic index among the negative ones.  On Optimal the cost row is
     re-priced with the true costs (`_price`, no refactorization),
     shedding perturbation and shifts, so the caller's phase 2 finishes
-    on the real program.  The re-price leaves the rows as drifted as the
-    phase left them, so the count it returns (see `_pivot_loop`) lets
-    phase 2 refactorize before it accepts "Unbounded".  A row with no
-    negative entry, on a freshly refactorized tableau, proves the
-    program infeasible.
+    on the real program.  The re-price leaves the rows, and the update
+    count, as the phase left them, so phase 2 refactorizes before it
+    accepts "Unbounded".  A row with no negative entry, on a freshly
+    refactorized tableau, proves the program infeasible.
     """
+    T, basis = tab.T, tab.basis
     m = T.shape[0] - 1
-    nonbasic = np.ones(len(cost_vec), dtype=bool)
+    nonbasic = np.ones(len(cost), dtype=bool)
     nonbasic[basis] = False
-    delta = PERTURBATION * (1.0 + np.arange(len(cost_vec)) * _GOLDEN % 1.0) * nonbasic
+    delta = PERTURBATION * (1.0 + np.arange(len(cost)) * _GOLDEN % 1.0) * nonbasic
     T[-1, :-1] += delta
     rhs = T[:m, -1]  # a view: pivots update T in place
-    enter_for = _dual_ratio_test(T, stats)
+    enter_for = _dual_ratio_test(tab)
 
     def choose(bland):
         if bland:
@@ -352,11 +325,10 @@ def _dual_phase(T: np.ndarray, basis: list[int], Ab: np.ndarray,
             return "Infeasible"
         return leave, *step
 
-    status, since_refresh = _pivot_loop(T, basis, Ab, cost_vec + delta, stats,
-                                        choose, since_refresh)
+    status = _pivot_loop(tab, cost + delta, choose)
     if status == "Optimal":
-        _price(T, basis, cost_vec)
-    return status, since_refresh
+        _price(T, basis, cost)
+    return status
 
 
 # a row's relation as the sign of its slack column: x + s = b for <=,
@@ -421,25 +393,26 @@ def _guard(m: int, width: int):
 
 
 class LiveTableau:
-    """A program's simplex tableau, kept live between solves for row
-    generation: rows appended to an optimal tableau are re-optimized from
-    its current basis, with no rebuild and no refactorization to start.
+    """A program's simplex state, which every phase reads and writes: the
+    tableau `T` (cost row last), its `basis`, the constraint data `Ab` =
+    [A | b] that refactorizations start from, the work counters `stats`
+    and `since_refresh`, the updates since the tableau was built or last
+    refactorized (pivots of every phase, and one per append, across
+    solves), so that the REFRESH_EVERY cadence and the refactorization
+    before a non-Optimal verdict (see `_pivot_loop`) cover the drift of
+    earlier rounds too.
 
     The standard form is built once, here (see `_standard_form`); with a
     start basis (see `LpSolution.basis`) the tableau is refactorized at it
     once, without one the first `solve` runs the two-phase simplex.
     `solve` gives the program's current optimum as an `LpSolution` whose
-    counters are the work since the last `solve` returned.  `add_rows`
-    appends rows to the program (`lp`, changed in place) and to the
-    tableau, in the current basis, each with its slack basic, numbered as
-    `LpSolution.basis` documents; the constraint data [A | b] that
-    refactorizations start from grows with it.  The tableau counts its
-    updates since it was built or last refactorized (`since_refresh`:
-    pivots of every phase, and one per append) across solves, so the
-    REFRESH_EVERY cadence and the refactorization before a non-Optimal
-    verdict (see `_pivot_loop`) cover the drift of earlier rounds too.
-    The basis stays dual feasible, so the next `solve` runs the dual
-    simplex and a confirming phase-2 pass.
+    counters are the work since the last `solve` returned.  For row
+    generation `add_rows` appends rows to the program (`lp`, changed in
+    place), to `Ab` and to the tableau in the current basis, each with
+    its slack basic and numbered as `LpSolution.basis` documents.  The
+    basis stays dual feasible, so the next `solve` runs the dual simplex
+    and a confirming phase-2 pass, with no rebuild and no refactorization
+    to start.
     """
 
     def __init__(self, lp: LinearProgram, basis: Sequence[int] | None = None):
@@ -455,9 +428,6 @@ class LiveTableau:
         self.cost[:n] = -lp.objective if lp.sense == "max" else lp.objective
         self.phase1 = basis is None and len(art_rows) > 0  # due at the first solve
         self.optimal = False  # an Optimal solve left a basis with a column per row
-        # updates since the tableau was built or last refactorized: the
-        # cadence and the check before a non-Optimal verdict span every
-        # phase, solve and append (see `_pivot_loop`)
         self.since_refresh = 0
         if basis is None:
             start = np.empty(m, dtype=int)
@@ -470,7 +440,10 @@ class LiveTableau:
             if len(self.basis) != m or not all(0 <= j < self.art_at for j in self.basis):
                 raise DataError(f"a start basis needs {m} columns in [0, {self.art_at}), "
                                 f"got {self.basis}")
-            _refresh(self.T, self.basis, self.Ab, self.cost, self.stats)
+            repeated = sorted(j for j, k in Counter(self.basis).items() if k > 1)
+            if repeated:
+                raise DataError(f"singular start basis: it repeats column(s) {repeated}")
+            _refresh(self, self.cost)
 
     def _run_phase1(self) -> bool:
         """Minimize the artificial total from the cold basis, then drive the
@@ -481,9 +454,7 @@ class LiveTableau:
         phase1_cost = np.zeros(width - 1)
         phase1_cost[art_at:] = 1.0
         _price(T, basis, phase1_cost)
-        status, self.since_refresh = _simplex_phase(
-            T, basis, width - 1, self.Ab, phase1_cost, self.stats, self.since_refresh)
-        if status != "Optimal":
+        if _simplex_phase(self, width - 1, phase1_cost) != "Optimal":
             raise DataError("numerical breakdown in feasibility phase")
         if T[-1, -1] < -FEAS_TOL:
             return False
@@ -493,9 +464,7 @@ class LiveTableau:
                 piv = np.flatnonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)
                 if len(piv) == 0:
                     continue  # redundant row
-                _pivot(T, basis, i, int(piv[0]))
-                self.stats["pivots"] += 1
-                self.since_refresh += 1
+                _step(self, i, int(piv[0]))
             keep.append(i)
         if len(keep) < m:
             self.T = np.vstack([T[keep], T[-1:]])
@@ -532,14 +501,9 @@ class LiveTableau:
         elif np.any(self.T[: len(self.basis), -1] < -PIVOT_TOL):
             if np.any(self.T[-1, :-1] < -FEAS_TOL):
                 raise DataError("start basis is neither primal nor dual feasible")
-            status, self.since_refresh = _dual_phase(
-                self.T, self.basis, self.Ab, self.cost, self.stats, self.since_refresh)
-            if status == "Infeasible":
+            if _dual_phase(self, self.cost) == "Infeasible":
                 return self._result("Infeasible")
-        status, self.since_refresh = _simplex_phase(
-            self.T, self.basis, self.art_at, self.Ab, self.cost, self.stats,
-            self.since_refresh)
-        return self._result(status)
+        return self._result(_simplex_phase(self, self.art_at, self.cost))
 
     def add_rows(self, coeffs, rel: str, rhs: float):
         """Append rows, as `LinearProgram.add_rows` takes them, to the program
@@ -610,8 +574,8 @@ class ParametricRhs:
     k + 1.  `start` is the cold solve at the row's own right-hand side;
     the counters are the pass's own, after it: its dual pivots, those of
     them at a breakpoint already reached (a zero-width piece), its Bland
-    pivots, cost shifts and refactorizations (the first rebuilds the
-    tableau from `start.basis`).
+    pivots, cost shifts and refactorizations (the first loads
+    `start.basis`).
     """
 
     breakpoints: np.ndarray
@@ -629,11 +593,12 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     """Trace lp's optimum over the right-hand side t of its <= row `row`,
     from the row's own value b > 0 down to 0, in one parametric pass.
 
-    lp is solved cold at t = b by `solve_lp`, and the tableau is rebuilt
-    once from that solution's basis.  While the basis B stays optimal the
-    basic values are B^-1 b(t) = beta - (b - t) gamma, where gamma is the
-    tableau column of the row's slack, so F is linear with slope c_B gamma
-    (the slack's reduced cost).  t falls to the next breakpoint, where
+    lp is solved cold at t = b by `solve_lp`, and the pass runs on a
+    `LiveTableau` warm-started at that solution's basis, whose constraint
+    data holds t.  While the basis B stays optimal the basic values are
+    B^-1 b(t) = beta - (b - t) gamma, where gamma is the tableau column of
+    the row's slack, so F is linear with slope c_B gamma (the slack's
+    reduced cost).  t falls to the next breakpoint, where
     the first basic value reaches zero (the least ratio beta_i / gamma_i
     over gamma_i > 0); that row leaves the basis by one dual simplex pivot
     (`_dual_ratio_test`), which keeps the basis optimal below the
@@ -653,19 +618,15 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     if start.status != "Optimal" or start.basis is None:
         raise DataError(f"the program at its own right-hand side is {start.status}, "
                         "with no basis to start from")
-    T, slack_rows, _ = _standard_form(lp, cold=False)
-    m = T.shape[0] - 1
-    s = lp.n + int(np.searchsorted(slack_rows, row))  # the row's slack column
-    Ab = T[:m].copy()
+    tab = LiveTableau(lp, start.basis)
+    T, basis, Ab = tab.T, tab.basis, tab.Ab
+    m = len(basis)
+    s = lp.n + int(np.count_nonzero(rel[:row]))  # the row's slack column
     objective = np.zeros(T.shape[1] - 1)
     objective[: lp.n] = lp.objective
-    cost = -objective if lp.sense == "max" else objective
-    basis = list(start.basis)
-    stats = Counter()
-    _refresh(T, basis, Ab, cost, stats)
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
     clipped, ratios = np.empty(m), np.empty(m)
-    enter_for = _dual_ratio_test(T, stats)
+    enter_for = _dual_ratio_test(tab)
     # F at the breakpoints and its slope between them, t falling; F and the
     # slopes come from the true objective, since a cost shift leaves the
     # cost row off by up to PIVOT_TOL until the next refactorization
@@ -699,12 +660,12 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
             return "Infeasible"
         return leave, entering[0], step
 
-    _pivot_loop(T, basis, Ab, cost, stats, choose, 0)
+    _pivot_loop(tab, tab.cost, choose)
     t, f = zip(*reversed(points))
     arrays = (np.array(t), np.array(f), np.array(slopes[::-1]))
     for a in arrays:
         a.flags.writeable = False
-    return ParametricRhs(*arrays, start, **stats)
+    return ParametricRhs(*arrays, start, **tab.stats)
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:

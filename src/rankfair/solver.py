@@ -79,26 +79,22 @@ class SolveResult:
         return self.winners[0]
 
 
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _ranking_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All m! rankings in lexicographic order (int8 rows) and their pair signs
     (float32, the type brute force multiplies in); m <= 7."""
     if m > _SUFFIX:
         raise GuardError(f"ranking tables stop at m={_SUFFIX}, got {m}")
-    if m not in _TABLES:
-        # the k! orders of 0..k-1 lead with f = 0, 1, ..., k-1, each followed
-        # by the (k-1)! orders of the rest: 0..k-2 shifted past f keep their order
-        orders = np.zeros((1, 0), dtype=np.int8)
-        for k in range(1, m + 1):
-            orders = np.concatenate([
-                np.hstack([np.full((len(orders), 1), f, dtype=np.int8),
-                           orders + (orders >= f)])
-                for f in range(k)
-            ])
-        _TABLES[m] = orders, pair_signs(np.argsort(orders, axis=1)).astype(np.float32)
-    return _TABLES[m]
+    # the k! orders of 0..k-1 lead with f = 0, 1, ..., k-1, each followed
+    # by the (k-1)! orders of the rest: 0..k-2 shifted past f keep their order
+    orders = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        orders = np.concatenate([
+            np.hstack([np.full((len(orders), 1), f, dtype=np.int8),
+                       orders + (orders >= f)])
+            for f in range(k)
+        ])
+    return orders, pair_signs(np.argsort(orders, axis=1)).astype(np.float32)
 
 
 @functools.cache

@@ -2,11 +2,13 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +92,19 @@ def test_degenerate_program_terminates():
     assert sol.objective_value == pytest.approx(-0.05)
 
 
+def test_start_basis_with_a_repeated_column_is_data_error():
+    # a repeated column does not always make the basis solve raise: unchecked,
+    # this program's [0, 0, 4] reads "Optimal" at 69.83, where the optimum is 0.70
+    rng = np.random.default_rng(6)
+    lp = LinearProgram(rng.random(4), "max")
+    lp.add_rows(rng.random((3, 4)), "<=", 1.0)
+    assert solve_lp(lp).objective_value == pytest.approx(0.70, abs=0.01)
+    with pytest.raises(DataError, match=r"repeats column\(s\) \[0\]"):
+        solve_lp(lp, [0, 0, 4])
+    with pytest.raises(DataError, match=r"repeats column\(s\) \[5\]"):
+        LiveTableau(lp, [5, 1, 5])
+
+
 def test_tableau_guard_refuses_large_program():
     # 20,001 x 21,001 doubles, 3.4 GB; the rows share one array, which
     # add_row keeps as it is, so the test itself allocates little
@@ -101,6 +116,27 @@ def test_tableau_guard_refuses_large_program():
     assert 20_001 * 21_001 * 8 > lp_mod.TABLEAU_GUARD_BYTES
     with pytest.raises(GuardError):
         solve_lp(lp)
+
+
+def test_refactorization_and_append_memory_against_the_tableau():
+    # TABLEAU_GUARD_BYTES's comment: beyond the tableau and [A | b], a
+    # refactorization allocates 1.40 times the tableau's bytes and an append
+    # of a few rows about 2.0 times (1.40 and 2.03 on this tableau)
+    rng = np.random.default_rng(0)
+    lp = LinearProgram(-rng.random(450), "max")  # Optimal at the slack basis
+    lp.add_rows(rng.random((300, 450)), "<=", 1.0)
+    live = LiveTableau(lp)
+    assert live.solve().status == "Optimal" and live.T.shape == (301, 751)
+    size = live.T.nbytes
+    for work, bound in [(lambda: lp_mod._refresh(live, live.cost), 1.45),
+                        (lambda: live.add_rows(rng.random((2, 450)), ">=", 1.0), 2.1)]:
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * size
 
 
 def test_wide_program_without_rows_solves():
@@ -651,10 +687,10 @@ def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     if bland:
         monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
     T = _tableau(**PRIMAL_TIES)
-    basis = list(PRIMAL_TIES["basis"])
-    Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
-    assert _first_pivot(monkeypatch, lp_mod._simplex_phase, T, basis, 10, Ab,
-                        cost, Counter(), 0) == pivot
+    tab = SimpleNamespace(T=T, basis=list(PRIMAL_TIES["basis"]), Ab=T[:-1].copy(),
+                          stats=Counter(), since_refresh=0)
+    assert _first_pivot(monkeypatch, lp_mod._simplex_phase, tab, 10,
+                        T[-1, :-1].copy()) == pivot
 
 
 # the most negative right-hand side is row 1's; of the negative ones, row 3
@@ -687,10 +723,9 @@ def test_dual_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     if bland:
         monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
     T = _tableau(**DUAL_TIES)
-    basis = list(DUAL_TIES["basis"])
-    Ab, cost = T[:-1].copy(), T[-1, :-1].copy()
-    assert _first_pivot(monkeypatch, lp_mod._dual_phase, T, basis, Ab, cost,
-                        Counter(), 0) == pivot
+    tab = SimpleNamespace(T=T, basis=list(DUAL_TIES["basis"]), Ab=T[:-1].copy(),
+                          stats=Counter(), since_refresh=0)
+    assert _first_pivot(monkeypatch, lp_mod._dual_phase, tab, T[-1, :-1].copy()) == pivot
 
 
 def _dual_phase_stats(monkeypatch):
@@ -698,11 +733,10 @@ def _dual_phase_stats(monkeypatch):
     dual = Counter()
     real = lp_mod._dual_phase
 
-    def counted(T, basis, Ab, cost_vec, stats, since_refresh):
-        own = Counter()
-        verdict = real(T, basis, Ab, cost_vec, own, since_refresh)
-        stats.update(own)
-        dual.update(own)
+    def counted(tab, cost):
+        before = Counter(tab.stats)
+        verdict = real(tab, cost)
+        dual.update(tab.stats - before)
         return verdict
 
     monkeypatch.setattr(lp_mod, "_dual_phase", counted)

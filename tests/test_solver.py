@@ -129,7 +129,7 @@ def test_brute_force_m8_object_costs_match_oracle():
 def test_brute_force_m10_memory_is_flat():
     # a cold m=10 solve allocates a few MB; an m! sign table is 163 MB
     prof = sample_profile(CultureSpec("ic", n=3, m=10, seed=10))
-    solver._TABLES.clear()
+    _ranking_table.cache_clear()
     solver._blocks.cache_clear()
     tracemalloc.start()
     try:
@@ -159,11 +159,15 @@ def test_brute_force_prefix_tables_stay_small(p):
 
 
 def test_brute_force_caches_no_table_above_7():
+    _ranking_table.cache_clear()
     solve_brute_force(sample_profile(CultureSpec("ic", n=4, m=9, seed=9)))
-    assert max(solver._TABLES) <= 7
-    assert all(len(orders) <= 5040 for orders, _ in solver._TABLES.values())
+    # the one table cached is m = 7's: reading it again is a hit
+    assert _ranking_table.cache_info().currsize == 1
+    orders, _ = _ranking_table(7)
+    assert _ranking_table.cache_info()[:2] == (1, 1) and len(orders) == 5040
     with pytest.raises(GuardError):
         _ranking_table(8)
+    assert _ranking_table.cache_info().currsize == 1
 
 
 def test_brute_force_guard():

@@ -137,8 +137,11 @@ def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
     when it has none or more than one.
 
     Fraction-free (Bareiss) elimination with row swaps keeps every entry an
-    integer minor of [A | b], so each division below is exact; only the
-    back substitution leaves the integers.
+    integer minor of [A | b], so each division below is exact.  The last
+    pivot is the determinant det of the pivot rows, so by Cramer's rule
+    det * x is an integer vector: the back substitution finds it in
+    integers, with exact divisions too, and only x = (det * x) / det is
+    made a Fraction.
     """
     rows = [list(r) + [v] for r, v in zip(A, b)]
     k, s = len(rows), len(A[0])
@@ -157,12 +160,11 @@ def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
         prev = piv[c]
     if any(rows[r][s] for r in range(s, k)):
         return None  # inconsistent
-    x: list[Fraction] = [Fraction(0)] * s
+    det, N = prev, [0] * s  # N = det * x
     for c in reversed(range(s)):
         row = rows[c]
-        acc = row[s] - sum(row[j] * x[j] for j in range(c + 1, s))
-        x[c] = Fraction(acc) / row[c]
-    return x
+        N[c] = (det * row[s] - sum(row[j] * N[j] for j in range(c + 1, s))) // row[c]
+    return [Fraction(v, det) for v in N]
 
 
 @functools.cache

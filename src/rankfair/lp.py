@@ -12,14 +12,15 @@ constraint data [A | b] that refactorizations start from, the work
 counters and the count of updates since the last refactorization.  Its
 constructor is the one place a standard form is built.  The phases take
 the tableau and give a verdict: the primal (`_simplex_phase`) and the
-dual (`_dual_phase`) simplex each supply only a pivot rule to one pivot
-loop, `_pivot_loop`, which pivots and counts through `_step`,
-refactorizes through `_refresh` at a fixed cadence and before it accepts
-a verdict other than Optimal, and switches to Bland's rule after a
-streak of degenerate pivots.  `solve_lp` is one solve of a new tableau;
-row generation keeps one between rounds and appends rows to it in the
-current basis (`LiveTableau.add_rows`); `parametric_rhs` warm-starts one
-at a cold solve's basis and runs its pass on the same loop.
+dual (`_dual_phase`, its leaving row priced by steepest edge) simplex
+each supply only a pivot rule to one pivot loop, `_pivot_loop`, which
+pivots and counts through `_step`, refactorizes through `_refresh` at a
+fixed cadence and before it accepts a verdict other than Optimal, and
+switches to Bland's rule after a streak of degenerate pivots.
+`solve_lp` is one solve of a new tableau; row generation keeps one
+between rounds and appends rows to it in the current basis
+(`LiveTableau.add_rows`); `parametric_rhs` warm-starts one at a cold
+solve's basis and runs its pass on the same loop.
 
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
@@ -294,15 +295,19 @@ def _dual_phase(tab: LiveTableau, cost: np.ndarray) -> str:
     unchanged, so the tableau stays consistent and dual feasible), which
     keeps the ratio test of `_dual_ratio_test` from tying at zero on the
     highly dual-degenerate worst-case programs; refactorizations inside
-    the phase keep the perturbed costs.  Leaving row: the most negative
-    right-hand side (the first such), under Bland's rule the smallest
-    basic index among the negative ones.  On Optimal the cost row is
-    re-priced with the true costs (`_price`, no refactorization),
-    shedding perturbation and shifts, so the caller's phase 2 finishes
-    on the real program.  The re-price leaves the rows, and the update
-    count, as the phase left them, so phase 2 refactorizes before it
-    accepts "Unbounded".  A row with no negative entry, on a freshly
-    refactorized tableau, proves the program infeasible.
+    the phase keep the perturbed costs.  Leaving row, of the rows whose
+    right-hand side r_i is below -PIVOT_TOL (a row within the tolerance
+    never leaves, however short, so the phase stops only when none is
+    left): the one of largest r_i^2 / ||T[i, :-1]||^2, the first such,
+    by the dual steepest-edge pricing of Forrest and Goldfarb (1992)
+    with its weights computed exactly from the dense tableau at every
+    pivot; under Bland's rule the one of smallest basic index.  On
+    Optimal the cost row is re-priced with the true costs (`_price`, no
+    refactorization), shedding perturbation and shifts, so the caller's
+    phase 2 finishes on the real program.  The re-price leaves the rows,
+    and the update count, as the phase left them, so phase 2 refactorizes
+    before it accepts "Unbounded".  A row with no negative entry, on a
+    freshly refactorized tableau, proves the program infeasible.
     """
     T, basis = tab.T, tab.basis
     m = T.shape[0] - 1
@@ -310,16 +315,20 @@ def _dual_phase(tab: LiveTableau, cost: np.ndarray) -> str:
     nonbasic[basis] = False
     delta = PERTURBATION * (1.0 + np.arange(len(cost)) * _GOLDEN % 1.0) * nonbasic
     T[-1, :-1] += delta
-    rhs = T[:m, -1]  # a view: pivots update T in place
+    rows, rhs = T[:m, :-1], T[:m, -1]  # views: pivots update T in place
+    norms = np.empty(m)
     enter_for = _dual_ratio_test(tab)
 
     def choose(bland):
-        if bland:
-            leave = int(np.where(rhs < -PIVOT_TOL, basis, T.shape[1]).argmin())
-        else:
-            leave = int(rhs.argmin())
-        if rhs[leave] >= -PIVOT_TOL:
+        infeasible = rhs < -PIVOT_TOL
+        if not infeasible.any():
             return "Optimal"
+        if bland:
+            leave = int(np.where(infeasible, basis, T.shape[1]).argmin())
+        else:
+            # each row holds its basic column's unit entry, so norms >= 1
+            np.einsum("ij,ij->i", rows, rows, out=norms)
+            leave = int(np.where(infeasible, rhs * rhs / norms, -1.0).argmax())
         step = enter_for(leave, bland)
         if step is None:
             return "Infeasible"

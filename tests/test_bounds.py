@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankfair import bounds
 from rankfair.bounds import (
@@ -345,21 +347,21 @@ def golden():
 
 # the simplex's work over all targets: pivots, degenerate pivots and
 # rounds, the same with one and two BLAS threads
-ROW_GENERATION_WORK = {4: (222, 14, 52), 5: (4272, 169, 387)}
+ROW_GENERATION_WORK = {4: (207, 14, 52), 5: (2744, 152, 387)}
 
 # the full work record of every target's result, summed, over the same
 # sweep.  The same with one and two BLAS threads; a pivot rule that broke a
 # tie another way would move at least one of these counts.  The live
 # tableau refactorizes once to load round 1's basis, and again only when
-# REFRESH_EVERY updates have piled up across its rounds: three m=5 targets
-# refactorize twice
+# REFRESH_EVERY updates have piled up across its rounds, which no target's
+# rounds reach (the most, an m=5 target's, take 94 pivots)
 _WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
                 "refactorizations")
 ROW_GENERATION_RECORD = {
-    4: dict(pivots=222, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
+    4: dict(pivots=207, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
             refactorizations=24, rounds=52),
-    5: dict(pivots=4272, degenerate_pivots=169, bland_pivots=0, cost_shifts=6,
-            refactorizations=123, rounds=387),
+    5: dict(pivots=2744, degenerate_pivots=152, bland_pivots=0, cost_shifts=0,
+            refactorizations=120, rounds=387),
 }
 # worst_group_curve(4)'s one parametric pass: the cold solve at alpha = 1, the
 # pass's own work after it (degenerate: pivots at a breakpoint already
@@ -504,7 +506,7 @@ def test_group_pass_work_record():
 # cold solve and parametric pass: their count and the SHA-256 of the
 # sequence as little-endian int64 pairs.  The same with one and two BLAS
 # threads; a change to the simplex that keeps every pivot keeps this digest
-PIVOT_PATH = (4272 + 135, "7c742c1fd5d34e6f81ee392a1f056ed57872f6f41cc6cfc345aa715250bc9197")
+PIVOT_PATH = (2744 + 135, "681c944ef159c02145223bf6ce09cfa458dbaa7b18028d9b3674bb4e62d29371")
 
 
 def test_row_generation_and_group_pass_pivot_path(monkeypatch):
@@ -578,10 +580,12 @@ def test_row_generation_builds_the_standard_form_once(monkeypatch):
 def test_row_generation_refactorizes_across_rounds(monkeypatch):
     # the refactorization cadence counts every update of the live tableau,
     # pivots and appended rows alike, whatever round or phase it falls in:
-    # this target's rounds take 170 pivots, more than REFRESH_EVERY, none
-    # of them with more than a few dozen
+    # this target's rounds take 91 pivots, more than REFRESH_EVERY once it
+    # is lowered to 50, none of them more than 36
+    monkeypatch.setattr(lp_mod, "REFRESH_EVERY", 50)
     run = {"since": 0, "most": 0}
-    pivot, refresh = lp_mod._pivot, lp_mod._refresh
+    rounds = []
+    pivot, refresh, solve = lp_mod._pivot, lp_mod._refresh, LiveTableau.solve
 
     def counted_pivot(*args):
         run["since"] += 1
@@ -594,7 +598,10 @@ def test_row_generation_refactorizes_across_rounds(monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_pivot", counted_pivot)
     monkeypatch.setattr(lp_mod, "_refresh", counted_refresh)
-    res = worst_profile_single_ranking(5, (0, 1, 2, 3, 4), (3, 1, 4, 0, 2))
+    monkeypatch.setattr(LiveTableau, "solve",
+                        lambda live: rounds.append(solve(live)) or rounds[-1])
+    res = worst_profile_single_ranking(5, (0, 1, 2, 3, 4), (2, 4, 0, 3, 1))
+    assert max(sol.pivots for sol in rounds) < lp_mod.REFRESH_EVERY
     assert res.pivots > lp_mod.REFRESH_EVERY
     assert run["most"] <= lp_mod.REFRESH_EVERY
     assert res.refactorizations == 2
@@ -635,9 +642,8 @@ def test_row_generation_pivots_stay_below_full_programs():
         assert res.rounds >= 1
         generated += res.pivots
         degenerate += res.degenerate_pivots
-    # 4,272 pivots with one BLAS thread, 169 of them degenerate; without
-    # the dual phase's cost perturbation (and with a rebuild per round)
-    # 12,654 and 11,104
+    # 2,744 pivots with one BLAS thread, 152 of them degenerate; without
+    # the dual phase's cost perturbation 3,237 and 1,955
     assert generated < 6_000
     assert degenerate < 300
     # pivot counts are nonnegative, so once a prefix of the full programs'
@@ -659,6 +665,57 @@ def test_solve_exact_unique_solutions_only():
     assert _solve_exact([[0, 2], [3, 0], [3, 2]], [2, 3, 5]) == [1, 1]
     assert _solve_exact([[1, 1], [2, 2]], [1, 2]) is None  # not unique
     assert _solve_exact([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None  # inconsistent
+
+
+def _gauss_jordan(A, b):
+    """The unique solution of A x = b by Gauss-Jordan elimination in
+    Fractions, or None when it has none or more than one."""
+    rows = [[F(v) for v in row] + [F(c)] for row, c in zip(A, b)]
+    s = len(A[0])
+    for c in range(s):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return None  # rank below s: no solution or more than one
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    if any(row[s] for row in rows[s:]):
+        return None
+    return [row[s] for row in rows[:s]]
+
+
+@st.composite
+def _integer_systems(draw):
+    """Small integer systems A x = b, square or overdetermined; in some the
+    last column is a multiple of the first (singular), and b is A x0 for
+    an integer x0 (consistent) or drawn freely (mostly inconsistent once
+    overdetermined)."""
+    small = st.integers(-3, 3)
+    s = draw(st.integers(1, 4))
+    k = draw(st.integers(s, s + 2))
+    A = draw(st.lists(st.lists(small, min_size=s, max_size=s), min_size=k, max_size=k))
+    if s > 1 and draw(st.booleans()):
+        f = draw(small)
+        for row in A:
+            row[-1] = f * row[0]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(small, min_size=s, max_size=s))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = draw(st.lists(small, min_size=k, max_size=k))
+    return A, b
+
+
+@given(_integer_systems())
+@example(([[2, 1], [1, 3]], [1, 1]))  # square, a rational solution
+@example(([[1, 2], [2, 4], [1, 0]], [3, 6, 1]))  # overdetermined, consistent
+@example(([[1, 2], [2, 4]], [3, 6]))  # singular
+@example(([[1, 1], [1, -1], [2, 0]], [2, 0, 3]))  # inconsistent
+@settings(max_examples=300, deadline=None)
+def test_solve_exact_matches_fraction_gauss_jordan(system):
+    assert _solve_exact(*system) == _gauss_jordan(*system)
 
 
 def test_theoretical_upper_curve_shape():

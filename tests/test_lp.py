@@ -529,8 +529,8 @@ def _within(seconds):
 
 
 def test_dual_phase_does_not_cycle():
-    # without the switch to Bland's rule, the dual simplex cycles in the
-    # third round of this target
+    # a degenerate target: its dual phases must finish, at the exact
+    # optimum, within the alarm
     with _within(20):
         res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
     assert res.alpha_exact == F(9, 20)
@@ -541,35 +541,42 @@ class _Stop(Exception):
     pass
 
 
-def _five_rounds(monkeypatch) -> list:
-    """Stop row generation at its sixth round, keeping each round's program
-    (a copy of the live tableau's, as solved) and solution."""
+def _m6_rounds(monkeypatch) -> list:
+    """Keep each row-generation round's program (a copy of the live
+    tableau's, as solved) and solution, with m=6 programs let through."""
     monkeypatch.setattr(bounds, "LP_GUARD_M", 6)
     rounds = []
     solve = LiveTableau.solve
 
-    def five_rounds(live):
-        if len(rounds) == 5:
-            raise _Stop
+    def recorded(live):
         prog = LinearProgram(live.lp.objective, live.lp.sense, list(live.lp.rows))
         rounds.append((prog, solve(live)))
         return rounds[-1][1]
 
-    monkeypatch.setattr(LiveTableau, "solve", five_rounds)
+    monkeypatch.setattr(LiveTableau, "solve", recorded)
     return rounds
 
 
-def test_dual_phase_never_steps_backwards(monkeypatch):
-    # in the fifth round of this m=6 target, entering reduced costs that
-    # rounding left below zero gave negative dual steps; unshifted, the
-    # round wandered for minutes, shifted the five rounds take about 0.1 s
-    rounds = _five_rounds(monkeypatch)
-    with _within(30), pytest.raises(_Stop):
-        worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
-    prog, sol = rounds[-1]
+def _check_first_shifted_round(rounds):
+    """Some round shifted an entering cost, and the first such round is
+    Optimal, verified, and at HiGHS's optimum."""
+    shifted = [(prog, sol) for prog, sol in rounds if sol.cost_shifts > 0]
+    assert shifted
+    prog, sol = shifted[0]
     assert sol.status == "Optimal" and verify_solution(prog, sol)
     status, objective = _highs(prog)
     assert status == "Optimal" and abs(sol.objective_value - objective) <= 1e-8
+
+
+def test_dual_phase_never_steps_backwards(monkeypatch):
+    # in the fourth round of this m=6 target an entering reduced cost that
+    # rounding left below zero would make the dual step negative: it is
+    # shifted to zero, and the round must still match HiGHS
+    rounds = _m6_rounds(monkeypatch)
+    with _within(30):
+        res = worst_profile_single_ranking(6, None, (3, 4, 0, 2, 5, 1))
+    assert res.alpha_exact == F(1, 2)
+    _check_first_shifted_round(rounds)
 
 
 def test_result_counts_every_pivot_of_every_round(monkeypatch):
@@ -693,12 +700,14 @@ def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
                         T[-1, :-1].copy()) == pivot
 
 
-# the most negative right-hand side is row 1's; of the negative ones, row 3
-# has the smallest basic index (7), row 2 a smaller one (6) but a positive
-# right-hand side.  Row 1 ties columns 0-3 at the least ratio 2 (column 2
-# within PIVOT_TOL of it), the largest |entry| in columns 2 and 3; row 3
-# ties columns 1-3 at 1.  Column 5 has the largest |entry| of both rows and
-# column 4 a positive one, but neither is tied
+# of the negative right-hand sides, row 1's has the largest ratio of squared
+# right-hand side to squared row norm (9 / 20.25, against row 0's 1 / 7 and
+# row 3's 4 / 45), and row 3 the smallest basic index (7); row 2 has a
+# smaller one (6) but a positive right-hand side.  Row 1 ties columns 0-3
+# at the least ratio 2 (column 2 within PIVOT_TOL of it), the largest
+# |entry| in columns 2 and 3; row 3 ties columns 1-3 at 1.  Column 5 has
+# the largest |entry| of both rows and column 4 a positive one, but
+# neither is tied
 DUAL_TIES = dict(
     rows=[[-1, -1, -1, -1, -1, -1, 0, 0, 0, 0],
           [-1, -0.5, -2, -2, 1, -3, 0, 0, 0, 0],
@@ -710,8 +719,9 @@ DUAL_TIES = dict(
 
 
 @pytest.mark.parametrize("bland, pivot", [
-    # the most negative right-hand side leaves, and of the columns tied at
-    # the least ratio the first of largest |entry| enters
+    # the row of largest squared right-hand side over squared norm leaves,
+    # and of the columns tied at the least ratio the first of largest
+    # |entry| enters
     (False, (1, 2)),
     # Bland's rule: of the negative right-hand sides the row of smallest
     # basic index leaves, and the smallest tied column enters
@@ -745,29 +755,53 @@ def _dual_phase_stats(monkeypatch):
 
 def test_dual_phase_bland_rule_fires_without_perturbation(monkeypatch):
     # the cost perturbation keeps this target's dual phases off Bland's
-    # rule; without it they take hundreds of Bland pivots, and the
-    # switch to it is what stops them from cycling
+    # rule; without it their degenerate streaks reach DEGENERACY_STREAK,
+    # and they take hundreds of pivots by Bland's rule
     monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
     dual = _dual_phase_stats(monkeypatch)
     with _within(20):
-        res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
-    assert res.alpha_exact == F(9, 20)
+        res = worst_profile_single_ranking(5, None, (4, 1, 3, 0, 2))
+    assert res.alpha_exact == F(306, 845)
     assert dual["bland_pivots"] > 0
 
 
 def test_dual_phase_cost_shift_fires_without_perturbation(monkeypatch):
-    # test_dual_phase_never_steps_backwards's fifth round with the
-    # perturbation off: the entering-cost shift must fire, and the round
-    # must still match HiGHS
+    # with the perturbation off the entering-cost shift must fire in this
+    # m=6 target's rounds, and the round where it does must still match
+    # HiGHS
     monkeypatch.setattr(lp_mod, "PERTURBATION", 0.0)
-    rounds = _five_rounds(monkeypatch)
-    with _within(30), pytest.raises(_Stop):
-        worst_profile_single_ranking(6, None, (3, 4, 5, 0, 1, 2))
-    prog, sol = rounds[-1]
-    assert sol.cost_shifts > 0
-    assert sol.status == "Optimal" and verify_solution(prog, sol)
-    status, objective = _highs(prog)
-    assert status == "Optimal" and abs(sol.objective_value - objective) <= 1e-8
+    rounds = _m6_rounds(monkeypatch)
+    with _within(30):
+        worst_profile_single_ranking(6, None, (3, 4, 0, 2, 5, 1))
+    _check_first_shifted_round(rounds)
+
+
+# a dual-feasible tableau with one negative entry in row 0, in column 0,
+# whose reduced cost rounding left at -1e-12: over an entry of -1e-4 the
+# dual step would be -1e-8, beyond -PIVOT_TOL, over an entry of -1 only
+# -1e-12
+@pytest.mark.parametrize("entry, shifted", [(-1e-4, True), (-1.0, False)])
+def test_dual_ratio_test_shifts_an_entering_cost_below_zero(entry, shifted):
+    T = _tableau(rows=[[entry, 1, 0]], cost=[-1e-12, 1, 0], rhs=[-1], basis=[2])
+    tab = SimpleNamespace(T=T, stats=Counter())
+    assert lp_mod._dual_ratio_test(tab)(0, False) == (0, 0.0)
+    assert T[-1, 0] == (0.0 if shifted else -1e-12)
+    assert tab.stats["cost_shifts"] == int(shifted)
+
+
+@pytest.mark.parametrize("rows, rhs, pivot", [
+    # row 0's right-hand side is the most negative, but its row is long:
+    # 9 / 34 against row 1's 4 / 2, so row 1 leaves
+    ([[-1, -4, -4, 0, 0, 0], [-1, 0, 0, 0, 0, 0]], [-3, -2], (1, 0)),
+    # row 0 is short but feasible within PIVOT_TOL, so it never leaves:
+    # row 1, beyond -PIVOT_TOL, does, however long
+    ([[0, -1, 0, 0, 0, 0], [-100, 0, 0, 0, 0, 0]], [-2e-10, -2e-9], (1, 0)),
+])
+def test_dual_leaving_row_by_steepest_edge(monkeypatch, rows, rhs, pivot):
+    T = _tableau(rows=rows, cost=[1, 1, 1, 1, 0, 0], rhs=rhs, basis=[4, 5])
+    tab = SimpleNamespace(T=T, basis=[4, 5], Ab=T[:-1].copy(), stats=Counter(),
+                          since_refresh=0)
+    assert _first_pivot(monkeypatch, lp_mod._dual_phase, tab, T[-1, :-1].copy()) == pivot
 
 
 def _at(res, t):

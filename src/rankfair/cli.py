@@ -143,6 +143,11 @@ def cmd_axioms(args) -> int:
             f"--check scp compares with every compatible maximal sequence, "
             f"guarded at m={axioms.SC_UNION_GUARD_M}, got m={m}"
         )
+    if args.check in ("2rp", "efficiency") and m > axioms.ORACLE_GUARD_M:
+        raise GuardError(
+            f"--check {args.check} scans all m! rankings in plain Python, "
+            f"guarded at m={axioms.ORACLE_GUARD_M}, got m={m}"
+        )
     if not args.profile:
         profiles = []
         rng = make_rng(args.seed)

@@ -10,7 +10,7 @@ class DimensionError(RankfairError, ValueError):
 
 
 class GuardError(RankfairError, RuntimeError):
-    """A desk-scale capacity guard was exceeded (override explicitly if intended)."""
+    """A desk-scale capacity guard was exceeded; no option raises a guard."""
 
 
 class DataError(RankfairError, ValueError):

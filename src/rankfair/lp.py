@@ -10,17 +10,19 @@ to a few thousand dense variables and are highly degenerate.
 The simplex state lives on a `LiveTableau`: the tableau, its basis, the
 constraint data [A | b] that refactorizations start from, the work
 counters and the count of updates since the last refactorization.  Its
-constructor is the one place a standard form is built.  The phases take
-the tableau and give a verdict: the primal (`_simplex_phase`) and the
-dual (`_dual_phase`, its leaving row priced by steepest edge) simplex
-each supply only a pivot rule to one pivot loop, `_pivot_loop`, which
-pivots and counts through `_step`, refactorizes through `_refresh` at a
-fixed cadence and before it accepts a verdict other than Optimal, and
-switches to Bland's rule after a streak of degenerate pivots.
+constructor is the one place a standard form is built, and a cold
+start's artificial columns leave with phase 1, so a solved tableau is
+numbered alike cold or warm.  The phases take the tableau and give a
+verdict: the primal (`_simplex_phase`) and the dual (`_dual_phase`, its
+leaving row priced by steepest edge) simplex each supply only a pivot
+rule to one pivot loop, `_pivot_loop`, which pivots and counts through
+`_step`, refactorizes through `_refresh` at a fixed cadence and before
+it accepts a verdict other than Optimal, and switches to Bland's rule
+after a streak of degenerate pivots.
 `solve_lp` is one solve of a new tableau; row generation keeps one
 between rounds and appends rows to it in the current basis
-(`LiveTableau.add_rows`); `parametric_rhs` warm-starts one at a cold
-solve's basis and runs its pass on the same loop.
+(`LiveTableau.add_rows`); `parametric_rhs` runs its pass on the tableau
+that solved its start.
 
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
@@ -46,8 +48,10 @@ VERIFY_TOL = 1e-8  # verify_solution's slack on rows, signs and the objective
 # about as many again.  Beyond both, a refactorization allocates 1.40 times
 # the tableau's bytes (the basis matrix and the solve's output) and an append
 # of 10 rows 2.04 times (the new tableau and [A | b], built while the old ones
-# are held), measured under tracemalloc on a 1,000-row, 2,501-column tableau:
-# at the guard an append peaks near 4 GiB, inside a 7 GB machine
+# are held), measured under tracemalloc on a 1,000-row, 2,501-column tableau;
+# a cold solve, all included, peaks at 3.31 times its cold tableau's bytes
+# (a 300-row, 400-variable >= program).  At the guard an append peaks near
+# 4 GiB, inside a 7 GB machine
 TABLEAU_GUARD_BYTES = 1 << 30
 
 
@@ -101,8 +105,7 @@ class LpSolution:
     existing columns: the appended rows' slacks take the next indices, so
     `basis` plus those slacks is a valid start for `solve_lp` on the
     longer program.  `basis` is None unless the status is Optimal, and
-    None when phase 1 dropped a redundant row, the one case in which an
-    artificial variable stays basic.
+    None when phase 1 dropped a redundant row, which has no column then.
     """
 
     status: str  # Optimal | Infeasible | Unbounded
@@ -202,21 +205,20 @@ def _pivot_loop(tab: LiveTableau, cost: np.ndarray, choose) -> str:
         _step(tab, leave, enter)
 
 
-def _simplex_phase(tab: LiveTableau, allowed: int, cost: np.ndarray) -> str:
+def _simplex_phase(tab: LiveTableau, cost: np.ndarray) -> str:
     """Primal simplex: pivot the tableau to optimality by `_pivot_loop`.
 
-    Entering variable: of the first `allowed` columns, the one of most
-    negative reduced cost (the first such, as `argmin` gives), under
-    Bland's rule the first negative one.  Leaving row: the least ratio of
-    right-hand side to entry over the column's positive entries, ties
-    (ratios within PIVOT_TOL of the least) going to the first row of
-    largest pivot entry, under Bland's rule to the row of smallest basic
-    index.  A column with no positive entry, on a freshly refactorized
-    tableau, proves the program unbounded.
+    Entering variable: the column of most negative reduced cost (the
+    first such, as `argmin` gives), under Bland's rule the first negative
+    one.  Leaving row: the least ratio of right-hand side to entry over
+    the column's positive entries, ties (ratios within PIVOT_TOL of the
+    least) going to the first row of largest pivot entry, under Bland's
+    rule to the row of smallest basic index.  A column with no positive
+    entry, on a freshly refactorized tableau, proves the program unbounded.
     """
     T, basis = tab.T, tab.basis
     m = T.shape[0] - 1
-    reduced, rhs = T[-1, :allowed], T[:m, -1]  # views: pivots update T in place
+    reduced, rhs = T[-1, :-1], T[:m, -1]  # views: pivots update T in place
     ratios = np.empty(m)
 
     def choose(bland):
@@ -354,17 +356,16 @@ def _row_data(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
     return coeffs, np.array([_SLACK_SIGN[r] for r in rels]), np.array(rhss)
 
 
-def _oriented(rows: list) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows' coefficient vectors (unstacked) and, as arrays, each row's
-    sign (-1 for a row flipped), its slack's sign once flipped (see
-    `_SLACK_SIGN`) and its right-hand side once flipped.
+def _oriented(rel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Given rows' relations as slack signs (see `_SLACK_SIGN`) and their
+    right-hand sides, each row's sign (-1 for a row flipped), its slack's
+    sign once flipped and its right-hand side once flipped.
 
     A row flips to a nonnegative right-hand side, and a >= row with zero
     rhs flips to <= form, so its slack can start basic.
     """
-    coeffs, rel, rhs = _row_data(rows)
     sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
-    return coeffs, sign, rel * sign, np.where(rhs < 0, -rhs, rhs)
+    return sign, rel * sign, np.where(rhs < 0, -rhs, rhs)
 
 
 def _standard_form(lp: LinearProgram, cold: bool
@@ -379,7 +380,8 @@ def _standard_form(lp: LinearProgram, cold: bool
     The tableau is guarded at TABLEAU_GUARD_BYTES before it is allocated.
     """
     n = lp.n
-    coeffs, sign, slack, rhs = _oriented(lp.rows)
+    coeffs, rel, rhs = _row_data(lp.rows)
+    sign, slack, rhs = _oriented(rel, rhs)
     m = len(rhs)
     slack_rows = np.flatnonzero(slack)
     art_rows = np.flatnonzero(slack != 1 if cold else np.zeros(m, dtype=bool))
@@ -413,7 +415,8 @@ class LiveTableau:
 
     The standard form is built once, here (see `_standard_form`); with a
     start basis (see `LpSolution.basis`) the tableau is refactorized at it
-    once, without one the first `solve` runs the two-phase simplex.
+    once, without one the first `solve` runs the two-phase simplex, and
+    phase 1 removes the artificial columns (`art_at`, None after).
     `solve` gives the program's current optimum as an `LpSolution` whose
     counters are the work since the last `solve` returned.  For row
     generation `add_rows` appends rows to the program (`lp`, changed in
@@ -429,25 +432,24 @@ class LiveTableau:
         n = lp.n
         self.T, slack_rows, art_rows = _standard_form(lp, basis is None)
         m, width = self.T.shape[0] - 1, self.T.shape[1]
-        # the columns an optimum may use: structural and slack, not artificial
-        self.art_at = n + len(slack_rows)
+        # where the artificial columns start, until phase 1 removes them
+        self.art_at = n + len(slack_rows) if len(art_rows) else None
         self.Ab = self.T[:m].copy()  # the constraint data [A | b], for refactorizing
         self.stats = Counter()
         self.cost = np.zeros(width - 1)  # phase 2's
         self.cost[:n] = -lp.objective if lp.sense == "max" else lp.objective
-        self.phase1 = basis is None and len(art_rows) > 0  # due at the first solve
         self.optimal = False  # an Optimal solve left a basis with a column per row
         self.since_refresh = 0
         if basis is None:
             start = np.empty(m, dtype=int)
             start[slack_rows] = n + np.arange(len(slack_rows))
-            start[art_rows] = self.art_at + np.arange(len(art_rows))
+            start[art_rows] = n + len(slack_rows) + np.arange(len(art_rows))
             self.basis = start.tolist()
             _price(self.T, self.basis, self.cost)
         else:
             self.basis = [int(j) for j in basis]
-            if len(self.basis) != m or not all(0 <= j < self.art_at for j in self.basis):
-                raise DataError(f"a start basis needs {m} columns in [0, {self.art_at}), "
+            if len(self.basis) != m or not all(0 <= j < width - 1 for j in self.basis):
+                raise DataError(f"a start basis needs {m} columns in [0, {width - 1}), "
                                 f"got {self.basis}")
             repeated = sorted(j for j, k in Counter(self.basis).items() if k > 1)
             if repeated:
@@ -455,15 +457,16 @@ class LiveTableau:
             _refresh(self, self.cost)
 
     def _run_phase1(self) -> bool:
-        """Minimize the artificial total from the cold basis, then drive the
-        artificials left basic out of it or drop their redundant rows.
-        False when the program is infeasible."""
+        """Minimize the artificial total from the cold basis, drive the
+        artificials left basic out of it or drop their redundant rows, and
+        remove the artificial columns (of T, [A | b] and the cost).  False,
+        the columns kept, when the program is infeasible."""
         T, basis, art_at = self.T, self.basis, self.art_at
         m, width = T.shape[0] - 1, T.shape[1]
         phase1_cost = np.zeros(width - 1)
         phase1_cost[art_at:] = 1.0
         _price(T, basis, phase1_cost)
-        if _simplex_phase(self, width - 1, phase1_cost) != "Optimal":
+        if _simplex_phase(self, phase1_cost) != "Optimal":
             raise DataError("numerical breakdown in feasibility phase")
         if T[-1, -1] < -FEAS_TOL:
             return False
@@ -475,10 +478,12 @@ class LiveTableau:
                     continue  # redundant row
                 _step(self, i, int(piv[0]))
             keep.append(i)
-        if len(keep) < m:
-            self.T = np.vstack([T[keep], T[-1:]])
-            self.basis = [basis[i] for i in keep]
-            self.Ab = self.Ab[keep]
+        cols = np.r_[:art_at, width - 1]
+        del T  # the old tableau is released before [A | b] is sliced
+        self.T = self.T[np.ix_(keep + [m], cols)]
+        self.Ab = self.Ab[np.ix_(keep, cols)]
+        self.cost, self.art_at = self.cost[:art_at], None
+        self.basis = [basis[i] for i in keep]
         return True
 
     def _result(self, status: str) -> LpSolution:
@@ -496,14 +501,13 @@ class LiveTableau:
         return LpSolution("Optimal", x, obj, basis=final, **stats)
 
     def solve(self) -> LpSolution:
-        """The program's optimum from the current basis.  The first solve
-        of a cold start with artificial columns runs phase 1; otherwise a
-        basis that is not primal feasible runs the dual simplex first, and
-        one neither primal nor dual feasible raises DataError.  Phase 2
-        finishes every solve."""
+        """The program's optimum from the current basis.  A tableau with
+        artificial columns runs phase 1 (again at every solve, once it has
+        proved the program infeasible); otherwise a basis that is not
+        primal feasible runs the dual simplex first, and one neither primal
+        nor dual feasible raises DataError.  Phase 2 finishes every solve."""
         self.optimal = False
-        if self.phase1:
-            self.phase1 = False
+        if self.art_at is not None:
             if not self._run_phase1():
                 return self._result("Infeasible")
             _price(self.T, self.basis, self.cost)
@@ -512,47 +516,44 @@ class LiveTableau:
                 raise DataError("start basis is neither primal nor dual feasible")
             if _dual_phase(self, self.cost) == "Infeasible":
                 return self._result("Infeasible")
-        return self._result(_simplex_phase(self, self.art_at, self.cost))
+        return self._result(_simplex_phase(self, self.cost))
 
     def add_rows(self, coeffs, rel: str, rhs: float):
         """Append rows, as `LinearProgram.add_rows` takes them, to the program
         and to its optimal tableau in the current basis B.
 
-        Each row u of [A | b], oriented as `_standard_form` orients it,
-        enters the tableau as (u - u_B B^-1 [A | b]) / s, its slack
+        Each row u of the block, oriented as `_standard_form` orients its
+        rows, enters the tableau as (u - u_B B^-1 [A | b]) / s, its slack
         column's sign s, so the slack is basic with value a x - b for a
         >= row: negative when x violates it.  The cost row is unchanged,
         since a slack costs nothing.  Only an inequality row has a slack
         to start basic, and only a tableau left Optimal with a basis for
-        every row takes rows; otherwise DataError.  A cold tableau's
-        artificial columns, nonbasic at its optimum, are dropped here.
-        The new rows carry the tableau's drift, so an append counts as
-        one update towards the next refactorization.  The size guard runs
-        before anything changes: a GuardError leaves program and tableau
-        as they were.
+        every row takes rows; otherwise DataError.  The new rows carry the
+        tableau's drift, so an append counts as one update towards the
+        next refactorization.  The size guard runs before anything
+        changes: a GuardError leaves program and tableau as they were.
         """
         if rel == "=":
             raise DataError("an appended row needs a slack to start basic, not =")
         if not self.optimal:
             raise DataError("rows are appended to an Optimal tableau with a basis only")
-        k, w, m = len(coeffs), self.art_at, len(self.basis)
+        block = np.asarray(coeffs, dtype=float)
+        k, w, m = len(block), self.T.shape[1] - 1, len(self.basis)
         _guard(m + k, w + k + 1)
-        old = len(self.lp.rows)
-        self.lp.add_rows(coeffs, rel, rhs)
-        new, sign, slack, b = _oriented(self.lp.rows[old:])
-        n = self.lp.n
+        self.lp.add_rows(block, rel, rhs)
+        sign, slack, b = _oriented(np.full(k, _SLACK_SIGN[rel]), np.full(k, float(rhs)))
         U = np.zeros((k, w + k + 1))
-        np.multiply(np.array(new), sign[:, None], out=U[:, :n])
+        np.multiply(block, sign[:, None], out=U[:, : self.lp.n])
         U[np.arange(k), w + np.arange(k)] = slack
         U[:, -1] = b
         T = np.zeros((m + k + 1, w + k + 1))
-        T[:m, :w], T[:m, -1] = self.T[:m, :w], self.T[:m, -1]
-        T[-1, :w], T[-1, -1] = self.T[-1, :w], self.T[-1, -1]
+        T[:m, :w], T[:m, -1] = self.T[:m, :-1], self.T[:m, -1]
+        T[-1, :w], T[-1, -1] = self.T[-1, :-1], self.T[-1, -1]
         T[m:-1] = (U - U[:, self.basis] @ T[:m]) / slack[:, None]
         Ab = np.zeros((m + k, w + k + 1))
-        Ab[:m, :w], Ab[:m, -1], Ab[m:] = self.Ab[:, :w], self.Ab[:, -1], U
-        self.cost = np.concatenate([self.cost[:w], np.zeros(k)])
-        self.T, self.Ab, self.art_at = T, Ab, w + k
+        Ab[:m, :w], Ab[:m, -1], Ab[m:] = self.Ab[:, :-1], self.Ab[:, -1], U
+        self.cost = np.concatenate([self.cost, np.zeros(k)])
+        self.T, self.Ab = T, Ab
         self.basis += range(w, w + k)
         self.since_refresh += 1
 
@@ -583,8 +584,7 @@ class ParametricRhs:
     k + 1.  `start` is the cold solve at the row's own right-hand side;
     the counters are the pass's own, after it: its dual pivots, those of
     them at a breakpoint already reached (a zero-width piece), its Bland
-    pivots, cost shifts and refactorizations (the first loads
-    `start.basis`).
+    pivots, cost shifts and refactorizations (the first at `start.basis`).
     """
 
     breakpoints: np.ndarray
@@ -602,37 +602,37 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     """Trace lp's optimum over the right-hand side t of its <= row `row`,
     from the row's own value b > 0 down to 0, in one parametric pass.
 
-    lp is solved cold at t = b by `solve_lp`, and the pass runs on a
-    `LiveTableau` warm-started at that solution's basis, whose constraint
-    data holds t.  While the basis B stays optimal the basic values are
-    B^-1 b(t) = beta - (b - t) gamma, where gamma is the tableau column of
-    the row's slack, so F is linear with slope c_B gamma (the slack's
-    reduced cost).  t falls to the next breakpoint, where
-    the first basic value reaches zero (the least ratio beta_i / gamma_i
-    over gamma_i > 0); that row leaves the basis by one dual simplex pivot
-    (`_dual_ratio_test`), which keeps the basis optimal below the
-    breakpoint.  A tie goes to the row of largest gamma_i, the one that
-    would turn most negative, under Bland's rule to the smallest basic
-    index.  Pivots on `_pivot_loop`, with its refactorization cadence and
-    its switch to Bland's rule after a streak of pivots at a breakpoint
-    already reached; a leaving row with no negative entry, on a freshly
-    refactorized tableau, ends the pass where the program turns
-    infeasible.  A row that is not <= with positive right-hand side, or
-    a start that is not Optimal with a basis, raises DataError.
+    One `LiveTableau` solves lp cold at t = b, and the pass continues it,
+    refactorized once at that solution's basis, with t in its constraint
+    data.  While the basis B stays optimal the basic values are B^-1 b(t)
+    = beta - (b - t) gamma, where gamma is the tableau column of the row's
+    slack, so F is linear with slope c_B gamma (the slack's reduced cost).
+    t falls to the next breakpoint, where the first basic value reaches
+    zero (the least ratio beta_i / gamma_i over gamma_i > 0); that row
+    leaves the basis by one dual simplex pivot (`_dual_ratio_test`),
+    which keeps the basis optimal below the breakpoint.  A tie goes to
+    the row of largest gamma_i, the one that would turn most negative,
+    under Bland's rule to the smallest basic index.  Pivots on
+    `_pivot_loop`, with its refactorization cadence and its switch to
+    Bland's rule after a streak of pivots at a breakpoint already reached;
+    a leaving row with no negative entry, on a freshly refactorized
+    tableau, ends the pass where the program turns infeasible.  A row that
+    is not <= with positive right-hand side, or a start that is not
+    Optimal with a basis, raises DataError.
     """
     _, rel, rhs = _row_data(lp.rows)
     if not (0 <= row < len(rhs) and rel[row] > 0 and rhs[row] > 0):
         raise DataError(f"row {row} is not a <= row with positive right-hand side")
-    start = solve_lp(lp)
+    tab = LiveTableau(lp)
+    start = tab.solve()
     if start.status != "Optimal" or start.basis is None:
         raise DataError(f"the program at its own right-hand side is {start.status}, "
                         "with no basis to start from")
-    tab = LiveTableau(lp, start.basis)
+    _refresh(tab, tab.cost)
     T, basis, Ab = tab.T, tab.basis, tab.Ab
     m = len(basis)
     s = lp.n + int(np.count_nonzero(rel[:row]))  # the row's slack column
-    objective = np.zeros(T.shape[1] - 1)
-    objective[: lp.n] = lp.objective
+    objective = np.pad(lp.objective, (0, T.shape[1] - 1 - lp.n))
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
     clipped, ratios = np.empty(m), np.empty(m)
     enter_for = _dual_ratio_test(tab)

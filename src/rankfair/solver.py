@@ -412,15 +412,17 @@ def solve_bnb(
     depth-first search pops, these pruned children included, so a node
     budget stops the search where it stopped when each child was pushed.
 
-    Exact when it runs to completion; with a node budget it may return an
-    anytime result flagged "Heuristic" together with a certified global
-    lower bound.  Tie tracking is on by default up to m=12; once it has
+    Exact when it runs to completion; with a node budget (at least 0, else
+    DataError) it may return an anytime result flagged "Heuristic" together
+    with a certified global lower bound.  Tie tracking is on by default up to m=12; once it has
     found `TIE_ENUMERATION_CAP` winners and one more, it prunes ties as
     find_all_ties=False does.
     """
     m = profile.m
     if m > BNB_GUARD:
         raise GuardError(f"branch and bound guarded at m={BNB_GUARD}, got {m}")
+    if node_budget is not None and node_budget < 0:
+        raise DataError(f"node_budget must be >= 0, got {node_budget}")
     p = cost.exponent
     if find_all_ties is None:
         find_all_ties = m <= 12

@@ -577,6 +577,18 @@ def test_row_generation_builds_the_standard_form_once(monkeypatch):
     assert res.refactorizations == 1
 
 
+def test_group_pass_builds_the_standard_form_once(monkeypatch):
+    # the parametric pass continues the tableau of its cold solve at
+    # alpha = 1: one cold build, no warm one
+    builds = []
+    build = lp_mod._standard_form
+    monkeypatch.setattr(lp_mod, "_standard_form",
+                        lambda prog, cold: builds.append(cold) or build(prog, cold))
+    _group_pieces.cache_clear()
+    assert len(_group_pieces(4).traced.slopes) == GROUP_PASS_RECORD["pieces"]
+    assert builds == [True]
+
+
 def test_row_generation_refactorizes_across_rounds(monkeypatch):
     # the refactorization cadence counts every update of the live tableau,
     # pivots and appended rows alike, whatever round or phase it falls in:

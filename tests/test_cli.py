@@ -178,6 +178,27 @@ def test_axioms_efficiency(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("check", ["efficiency", "2rp"])
+def test_axioms_enumerating_checks_above_m8_exit_3(check, tmp_path, capsys, monkeypatch):
+    # refused before a random profile is drawn or a loaded one is solved:
+    # at m = 9 one efficiency check takes seconds
+    from rankfair import cli, sampling
+
+    def never(*args, **kwargs):
+        raise AssertionError("past the guard")
+
+    monkeypatch.setattr(sampling, "make_rng", never)
+    monkeypatch.setattr(cli, "solve_brute_force", never)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 9, "entries": [
+        {"order": list(range(9)), "weight": "1/2"},
+        {"order": list(range(9))[::-1], "weight": "1/2"}]}))
+    for source in (["--random", "3", "--m", "9"], ["--profile", str(path)]):
+        code = main(["axioms", "--check", check, *source])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("guard:") and "m=8, got m=9" in err
+
+
 def test_axioms_scp_compares_with_every_compatible_sequence(tmp_path, capsys):
     # the squared optima lie on a compatible maximal sequence other than the
     # one find_single_crossing_order builds
@@ -702,6 +723,14 @@ def test_bounds_lower_below_one_exit_4(m, capsys):
     code = main(["bounds", "--curve", "lower", "--m", m])
     err = capsys.readouterr().err
     assert code == 4 and err.startswith("error:") and "m >= 1" in err
+
+
+def test_experiment_negative_budget_exit_4(tmp_path, capsys):
+    code = main(["experiment", "--name", "CityRanking", "--out", str(tmp_path),
+                 "--param", "budget=-5"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: node_budget must be >= 0, got -5\n"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("name, param", [

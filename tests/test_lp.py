@@ -62,6 +62,35 @@ def test_infeasible():
     assert sol.status == "Infeasible"
 
 
+def test_a_tableau_proved_infeasible_stays_infeasible():
+    # phase 1 runs again at every solve of a program it proved infeasible,
+    # so no later solve prices phase 2 over a basic artificial column
+    lp = LinearProgram(objective=[1.0, 1.0], sense="min")
+    lp.add_row([1.0, 1.0], ">=", 2.0)
+    lp.add_row([1.0, 1.0], "<=", 1.0)
+    live = LiveTableau(lp)
+    assert [live.solve().status for _ in range(3)] == ["Infeasible"] * 3
+
+
+@pytest.mark.parametrize("sense, status", [("min", "Optimal"), ("max", "Unbounded")])
+def test_cold_solve_leaves_no_artificial_columns(sense, status):
+    # the = and >= rows start with an artificial column each; phase 1
+    # removes them, so the solved tableau, [A | b] and the cost hold the
+    # structural columns and one slack per inequality row, as a warm start's
+    lp = LinearProgram(objective=[1.0, 2.0, 3.0], sense=sense)
+    lp.add_row([1.0, 1.0, 1.0], ">=", 1.0)
+    lp.add_row([1.0, 0.0, -1.0], "=", 0.25)
+    lp.add_row([0.0, 1.0, 0.0], "<=", 0.5)
+    live = LiveTableau(lp)
+    assert live.T.shape[1] - 1 == 3 + 2 + 2
+    sol = live.solve()
+    assert sol.status == status
+    assert live.T.shape[1] - 1 == live.Ab.shape[1] - 1 == len(live.cost) == 3 + 2
+    if status == "Optimal":
+        assert verify_solution(lp, sol)
+        assert LiveTableau(lp, sol.basis).T.shape == live.T.shape
+
+
 def test_unbounded():
     lp = LinearProgram(objective=[1.0], sense="max")
     lp.add_row([-1.0], "<=", 1.0)
@@ -119,24 +148,32 @@ def test_tableau_guard_refuses_large_program():
 
 
 def test_refactorization_and_append_memory_against_the_tableau():
-    # TABLEAU_GUARD_BYTES's comment: beyond the tableau and [A | b], a
-    # refactorization allocates 1.40 times the tableau's bytes and an append
-    # of a few rows about 2.0 times (1.40 and 2.03 on this tableau)
+    # TABLEAU_GUARD_BYTES's comment: a cold solve, its tableau and [A | b]
+    # built and its artificial columns removed, peaks at 3.3 times its cold
+    # tableau's bytes (3.21 on this >= program with 100 rows); beyond the
+    # tableau and [A | b], a refactorization allocates 1.40 times the
+    # tableau's bytes and an append of a few rows about 2.0 times (1.40 and
+    # 2.03 on this tableau)
+    cold_rng = np.random.default_rng(0)
+    cold = LinearProgram(cold_rng.random(150), "min")
+    cold.add_rows(cold_rng.random((100, 150)), ">=", 1.0)
     rng = np.random.default_rng(0)
     lp = LinearProgram(-rng.random(450), "max")  # Optimal at the slack basis
     lp.add_rows(rng.random((300, 450)), "<=", 1.0)
     live = LiveTableau(lp)
     assert live.solve().status == "Optimal" and live.T.shape == (301, 751)
     size = live.T.nbytes
-    for work, bound in [(lambda: lp_mod._refresh(live, live.cost), 1.45),
-                        (lambda: live.add_rows(rng.random((2, 450)), ">=", 1.0), 2.1)]:
+    for work, base, bound in [
+            (lambda: LiveTableau(cold).solve(), 101 * (150 + 2 * 100 + 1) * 8, 3.3),
+            (lambda: lp_mod._refresh(live, live.cost), size, 1.45),
+            (lambda: live.add_rows(rng.random((2, 450)), ">=", 1.0), size, 2.1)]:
         tracemalloc.start()
         try:
             work()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * size
+        assert peak <= bound * base
 
 
 def test_wide_program_without_rows_solves():
@@ -696,8 +733,7 @@ def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     T = _tableau(**PRIMAL_TIES)
     tab = SimpleNamespace(T=T, basis=list(PRIMAL_TIES["basis"]), Ab=T[:-1].copy(),
                           stats=Counter(), since_refresh=0)
-    assert _first_pivot(monkeypatch, lp_mod._simplex_phase, tab, 10,
-                        T[-1, :-1].copy()) == pivot
+    assert _first_pivot(monkeypatch, lp_mod._simplex_phase, tab, T[-1, :-1].copy()) == pivot
 
 
 # of the negative right-hand sides, row 1's has the largest ratio of squared

@@ -390,6 +390,15 @@ def test_bnb_city_search_pinned(p, ties, nodes, budget, budgeted):
     assert (cut.status, cut.nodes, cut.lower_bound, cut.cost) == budgeted
 
 
+def test_bnb_budget_below_zero_is_data_error():
+    with pytest.raises(DataError, match="node_budget must be >= 0, got -5"):
+        solve_bnb(city_profile(), CostSpec(2), node_budget=-5)
+    # a budget of 0 pops no node: the seed, with the root's bound
+    res = solve_bnb(city_profile(), CostSpec(2), node_budget=0)
+    assert (res.status, res.nodes) == ("Heuristic", 0)
+    assert res.lower_bound <= F(74647, 10) <= res.cost
+
+
 @pytest.mark.parametrize("p, budget, pinned", [
     (1, 5, ("Heuristic", 5, F(43, 3), F(43, 3))),
     (1, 50, ("Heuristic", 50, F(43, 3), F(43, 3))),

@@ -387,7 +387,7 @@ def _group_pieces(m: int) -> _GroupPieces:
     rows[n, n:] = 1.0
     lp.add_rows(rows[:n], "<=", 0.0)  # g_i <= w_i
     lp.add_rows(rows[n:], "<=", 1.0)  # sum(g) <= alpha, from alpha = 1
-    traced = parametric_rhs(lp, len(lp.rows) - 1)
+    traced = parametric_rhs(lp, len(lp.b) - 1)
     alphas, values, slopes = (tuple(a.tolist()) for a in
                               (traced.breakpoints, traced.values, traced.slopes))
     # breakpoint 0 is alpha = 0

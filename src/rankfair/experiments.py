@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -167,20 +168,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     out = Path(spec.out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # a failed run removes them
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    report = EXPERIMENTS[spec.name][0](spec, out)
-    from . import __version__
+    try:
+        t0 = time.perf_counter()
+        report = EXPERIMENTS[spec.name][0](spec, out)
+        from . import __version__
 
-    manifest = {
-        "experiment": spec.name,
-        "seed": spec.seed,
-        "params": {k: str(v) for k, v in spec.params.items()},
-        "version": __version__,
-        "runtime_seconds": round(time.perf_counter() - t0, 3),
-        "report": report,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        manifest = {
+            "experiment": spec.name,
+            "seed": spec.seed,
+            "params": {k: str(v) for k, v in spec.params.items()},
+            "version": __version__,
+            "runtime_seconds": round(time.perf_counter() - t0, 3),
+            "report": report,
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
     return manifest
 
 

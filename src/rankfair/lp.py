@@ -2,27 +2,30 @@
 simplex restart from a given basis and a parametric pass over one
 right-hand side, all on one kind of tableau.
 
-A program is max or min c'x over rows (coeffs, relation, rhs) with every
-variable nonnegative; an upper bound is a row, a free variable the
-difference of two.  The worst-case programs in `rankfair.bounds` have up
-to a few thousand dense variables and are highly degenerate.
+A program is max or min c'x over one constraint block, rows A x (<=, =
+or >=) b, with every variable nonnegative; an upper bound is a row, a
+free variable the difference of two.  The worst-case programs in
+`rankfair.bounds` have up to a few thousand dense variables and are
+highly degenerate.
 
-The simplex state lives on a `LiveTableau`: the tableau, its basis, the
-constraint data [A | b] that refactorizations start from, the work
-counters and the count of updates since the last refactorization.  Its
-constructor is the one place a standard form is built, and a cold
-start's artificial columns leave with phase 1, so a solved tableau is
-numbered alike cold or warm.  The phases take the tableau and give a
-verdict: the primal (`_simplex_phase`) and the dual (`_dual_phase`, its
-leaving row priced by steepest edge) simplex each supply only a pivot
-rule to one pivot loop, `_pivot_loop`, which pivots and counts through
-`_step`, refactorizes through `_refresh` at a fixed cadence and before
-it accepts a verdict other than Optimal, and switches to Bland's rule
-after a streak of degenerate pivots.
+The simplex state lives on a `LiveTableau`: the program, the tableau,
+its basis, the work counters and the count of updates since the last
+refactorization.  The program's block is the only copy of the constraint
+data: `_standard_form` writes its rows in standard form for the
+constructor, for appended rows and for each refactorization, which
+rebuilds [A | b] in the tableau's own rows.  A cold start's artificial
+columns leave with phase 1, so a solved tableau is numbered alike cold
+or warm.  The phases take the tableau and give a verdict: the primal
+(`_simplex_phase`) and the dual (`_dual_phase`, its leaving row priced
+by steepest edge) simplex each supply only a pivot rule to one pivot
+loop, `_pivot_loop`, which pivots and counts through `_step`,
+refactorizes through `_refresh` at a fixed cadence and before it accepts
+a verdict other than Optimal, and switches to Bland's rule after a
+streak of degenerate pivots.
 `solve_lp` is one solve of a new tableau; row generation keeps one
 between rounds and appends rows to it in the current basis
 (`LiveTableau.add_rows`); `parametric_rhs` runs its pass on the tableau
-that solved its start.
+that solved its start, over a copy of the program's b.
 
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
@@ -33,6 +36,7 @@ OpenBLAS thread and 134,130 with two).
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,24 +48,34 @@ from .errors import DataError, DimensionError, GuardError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 VERIFY_TOL = 1e-8  # verify_solution's slack on rows, signs and the objective
-# the tableau holds (rows + 1) x width doubles and its constraint data [A | b]
-# about as many again.  Beyond both, a refactorization allocates 1.40 times
-# the tableau's bytes (the basis matrix and the solve's output) and an append
-# of 10 rows 2.04 times (the new tableau and [A | b], built while the old ones
-# are held), measured under tracemalloc on a 1,000-row, 2,501-column tableau;
-# a cold solve, all included, peaks at 3.31 times its cold tableau's bytes
-# (a 300-row, 400-variable >= program).  At the guard an append peaks near
-# 4 GiB, inside a 7 GB machine
+# the tableau holds (rows + 1) x width doubles and the program's A fewer.
+# Beyond both, a refactorization (which rebuilds [A | b] in the tableau's own
+# rows) allocates 1.40 times the tableau's bytes, the basis matrix and the
+# solve's output, and an append of 10 rows 1.04 times, the new tableau built
+# while the old one is held, measured under tracemalloc on a 1,000-row,
+# 2,501-column tableau; a cold solve, program included, peaks at 2.71 times
+# its cold tableau's bytes (a 300-row, 400-variable >= program).  At the guard
+# a refactorization peaks below 3.4 GiB, inside a 7 GB machine
 TABLEAU_GUARD_BYTES = 1 << 30
+
+
+# a row's relation as the sign of its slack column: x + s = b for <=,
+# x - s = b for >=, no slack for =
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
 
 
 @dataclass
 class LinearProgram:
-    """min/max c'x subject to rows of (coeffs, relation, rhs) and x >= 0."""
+    """min/max c'x subject to A x (rel) b and x >= 0: `A` has a row per
+    constraint, `rel` its relation as its slack's sign (see `_SLACK_SIGN`),
+    `b` its right-hand side.  A shallow copy keeps its rows: rows are
+    appended, never written in place."""
 
     objective: np.ndarray
     sense: str = "max"
-    rows: list = field(default_factory=list)
+    A: np.ndarray = field(init=False)
+    rel: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -69,6 +83,7 @@ class LinearProgram:
             raise DataError(f"sense must be max or min, got {self.sense}")
         if not np.all(np.isfinite(self.objective)):
             raise DataError("objective has non-finite entries")
+        self.A, self.rel, self.b = np.empty((0, self.n)), np.empty(0), np.empty(0)
 
     @property
     def n(self) -> int:
@@ -80,8 +95,8 @@ class LinearProgram:
     def add_rows(self, coeffs, rel: str, rhs: float):
         """Append one row per entry of coeffs, a matrix or a list of rows,
         each with relation rel and right-hand side rhs.  The rows are
-        validated as one block; a row that is a float array already (a
-        matrix's rows are views into it) is kept as it is."""
+        validated as one block, and A, rel and b are replaced by longer
+        copies: nothing is appended unless everything is."""
         block = np.asarray(coeffs, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.n:
             raise DimensionError(f"rows of shape {block.shape} do not have "
@@ -90,8 +105,9 @@ class LinearProgram:
             raise DataError(f"relation must be <=, = or >=, got {rel}")
         if not (np.all(np.isfinite(block)) and np.isfinite(rhs)):
             raise DataError("non-finite constraint data")
-        self.rows.extend((np.asarray(row, dtype=float), rel, float(rhs))
-                         for row in coeffs)
+        self.A = np.concatenate([self.A, block])
+        self.rel = np.concatenate([self.rel, np.full(len(block), _SLACK_SIGN[rel])])
+        self.b = np.concatenate([self.b, np.full(len(block), float(rhs))])
 
 
 @dataclass(frozen=True)
@@ -156,12 +172,17 @@ def _step(tab: LiveTableau, row: int, col: int):
     tab.since_refresh += 1
 
 
-def _refresh(tab: LiveTableau, cost: np.ndarray):
-    """Rebuild the tableau's rows from its constraint data [A | b] to shed
-    rounding drift, with one factorization of the basis B, and price them
-    with `cost`.  Counts the refactorization and resets the update count."""
+def _refresh(tab: LiveTableau, cost: np.ndarray, built: bool = False):
+    """Rebuild the tableau's rows as B^-1 [A | b] to shed rounding drift:
+    write the program's [A | b] into them (`_standard_form`) unless they
+    hold it already (`built`), solve against the basis B in one
+    factorization, and price them with `cost`.  Counts the refactorization
+    and resets the update count; a singular B raises DataError."""
+    rows = tab.T[: len(tab.basis)]
+    if not built:
+        _standard_form(tab.lp, tab.kept, tab.art_at is not None, rows)
     try:
-        tab.T[: len(tab.basis)] = np.linalg.solve(tab.Ab[:, tab.basis], tab.Ab)
+        rows[:] = np.linalg.solve(rows[:, tab.basis], rows)
     except np.linalg.LinAlgError:
         raise DataError("numerical breakdown: simplex basis became singular")
     _price(tab.T, tab.basis, cost)
@@ -342,59 +363,41 @@ def _dual_phase(tab: LiveTableau, cost: np.ndarray) -> str:
     return status
 
 
-# a row's relation as the sign of its slack column: x + s = b for <=,
-# x - s = b for >=, no slack for =
-_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
+def _standard_form(lp: LinearProgram, rows=slice(None), cold: bool = False,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """lp's rows `rows` in standard form [A | b], written into the first
+    rows of `out` or of a new array with a zero cost row below them: that
+    array, and each row's unit column, which can start basic (its
+    artificial, else its slack, if it has either).
 
-
-def _row_data(rows: list) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The rows' coefficient vectors (unstacked), their relations as slack
-    signs (see `_SLACK_SIGN`) and their right-hand sides, as arrays."""
-    if not rows:
-        return (), np.empty(0), np.empty(0)
-    coeffs, rels, rhss = zip(*rows)
-    return coeffs, np.array([_SLACK_SIGN[r] for r in rels]), np.array(rhss)
-
-
-def _oriented(rel: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Given rows' relations as slack signs (see `_SLACK_SIGN`) and their
-    right-hand sides, each row's sign (-1 for a row flipped), its slack's
-    sign once flipped and its right-hand side once flipped.
-
-    A row flips to a nonnegative right-hand side, and a >= row with zero
-    rhs flips to <= form, so its slack can start basic.
+    A row is first flipped (its sign -1) to a nonnegative right-hand side,
+    and a >= row with zero rhs to <= form, so its slack can start basic;
+    its slack's sign is its relation's (see `_SLACK_SIGN`) times its own.
+    The columns are the structural variables, then one slack per row of lp
+    that has one (every row but an equality, in lp's row order), then, in
+    a `cold` build of every row, one artificial per row whose slack cannot
+    start basic (a >= or = row, once flipped), then b.  A new array is
+    guarded at TABLEAU_GUARD_BYTES before it is allocated.
     """
+    n, rel, rhs = lp.n, lp.rel[rows], lp.b[rows]
     sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
-    return sign, rel * sign, np.where(rhs < 0, -rhs, rhs)
-
-
-def _standard_form(lp: LinearProgram, cold: bool
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lp's standard-form tableau [A | b] over a zero cost row (last), the
-    rows that have a slack column and the rows that have an artificial one.
-
-    Every row is first oriented by `_oriented`.  The columns are the
-    structural variables, then one slack per row that has one (every row
-    but an equality), then, in a cold start only, one artificial per row
-    whose slack cannot start basic (a >= or = row, once flipped), then b.
-    The tableau is guarded at TABLEAU_GUARD_BYTES before it is allocated.
-    """
-    n = lp.n
-    coeffs, rel, rhs = _row_data(lp.rows)
-    sign, slack, rhs = _oriented(rel, rhs)
-    m = len(rhs)
-    slack_rows = np.flatnonzero(slack)
-    art_rows = np.flatnonzero(slack != 1 if cold else np.zeros(m, dtype=bool))
-    art_at = n + len(slack_rows)
-    width = art_at + len(art_rows) + 1
-    _guard(m, width)
-    T = np.zeros((m + 1, width))
-    if m:
-        np.multiply(np.array(coeffs), sign[:, None], out=T[:m, :n])
-    T[:m, -1] = rhs
-    T[slack_rows, n + np.arange(len(slack_rows))] = slack[slack_rows]
-    T[art_rows, art_at + np.arange(len(art_rows))] = 1.0
-    return T, slack_rows, art_rows
+    slack = rel * sign
+    m, art_at = len(rhs), n + int(np.count_nonzero(lp.rel))
+    unit = n - 1 + np.cumsum(lp.rel != 0)[rows]
+    art = np.flatnonzero(slack != 1) if cold else ()
+    if out is None:
+        _guard(m, art_at + len(art) + 1)
+        out = np.zeros((m + 1, art_at + len(art) + 1))
+    else:
+        out[:m] = 0.0
+    np.multiply(lp.A[rows], sign[:, None], out=out[:m, :n])
+    out[:m, -1] = np.where(rhs < 0, -rhs, rhs)
+    has = np.flatnonzero(slack)
+    out[has, unit[has]] = slack[has]
+    if cold:
+        unit[art] = art_at + np.arange(len(art))
+        out[art, unit[art]] = 1.0
+    return out, unit
 
 
 def _guard(m: int, width: int):
@@ -405,45 +408,42 @@ def _guard(m: int, width: int):
 
 class LiveTableau:
     """A program's simplex state, which every phase reads and writes: the
-    tableau `T` (cost row last), its `basis`, the constraint data `Ab` =
-    [A | b] that refactorizations start from, the work counters `stats`
-    and `since_refresh`, the updates since the tableau was built or last
-    refactorized (pivots of every phase, and one per append, across
-    solves), so that the REFRESH_EVERY cadence and the refactorization
-    before a non-Optimal verdict (see `_pivot_loop`) cover the drift of
-    earlier rounds too.
+    program `lp`, the program rows the tableau holds (`kept`: all of them
+    until phase 1 drops a redundant row), the tableau `T` (cost row last),
+    its `basis`, the work counters `stats` and `since_refresh`, the
+    updates since the tableau was built or last refactorized (pivots of
+    every phase, and one per append, across solves), so that the
+    REFRESH_EVERY cadence and the refactorization before a non-Optimal
+    verdict (see `_pivot_loop`) cover the drift of earlier rounds too.
 
-    The standard form is built once, here (see `_standard_form`); with a
-    start basis (see `LpSolution.basis`) the tableau is refactorized at it
-    once, without one the first `solve` runs the two-phase simplex, and
-    phase 1 removes the artificial columns (`art_at`, None after).
+    The tableau is built here by `_standard_form`; with a start basis
+    (see `LpSolution.basis`) it is refactorized at it once, on the rows
+    just built, without one the first `solve` runs the two-phase simplex,
+    and phase 1 removes the artificial columns (`art_at`, None after).
     `solve` gives the program's current optimum as an `LpSolution` whose
     counters are the work since the last `solve` returned.  For row
     generation `add_rows` appends rows to the program (`lp`, changed in
-    place), to `Ab` and to the tableau in the current basis, each with
-    its slack basic and numbered as `LpSolution.basis` documents.  The
-    basis stays dual feasible, so the next `solve` runs the dual simplex
-    and a confirming phase-2 pass, with no rebuild and no refactorization
-    to start.
+    place) and to the tableau in the current basis, each with its slack
+    basic and numbered as `LpSolution.basis` documents.  The basis stays
+    dual feasible, so the next `solve` runs the dual simplex and a
+    confirming phase-2 pass, with no rebuild and no refactorization to
+    start.
     """
 
     def __init__(self, lp: LinearProgram, basis: Sequence[int] | None = None):
-        self.lp = lp
+        self.lp, self.kept = lp, slice(None)
         n = lp.n
-        self.T, slack_rows, art_rows = _standard_form(lp, basis is None)
+        self.T, start = _standard_form(lp, cold=basis is None)
         m, width = self.T.shape[0] - 1, self.T.shape[1]
         # where the artificial columns start, until phase 1 removes them
-        self.art_at = n + len(slack_rows) if len(art_rows) else None
-        self.Ab = self.T[:m].copy()  # the constraint data [A | b], for refactorizing
+        art_at = n + int(np.count_nonzero(lp.rel))
+        self.art_at = art_at if width - 1 > art_at else None
         self.stats = Counter()
         self.cost = np.zeros(width - 1)  # phase 2's
         self.cost[:n] = -lp.objective if lp.sense == "max" else lp.objective
         self.optimal = False  # an Optimal solve left a basis with a column per row
         self.since_refresh = 0
         if basis is None:
-            start = np.empty(m, dtype=int)
-            start[slack_rows] = n + np.arange(len(slack_rows))
-            start[art_rows] = n + len(slack_rows) + np.arange(len(art_rows))
             self.basis = start.tolist()
             _price(self.T, self.basis, self.cost)
         else:
@@ -454,13 +454,13 @@ class LiveTableau:
             repeated = sorted(j for j, k in Counter(self.basis).items() if k > 1)
             if repeated:
                 raise DataError(f"singular start basis: it repeats column(s) {repeated}")
-            _refresh(self, self.cost)
+            _refresh(self, self.cost, True)  # on the rows just built
 
     def _run_phase1(self) -> bool:
         """Minimize the artificial total from the cold basis, drive the
-        artificials left basic out of it or drop their redundant rows, and
-        remove the artificial columns (of T, [A | b] and the cost).  False,
-        the columns kept, when the program is infeasible."""
+        artificials left basic out of it or drop their redundant rows (from
+        `kept` too), and remove the artificial columns (of T and the cost).
+        False, the columns kept, when the program is infeasible."""
         T, basis, art_at = self.T, self.basis, self.art_at
         m, width = T.shape[0] - 1, T.shape[1]
         phase1_cost = np.zeros(width - 1)
@@ -478,12 +478,10 @@ class LiveTableau:
                     continue  # redundant row
                 _step(self, i, int(piv[0]))
             keep.append(i)
-        cols = np.r_[:art_at, width - 1]
-        del T  # the old tableau is released before [A | b] is sliced
-        self.T = self.T[np.ix_(keep + [m], cols)]
-        self.Ab = self.Ab[np.ix_(keep, cols)]
+        self.T = T[np.ix_(keep + [m], np.r_[:art_at, width - 1])]
         self.cost, self.art_at = self.cost[:art_at], None
         self.basis = [basis[i] for i in keep]
+        self.kept = keep if len(keep) < m else self.kept
         return True
 
     def _result(self, status: str) -> LpSolution:
@@ -496,7 +494,7 @@ class LiveTableau:
         x = x_std[: self.lp.n]
         obj = float(self.lp.objective @ x)
         # None: phase 1 dropped a row
-        final = tuple(basis) if len(basis) == len(self.lp.rows) else None
+        final = tuple(basis) if len(basis) == len(self.lp.b) else None
         self.optimal = final is not None
         return LpSolution("Optimal", x, obj, basis=final, **stats)
 
@@ -522,16 +520,17 @@ class LiveTableau:
         """Append rows, as `LinearProgram.add_rows` takes them, to the program
         and to its optimal tableau in the current basis B.
 
-        Each row u of the block, oriented as `_standard_form` orients its
-        rows, enters the tableau as (u - u_B B^-1 [A | b]) / s, its slack
-        column's sign s, so the slack is basic with value a x - b for a
-        >= row: negative when x violates it.  The cost row is unchanged,
-        since a slack costs nothing.  Only an inequality row has a slack
-        to start basic, and only a tableau left Optimal with a basis for
-        every row takes rows; otherwise DataError.  The new rows carry the
-        tableau's drift, so an append counts as one update towards the
-        next refactorization.  The size guard runs before anything
-        changes: a GuardError leaves program and tableau as they were.
+        Each row u of the block, in standard form (`_standard_form`), enters
+        the tableau as (u - u_B B^-1 [A | b]) / s, its slack column's sign
+        s, so the slack is basic with value a x - b for a >= row: negative
+        when x violates it.  The cost row is unchanged, since a slack
+        costs nothing.  Only an inequality row has a slack to start basic,
+        and only a tableau left Optimal with a basis for every row takes
+        rows; otherwise DataError.  The new rows carry the tableau's
+        drift, so an append counts as one update towards the next
+        refactorization.  The size guard and the program's validation run
+        before anything changes: a GuardError or a DataError leaves
+        program and tableau as they were.
         """
         if rel == "=":
             raise DataError("an appended row needs a slack to start basic, not =")
@@ -541,19 +540,12 @@ class LiveTableau:
         k, w, m = len(block), self.T.shape[1] - 1, len(self.basis)
         _guard(m + k, w + k + 1)
         self.lp.add_rows(block, rel, rhs)
-        sign, slack, b = _oriented(np.full(k, _SLACK_SIGN[rel]), np.full(k, float(rhs)))
-        U = np.zeros((k, w + k + 1))
-        np.multiply(block, sign[:, None], out=U[:, : self.lp.n])
-        U[np.arange(k), w + np.arange(k)] = slack
-        U[:, -1] = b
         T = np.zeros((m + k + 1, w + k + 1))
         T[:m, :w], T[:m, -1] = self.T[:m, :-1], self.T[:m, -1]
         T[-1, :w], T[-1, -1] = self.T[-1, :-1], self.T[-1, -1]
-        T[m:-1] = (U - U[:, self.basis] @ T[:m]) / slack[:, None]
-        Ab = np.zeros((m + k, w + k + 1))
-        Ab[:m, :w], Ab[:m, -1], Ab[m:] = self.Ab[:, :-1], self.Ab[:, -1], U
-        self.cost = np.concatenate([self.cost, np.zeros(k)])
-        self.T, self.Ab = T, Ab
+        U, slacks = T[m:-1], _standard_form(self.lp, slice(m, None), out=T[m:])[1]
+        U[:] = (U - U[:, self.basis] @ T[:m]) / U[np.arange(k), slacks][:, None]
+        self.T, self.cost = T, np.concatenate([self.cost, np.zeros(k)])
         self.basis += range(w, w + k)
         self.since_refresh += 1
 
@@ -603,35 +595,36 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     from the row's own value b > 0 down to 0, in one parametric pass.
 
     One `LiveTableau` solves lp cold at t = b, and the pass continues it,
-    refactorized once at that solution's basis, with t in its constraint
-    data.  While the basis B stays optimal the basic values are B^-1 b(t)
-    = beta - (b - t) gamma, where gamma is the tableau column of the row's
-    slack, so F is linear with slope c_B gamma (the slack's reduced cost).
-    t falls to the next breakpoint, where the first basic value reaches
-    zero (the least ratio beta_i / gamma_i over gamma_i > 0); that row
-    leaves the basis by one dual simplex pivot (`_dual_ratio_test`),
-    which keeps the basis optimal below the breakpoint.  A tie goes to
-    the row of largest gamma_i, the one that would turn most negative,
-    under Bland's rule to the smallest basic index.  Pivots on
-    `_pivot_loop`, with its refactorization cadence and its switch to
-    Bland's rule after a streak of pivots at a breakpoint already reached;
-    a leaving row with no negative entry, on a freshly refactorized
-    tableau, ends the pass where the program turns infeasible.  A row that
-    is not <= with positive right-hand side, or a start that is not
-    Optimal with a basis, raises DataError.
+    refactorized once at that solution's basis, with t in its program's b:
+    a private copy, so lp is left as it was.  While the basis B stays
+    optimal the basic values are B^-1 b(t) = beta - (b - t) gamma, where
+    gamma is the tableau column of the row's slack, so F is linear with
+    slope c_B gamma (the slack's reduced cost).  t falls to the next
+    breakpoint, where the first basic value reaches zero (the least ratio
+    beta_i / gamma_i over gamma_i > 0); that row leaves the basis by one
+    dual simplex pivot (`_dual_ratio_test`), which keeps the basis optimal
+    below the breakpoint.  A tie goes to the row of largest gamma_i, the
+    one that would turn most negative, under Bland's rule to the smallest
+    basic index.  Pivots on `_pivot_loop`, with its refactorization
+    cadence and its switch to Bland's rule after a streak of pivots at a
+    breakpoint already reached; a leaving row with no negative entry, on a
+    freshly refactorized tableau, ends the pass where the program turns
+    infeasible.  A row that is not <= with positive right-hand side, or a
+    start that is not Optimal with a basis, raises DataError.
     """
-    _, rel, rhs = _row_data(lp.rows)
-    if not (0 <= row < len(rhs) and rel[row] > 0 and rhs[row] > 0):
+    if not (0 <= row < len(lp.b) and lp.rel[row] > 0 and lp.b[row] > 0):
         raise DataError(f"row {row} is not a <= row with positive right-hand side")
+    lp = copy.copy(lp)
+    lp.b = rhs = lp.b.copy()
     tab = LiveTableau(lp)
     start = tab.solve()
     if start.status != "Optimal" or start.basis is None:
         raise DataError(f"the program at its own right-hand side is {start.status}, "
                         "with no basis to start from")
     _refresh(tab, tab.cost)
-    T, basis, Ab = tab.T, tab.basis, tab.Ab
+    T, basis = tab.T, tab.basis
     m = len(basis)
-    s = lp.n + int(np.count_nonzero(rel[:row]))  # the row's slack column
+    s = lp.n + int(np.count_nonzero(lp.rel[:row]))  # the row's slack column
     objective = np.pad(lp.objective, (0, T.shape[1] - 1 - lp.n))
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
     clipped, ratios = np.empty(m), np.empty(m)
@@ -639,11 +632,11 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     # F at the breakpoints and its slope between them, t falling; F and the
     # slopes come from the true objective, since a cost shift leaves the
     # cost row off by up to PIVOT_TOL until the next refactorization
-    points = [(Ab[row, -1], float(objective[basis] @ beta))]
+    points = [(rhs[row], float(objective[basis] @ beta))]
     slopes = []
 
     def choose(bland):
-        t = Ab[row, -1]
+        t = rhs[row]
         pos = gamma > PIVOT_TOL
         ratios.fill(np.inf)
         np.divide(np.maximum(beta, 0.0, out=clipped), gamma, out=ratios, where=pos)
@@ -652,7 +645,7 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
             c_b = objective[basis]
             slope = float(c_b @ gamma)
             T[:m, -1] -= step * gamma
-            Ab[row, -1] = t - step
+            rhs[row] = t - step
             # a step within PIVOT_TOL is rounding: no piece of its own
             if step > PIVOT_TOL or step == t:
                 slopes.append(slope)
@@ -685,13 +678,8 @@ def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:
     x = sol.values
     if x is None or not np.all(np.isfinite(x)):
         return False
-    if lp.rows:
-        coeffs, rel, b = _row_data(lp.rows)
-        v = np.array(coeffs) @ x
-        bad = np.where(rel > 0, v > b + VERIFY_TOL, v < b - VERIFY_TOL)
-        bad = np.where(rel == 0, np.abs(v - b) > VERIFY_TOL, bad)
-        if bad.any():
-            return False
-    if np.any(x < -VERIFY_TOL):
+    r = lp.A @ x - lp.b  # by how much each row exceeds its bound
+    r = np.where(lp.rel == 0, np.abs(r), r * lp.rel)
+    if np.any(r > VERIFY_TOL) or np.any(x < -VERIFY_TOL):
         return False
     return abs(float(lp.objective @ x) - sol.objective_value) <= VERIFY_TOL

@@ -3,9 +3,7 @@ import hashlib
 import itertools
 import json
 import math
-import signal
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -44,6 +42,7 @@ from rankfair import lp as lp_mod
 from rankfair.lp import LinearProgram, LiveTableau, parametric_rhs, solve_lp
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_brute_force, swap_distance_matrix
+from test_lp import _highs, _within  # one HiGHS oracle, one alarm
 
 
 def test_single_ranking_bound_closed_form():
@@ -426,19 +425,6 @@ def test_row_generation_curves_match_golden(golden):
     assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
 
 
-def _highs(prog):
-    """The optimum of a max program, solved by HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    A = np.array([row for row, _, _ in prog.rows])
-    b = np.array([rhs for _, _, rhs in prog.rows])
-    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] for _, rel, _ in prog.rows])
-    ub = sign != 0
-    ref = linprog(-prog.objective, A_ub=A[ub] * sign[ub, None], b_ub=b[ub] * sign[ub],
-                  A_eq=A[~ub], b_eq=b[~ub], bounds=(0, None), method="highs")
-    assert ref.status == 0
-    return -ref.fun
-
-
 def _group_program(m, q):
     """One q's group program, as worst_group_curve solved it before the
     parametric pass: the largest group weight at mean distance >= q * dmax
@@ -457,7 +443,8 @@ def _group_program(m, q):
 ])
 def test_group_curve_matches_highs_per_q(m, grid):
     for q in grid:
-        ref = _highs(_group_program(m, q))
+        status, ref = _highs(_group_program(m, q))
+        assert status == "Optimal"
         points = worst_group_curve(m, [q]).points
         if ref <= 1e-9:
             assert points == ()
@@ -527,20 +514,6 @@ def test_row_generation_and_group_pass_pivot_path(monkeypatch):
     assert (len(path), digest) == PIVOT_PATH
 
 
-@contextmanager
-def _within(seconds):
-    def timeout(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_group_curve_m5_in_one_pass():
     # one pass of about 0.4 s on one core, where one program per q took 13-16 s
     _group_pieces.cache_clear()
@@ -564,13 +537,13 @@ def test_single_ranking_refuses_a_corrupted_solution(corrupt, monkeypatch):
 
 
 def test_row_generation_builds_the_standard_form_once(monkeypatch):
-    # every round after the first appends its rows to the live tableau:
-    # the standard form is built once and round 1's basis is the only one
-    # refactorized (all its rounds take fewer than REFRESH_EVERY pivots)
+    # every round after the first appends its rows to the live tableau: the
+    # whole program's standard form is built once and round 1's basis is the
+    # only one refactorized (all its rounds take fewer than REFRESH_EVERY pivots)
     builds = []
     build = lp_mod._standard_form
-    monkeypatch.setattr(lp_mod, "_standard_form",
-                        lambda prog, cold: builds.append(len(prog.rows)) or build(prog, cold))
+    monkeypatch.setattr(lp_mod, "_standard_form", lambda prog, rows=slice(None), *args, **kw: (
+        rows == slice(None) and builds.append(len(prog.b))) or build(prog, rows, *args, **kw))
     res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
     assert res.rounds >= 3 and res.alpha_exact == F(9, 20)
     assert builds == [5]  # the sum row and the m - 1 adjacent competitors
@@ -579,14 +552,15 @@ def test_row_generation_builds_the_standard_form_once(monkeypatch):
 
 def test_group_pass_builds_the_standard_form_once(monkeypatch):
     # the parametric pass continues the tableau of its cold solve at
-    # alpha = 1: one cold build, no warm one
+    # alpha = 1: one cold tableau, no warm one (its one refactorization
+    # rebuilds [A | b] in that tableau's rows)
     builds = []
-    build = lp_mod._standard_form
-    monkeypatch.setattr(lp_mod, "_standard_form",
-                        lambda prog, cold: builds.append(cold) or build(prog, cold))
+    init = LiveTableau.__init__
+    monkeypatch.setattr(LiveTableau, "__init__",
+                        lambda live, *args: builds.append(args) or init(live, *args))
     _group_pieces.cache_clear()
     assert len(_group_pieces(4).traced.slopes) == GROUP_PASS_RECORD["pieces"]
-    assert builds == [True]
+    assert [len(args) for args in builds] == [1]  # the program, no start basis
 
 
 def test_row_generation_refactorizes_across_rounds(monkeypatch):

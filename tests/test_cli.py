@@ -265,6 +265,16 @@ def test_bounds_lower_m5_and_guard(capsys):
     assert "m <= 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve, ms, sha256", [
+    ("group", range(2, 6), "0c98dec7a36985b6d6620714f65f584f224d0bdc92e1bfe9380249b7dbdbe0ea"),
+    ("single", range(3, 6), "436a5604637e72436a933a14f21577a0c962d1192615c604e47bf18882a41d89"),
+])
+def test_bounds_curve_csv_bytes(curve, ms, sha256, capsys):
+    # `rankfair bounds --curve <curve> --m <m>` stdout over ms, one BLAS thread or two
+    assert all(main(["bounds", "--curve", curve, "--m", str(m)]) == 0 for m in ms)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize(
     "culture", ["mallows", "mixture", "disc", "circle", "gaussians", "ic"]
 )
@@ -726,11 +736,13 @@ def test_bounds_lower_below_one_exit_4(m, capsys):
 
 
 def test_experiment_negative_budget_exit_4(tmp_path, capsys):
-    code = main(["experiment", "--name", "CityRanking", "--out", str(tmp_path),
-                 "--param", "budget=-5"])
-    assert code == 4
-    assert capsys.readouterr().err == "error: node_budget must be >= 0, got -5\n"
-    assert not (tmp_path / "manifest.json").exists()
+    # an --out that existed keeps its files; directories the run made go
+    (tmp_path / "kept.txt").write_text("x")
+    for out in (tmp_path, tmp_path / "a" / "b"):
+        argv = ["experiment", "--name", "CityRanking", "--out", str(out), "--param", "budget=-5"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error: node_budget must be >= 0, got -5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
 
 
 @pytest.mark.parametrize("name, param", [

@@ -1,3 +1,4 @@
+import copy
 import os
 import signal
 import subprocess
@@ -75,8 +76,8 @@ def test_a_tableau_proved_infeasible_stays_infeasible():
 @pytest.mark.parametrize("sense, status", [("min", "Optimal"), ("max", "Unbounded")])
 def test_cold_solve_leaves_no_artificial_columns(sense, status):
     # the = and >= rows start with an artificial column each; phase 1
-    # removes them, so the solved tableau, [A | b] and the cost hold the
-    # structural columns and one slack per inequality row, as a warm start's
+    # removes them, so the solved tableau and the cost hold the structural
+    # columns and one slack per inequality row, as a warm start's
     lp = LinearProgram(objective=[1.0, 2.0, 3.0], sense=sense)
     lp.add_row([1.0, 1.0, 1.0], ">=", 1.0)
     lp.add_row([1.0, 0.0, -1.0], "=", 0.25)
@@ -85,7 +86,7 @@ def test_cold_solve_leaves_no_artificial_columns(sense, status):
     assert live.T.shape[1] - 1 == 3 + 2 + 2
     sol = live.solve()
     assert sol.status == status
-    assert live.T.shape[1] - 1 == live.Ab.shape[1] - 1 == len(live.cost) == 3 + 2
+    assert live.T.shape[1] - 1 == len(live.cost) == 3 + 2
     if status == "Optimal":
         assert verify_solution(lp, sol)
         assert LiveTableau(lp, sol.basis).T.shape == live.T.shape
@@ -135,45 +136,39 @@ def test_start_basis_with_a_repeated_column_is_data_error():
 
 
 def test_tableau_guard_refuses_large_program():
-    # 20,001 x 21,001 doubles, 3.4 GB; the rows share one array, which
-    # add_row keeps as it is, so the test itself allocates little
-    row = np.ones(1000)
-    lp = LinearProgram(np.zeros(1000), sense="min")
-    for _ in range(20_000):
-        lp.add_row(row, "<=", 1.0)
-    assert lp.rows[-1][0] is row
-    assert 20_001 * 21_001 * 8 > lp_mod.TABLEAU_GUARD_BYTES
+    # 12,000 <= rows over one variable make a tableau of 12,001 x 12,002
+    # doubles, 1.15 GB, from a program of 96 KB
+    lp = LinearProgram(np.zeros(1), sense="min")
+    lp.add_rows(np.ones((12_000, 1)), "<=", 1.0)
+    assert 12_001 * 12_002 * 8 > lp_mod.TABLEAU_GUARD_BYTES
     with pytest.raises(GuardError):
         solve_lp(lp)
 
 
 def test_refactorization_and_append_memory_against_the_tableau():
-    # TABLEAU_GUARD_BYTES's comment: a cold solve, its tableau and [A | b]
-    # built and its artificial columns removed, peaks at 3.3 times its cold
-    # tableau's bytes (3.21 on this >= program with 100 rows); beyond the
-    # tableau and [A | b], a refactorization allocates 1.40 times the
-    # tableau's bytes and an append of a few rows about 2.0 times (1.40 and
-    # 2.03 on this tableau)
-    cold_rng = np.random.default_rng(0)
-    cold = LinearProgram(cold_rng.random(150), "min")
-    cold.add_rows(cold_rng.random((100, 150)), ">=", 1.0)
-    rng = np.random.default_rng(0)
-    lp = LinearProgram(-rng.random(450), "max")  # Optimal at the slack basis
-    lp.add_rows(rng.random((300, 450)), "<=", 1.0)
-    live = LiveTableau(lp)
-    assert live.solve().status == "Optimal" and live.T.shape == (301, 751)
-    size = live.T.nbytes
-    for work, base, bound in [
-            (lambda: LiveTableau(cold).solve(), 101 * (150 + 2 * 100 + 1) * 8, 3.3),
-            (lambda: lp_mod._refresh(live, live.cost), size, 1.45),
-            (lambda: live.add_rows(rng.random((2, 450)), ">=", 1.0), size, 2.1)]:
+    # TABLEAU_GUARD_BYTES's comment, traced from before the program is built:
+    # a cold solve of 100 >= rows (three refactorizations) peaks at 2.66
+    # times its cold tableau's bytes; on 300 <= rows, Optimal at the slack
+    # basis, a refactorization and an append at 3.01 and 2.65 times it
+    rows = np.random.default_rng(1).random((2, 450))  # numpy.random imported untraced
+    for k, n, rel, work, bound in [
+            (100, 150, ">=", lambda live: live.solve(), 2.8),
+            (300, 450, "<=", lambda live: lp_mod._refresh(live, live.cost), 3.1),
+            (300, 450, "<=", lambda live: live.add_rows(rows, ">=", 1.0), 2.8)]:
         tracemalloc.start()
         try:
-            work()
-            peak = tracemalloc.get_traced_memory()[1]
+            rng = np.random.default_rng(0)
+            lp = LinearProgram(rng.random(n), "min")
+            lp.add_rows(rng.random((k, n)), rel, 1.0)
+            live = LiveTableau(lp)
+            if rel == "<=":
+                assert live.solve().status == "Optimal" and live.T.shape == (301, 751)
+            base = live.T.nbytes
+            tracemalloc.reset_peak()
+            work(live)
+            assert tracemalloc.get_traced_memory()[1] <= bound * base
         finally:
             tracemalloc.stop()
-        assert peak <= bound * base
 
 
 def test_wide_program_without_rows_solves():
@@ -372,22 +367,16 @@ def _highs(prog):
     """(status, objective) of prog from scipy's HiGHS: x >= 0, rows as given."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     sign = -1.0 if prog.sense == "max" else 1.0
-    ub = [(c if r == "<=" else -c, b if r == "<=" else -b)
-          for c, r, b in prog.rows if r != "="]
-    eq = [(c, b) for c, r, b in prog.rows if r == "="]
+    ub, eq = prog.rel != 0, prog.rel == 0
     ref = linprog(
         sign * prog.objective,
-        A_ub=np.array([c for c, _ in ub]) if ub else None,
-        b_ub=[b for _, b in ub] if ub else None,
-        A_eq=np.array([c for c, _ in eq]) if eq else None,
-        b_eq=[b for _, b in eq] if eq else None,
+        A_ub=prog.A[ub] * prog.rel[ub, None] if ub.any() else None,
+        b_ub=prog.b[ub] * prog.rel[ub] if ub.any() else None,
+        A_eq=prog.A[eq] if eq.any() else None,
+        b_eq=prog.b[eq] if eq.any() else None,
         bounds=(0, None), method="highs")
     status = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}[ref.status]
     return status, sign * ref.fun if status == "Optimal" else None
-
-
-def _slack_count(prog):
-    return sum(rel != "=" for _, rel, _ in prog.rows)
 
 
 def test_final_basis_reproduces_the_solution():
@@ -401,9 +390,9 @@ def test_final_basis_reproduces_the_solution():
         if sol.basis is None:  # phase 1 dropped a redundant row
             continue
         with_basis += 1
-        assert len(sol.basis) == len(prog.rows)
+        assert len(sol.basis) == len(prog.b)
         assert len(set(sol.basis)) == len(sol.basis)
-        assert all(0 <= j < prog.n + _slack_count(prog) for j in sol.basis)
+        assert all(0 <= j < prog.n + np.count_nonzero(prog.rel) for j in sol.basis)
         # the support of the solution is basic
         assert set(np.flatnonzero(sol.values > 1e-9)) <= set(sol.basis)
         # an optimal basis passed back in is primal feasible: phase 2 only,
@@ -415,13 +404,40 @@ def test_final_basis_reproduces_the_solution():
     assert with_basis >= 30
 
 
-def test_dropped_redundant_row_gives_no_basis():
+def _rebuilt(live):
+    """B^-1 [A | b] of the tableau's rows, rebuilt from its program."""
+    Ab = lp_mod._standard_form(live.lp, live.kept)[0][:-1]
+    return np.linalg.solve(Ab[:, live.basis], Ab)
+
+
+def test_dropped_redundant_row_gives_no_basis(monkeypatch):
     lp = LinearProgram(objective=[1.0, 2.0], sense="min")
     lp.add_row([1.0, 1.0], "=", 1.0)
     lp.add_row([2.0, 2.0], "=", 2.0)
     sol = solve_lp(lp)
     assert sol.status == "Optimal" and sol.objective_value == pytest.approx(1.0)
     assert sol.basis is None
+    # a refactorization after the drop rebuilds [A | b] of the kept rows:
+    # before "Unbounded" (max z over x + y = 1 and twice it), and, one per
+    # pivot, in min x + 2y + z/2 over x + y + z = 1, twice it and x >= 1/4
+    seen = []  # the tableau's row count at each refactorization
+    refresh = lp_mod._refresh
+    monkeypatch.setattr(lp_mod, "_refresh",
+                        lambda tab, *args: seen.append(len(tab.basis)) or refresh(tab, *args))
+    unbounded, optimal = LinearProgram([0.0, 0.0, 1.0], "max"), LinearProgram([1.0, 2.0, 0.5], "min")
+    for prog, row in [(unbounded, [1.0, 1.0, 0.0]), (optimal, [1.0, 1.0, 1.0])]:
+        prog.add_row(row, "=", 1.0)
+        prog.add_row(2 * np.array(row), "=", 2.0)
+    optimal.add_row([1.0, 0.0, 0.0], ">=", 0.25)
+    for prog, every, status, rows in [(unbounded, lp_mod.REFRESH_EVERY, "Unbounded", [1]),
+                                      (optimal, 1, "Optimal", [3, 3, 2])]:
+        monkeypatch.setattr(lp_mod, "REFRESH_EVERY", every)
+        seen.clear()
+        live = LiveTableau(prog)
+        sol = live.solve()
+        assert (sol.status, sol.basis, seen) == (status, None, rows)
+        assert np.allclose(_rebuilt(live), live.T[:-1], rtol=0, atol=1e-12)
+    assert sol.objective_value == pytest.approx(0.625) and verify_solution(optimal, sol)
 
 
 def test_warm_start_after_cuts_matches_cold_and_highs():
@@ -432,7 +448,7 @@ def test_warm_start_after_cuts_matches_cold_and_highs():
     statuses = []
     for seed in range(80):
         prog, _ = _random_program(seed)
-        live = LiveTableau(LinearProgram(prog.objective, prog.sense, list(prog.rows)))
+        live = LiveTableau(copy.copy(prog))
         sol = live.solve()
         assert sol.status == solve_lp(prog).status
         if sol.basis is None:
@@ -453,12 +469,11 @@ def test_warm_start_after_cuts_matches_cold_and_highs():
             else:
                 prog.add_row(-a, ">=", -b)
                 live.add_rows([-a], ">=", -b)
-            start.append(prog.n + _slack_count(prog) - 1)
+            start.append(prog.n + np.count_nonzero(prog.rel) - 1)
         assert live.basis == start
-        # the appended rows are B^-1 [A | b] of the grown constraint data, as
-        # a refactorization at the same basis would write them
-        assert np.allclose(np.linalg.solve(live.Ab[:, live.basis], live.Ab), live.T[:-1],
-                           rtol=0, atol=1e-9)
+        # the appended rows are B^-1 [A | b] of the grown program, as a
+        # refactorization at the same basis would write them
+        assert np.allclose(_rebuilt(live), live.T[:-1], rtol=0, atol=1e-9)
         warm = solve_lp(prog, start)
         cold = solve_lp(prog)
         cut = live.solve()
@@ -469,7 +484,7 @@ def test_warm_start_after_cuts_matches_cold_and_highs():
             assert abs(warm.objective_value - ref_obj) <= 1e-8
             assert abs(cut.objective_value - ref_obj) <= 1e-8
             assert verify_solution(prog, warm) and verify_solution(prog, cut)
-            assert len(warm.basis) == len(cut.basis) == len(prog.rows)
+            assert len(warm.basis) == len(cut.basis) == len(prog.b)
         statuses.append(warm.status)
     assert statuses.count("Optimal") >= 15 and statuses.count("Infeasible") >= 15
 
@@ -483,7 +498,7 @@ def test_live_tableau_appends_only_slack_rows_to_an_optimum():
     assert live.solve().objective_value == pytest.approx(4.0)
     with pytest.raises(DataError, match="not ="):
         live.add_rows([[1.0, 0.0]], "=", 1.0)
-    assert len(lp.rows) == 1
+    assert len(lp.b) == 1
     live.add_rows([[1.0, 0.0]], "<=", 1.0)
     assert live.solve().objective_value == pytest.approx(4.0)
     # y >= 5 leaves nothing feasible, and an infeasible tableau takes no rows
@@ -491,7 +506,7 @@ def test_live_tableau_appends_only_slack_rows_to_an_optimum():
     assert live.solve().status == "Infeasible"
     with pytest.raises(DataError, match="Optimal tableau"):
         live.add_rows([[0.0, 1.0]], "<=", 9.0)
-    assert len(lp.rows) == 3
+    assert len(lp.b) == 3
 
 
 def test_live_tableau_refactorizes_before_an_infeasible_verdict():
@@ -517,19 +532,21 @@ def test_live_tableau_guard_leaves_program_and_tableau_unchanged(monkeypatch):
     lp.add_row([1.0, 1.0], "<=", 4.0)
     live = LiveTableau(lp)
     assert live.solve().objective_value == pytest.approx(4.0)
-    T, Ab, basis = live.T.copy(), live.Ab.copy(), list(live.basis)
-    # room for the 2 x 4 tableau, not for the 4 x 6 one two more rows make
+    before = [live.T.copy(), lp.A.copy(), lp.rel.copy(), lp.b.copy(), list(live.basis)]
+    # room for the 2 x 4 tableau and the 3 x 5 one a row makes, not for the
+    # 4 x 6 one two rows make; one non-finite row fits, and is refused
     monkeypatch.setattr(lp_mod, "TABLEAU_GUARD_BYTES", 3 * 5 * 8)
-    with pytest.raises(GuardError):
-        live.add_rows([[1.0, 0.0], [0.0, 1.0]], "<=", 1.0)
-    assert len(live.lp.rows) == 1
-    assert np.array_equal(live.T, T) and np.array_equal(live.Ab, Ab)
-    assert live.basis == basis
-    # within the guard, the same rows append and solve
+    for coeffs, rhs, error in [([[1.0, 0.0], [0.0, 1.0]], 1.0, GuardError),
+                               ([[1.0, np.nan]], 1.0, DataError), ([[1.0, 0.0]], np.inf, DataError)]:
+        with pytest.raises(error):
+            live.add_rows(coeffs, "<=", rhs)
+        now = [live.T, lp.A, lp.rel, lp.b, live.basis]
+        assert all(np.array_equal(a, b) for a, b in zip(now, before))
     monkeypatch.undo()
+    # within the guard, the same rows append and solve
     live.add_rows([[1.0, 0.0], [0.0, 1.0]], "<=", 1.0)
     assert live.solve().objective_value == pytest.approx(2.0)
-    assert len(live.lp.rows) == 3
+    assert len(live.lp.b) == 3
 
 
 def test_bad_start_basis_is_data_error():
@@ -586,8 +603,7 @@ def _m6_rounds(monkeypatch) -> list:
     solve = LiveTableau.solve
 
     def recorded(live):
-        prog = LinearProgram(live.lp.objective, live.lp.sense, list(live.lp.rows))
-        rounds.append((prog, solve(live)))
+        rounds.append((copy.copy(live.lp), solve(live)))
         return rounds[-1][1]
 
     monkeypatch.setattr(LiveTableau, "solve", recorded)
@@ -662,9 +678,8 @@ def test_add_rows_matches_add_row_and_validates_the_block():
     for row in block:
         one.add_row(row, ">=", 1.0)
     many.add_rows(block, ">=", 1.0)
-    assert [(r.tolist(), rel, b) for r, rel, b in many.rows] == [
-        (r.tolist(), rel, b) for r, rel, b in one.rows]
-    assert all(np.shares_memory(r, block) for r, _, _ in many.rows)
+    for a, b in [(many.A, one.A), (many.rel, one.rel), (many.b, one.b)]:
+        assert a.tolist() == b.tolist()
     lp = LinearProgram(np.ones(2), sense="min")
     with pytest.raises(DimensionError):
         lp.add_rows(np.ones((2, 3)), "<=", 1.0)
@@ -676,7 +691,7 @@ def test_add_rows_matches_add_row_and_validates_the_block():
         lp.add_rows([[1.0, np.inf]], "<=", 1.0)
     with pytest.raises(DataError, match="non-finite"):
         lp.add_rows(np.ones((2, 2)), "<=", np.nan)
-    assert lp.rows == []
+    assert lp.A.shape == (0, 2) and len(lp.rel) == len(lp.b) == 0
 
 
 def _first_pivot(monkeypatch, phase, *args):
@@ -731,8 +746,8 @@ def test_primal_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     if bland:
         monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
     T = _tableau(**PRIMAL_TIES)
-    tab = SimpleNamespace(T=T, basis=list(PRIMAL_TIES["basis"]), Ab=T[:-1].copy(),
-                          stats=Counter(), since_refresh=0)
+    tab = SimpleNamespace(T=T, basis=list(PRIMAL_TIES["basis"]), stats=Counter(),
+                          since_refresh=0)
     assert _first_pivot(monkeypatch, lp_mod._simplex_phase, tab, T[-1, :-1].copy()) == pivot
 
 
@@ -769,8 +784,8 @@ def test_dual_rule_breaks_ratio_ties(monkeypatch, bland, pivot):
     if bland:
         monkeypatch.setattr(lp_mod, "DEGENERACY_STREAK", 0)
     T = _tableau(**DUAL_TIES)
-    tab = SimpleNamespace(T=T, basis=list(DUAL_TIES["basis"]), Ab=T[:-1].copy(),
-                          stats=Counter(), since_refresh=0)
+    tab = SimpleNamespace(T=T, basis=list(DUAL_TIES["basis"]), stats=Counter(),
+                          since_refresh=0)
     assert _first_pivot(monkeypatch, lp_mod._dual_phase, tab, T[-1, :-1].copy()) == pivot
 
 
@@ -835,8 +850,7 @@ def test_dual_ratio_test_shifts_an_entering_cost_below_zero(entry, shifted):
 ])
 def test_dual_leaving_row_by_steepest_edge(monkeypatch, rows, rhs, pivot):
     T = _tableau(rows=rows, cost=[1, 1, 1, 1, 0, 0], rhs=rhs, basis=[4, 5])
-    tab = SimpleNamespace(T=T, basis=[4, 5], Ab=T[:-1].copy(), stats=Counter(),
-                          since_refresh=0)
+    tab = SimpleNamespace(T=T, basis=[4, 5], stats=Counter(), since_refresh=0)
     assert _first_pivot(monkeypatch, lp_mod._dual_phase, tab, T[-1, :-1].copy()) == pivot
 
 
@@ -861,13 +875,18 @@ def test_parametric_rhs_traces_a_small_program():
     assert res.breakpoints[0] == 0.0 and res.breakpoints[-1] == 4.0
     with pytest.raises(ValueError, match="read-only"):
         res.slopes[0] = 1.0
+    assert lp.b.tolist() == [4.0, 1.0, 2.0]  # the pass moved t in a copy of b
     # a min program's optimum is convex in t
-    flipped = parametric_rhs(LinearProgram([-3.0, -2.0], "min", list(lp.rows)), 0)
+    prog = copy.copy(lp)
+    prog.objective, prog.sense = np.array([-3.0, -2.0]), "min"
+    flipped = parametric_rhs(prog, 0)
     assert flipped.breakpoints == pytest.approx(res.breakpoints)
     assert flipped.values == pytest.approx(-res.values)
     assert flipped.slopes == pytest.approx(-res.slopes)
-    # x >= 0.5 makes the program infeasible below t = 0.5: the pass ends there
+    # x >= 0.5 makes the program infeasible below t = 0.5: the pass ends
+    # there; the shallow copy keeps its three rows
     lp.add_row([1.0, 0.0], ">=", 0.5)
+    assert len(prog.A) == len(prog.rel) == len(prog.b) == 3
     res = parametric_rhs(lp, 0)
     assert res.breakpoints == pytest.approx([0.5, 1.0, 3.0, 4.0])
     assert res.values == pytest.approx([1.5, 3.0, 7.0, 7.0])
@@ -902,9 +921,8 @@ def test_parametric_rhs_matches_cold_solves():
         lp.add_row(np.ones(n), "<=", 10.0)
         if rng.random() < 0.3:
             lp.add_row(rng.integers(0, 3, n).astype(float), ">=", 1.0)
-        row = int(rng.choice([i for i, (_, rel, rhs) in enumerate(lp.rows)
-                              if rel == "<=" and rhs > 0]))
-        top = lp.rows[row][2]
+        row = int(rng.choice(np.flatnonzero((lp.rel > 0) & (lp.b > 0))))
+        top = lp.b[row]
         start = solve_lp(lp)
         if start.status != "Optimal" or start.basis is None:
             continue
@@ -913,9 +931,9 @@ def test_parametric_rhs_matches_cold_solves():
         assert res.breakpoints[-1] == top and (np.diff(res.breakpoints) > 0).all()
         assert (np.diff(res.slopes) <= 1e-9).all()  # concave
         for t in np.linspace(0.0, top, 13):
-            rows = list(lp.rows)
-            rows[row] = (rows[row][0], "<=", t)
-            sol = solve_lp(LinearProgram(lp.objective, "max", rows))
+            at_t = copy.copy(lp)
+            at_t.b = np.r_[lp.b[:row], t, lp.b[row + 1:]]
+            sol = solve_lp(at_t)
             if t < res.breakpoints[0] - 1e-9:
                 assert sol.status == "Infeasible"
             elif t >= res.breakpoints[0]:

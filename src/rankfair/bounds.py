@@ -7,7 +7,6 @@ import bisect
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -25,7 +24,7 @@ from .core import (
     swap_distance,
 )
 from .errors import DataError, DimensionError, GuardError
-from .lp import LinearProgram, LiveTableau, ParametricRhs, parametric_rhs, verify_solution
+from .lp import LinearProgram, LiveTableau, LpWork, ParametricRhs, parametric_rhs, verify_solution
 from .solver import solve_brute_force, swap_distance_matrix
 
 LP_GUARD_M = 5
@@ -120,16 +119,7 @@ class WorstCaseResult(NamedTuple):
     witness: Profile | None
     alpha_exact: Fraction | None
     rounds: int = 0  # row-generation rounds, one `LiveTableau.solve` each
-    # the rounds' `LpSolution` work counters, summed
-    pivots: int = 0  # simplex pivots
-    degenerate_pivots: int = 0  # those of them that stepped 0
-    bland_pivots: int = 0  # those of them chosen by Bland's rule
-    cost_shifts: int = 0  # dual-phase entering costs shifted up to zero
-    refactorizations: int = 0  # tableau refactorizations
-
-
-_WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
-                "refactorizations")
+    work: LpWork = LpWork()  # the rounds' `LpSolution.work`, summed
 
 
 def _solve_exact(A: list[list[int]], b: list[int]) -> list[Fraction] | None:
@@ -243,7 +233,7 @@ def worst_profile_single_ranking(
     later round appends its rows to the last round's optimal tableau, in
     its basis, and restarts the dual simplex there, so no round runs
     phase 1, rebuilds the standard form or refactorizes to start.  The
-    result counts the rounds and sums their work counters.  It stops
+    result counts the rounds and sums their work records.  It stops
     when no competitor has slack below -ROW_TOL; the restricted optimum,
     an upper bound on the full one, is then feasible for it and so
     optimal.  That exit test covers the rows never added, at ROW_TOL, and
@@ -251,8 +241,9 @@ def worst_profile_single_ranking(
     signs and objective, so the full program is never built.  The
     witness is the exact vertex of the final solution (see
     `_exact_witness`), re-verified with the exact solver; if that fails,
-    `witness` and `alpha_exact` are None.  A focal or target ranking of
-    other than m alternatives raises DimensionError.  Guarded at
+    `witness` and `alpha_exact` are None.  A round that is not Optimal, a
+    numerical breakdown, raises DataError, and a focal or target ranking
+    of other than m alternatives DimensionError.  Guarded at
     m=LP_GUARD_M, like every worst-case program.
     """
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
@@ -270,13 +261,16 @@ def worst_profile_single_ranking(
     # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
     basis = [rankings.index(target), *range(n, n + len(active))]
     live = LiveTableau(_optimality_program(obj, G, active), basis)
-    rounds, work = 0, Counter()
+    rounds, work = 0, LpWork()
     while True:
         sol = live.solve()
         rounds += 1
-        work.update({f: getattr(sol, f) for f in _WORK_FIELDS})
+        work += sol.work
         if sol.status != "Optimal":
-            return WorstCaseResult(0.0, None, None, rounds, **work)
+            # every round's program is feasible (the point mass on the
+            # target meets each row, G[t, j] >= 0) and bounded (sum(w) = 1)
+            raise DataError(f"numerical breakdown: row-generation round {rounds} "
+                            f"is {sol.status}")
         slack = sol.values @ G
         # a row is never added twice, so there are at most n/ROW_BATCH rounds
         violated = slack < -ROW_TOL
@@ -295,7 +289,7 @@ def worst_profile_single_ranking(
     witness = _exact_witness(sol.values, G, tight, rankings, target)
     alpha_exact = witness.weight(focal) if witness is not None else None
     return WorstCaseResult(float(sol.objective_value), witness, alpha_exact,
-                           rounds, **work)
+                           rounds, work)
 
 
 def _mirror(r: Ranking) -> Ranking:
@@ -357,13 +351,10 @@ def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
 
 
 class _GroupPieces(NamedTuple):
-    """F's pieces as one parametric pass traced them, and the same as
-    tuples of floats, with the bisection keys, for the per-q lookups."""
+    """F's pieces as one parametric pass traced them, and the bisection
+    keys for the per-q lookups."""
 
     traced: ParametricRhs
-    alphas: tuple[float, ...]
-    values: tuple[float, ...]
-    slopes: tuple[float, ...]
     keys: tuple[float, ...]  # -F/alpha at breakpoints 1.., nondecreasing
 
 
@@ -373,9 +364,8 @@ def _group_pieces(m: int) -> _GroupPieces:
     of weight at most alpha, over the profiles w that keep the identity
     ranking optimal, d_i being ranking i's distance to the identity:
     traced for alpha from 1 down to 0 by one parametric pass, once per m.
-    Its arrays are read-only and its lookups tuples, since every caller
-    shares them.  The group g = 0 keeps the program feasible down to
-    alpha = 0."""
+    Its pieces and keys are tuples of floats, since every caller shares
+    them.  The group g = 0 keeps the program feasible down to alpha = 0."""
     rankings, dist, G = _margins(m, identity_ranking(m))
     n = len(rankings)
     # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
@@ -388,11 +378,9 @@ def _group_pieces(m: int) -> _GroupPieces:
     lp.add_rows(rows[:n], "<=", 0.0)  # g_i <= w_i
     lp.add_rows(rows[n:], "<=", 1.0)  # sum(g) <= alpha, from alpha = 1
     traced = parametric_rhs(lp, len(lp.b) - 1)
-    alphas, values, slopes = (tuple(a.tolist()) for a in
-                              (traced.breakpoints, traced.values, traced.slopes))
     # breakpoint 0 is alpha = 0
-    keys = tuple(-f / a for a, f in zip(alphas[1:], values[1:]))
-    return _GroupPieces(traced, alphas, values, slopes, keys)
+    keys = tuple(-f / a for a, f in zip(traced.breakpoints[1:], traced.values[1:]))
+    return _GroupPieces(traced, keys)
 
 
 def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve:
@@ -411,7 +399,8 @@ def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     """
     _margins(m, as_ranking(range(m)))
     grid = _checked_grid(grid)
-    _, alphas, values, slopes, keys = _group_pieces(m)
+    traced, keys = _group_pieces(m)
+    alphas, values, slopes = traced.breakpoints, traced.values, traced.slopes
     dmax = max_swap_distance(m)
     pts: list[tuple[float, float]] = []
     for q in grid:

@@ -7,8 +7,10 @@ Exit codes: 0 success, 2 usage error, 3 capacity guard, 4 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +42,22 @@ def _write(text: str, out: str | None):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _removed_on_failure(*paths: str | None):
+    """Run the block; if it raises, remove each of the files `paths` (None
+    for an output not asked for) that did not exist before it, so a failed
+    run leaves no new file behind.  A file that existed is not removed,
+    and the block's own error is the one raised."""
+    made = [path for path in paths if path and not os.path.lexists(path)]
+    try:
+        yield
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):  # never made, or not a file
+                os.unlink(path)
+        raise
 
 
 def _emit(doc: dict, out: str | None):
@@ -103,22 +121,16 @@ def cmd_aggregate(args) -> int:
     profile = _load_profile(args.profile, args.normalize)
     p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else args.power)
     spec = CostSpec(p)
-    # --out is checked before the solve; a file made here goes again if the solve fails
-    made = args.out and not Path(args.out).exists()
-    if args.out:
-        open(args.out, "a").close()
-    try:
+    with _removed_on_failure(args.out, args.emit_ilp):
+        if args.out:  # checked before the solve
+            open(args.out, "a").close()
         if args.emit_ilp:
             Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
         res = solve(profile, spec, method=args.method)
-    except BaseException:
-        if made:
-            Path(args.out).unlink(missing_ok=True)
-        raise
-    labels = profile.labels
-    sys.stdout.write("".join([_ranking_str(r, labels) + "\n" for r in res.winners])
-                     + f"cost {res.cost} ({res.status.lower()})\n")
-    _write(_aggregate_json(_aggregate_doc(profile, res, p)) + "\n", args.out)
+        labels = profile.labels
+        sys.stdout.write("".join([_ranking_str(r, labels) + "\n" for r in res.winners])
+                         + f"cost {res.cost} ({res.status.lower()})\n")
+        _write(_aggregate_json(_aggregate_doc(profile, res, p)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -206,8 +218,6 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    import csv
-
     from .bounds import GRID_GUARD_STEPS, alpha_curve, lower_bound_curve, worst_group_curve
     from .embed import render_curve_svg
 
@@ -220,18 +230,11 @@ def cmd_bounds(args) -> int:
         curve = worst_group_curve(args.m, grid)
     else:
         curve = lower_bound_curve(args.m, grid)
-    rows = [[f"{a:.6f}", f"{v:.6f}"] for a, v in curve.points]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["alpha", "value"])
-            w.writerows(rows)
-    else:
-        print("alpha,value")
-        for a, v in rows:
-            print(f"{a},{v}")
-    if args.svg:
-        Path(args.svg).write_text(render_curve_svg({curve.kind: list(curve.points)}))
+    text = "alpha,value\n" + "".join(f"{a:.6f},{v:.6f}\n" for a, v in curve.points)
+    with _removed_on_failure(args.out, args.svg):
+        _write(text, args.out)
+        if args.svg:
+            Path(args.svg).write_text(render_curve_svg({curve.kind: list(curve.points)}))
     return EXIT_OK
 
 

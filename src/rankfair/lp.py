@@ -111,8 +111,27 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class LpWork:
+    """The simplex's work over solves or passes: records add with `+`."""
+
+    pivots: int = 0
+    degenerate_pivots: int = 0  # pivots whose ratio test stepped 0 (within PIVOT_TOL)
+    bland_pivots: int = 0  # pivots chosen by Bland's rule
+    cost_shifts: int = 0  # dual-phase entering costs shifted up to zero
+    refactorizations: int = 0
+
+    def __add__(self, other: LpWork) -> LpWork:
+        # field by field: `dataclasses.astuple` costs ten times as much
+        return LpWork(self.pivots + other.pivots,
+                      self.degenerate_pivots + other.degenerate_pivots,
+                      self.bland_pivots + other.bland_pivots,
+                      self.cost_shifts + other.cost_shifts,
+                      self.refactorizations + other.refactorizations)
+
+
+@dataclass(frozen=True)
 class LpSolution:
-    """A solve's outcome, its work counters and, if Optimal, its final basis.
+    """A solve's outcome, its `work` and, if Optimal, its final basis.
 
     `basis` holds one standard-form column per row, in row order.  The
     standard-form columns are the structural variables first (column j is
@@ -127,11 +146,7 @@ class LpSolution:
     status: str  # Optimal | Infeasible | Unbounded
     values: np.ndarray | None = None
     objective_value: float | None = None
-    pivots: int = 0
-    refactorizations: int = 0
-    degenerate_pivots: int = 0  # pivots whose ratio test stepped 0 (within PIVOT_TOL)
-    bland_pivots: int = 0  # pivots chosen by Bland's rule
-    cost_shifts: int = 0  # dual-phase entering costs shifted up to zero
+    work: LpWork = LpWork()
     basis: tuple[int, ...] | None = None
 
 
@@ -231,37 +246,50 @@ def _simplex_phase(tab: LiveTableau, cost: np.ndarray) -> str:
 
     Entering variable: the column of most negative reduced cost (the
     first such, as `argmin` gives), under Bland's rule the first negative
-    one.  Leaving row: the least ratio of right-hand side to entry over
-    the column's positive entries, ties (ratios within PIVOT_TOL of the
-    least) going to the first row of largest pivot entry, under Bland's
-    rule to the row of smallest basic index.  A column with no positive
-    entry, on a freshly refactorized tableau, proves the program unbounded.
+    one.  Leaving row: by `_primal_ratio_test` over the right-hand side.
+    A column with no entry above PIVOT_TOL, on a freshly refactorized
+    tableau, proves the program unbounded.
     """
-    T, basis = tab.T, tab.basis
+    T = tab.T
     m = T.shape[0] - 1
     reduced, rhs = T[-1, :-1], T[:m, -1]  # views: pivots update T in place
-    ratios = np.empty(m)
+    leave_for = _primal_ratio_test(tab)
 
     def choose(bland):
         # Bland's rule: the first column below -PIVOT_TOL, if any
         enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
         if reduced[enter] >= -PIVOT_TOL:
             return "Optimal"
-        col = T[:m, enter]
+        step = leave_for(T[:m, enter], rhs, bland)
+        return "Unbounded" if step is None else (step[0], enter, step[1])
+
+    return _pivot_loop(tab, cost, choose)
+
+
+def _primal_ratio_test(tab: LiveTableau):
+    """The primal leaving rule on the tableau, as a function of the
+    entering column, the basic values it steps and bland, into a buffer
+    allocated once: the least ratio of value to entry over the entries
+    above PIVOT_TOL, ties (within PIVOT_TOL of the least) going to the
+    first row of largest entry, to keep the basis well conditioned, under
+    Bland's rule to the smallest basic index.  It gives (leaving row,
+    least ratio), or None when no entry is above PIVOT_TOL."""
+    basis, width = tab.basis, tab.T.shape[1]
+    ratios = np.empty(len(basis))
+
+    def leave_for(col: np.ndarray, values: np.ndarray, bland: bool):
         pos = col > PIVOT_TOL
         if not pos.any():
-            return "Unbounded"
+            return None
         ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=pos)
+        np.divide(values, col, out=ratios, where=pos)
         best = ratios.min()
         tied = ratios <= best + PIVOT_TOL
         if bland:
-            return int(np.where(tied, basis, T.shape[1]).argmin()), enter, best
-        # prefer the largest pivot element so the basis stays well
-        # conditioned through long degenerate stretches
-        return int(np.where(tied, col, -np.inf).argmax()), enter, best
+            return int(np.where(tied, basis, width).argmin()), best
+        return int(np.where(tied, col, -np.inf).argmax()), best
 
-    return _pivot_loop(tab, cost, choose)
+    return leave_for
 
 
 # the dual phase raises each nonbasic reduced cost by PERTURBATION times a
@@ -410,7 +438,7 @@ class LiveTableau:
     """A program's simplex state, which every phase reads and writes: the
     program `lp`, the program rows the tableau holds (`kept`: all of them
     until phase 1 drops a redundant row), the tableau `T` (cost row last),
-    its `basis`, the work counters `stats` and `since_refresh`, the
+    its `basis`, the `LpWork` counters `stats` and `since_refresh`, the
     updates since the tableau was built or last refactorized (pivots of
     every phase, and one per append, across solves), so that the
     REFRESH_EVERY cadence and the refactorization before a non-Optimal
@@ -421,7 +449,7 @@ class LiveTableau:
     just built, without one the first `solve` runs the two-phase simplex,
     and phase 1 removes the artificial columns (`art_at`, None after).
     `solve` gives the program's current optimum as an `LpSolution` whose
-    counters are the work since the last `solve` returned.  For row
+    `work` freezes the counters since the last `solve` returned.  For row
     generation `add_rows` appends rows to the program (`lp`, changed in
     place) and to the tableau in the current basis, each with its slack
     basic and numbered as `LpSolution.basis` documents.  The basis stays
@@ -485,9 +513,9 @@ class LiveTableau:
         return True
 
     def _result(self, status: str) -> LpSolution:
-        stats, self.stats = self.stats, Counter()
+        work, self.stats = LpWork(**self.stats), Counter()
         if status != "Optimal":
-            return LpSolution(status, **stats)
+            return LpSolution(status, work=work)
         basis = self.basis
         x_std = np.zeros(self.T.shape[1] - 1)
         x_std[basis] = self.T[: len(basis), -1]
@@ -496,7 +524,7 @@ class LiveTableau:
         # None: phase 1 dropped a row
         final = tuple(basis) if len(basis) == len(self.lp.b) else None
         self.optimal = final is not None
-        return LpSolution("Optimal", x, obj, basis=final, **stats)
+        return LpSolution("Optimal", x, obj, work, final)
 
     def solve(self) -> LpSolution:
         """The program's optimum from the current basis.  A tableau with
@@ -551,16 +579,11 @@ class LiveTableau:
 
 
 def solve_lp(lp: LinearProgram, basis: Sequence[int] | None = None) -> LpSolution:
-    """Solve lp; with no basis by the two-phase primal simplex, else from it.
-
-    A start basis lists one standard-form column per row (see
-    `LpSolution.basis`).  It is refactorized once; if it is primal
-    feasible, phase 2 runs from it, and if it is dual feasible, the dual
-    simplex runs and a phase-2 pass confirms optimality.  Neither phase 1
-    nor artificial variables are used.  A basis that is singular, or
-    neither primal nor dual feasible, raises DataError.  One solve of a
-    `LiveTableau`, which leaves lp unchanged.
-    """
+    """Solve lp, left unchanged, by one solve of a new `LiveTableau`: with
+    no basis by the two-phase primal simplex, else from the start basis,
+    one standard-form column per row (see `LpSolution.basis`), refactorized
+    once and solved with no phase 1 (see `LiveTableau.solve`).  A singular
+    basis, or one neither primal nor dual feasible, raises DataError."""
     return LiveTableau(lp, basis).solve()
 
 
@@ -571,23 +594,20 @@ class ParametricRhs:
     program stays feasible (0 when it does throughout): piecewise linear,
     concave for a max program and convex for a min one.
 
-    The arrays are read-only.  `breakpoints` is increasing; `values`
-    holds F there, and `slopes[k]` its slope between breakpoints k and
-    k + 1.  `start` is the cold solve at the row's own right-hand side;
-    the counters are the pass's own, after it: its dual pivots, those of
-    them at a breakpoint already reached (a zero-width piece), its Bland
-    pivots, cost shifts and refactorizations (the first at `start.basis`).
+    The pieces are tuples of Python floats, so every caller can share
+    them: `breakpoints` is increasing, `values` holds F there, and
+    `slopes[k]` its slope between breakpoints k and k + 1.  `start` is the
+    cold solve at the row's own right-hand side; `work` is the pass's own,
+    after it: its dual pivots, those of them at a breakpoint already
+    reached (a zero-width piece), its Bland pivots, cost shifts and
+    refactorizations (the first at `start.basis`).
     """
 
-    breakpoints: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
+    breakpoints: tuple[float, ...]
+    values: tuple[float, ...]
+    slopes: tuple[float, ...]
     start: LpSolution
-    pivots: int = 0
-    degenerate_pivots: int = 0
-    bland_pivots: int = 0
-    cost_shifts: int = 0
-    refactorizations: int = 0
+    work: LpWork = LpWork()
 
 
 def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
@@ -600,17 +620,17 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     optimal the basic values are B^-1 b(t) = beta - (b - t) gamma, where
     gamma is the tableau column of the row's slack, so F is linear with
     slope c_B gamma (the slack's reduced cost).  t falls to the next
-    breakpoint, where the first basic value reaches zero (the least ratio
-    beta_i / gamma_i over gamma_i > 0); that row leaves the basis by one
-    dual simplex pivot (`_dual_ratio_test`), which keeps the basis optimal
-    below the breakpoint.  A tie goes to the row of largest gamma_i, the
-    one that would turn most negative, under Bland's rule to the smallest
-    basic index.  Pivots on `_pivot_loop`, with its refactorization
-    cadence and its switch to Bland's rule after a streak of pivots at a
-    breakpoint already reached; a leaving row with no negative entry, on a
-    freshly refactorized tableau, ends the pass where the program turns
-    infeasible.  A row that is not <= with positive right-hand side, or a
-    start that is not Optimal with a basis, raises DataError.
+    breakpoint, or to 0 if that comes first, where the first basic value
+    reaches zero: the row that `_primal_ratio_test` picks over beta
+    clipped at zero.  That row leaves the basis by one dual simplex pivot
+    (`_dual_ratio_test`), which keeps the basis optimal below it.  Pivots on
+    `_pivot_loop`, with its refactorization cadence and its switch to
+    Bland's rule after a streak of pivots at a breakpoint already reached;
+    a leaving row with no negative entry, on a freshly refactorized
+    tableau, ends the pass where the program turns infeasible.  The
+    tableau's counters, frozen into an `LpWork`, are the pass's work.  A
+    row that is not <= with positive right-hand side, or a start that is
+    not Optimal with a basis, raises DataError.
     """
     if not (0 <= row < len(lp.b) and lp.rel[row] > 0 and lp.b[row] > 0):
         raise DataError(f"row {row} is not a <= row with positive right-hand side")
@@ -627,20 +647,19 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     s = lp.n + int(np.count_nonzero(lp.rel[:row]))  # the row's slack column
     objective = np.pad(lp.objective, (0, T.shape[1] - 1 - lp.n))
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
-    clipped, ratios = np.empty(m), np.empty(m)
-    enter_for = _dual_ratio_test(tab)
-    # F at the breakpoints and its slope between them, t falling; F and the
-    # slopes come from the true objective, since a cost shift leaves the
-    # cost row off by up to PIVOT_TOL until the next refactorization
-    points = [(rhs[row], float(objective[basis] @ beta))]
+    clipped = np.empty(m)
+    leave_for, enter_for = _primal_ratio_test(tab), _dual_ratio_test(tab)
+    # F at the breakpoints and its slope between them, t falling, as Python
+    # floats (t itself is a numpy scalar); F and the slopes come from the
+    # true objective, since a cost shift leaves the cost row off by up to
+    # PIVOT_TOL until the next refactorization
+    points = [(float(rhs[row]), float(objective[basis] @ beta))]
     slopes = []
 
     def choose(bland):
         t = rhs[row]
-        pos = gamma > PIVOT_TOL
-        ratios.fill(np.inf)
-        np.divide(np.maximum(beta, 0.0, out=clipped), gamma, out=ratios, where=pos)
-        step = min(ratios.min(), t)
+        leaving = leave_for(gamma, np.maximum(beta, 0.0, out=clipped), bland)
+        step = t if leaving is None else min(leaving[1], t)
         if step > 0:
             c_b = objective[basis]
             slope = float(c_b @ gamma)
@@ -649,25 +668,16 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
             # a step within PIVOT_TOL is rounding: no piece of its own
             if step > PIVOT_TOL or step == t:
                 slopes.append(slope)
-                points.append((t - step, float(c_b @ beta)))
+                points.append((float(t - step), float(c_b @ beta)))
         if step == t:
             return "Optimal"
-        tied = ratios <= step + PIVOT_TOL
-        if bland:
-            leave = int(np.where(tied, basis, T.shape[1]).argmin())
-        else:
-            leave = int(np.where(tied, gamma, -np.inf).argmax())
-        entering = enter_for(leave, bland)
-        if entering is None:
-            return "Infeasible"
-        return leave, entering[0], step
+        entering = enter_for(leaving[0], bland)
+        return "Infeasible" if entering is None else (leaving[0], entering[0], step)
 
     _pivot_loop(tab, tab.cost, choose)
-    t, f = zip(*reversed(points))
-    arrays = (np.array(t), np.array(f), np.array(slopes[::-1]))
-    for a in arrays:
-        a.flags.writeable = False
-    return ParametricRhs(*arrays, start, **tab.stats)
+    breakpoints, values = zip(*reversed(points))
+    return ParametricRhs(breakpoints, values, tuple(reversed(slopes)), start,
+                         LpWork(**tab.stats))
 
 
 def verify_solution(lp: LinearProgram, sol: LpSolution) -> bool:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from rankfair.axioms import (
+    ORACLE_GUARD_M,
+    SC_UNION_GUARD_M,
     SingleCrossingSequence,
     build_swap_path,
     check_participation_instance,
@@ -24,7 +26,7 @@ from rankfair.core import (
     round_set,
     swap_distance,
 )
-from rankfair.errors import DataError
+from rankfair.errors import DataError, GuardError
 from rankfair.experiments import single_crossing_fixture
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import CostSpec, solve_brute_force
@@ -263,3 +265,33 @@ def test_participation_instances():
 def test_reverse_endpoints():
     prof, seq = single_crossing_fixture()
     assert seq[len(seq) - 1] == reverse_ranking(seq[0])
+
+
+def test_axiom_checks_are_guarded_before_they_enumerate():
+    # two rankings just above each guard: refused before any ranking is
+    # scored, so nothing the size of m! is built
+    def pair(m):
+        ident = tuple(range(m))
+        return two_ranking_profile(ident, ident[::-1], F(1, 3))
+
+    with pytest.raises(GuardError, match=f"m={ORACLE_GUARD_M}"):
+        sqk_satisfies_2rp(pair(ORACLE_GUARD_M + 1))
+    with pytest.raises(GuardError, match=f"m={SC_UNION_GUARD_M}"):
+        sc_proportional_expected_exhaustive(pair(SC_UNION_GUARD_M + 1))
+    with pytest.raises(GuardError, match="m=10"):
+        find_single_crossing_order(pair(11))
+    with pytest.raises(GuardError, match="m=6"):
+        check_reinforcement_instance(pair(7), pair(7), F(1, 2))
+    with pytest.raises(GuardError, match="m=6"):
+        check_participation_instance(pair(7), pair(7), F(1, 2))
+
+
+def test_single_crossing_search_guards_the_support_size():
+    # 65 distinct rankings at m=5, one more than the search takes
+    rankings = list(itertools.permutations(range(5)))[:65]
+    profile = Profile.from_weights({r: F(1, 65) for r in rankings})
+    with pytest.raises(GuardError, match="64 support rankings"):
+        find_single_crossing_order(profile)
+    # at 64 it runs, and finds no single-crossing order
+    assert find_single_crossing_order(
+        Profile.from_weights({r: F(1, 64) for r in rankings[:64]})) is None

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import math
-from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -39,7 +38,8 @@ from rankfair.core import (
 )
 from rankfair.errors import DataError, DimensionError, GuardError
 from rankfair import lp as lp_mod
-from rankfair.lp import LinearProgram, LiveTableau, parametric_rhs, solve_lp
+from rankfair.lp import (LinearProgram, LiveTableau, LpSolution, LpWork, parametric_rhs,
+                         solve_lp)
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_brute_force, swap_distance_matrix
 from test_lp import _highs, _within  # one HiGHS oracle, one alarm
@@ -353,37 +353,37 @@ ROW_GENERATION_WORK = {4: (207, 14, 52), 5: (2744, 152, 387)}
 # tie another way would move at least one of these counts.  The live
 # tableau refactorizes once to load round 1's basis, and again only when
 # REFRESH_EVERY updates have piled up across its rounds, which no target's
-# rounds reach (the most, an m=5 target's, take 94 pivots)
-_WORK_FIELDS = ("pivots", "degenerate_pivots", "bland_pivots", "cost_shifts",
-                "refactorizations")
+# rounds reach (the most, an m=5 target's, take 94 pivots).  Each entry is
+# (the summed work, the summed rounds)
 ROW_GENERATION_RECORD = {
-    4: dict(pivots=207, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
-            refactorizations=24, rounds=52),
-    5: dict(pivots=2744, degenerate_pivots=152, bland_pivots=0, cost_shifts=0,
-            refactorizations=120, rounds=387),
+    4: (LpWork(pivots=207, degenerate_pivots=14, bland_pivots=0, cost_shifts=0,
+               refactorizations=24), 52),
+    5: (LpWork(pivots=2744, degenerate_pivots=152, bland_pivots=0, cost_shifts=0,
+               refactorizations=120), 387),
 }
 # worst_group_curve(4)'s one parametric pass: the cold solve at alpha = 1, the
 # pass's own work after it (degenerate: pivots at a breakpoint already
 # reached) and the pieces it traced.  The same with one and two BLAS threads
 GROUP_PASS_RECORD = dict(
-    start=dict(pivots=48, degenerate_pivots=30, bland_pivots=0, cost_shifts=0,
-               refactorizations=0),
-    walk=dict(pivots=87, degenerate_pivots=53, bland_pivots=0, cost_shifts=0,
-              refactorizations=1),
+    start=LpWork(pivots=48, degenerate_pivots=30, bland_pivots=0, cost_shifts=0,
+                 refactorizations=0),
+    walk=LpWork(pivots=87, degenerate_pivots=53, bland_pivots=0, cost_shifts=0,
+                refactorizations=1),
     pieces=35,
 )
 
 
-def _work_record(monkeypatch) -> Counter:
-    """Sum the work counters of every solve from now on, a row-generation
-    round or a `solve_lp` call alike (both are `LiveTableau.solve`), count
-    the solves as rounds, and count `bounds`'s parametric passes."""
-    record = Counter()
+def _work_record(monkeypatch) -> dict:
+    """Sum the work of every solve from now on, a row-generation round or a
+    `solve_lp` call alike (both are `LiveTableau.solve`), count the solves
+    as rounds, and count `bounds`'s parametric passes."""
+    record = dict(work=LpWork(), rounds=0, passes=0)
     solve = LiveTableau.solve
 
     def recorded(live):
         sol = solve(live)
-        record.update({f: getattr(sol, f) for f in _WORK_FIELDS}, rounds=1)
+        record["work"] += sol.work
+        record["rounds"] += 1
         return sol
 
     def counted(prog, row):
@@ -398,11 +398,12 @@ def _work_record(monkeypatch) -> Counter:
 @pytest.mark.parametrize("m", [4, 5])
 def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatch):
     focal = tuple(range(m))
-    work = Counter()
+    work, rounds = LpWork(), 0
     record = _work_record(monkeypatch)
     for t, target in enumerate(itertools.permutations(range(m))):
         res = worst_profile_single_ranking(m, focal, target)
-        work.update({f: getattr(res, f) for f in (*_WORK_FIELDS, "rounds")})
+        work += res.work
+        rounds += res.rounds
         assert abs(res.alpha - _highs_single(m, t)) <= 1e-9
         assert str(res.alpha_exact) == golden["alpha_exact"][str(m)]["".join(map(str, target))]
         # every witness is exact: it holds alpha_exact on the focal
@@ -411,11 +412,10 @@ def test_row_generation_matches_highs_with_exact_witnesses(m, golden, monkeypatc
         assert res.alpha_exact == res.witness.weight(focal)
         assert abs(float(res.alpha_exact) - res.alpha) <= 1e-9
         assert target in solve_brute_force(res.witness).winners
-    assert (work["pivots"], work["degenerate_pivots"], work["rounds"]) == ROW_GENERATION_WORK[m]
-    assert work == ROW_GENERATION_RECORD[m]
-    # the result sums every counter of its rounds' solves, and no other
-    # solve runs
-    assert record == work
+    assert (work.pivots, work.degenerate_pivots, rounds) == ROW_GENERATION_WORK[m]
+    assert (work, rounds) == ROW_GENERATION_RECORD[m]
+    # the result sums the work of its rounds' solves, and no other solve runs
+    assert record == dict(work=work, rounds=rounds, passes=0)
 
 
 def test_row_generation_curves_match_golden(golden):
@@ -458,17 +458,14 @@ def test_group_pieces_are_shared_read_only_and_concave():
     cached = _group_pieces(4)
     assert _group_pieces(4) is cached
     pieces = cached.traced
-    alphas, values, slopes = pieces.breakpoints, pieces.values, pieces.slopes
-    for a in (alphas, values, slopes):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
-    # the lookups every request reads: the same floats as tuples, and the
+    # the lookups every request reads, held once: tuples of Python floats
+    # (numpy scalars would make each request's arithmetic slower), and the
     # bisection keys -F/alpha past alpha = 0, nondecreasing since F is concave
-    lookups = (cached.alphas, cached.values, cached.slopes, cached.keys)
+    lookups = (pieces.breakpoints, pieces.values, pieces.slopes, cached.keys)
     assert all(type(t) is tuple for t in lookups)
-    assert cached.alphas == tuple(alphas.tolist())
-    assert cached.values == tuple(values.tolist())
-    assert cached.slopes == tuple(slopes.tolist())
+    assert all(type(v) is float for t in lookups for v in t)
+    assert cached._fields == ("traced", "keys")
+    alphas, values, slopes = (np.array(t) for t in lookups[:3])
     assert cached.keys == tuple((-values[1:] / alphas[1:]).tolist())
     assert all(a <= b for a, b in zip(cached.keys, cached.keys[1:]))
     assert alphas[0] == 0.0 and alphas[-1] == 1.0 and (np.diff(alphas) > 0).all()
@@ -483,8 +480,8 @@ def test_group_pieces_are_shared_read_only_and_concave():
 
 def test_group_pass_work_record():
     pieces = _group_pieces(4).traced
-    assert {f: getattr(pieces.start, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["start"]
-    assert {f: getattr(pieces, f) for f in _WORK_FIELDS} == GROUP_PASS_RECORD["walk"]
+    assert pieces.start.work == GROUP_PASS_RECORD["start"]
+    assert pieces.work == GROUP_PASS_RECORD["walk"]
     assert len(pieces.slopes) == GROUP_PASS_RECORD["pieces"]
 
 
@@ -536,6 +533,21 @@ def test_single_ranking_refuses_a_corrupted_solution(corrupt, monkeypatch):
         worst_profile_single_ranking(4, None, (1, 3, 2, 0))
 
 
+def test_single_ranking_refuses_a_round_that_is_not_optimal(monkeypatch):
+    # every restricted program is feasible and bounded, so a round that is
+    # not Optimal is a numerical breakdown: an error, never alpha = 0
+    solve, rounds = LiveTableau.solve, []
+
+    def failing(live):
+        rounds.append(live)
+        return LpSolution("Infeasible") if len(rounds) == 2 else solve(live)
+
+    monkeypatch.setattr(LiveTableau, "solve", failing)
+    with pytest.raises(DataError, match="round 2 is Infeasible"):
+        worst_profile_single_ranking(4, None, (1, 3, 2, 0))
+    assert len(rounds) == 2
+
+
 def test_row_generation_builds_the_standard_form_once(monkeypatch):
     # every round after the first appends its rows to the live tableau: the
     # whole program's standard form is built once and round 1's basis is the
@@ -547,7 +559,7 @@ def test_row_generation_builds_the_standard_form_once(monkeypatch):
     res = worst_profile_single_ranking(5, None, (1, 3, 4, 2, 0))
     assert res.rounds >= 3 and res.alpha_exact == F(9, 20)
     assert builds == [5]  # the sum row and the m - 1 adjacent competitors
-    assert res.refactorizations == 1
+    assert res.work.refactorizations == 1
 
 
 def test_group_pass_builds_the_standard_form_once(monkeypatch):
@@ -587,10 +599,10 @@ def test_row_generation_refactorizes_across_rounds(monkeypatch):
     monkeypatch.setattr(LiveTableau, "solve",
                         lambda live: rounds.append(solve(live)) or rounds[-1])
     res = worst_profile_single_ranking(5, (0, 1, 2, 3, 4), (2, 4, 0, 3, 1))
-    assert max(sol.pivots for sol in rounds) < lp_mod.REFRESH_EVERY
-    assert res.pivots > lp_mod.REFRESH_EVERY
+    assert max(sol.work.pivots for sol in rounds) < lp_mod.REFRESH_EVERY
+    assert res.work.pivots > lp_mod.REFRESH_EVERY
     assert run["most"] <= lp_mod.REFRESH_EVERY
-    assert res.refactorizations == 2
+    assert res.work.refactorizations == 2
 
 
 def test_single_ranking_rankings_must_rank_m_alternatives():
@@ -626,8 +638,8 @@ def test_row_generation_pivots_stay_below_full_programs():
     for target in targets:
         res = worst_profile_single_ranking(m, focal, target)
         assert res.rounds >= 1
-        generated += res.pivots
-        degenerate += res.degenerate_pivots
+        generated += res.work.pivots
+        degenerate += res.work.degenerate_pivots
     # 2,744 pivots with one BLAS thread, 152 of them degenerate; without
     # the dual phase's cost perturbation 3,237 and 1,955
     assert generated < 6_000
@@ -639,7 +651,7 @@ def test_row_generation_pivots_stay_below_full_programs():
         _, dist, G = _margins(m, target)
         obj = np.zeros(len(G))
         obj[0] = 1.0
-        full += solve_lp(_optimality_program(obj, G, np.flatnonzero(dist))).pivots
+        full += solve_lp(_optimality_program(obj, G, np.flatnonzero(dist))).work.pivots
         if full > generated:
             break
     assert generated < full

@@ -24,9 +24,12 @@ from rankfair.sampling import (
     SAMPLE_GUARD_CELLS,
     SAMPLE_GUARD_M,
     CultureSpec,
+    parse_preflib,
+    restrict_profile,
     sample_profile,
 )
 from rankfair.solver import TIE_ENUMERATION_CAP, CostSpec, solve_brute_force, solve_bnb
+from test_sampling import SOC_DOC
 
 
 @pytest.fixture
@@ -684,12 +687,107 @@ def test_aggregate_unwritable_out_fails_before_solving(profile_file, tmp_path, c
 def test_aggregate_failed_solve_leaves_no_out_file(tmp_path, capsys):
     path = tmp_path / "m11.json"
     path.write_text(Profile.from_weights({tuple(range(11)): F(1)}).to_json())
-    out = tmp_path / "res.json"
+    out, ilp = tmp_path / "res.json", tmp_path / "x.lp"
     argv = ["aggregate", "--profile", str(path), "--method", "brute_force", "--out"]
     assert main(argv + [str(out)]) == 3 and not out.exists()
+    # the --emit-ilp file, written before the solve, goes with the failed run too
+    assert main(argv + [str(out), "--emit-ilp", str(ilp)]) == 3
+    assert not out.exists() and not ilp.exists()
     # a file that was there before is left as it was
     out.write_text("kept")
     assert main(argv + [str(out)]) == 3 and out.read_text() == "kept"
+    assert capsys.readouterr().out == ""
+
+
+def test_bounds_out_holds_the_stdout_bytes(tmp_path, capsys):
+    out = tmp_path / "l.csv"
+    argv = ["bounds", "--curve", "lower", "--m", "3"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == shown.encode() and b"\r" not in out.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
+def test_bounds_failed_run_leaves_no_new_file(tmp_path, capsys):
+    # the CSV is written before the SVG fails, and goes again with the run
+    out = tmp_path / "l.csv"
+    svg = tmp_path / "nodir" / "x.svg"
+    argv = ["bounds", "--curve", "lower", "--m", "3", "--out", str(out), "--svg", str(svg)]
+    assert main(argv) == 4
+    assert str(svg) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each bundled experiment, with small parameters where it takes any: its
+# report's keys and the artifacts it writes beside manifest.json
+EXPERIMENT_RUNS = [
+    ("HotelInterpolation", [], {"consecutive_swaps", "single_crossing"},
+     {"hotel_interpolation.csv"}),
+    ("CityRanking", ["budget=1000"],
+     {"linear_status", "linear_cost", "published_linear_cost", "linear_tie_count",
+      "perturbed_pick_matches_published", "squared_cost_published",
+      "squared_below_linear_column", "published_locally_optimal", "squared_status",
+      "squared_gap"},
+     {"city_ranking.csv"}),
+    ("AlphaCurve", ["m=3"], {"m", "points"}, {"alpha_curve_m3.csv", "alpha_curve_m3.svg"}),
+    ("GroupDistance", ["m=4", "n=10", "trials=3"], {"trials", "squared_lower_for_small_alpha"},
+     {"group_distance.csv", "group_distance.svg"}),
+    ("Maps", ["m=4", "n=20"], {"rankings", "stress", "clamped"}, {"map.svg"}),
+    ("EuclideanEmbeddings", ["m=5", "n=10"],
+     {"squared_fit_defect", "linear_fit_defect", "squared_point", "linear_point"},
+     {"embedding.svg", "embedding.json"}),
+]
+
+
+@pytest.mark.parametrize("name, params, keys, artifacts", EXPERIMENT_RUNS,
+                         ids=[run[0] for run in EXPERIMENT_RUNS])
+def test_experiment_runs_end_to_end(name, params, keys, artifacts, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["experiment", "--name", name, "--out", str(out)]
+    assert main(argv + [a for kv in params for a in ("--param", kv)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["experiment"] == name and manifest["report"] == report
+    assert set(report) == keys
+    assert {p.name for p in out.iterdir()} == artifacts | {"manifest.json"}
+    assert all((out / a).stat().st_size > 0 for a in artifacts)
+    if name == "HotelInterpolation":
+        # the paper's hotel example: as the price weight falls, the squared
+        # cost output moves from the price ranking to the score ranking one
+        # swap at a time
+        assert report["single_crossing"] is True
+        assert len(report["consecutive_swaps"]) == 10  # price, 9 weights, score
+    elif name == "AlphaCurve":
+        assert report["points"] == len((out / "alpha_curve_m3.csv").read_text().splitlines()) - 1
+    elif name == "GroupDistance":
+        assert report["trials"] == 3
+
+
+def test_axioms_participation_random(tmp_path, capsys):
+    out = tmp_path / "part.json"
+    argv = ["axioms", "--check", "participation", "--random", "3", "--m", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["check"] == "participation" and doc["checked"] == 3
+    assert doc["passed"] + len(doc["counterexamples"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_sample_preflib_restrict(tmp_path, capsys):
+    path, out = tmp_path / "tiny.soc", tmp_path / "sub.json"
+    path.write_text(SOC_DOC)
+    argv = ["sample", "--preflib", str(path), "--restrict", "2", "--seed", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    sub = Profile.from_json(out.read_text())
+    full = parse_preflib(SOC_DOC)
+    assert sub.m == 2 and sum(sub.entries.values()) == 1
+    # the two alternatives kept, in their original order
+    keep = [full.labels.index(label) for label in sub.labels]
+    assert keep == sorted(keep) and len(set(keep)) == 2
+    assert sub == restrict_profile(full, keep)
     assert capsys.readouterr().out == ""
 
 

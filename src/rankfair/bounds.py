@@ -343,11 +343,10 @@ def _staircase(pts: list[tuple[float, float]], m: int, kind: str) -> AlphaCurve:
     for a, q in pts:
         key = round(a, 9)
         by_alpha[key] = max(by_alpha.get(key, 0.0), q)
-    alphas = sorted(by_alpha)
-    points = tuple(
-        (a, max(by_alpha[b] for b in alphas if b >= a - 1e-12)) for a in alphas
-    )
-    return AlphaCurve(points, m, kind)
+    # one pass from the largest alpha down, keeping the running max
+    alphas = sorted(by_alpha, reverse=True)
+    tops = itertools.accumulate((by_alpha[a] for a in alphas), max)
+    return AlphaCurve(tuple(zip(alphas, tops))[::-1], m, kind)
 
 
 class _GroupPieces(NamedTuple):

@@ -46,12 +46,16 @@ def _write(text: str, out: str | None):
 
 @contextlib.contextmanager
 def _removed_on_failure(*paths: str | None):
-    """Run the block; if it raises, remove each of the files `paths` (None
-    for an output not asked for) that did not exist before it, so a failed
-    run leaves no new file behind.  A file that existed is not removed,
-    and the block's own error is the one raised."""
+    """Run the block with the output files `paths` (None for an output not
+    asked for) checked first: each is opened to append, which changes no
+    byte of a file that exists, so one that cannot be written fails the run
+    before any is written.  If the check or the block raises, each file
+    that did not exist before is removed, so a failed run leaves no new
+    file behind; that error is the one raised."""
     made = [path for path in paths if path and not os.path.lexists(path)]
     try:
+        for path in filter(None, paths):
+            open(path, "a").close()
         yield
     except BaseException:
         for path in made:
@@ -121,12 +125,11 @@ def cmd_aggregate(args) -> int:
     profile = _load_profile(args.profile, args.normalize)
     p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else args.power)
     spec = CostSpec(p)
+    ilp = emit_ilp(profile, spec) if args.emit_ilp else None
     with _removed_on_failure(args.out, args.emit_ilp):
-        if args.out:  # checked before the solve
-            open(args.out, "a").close()
-        if args.emit_ilp:
-            Path(args.emit_ilp).write_text(emit_ilp(profile, spec))
         res = solve(profile, spec, method=args.method)
+        if ilp is not None:
+            Path(args.emit_ilp).write_text(ilp)
         labels = profile.labels
         sys.stdout.write("".join([_ranking_str(r, labels) + "\n" for r in res.winners])
                          + f"cost {res.cost} ({res.status.lower()})\n")
@@ -356,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=["2rp", "scp", "efficiency", "participation"])
     p.add_argument("--profile")
-    p.add_argument("--random", type=int, default=0, help="number of random profiles")
+    p.add_argument("--random", type=_nonnegative_int, default=0,
+                   help="number of random profiles")
     p.add_argument("--m", type=int, default=4)
     common(p, seed=True)
 

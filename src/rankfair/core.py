@@ -176,22 +176,24 @@ def _json_weight(w) -> tuple[int, int]:
 
 
 def _fraction_parts(w) -> tuple[int, int]:
-    """A weight as `Profile.from_weights` takes it, in lowest terms."""
+    """A weight as `Profile` and `Profile.from_weights` take it, in lowest
+    terms."""
     if not isinstance(w, Fraction):
         w = Fraction(w)
     return w.numerator, w.denominator
 
 
-def _scaled_profile(rows, weight, labels, normalize: bool) -> "Profile":
-    """Profile from (order, weight) rows, in integers throughout.
+def _scaled_profile(rows, weight, normalize: bool, m: int | None = None):
+    """A profile's integer form, (support, numerators, denominator, m), from
+    (order, weight) rows; the one loader every `Profile` is built by.
 
     Row by row, the order is checked (`as_ranking`), then the weight is
     read as (numerator, positive denominator) by `weight`, or taken as it
     is when `weight` is None, refused if negative and dropped if zero.  The
     weights of repeated orders add up over the least common denominator,
-    and the result is reduced.  m is the first order's length.
+    and the result is reduced.  m, when not given, is the first order's
+    length; every kept order must match it.
     """
-    m = None
     kept = []
     misfit = None  # the first kept ranking whose length is not m
     for order, w in rows:
@@ -222,7 +224,7 @@ def _scaled_profile(rows, weight, labels, normalize: bool) -> "Profile":
     if g > 1:
         nums = [n // g for n in nums]
         denom //= g
-    return Profile._scaled(supp, nums, denom, m, labels)
+    return supp, nums, denom, m
 
 
 class Profile:
@@ -230,8 +232,12 @@ class Profile:
 
     A profile is held in integers: the sorted support, each weight's
     numerator over the least common denominator, and that denominator
-    (`scaled_int_weights`).  The loaders build this form straight from
-    their input, and two profiles are equal when it, m and the labels are.
+    (`scaled_int_weights`).  The constructor, `from_weights` and
+    `from_json` build this form straight from their input through one
+    loader, `_scaled_profile`: each order must be a ranking over m, each
+    weight is read as an exact rational (`Fraction` reads a float or a
+    string), a zero weight is dropped and a negative one refused.  Two
+    profiles are equal when this form, m and the labels are.
     The `Fraction` weights by ranking, `entries`, are made on first use, and
     so is the profile's `IntCost`, which every solver shares (`int_cost`).
     Profiles are immutable.
@@ -241,28 +247,20 @@ class Profile:
 
     def __init__(
         self,
-        entries: Mapping[Ranking, Fraction],
+        entries: Mapping[Ranking, Fraction | int | str],
         m: int,
         labels: tuple[str, ...] | None = None,
     ):
-        for r, w in entries.items():
-            if len(r) != m:
-                raise DimensionError(f"ranking {r} does not match m={m}")
-            if w.numerator <= 0:
-                raise DataError(f"non-positive weight {w} for {r}")
-        supp = sorted(entries)
-        denom = math.lcm(*(w.denominator for w in entries.values()))
-        nums = [entries[r].numerator * (denom // entries[r].denominator) for r in supp]
-        self._set(supp, nums, denom, m, labels, dict(entries))
+        self._set(*_scaled_profile(entries.items(), _fraction_parts, False, m), labels)
 
     @classmethod
     def _scaled(cls, supp, nums, denom, m, labels) -> "Profile":
         """Profile from its integer form, sorted support and lowest terms."""
         prof = cls.__new__(cls)
-        prof._set(supp, nums, denom, m, labels, None)
+        prof._set(supp, nums, denom, m, labels)
         return prof
 
-    def _set(self, supp, nums, denom, m, labels, entries):
+    def _set(self, supp, nums, denom, m, labels):
         if sum(nums) != denom:
             raise DataError(
                 f"profile weights sum to {Fraction(sum(nums), denom)}, expected 1"
@@ -270,7 +268,7 @@ class Profile:
         if labels is not None and len(labels) != m:
             raise DataError("label count does not match m")
         for name, value in zip(
-            self.__slots__, (m, labels, supp, nums, denom, entries, None)
+            self.__slots__, (m, labels, supp, nums, denom, None, None)
         ):
             object.__setattr__(self, name, value)
 
@@ -317,11 +315,13 @@ class Profile:
     ) -> "Profile":
         """Profile from (order, weight) pairs, a mapping or a sequence; the
         weights of repeated orders add up."""
-        return _scaled_profile(
-            pairs.items() if isinstance(pairs, Mapping) else pairs,
-            _fraction_parts,
+        return Profile._scaled(
+            *_scaled_profile(
+                pairs.items() if isinstance(pairs, Mapping) else pairs,
+                _fraction_parts,
+                normalize,
+            ),
             tuple(labels) if labels is not None else None,
-            normalize,
         )
 
     def support(self) -> list[Ranking]:
@@ -391,8 +391,9 @@ class Profile:
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)
         ):
             raise DataError(f"profile labels must be a list of strings, got {labels!r}")
-        prof = _scaled_profile(
-            rows, None, tuple(labels) if labels is not None else None, normalize
+        prof = Profile._scaled(
+            *_scaled_profile(rows, None, normalize),
+            tuple(labels) if labels is not None else None,
         )
         if "m" in doc:
             m = doc["m"]

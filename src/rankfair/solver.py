@@ -25,9 +25,6 @@ BRUTE_FORCE_GUARD = 10
 # 4-5 ns each on one core of a 2-vCPU Xeon VM: 2^31 of them take about 9 s
 VOTER_PAIRS_GUARD = 2**31
 DP_GUARD = 20
-# solve's "auto" takes the subset DP for a linear cost while the largest
-# majority component has at most this many alternatives
-DP_AUTO_LIMIT = 16
 BNB_GUARD = 40
 # solvers report at most this many tied winners; they collect one more so
 # that ties_complete=False says exactly that an optimal ranking was left out
@@ -56,10 +53,10 @@ class SolveResult:
     winners is the full set of optimal rankings when status is "Exact"
     and ties were tracked, otherwise at least one best ranking found.
     Once the tie set is capped (ties_complete=False with status "Exact"),
-    winners holds `TIE_ENUMERATION_CAP` optimal rankings, and which ones
-    depends on the method: brute force returns the lexicographically first
-    winners, the DP the first its backtrack reaches, and branch and bound
-    the first its depth-first search reaches, each listed in sorted order.
+    winners holds the first `TIE_ENUMERATION_CAP` optimal rankings the
+    method's search reached, listed in sorted order: for brute force the
+    lexicographically first, for the DP the first its backtrack reaches,
+    and for branch and bound the first its depth-first search reaches.
     """
 
     winners: tuple[Ranking, ...]
@@ -77,6 +74,25 @@ class SolveResult:
     @property
     def winner(self) -> Ranking:
         return self.winners[0]
+
+
+def _result(found: list[Ranking], cost: int, lower: int, denom: int, method: str,
+            status: str, *, tracked: bool, nodes: int) -> SolveResult:
+    """The `SolveResult` of a solver run, from the optimal rankings in the
+    order the solver reached them (it stops at `TIE_ENUMERATION_CAP` + 1),
+    and its integer cost and lower bound over the profile's denominator.
+    The tie set is complete when ties were tracked and no more than the cap
+    were found; the first cap of them are the winners, in sorted order.
+    """
+    return SolveResult(
+        winners=tuple(sorted(found[:TIE_ENUMERATION_CAP])),
+        cost=Fraction(cost, denom),
+        status=status,
+        method=method,
+        lower_bound=Fraction(lower, denom),
+        nodes=nodes,
+        ties_complete=tracked and len(found) <= TIE_ENUMERATION_CAP,
+    )
 
 
 @functools.cache
@@ -260,13 +276,9 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
             prefix = tuple(pre[b].tolist())
             hits = orders[total == low][: full - len(found)]
             found += (prefix + tuple(r) for r in rest[b][hits].tolist())
-    return SolveResult(
-        winners=tuple(found[:TIE_ENUMERATION_CAP]),
-        cost=Fraction(int(best) // scale, ic.denom),
-        status="Exact",
-        method="brute_force",
-        ties_complete=len(found) < full,
-    )
+    cost = int(best) // scale
+    return _result(found, cost, cost, ic.denom, "brute_force", "Exact", tracked=True,
+                   nodes=0)
 
 
 def _best_input(ic: IntCost, p: int) -> tuple[int, Ranking]:
@@ -428,7 +440,6 @@ def solve_bnb(
         find_all_ties = m <= 12
     full = TIE_ENUMERATION_CAP + 1
     ic = profile.int_cost()
-    denom = ic.denom
     dtype = ic.bound_dtype(p)
     # bounds come back as integers
     exact = np.int64 if dtype is np.float64 else dtype
@@ -541,25 +552,10 @@ def solve_bnb(
         frontier = min(
             (node[0] for node in stack if not isinstance(node, int)), default=incumbent
         )
-        global_lb = min(incumbent, frontier)
-        return SolveResult(
-            winners=tuple(sorted(best)[:TIE_ENUMERATION_CAP]),
-            cost=Fraction(incumbent, denom),
-            status="Heuristic",
-            method="bnb",
-            lower_bound=Fraction(global_lb, denom),
-            nodes=nodes,
-            ties_complete=False,
-        )
-    return SolveResult(
-        winners=tuple(sorted(best)[:TIE_ENUMERATION_CAP]) if find_all_ties
-        else (best[0],),
-        cost=Fraction(incumbent, denom),
-        status="Exact",
-        method="bnb",
-        nodes=nodes,
-        ties_complete=find_all_ties and len(best) < full,
-    )
+        return _result(best, incumbent, min(incumbent, frontier), ic.denom, "bnb",
+                       "Heuristic", tracked=False, nodes=nodes)
+    return _result(best, incumbent, incumbent, ic.denom, "bnb", "Exact",
+                   tracked=find_all_ties, nodes=nodes)
 
 
 def _majority_components(W: np.ndarray) -> list[list[int]]:
@@ -708,13 +704,8 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
         ties.append(list(itertools.islice(winners, full if find_all_ties else 1)))
     found = [sum(reversed(combo), ()) for combo in
              itertools.islice(itertools.product(*reversed(ties)), full)]
-    return SolveResult(
-        winners=tuple(sorted(found[:TIE_ENUMERATION_CAP])),
-        cost=Fraction(cost, ic.denom),
-        status="Exact",
-        method="kemeny_dp",
-        ties_complete=find_all_ties and len(found) < full,
-    )
+    return _result(found, cost, cost, ic.denom, "kemeny_dp", "Exact",
+                   tracked=find_all_ties, nodes=0)
 
 
 # the keywords each solver takes besides the profile and the cost
@@ -731,9 +722,9 @@ def solve(
     """Dispatch a solve to brute force, the subset DP or branch and bound.
 
     "auto" takes brute force up to m = 7; then, at exponent 1, the subset
-    DP when the largest pairwise-majority component has at most
-    `DP_AUTO_LIMIT` alternatives (always so up to that m, where the
-    components are not computed); else branch and bound.  A keyword the
+    DP when the largest pairwise-majority component fits its guard,
+    `DP_GUARD` alternatives (always so up to that m, where the components
+    are not computed); else branch and bound.  A keyword the
     chosen solver does not take (node_budget, seed_candidate, or
     find_all_ties for brute force) sends "auto" to branch and bound, the
     one solver that takes them all; an explicit method given one raises
@@ -744,9 +735,9 @@ def solve(
         if m <= 7:
             method = "brute_force"
         elif cost.exponent == 1 and (
-            m <= DP_AUTO_LIMIT
+            m <= DP_GUARD
             or max(map(len, _majority_components(profile.int_cost().pair_weights())))
-            <= DP_AUTO_LIMIT
+            <= DP_GUARD
         ):
             method = "kemeny_dp"
         else:

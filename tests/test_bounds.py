@@ -160,6 +160,16 @@ def test_alpha_curve_staircase():
     assert curve.value_at(0.99) == pytest.approx(0.0)
 
 
+def test_staircase_is_one_pass():
+    # 20,000 distinct alphas, each value the largest at its alpha or above
+    pts = [((k + 1) / 20_000, (k * 7919 % 20_000) / 20_000) for k in range(20_000)]
+    with _within(2):
+        curve = bounds._staircase(pts, 5, "GroupWorst")
+    assert [a for a, _ in curve.points] == [round(a, 9) for a, _ in pts]
+    for k in range(0, 20_000, 997):
+        assert curve.points[k][1] == max(v for _, v in pts[k:])
+
+
 def test_worst_group_curve_sane():
     curve = worst_group_curve(3)
     vals = [v for _, v in curve.points]

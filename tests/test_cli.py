@@ -690,12 +690,15 @@ def test_aggregate_failed_solve_leaves_no_out_file(tmp_path, capsys):
     out, ilp = tmp_path / "res.json", tmp_path / "x.lp"
     argv = ["aggregate", "--profile", str(path), "--method", "brute_force", "--out"]
     assert main(argv + [str(out)]) == 3 and not out.exists()
-    # the --emit-ilp file, written before the solve, goes with the failed run too
+    # the --emit-ilp file, checked before the solve, goes with the failed run too
     assert main(argv + [str(out), "--emit-ilp", str(ilp)]) == 3
     assert not out.exists() and not ilp.exists()
-    # a file that was there before is left as it was
+    # files that were there before are left as they were
     out.write_text("kept")
     assert main(argv + [str(out)]) == 3 and out.read_text() == "kept"
+    ilp.write_text("kept too")
+    assert main(argv + [str(out), "--emit-ilp", str(ilp)]) == 3
+    assert (out.read_text(), ilp.read_text()) == ("kept", "kept too")
     assert capsys.readouterr().out == ""
 
 
@@ -710,13 +713,18 @@ def test_bounds_out_holds_the_stdout_bytes(tmp_path, capsys):
 
 
 def test_bounds_failed_run_leaves_no_new_file(tmp_path, capsys):
-    # the CSV is written before the SVG fails, and goes again with the run
+    # the SVG path fails its check before the CSV is written, and the CSV
+    # file the check made goes again with the run
     out = tmp_path / "l.csv"
     svg = tmp_path / "nodir" / "x.svg"
     argv = ["bounds", "--curve", "lower", "--m", "3", "--out", str(out), "--svg", str(svg)]
     assert main(argv) == 4
     assert str(svg) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # a CSV that was there before keeps its bytes
+    out.write_text("kept")
+    assert main(argv) == 4 and out.read_text() == "kept"
+    assert str(svg) in capsys.readouterr().err
 
 
 # each bundled experiment, with small parameters where it takes any: its
@@ -808,6 +816,11 @@ def test_experiment_zero_trials_exit_4(tmp_path, capsys):
 def test_bounds_negative_grid_exit_2(capsys):
     assert main(["bounds", "--curve", "group", "--m", "3", "--grid", "-1"]) == 2
     assert "--grid" in capsys.readouterr().err
+
+
+def test_axioms_negative_random_exit_2(capsys):
+    assert main(["axioms", "--check", "2rp", "--random", "-1"]) == 2
+    assert "--random" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("steps", [GRID_GUARD_STEPS + 1, 10**12])

@@ -161,12 +161,13 @@ def test_profile_power_cost():
     (({(0, 1, 2): F(1, 2)}, 3), DataError, "profile weights sum to 1/2, expected 1"),
     (({}, 3), DataError, "profile weights sum to 0, expected 1"),
     (({(0, 1): F(1)}, 3), DimensionError, "ranking (0, 1) does not match m=3"),
-    (({(0, 1): F(0), (1, 0): F(1)}, 2), DataError, "non-positive weight 0 for (0, 1)"),
-    (({(1, 0): F(2), (0, 1): F(-1)}, 2), DataError, "non-positive weight -1 for (0, 1)"),
-    # checked entry by entry: a wrong length before a later entry's weight
-    (({(0, 1): F(1, 2), (0, 1, 2): F(-1, 2)}, 2), DimensionError,
-     "ranking (0, 1, 2) does not match m=2"),
-    (({(0, 1): F(-1), (0, 1, 2): F(2)}, 2), DataError, "non-positive weight -1 for (0, 1)"),
+    (({(0, 0, 1): F(1)}, 3), DataError, "not a permutation of 0..2: (0, 0, 1)"),
+    (({(1, 0): F(2), (0, 1): F(-1)}, 2), DataError, "negative weight -1 for (0, 1)"),
+    # checked by the loader the other constructors share: an entry's weight
+    # before any ranking's length
+    (({(0, 1): F(1, 2), (0, 1, 2): F(-1, 2)}, 2), DataError,
+     "negative weight -1/2 for (0, 1, 2)"),
+    (({(0, 1): F(-1), (0, 1, 2): F(2)}, 2), DataError, "negative weight -1 for (0, 1)"),
     # the sum is checked before the label count
     (({(0, 1): F(2, 3)}, 2, ("a",)), DataError, "profile weights sum to 2/3, expected 1"),
     (({(0, 1): F(2, 3), (1, 0): F(1, 3)}, 2, ("a",)), DataError,
@@ -176,6 +177,20 @@ def test_profile_validation_messages(args, kind, message):
     with pytest.raises(kind) as info:
         Profile(*args)
     assert type(info.value) is kind and str(info.value) == message
+
+
+def test_profile_constructor_reads_like_from_weights():
+    # a zero weight is dropped, and float and int weights read as exact
+    # rationals, held as Fractions
+    assert Profile({(0, 1): F(0), (1, 0): F(1)}, 2) == Profile.from_weights({(1, 0): 1})
+    half = Profile({(0, 1, 2): 0.5, (2, 1, 0): 0.5}, 3)
+    assert half == Profile.from_weights({(0, 1, 2): 0.5, (2, 1, 0): 0.5})
+    assert half.entries == {(0, 1, 2): F(1, 2), (2, 1, 0): F(1, 2)}
+    whole = Profile({(0, 1, 2): 1}, 3)
+    assert [type(w) for w in whole.entries.values()] == [F]
+    # a non-permutation is refused, never scored as a ranking
+    with pytest.raises(DataError, match="not a permutation"):
+        Profile({(0, 0, 1): F(1)}, 3)
 
 
 profile_orders = st.integers(2, 4).flatmap(

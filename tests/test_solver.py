@@ -797,6 +797,18 @@ def test_tie_cap_flags_exactly_a_left_out_winner(monkeypatch, cap, complete):
         assert len(res.winners) == min(cap, 6)
 
 
+def test_bnb_capped_tie_set_is_the_first_rankings_reached(monkeypatch):
+    # the search reaches its seed, the identity, first and the reverse
+    # second; the eighth ranking it reaches, (4, 2, 3, 1, 0), is the one
+    # left out, not the lexicographically largest
+    monkeypatch.setattr(solver, "TIE_ENUMERATION_CAP", 7)
+    res = solve_bnb(_all_tied(5), CostSpec(1), find_all_ties=True)
+    assert res.winners == ((0, 1, 2, 3, 4), (4, 3, 0, 1, 2), (4, 3, 0, 2, 1),
+                           (4, 3, 1, 0, 2), (4, 3, 1, 2, 0), (4, 3, 2, 0, 1),
+                           (4, 3, 2, 1, 0))
+    assert (res.status, res.ties_complete) == ("Exact", False)
+
+
 def test_solve_dispatch():
     prof = Profile.from_weights({(0, 1, 2): F(3, 5), (2, 1, 0): F(2, 5)})
     assert solve(prof, CostSpec(1)).winner == (0, 1, 2)
@@ -815,8 +827,10 @@ def test_solve_auto_takes_the_dp_by_largest_component():
                                                   city.power_cost(pub_lin, 1))
     assert len(res.winners) == 4 and res.ties_complete is True
     assert res == solve_kemeny_dp(city)
-    # one component of 17 alternatives goes to branch and bound
-    assert solve(_all_tied(17), CostSpec(1)).method == "bnb"
+    # a component of 17 fits the DP's guard, and one of 21 goes to branch
+    # and bound
+    assert solve(_all_tied(17), CostSpec(1)).method == "kemeny_dp"
+    assert solve(_all_tied(21), CostSpec(1)).method == "bnb"
     # and so does every squared cost past brute force
     assert solve(city, CostSpec(2), node_budget=10).method == "bnb"
     mallows17 = sample_profile(CultureSpec("mallows", n=8, m=17, seed=2,
@@ -825,10 +839,20 @@ def test_solve_auto_takes_the_dp_by_largest_component():
     assert solve(mallows17, CostSpec(1)).method == "kemeny_dp"
 
 
+def test_solve_auto_takes_the_dp_up_to_its_guard():
+    # 21 alternatives whose largest majority component has 17
+    prof = sample_profile(CultureSpec("mallows", n=30, m=21, seed=1, params={"phi": 0.9}))
+    W = prof.int_cost().pair_weights()
+    assert max(map(len, solver._majority_components(W))) == 17
+    res = solve(prof, CostSpec(1))
+    assert (res.method, res.status, res.ties_complete) == ("kemeny_dp", "Exact", True)
+    assert res.cost == solve_bnb(prof, CostSpec(1)).cost
+
+
 def test_solve_routes_solver_keywords(monkeypatch):
     m12 = sample_profile(CultureSpec("ic", n=30, m=12, seed=1))
     m6 = sample_profile(CultureSpec("ic", n=10, m=6, seed=1))
-    # below m = 17 auto reads no components: only the DP splits them
+    # up to m = 20 auto reads no components: only the DP splits them
     calls = []
     split = solver._majority_components
     monkeypatch.setattr(solver, "_majority_components", lambda W: calls.append(1) or split(W))

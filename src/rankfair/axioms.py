@@ -29,6 +29,23 @@ SC_UNION_GUARD_M = 5
 # efficiency check of one impartial-culture profile takes about 0.3 s at
 # m = 8, 4.7 s at m = 9 and 30 s at m = 10 on a 2-core VM
 ORACLE_GUARD_M = 8
+INSTANCE_GUARD_M = 6  # participation and reinforcement: 2-3 brute-force solves
+# each check `rankfair axioms --check` runs, by the name it takes there: its
+# m cap, and what makes it costly; `guard_check` raises its GuardError
+CHECK_GUARDS = {
+    "2rp": (ORACLE_GUARD_M, "scans all m! rankings in plain Python"),
+    "scp": (SC_UNION_GUARD_M, "compares with every compatible maximal sequence"),
+    "efficiency": (ORACLE_GUARD_M, "scans all m! rankings in plain Python"),
+    "participation": (INSTANCE_GUARD_M, "solves two profiles by brute force"),
+}
+
+
+def guard_check(check: str, m: int) -> None:
+    """Refuse the check named `check` (a key of CHECK_GUARDS) above its m
+    cap, before it draws, enumerates or solves anything."""
+    cap, cost = CHECK_GUARDS[check]
+    if m > cap:
+        raise GuardError(f"--check {check} {cost}, guarded at m={cap}, got m={m}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +139,8 @@ def two_rankings_expected(profile: Profile) -> set[Ranking]:
 
 def sqk_satisfies_2rp(profile: Profile, cost: CostSpec = CostSpec()) -> bool:
     """Do the exact optima equal the proportional expected set?"""
-    if profile.m > ORACLE_GUARD_M:
-        raise GuardError(f"2RP check guarded at m={ORACLE_GUARD_M}")
-    expected = two_rankings_expected(profile)
-    result = solve_brute_force(profile, cost)
-    return set(result.winners) == expected
+    guard_check("2rp", profile.m)
+    return two_rankings_expected(profile) == set(solve_brute_force(profile, cost).winners)
 
 
 def build_swap_path(r1: Ranking, r2: Ranking) -> SingleCrossingSequence:
@@ -191,10 +205,7 @@ def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None
     alone, and x lies on some sequence from s through the ordered support iff
     its flip set is comparable with each support flip set.
     """
-    if profile.m > SC_UNION_GUARD_M:
-        raise GuardError(
-            f"maximal-sequence enumeration guarded at m={SC_UNION_GUARD_M}, got {profile.m}"
-        )
+    guard_check("scp", profile.m)
     seq = find_single_crossing_order(profile)
     if seq is None:
         return None
@@ -215,6 +226,14 @@ def sc_proportional_expected_exhaustive(profile: Profile) -> set[Ranking] | None
     return out
 
 
+def sqk_satisfies_scp(profile: Profile, cost: CostSpec = CostSpec()) -> bool:
+    """Do the exact optima lie in the union of expected sets over every
+    compatible maximal sequence?  Vacuously true for a profile that is not
+    single-crossing."""
+    expected = sc_proportional_expected_exhaustive(profile)
+    return expected is None or set(solve_brute_force(profile, cost).winners) <= expected
+
+
 def dominates(r1: Ranking, r2: Ranking, profile: Profile) -> bool:
     """Is r1 weakly closer to every support ranking and strictly to some?"""
     strict = False
@@ -227,13 +246,21 @@ def dominates(r1: Ranking, r2: Ranking, profile: Profile) -> bool:
     return strict
 
 
+def sqk_is_efficient(profile: Profile, cost: CostSpec = CostSpec()) -> bool:
+    """Does no ranking dominate any exact optimum?"""
+    guard_check("efficiency", profile.m)
+    winners = solve_brute_force(profile, cost).winners
+    return not any(dominates(r, w, profile)
+                   for w in winners for r in enumerate_rankings(profile.m))
+
+
 def check_reinforcement_instance(
     r1: Profile, r2: Profile, lam: Fraction, cost: CostSpec = CostSpec()
 ) -> bool:
     """If two electorates agree on some optimum, their merge keeps exactly
     the shared optima.  Vacuously true when the optima sets are disjoint."""
-    if r1.m > 6:
-        raise GuardError("reinforcement instance check guarded at m=6")
+    if r1.m > INSTANCE_GUARD_M:
+        raise GuardError(f"reinforcement instance check guarded at m={INSTANCE_GUARD_M}")
     w1 = set(solve_brute_force(r1, cost).winners)
     w2 = set(solve_brute_force(r2, cost).winners)
     common = w1 & w2
@@ -252,8 +279,7 @@ def check_participation_instance(
     lam*R1 + (1-lam)*R2; returns False when some pre-join output
     dominates some post-join output from the joiners' (R2) perspective.
     """
-    if r1.m > 6:
-        raise GuardError("participation instance check guarded at m=6")
+    guard_check("participation", r1.m)
     before = solve_brute_force(r1, cost).winners
     after = solve_brute_force(mix(r1, r2, Fraction(lam)), cost).winners
     for b in before:

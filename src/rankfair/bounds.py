@@ -108,6 +108,10 @@ class AlphaCurve:
         if alphas != sorted(set(alphas)):
             raise DataError("alphas must be strictly increasing")
 
+    def csv(self) -> str:
+        """The CSV `rankfair bounds --curve` writes: alpha,value, then a row per point."""
+        return "alpha,value\n" + "".join(f"{a:.6f},{v:.6f}\n" for a, v in self.points)
+
     def value_at(self, alpha: float) -> float:
         """Step interpolation: worst value attainable at group weight >= alpha."""
         vals = [v for a, v in self.points if a >= alpha - 1e-12]
@@ -169,15 +173,23 @@ def _distances(m: int) -> tuple[tuple[Ranking, ...], np.ndarray, np.ndarray]:
     return rankings, D, sq
 
 
+def _check_m(m: int) -> None:
+    """The one m check of the worst-case programs: below 2 alternatives the
+    `DataError` `as_ranking` raises, above LP_GUARD_M the guard."""
+    if m < 2:
+        as_ranking(range(m))
+    if m > LP_GUARD_M:
+        raise GuardError(f"worst-case programs are guarded at m={LP_GUARD_M}")
+
+
 def _margins(m: int, target: Ranking
              ) -> tuple[tuple[Ranking, ...], np.ndarray, np.ndarray]:
     """The m! rankings in lexicographic order, their swap distances to the
     target (ranking t), and the target's integer squared-cost margins
     G = sq - sq[:, t]: weights w keep the target optimal against competitor
-    j exactly when w . G[:, j] >= 0.  Every worst-case program is guarded
-    here, at LP_GUARD_M."""
-    if m > LP_GUARD_M:
-        raise GuardError(f"worst-case programs are guarded at m={LP_GUARD_M}")
+    j exactly when w . G[:, j] >= 0.  Every worst-case program is checked
+    here by `_check_m`."""
+    _check_m(m)
     rankings, D, sq = _distances(m)
     t = rankings.index(target)
     return rankings, D[t], sq - sq[:, t : t + 1]
@@ -310,8 +322,10 @@ def alpha_curve(m: int) -> AlphaCurve:
     identity; the staircase value at alpha is the farthest target still
     attainable with that focal weight.  A target and its `_mirror` share
     their program's optimum, so one program is solved per pair (64 of 120
-    at m=5).  Guarded at m=LP_GUARD_M, like every worst-case program.
+    at m=5).  m is checked first (`_check_m`), like every worst-case
+    program's.
     """
+    _check_m(m)
     focal = identity_ranking(m)
     dmax = max_swap_distance(m)
     alpha_of: dict[Ranking, float] = {}
@@ -396,7 +410,7 @@ def worst_group_curve(m: int, grid: Sequence[float] | None = None) -> AlphaCurve
     are checked before the pass; guarded at m=LP_GUARD_M, like every
     worst-case program.
     """
-    _margins(m, as_ranking(range(m)))
+    _check_m(m)
     grid = _checked_grid(grid)
     traced, keys = _group_pieces(m)
     alphas, values, slopes = traced.breakpoints, traced.values, traced.slopes

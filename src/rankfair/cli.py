@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .core import Profile, as_ranking
 from .errors import DataError, GuardError, RankfairError
-from .solver import CostSpec, emit_ilp, solve, solve_brute_force
+from .solver import CostSpec, emit_ilp, solve
 from . import __version__
 
 EXIT_OK = 0
@@ -139,84 +139,47 @@ def cmd_aggregate(args) -> int:
 
 def cmd_axioms(args) -> int:
     from . import axioms
-    from .core import enumerate_rankings
     from .sampling import CultureSpec, make_rng, sample_profile
 
-    checked = 0
-    passed = 0
-    counterexamples = []
-    if args.profile:
-        profiles = [_load_profile(args.profile)]
-        m = profiles[0].m
-    else:
-        m = args.m
-        if m < 2:
-            # a 2rp pair of distinct rankings needs two alternatives
-            raise DataError(f"random profiles need --m >= 2, got {m}")
-    if args.check == "scp" and m > axioms.SC_UNION_GUARD_M:
-        raise GuardError(
-            f"--check scp compares with every compatible maximal sequence, "
-            f"guarded at m={axioms.SC_UNION_GUARD_M}, got m={m}"
-        )
-    if args.check in ("2rp", "efficiency") and m > axioms.ORACLE_GUARD_M:
-        raise GuardError(
-            f"--check {args.check} scans all m! rankings in plain Python, "
-            f"guarded at m={axioms.ORACLE_GUARD_M}, got m={m}"
-        )
+    profiles = [_load_profile(args.profile)] if args.profile else []
+    m = profiles[0].m if profiles else args.m
+    if m < 2:  # a 2rp pair of distinct rankings needs two alternatives
+        raise DataError(f"random profiles need --m >= 2, got {m}")
+    axioms.guard_check(args.check, m)
     if not args.profile:
-        profiles = []
         rng = make_rng(args.seed)
         for k in range(args.random):
             if args.check == "2rp":
-                r1 = tuple(rng.permutation(args.m))
-                r2 = tuple(rng.permutation(args.m))
+                r1 = r2 = tuple(rng.permutation(m))
                 while r2 == r1:
-                    r2 = tuple(rng.permutation(args.m))
+                    r2 = tuple(rng.permutation(m))
                 w = Fraction(int(rng.integers(1, 100)), 100)
                 profiles.append(Profile.from_weights({r1: w, r2: 1 - w}))
             elif args.check == "scp":
                 # 1-4 rankings on a random maximal sequence: single-crossing by
                 # construction, where impartial-culture draws almost never are
-                r = tuple(int(a) for a in rng.permutation(args.m))
+                r = tuple(int(a) for a in rng.permutation(m))
                 path = axioms.build_swap_path(r, r[::-1]).rankings
                 k = int(rng.integers(1, min(4, len(path)) + 1))
                 picked = [path[i] for i in rng.choice(len(path), size=k, replace=False)]
                 weights = [int(w) for w in rng.integers(1, 10, size=k)]
                 profiles.append(Profile.from_weights(zip(picked, weights), normalize=True))
             else:
-                spec = CultureSpec("ic", n=6, m=args.m, seed=args.seed + k)
-                profiles.append(sample_profile(spec))
-    for prof in profiles:
-        checked += 1
-        if args.check == "2rp":
-            ok = axioms.sqk_satisfies_2rp(prof)
-        elif args.check == "scp":
-            expected = axioms.sc_proportional_expected_exhaustive(prof)
-            # vacuous for profiles that are not single-crossing
-            ok = expected is None or set(solve_brute_force(prof).winners) <= expected
-        elif args.check == "efficiency":
-            winners = solve_brute_force(prof).winners
-            ok = all(
-                not axioms.dominates(other, w, prof)
-                for w in winners
-                for other in enumerate_rankings(prof.m)
-            )
-        elif args.check == "participation":
-            other = sample_profile(
-                CultureSpec("ic", n=4, m=prof.m, seed=args.seed + 777)
-            )
-            ok = axioms.check_participation_instance(prof, other, Fraction(1, 2))
-        else:
-            raise DataError(f"unknown check {args.check!r}")
-        if ok:
-            passed += 1
-        else:
-            counterexamples.append(prof.to_json())
-    _emit(
-        {"check": args.check, "checked": checked, "passed": passed,
-         "counterexamples": counterexamples},
-        args.out,
-    )
+                profiles.append(sample_profile(CultureSpec("ic", n=6, m=m, seed=args.seed + k)))
+    if args.check == "participation":
+        # the joining group, one for every profile
+        joiners = sample_profile(CultureSpec("ic", n=4, m=m, seed=args.seed + 777))
+    verdict = {
+        "2rp": axioms.sqk_satisfies_2rp,
+        "scp": axioms.sqk_satisfies_scp,
+        "efficiency": axioms.sqk_is_efficient,
+        "participation": lambda prof: axioms.check_participation_instance(
+            prof, joiners, Fraction(1, 2)),
+    }[args.check]
+    counterexamples = [prof.to_json() for prof in profiles if not verdict(prof)]
+    _emit({"check": args.check, "checked": len(profiles),
+           "passed": len(profiles) - len(counterexamples),
+           "counterexamples": counterexamples}, args.out)
     return EXIT_OK
 
 
@@ -233,9 +196,8 @@ def cmd_bounds(args) -> int:
         curve = worst_group_curve(args.m, grid)
     else:
         curve = lower_bound_curve(args.m, grid)
-    text = "alpha,value\n" + "".join(f"{a:.6f},{v:.6f}\n" for a, v in curve.points)
     with _removed_on_failure(args.out, args.svg):
-        _write(text, args.out)
+        _write(curve.csv(), args.out)
         if args.svg:
             Path(args.svg).write_text(render_curve_svg({curve.kind: list(curve.points)}))
     return EXIT_OK
@@ -261,14 +223,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    import numpy as np
-
-    from .embed import (
-        classical_mds,
-        distance_matrix,
-        fit_point_for_ranking,
-        render_map_svg,
-    )
+    from .embed import fit_point_for_ranking, rule_map
     from .sampling import PointConfig
 
     if args.fit:
@@ -288,21 +243,13 @@ def cmd_embed(args) -> int:
         )
         return EXIT_OK
     profile = _load_profile(args.map)
-    rules = args.with_rules.split(",") if args.with_rules else ["sqk", "kemeny"]
-    marks = {}
-    rankings = profile.support()
-    for rule in rules:
+    winners = {}
+    for rule in args.with_rules.split(",") if args.with_rules else ["sqk", "kemeny"]:
         p = {"sqk": 2, "kemeny": 1}.get(rule)
         if p is None:
             raise DataError(f"unknown rule {rule!r}")
-        winners = solve(profile, CostSpec(p)).winners
-        for r in winners:
-            if r not in rankings:
-                rankings.append(r)
-        marks["sqk" if p == 2 else "kemeny"] = [rankings.index(r) for r in winners]
-    emb = classical_mds(distance_matrix(rankings))
-    weights = [float(profile.weight(r)) for r in rankings]
-    _write(render_map_svg(emb.coords, weights, marks), args.out)
+        winners[rule] = solve(profile, CostSpec(p)).winners
+    _write(rule_map(profile, winners)[2], args.out)
     return EXIT_OK
 
 

@@ -155,50 +155,51 @@ def permute_ranking(r: Ranking, tau: Ranking) -> Ranking:
     return tuple(tau[a] for a in r)
 
 
-def _json_weight(w) -> tuple[int, int]:
-    """A profile weight as JSON holds it, as a numerator over a positive
-    denominator, not always in lowest terms.  The plain "p" and "p/q" digit
-    strings `Profile.to_json` writes are read with `int`, anything else by
-    `Fraction` (numbers, signs, decimals, exponents); booleans are refused."""
-    if isinstance(w, str):
-        num, slash, den = w.partition("/")
-        if num.isascii() and num.isdigit() and (
-            not slash or den.isascii() and den.isdigit()
-        ):
-            n, d = int(num), int(den) if slash else 1
-            if not d:
-                raise ZeroDivisionError(f"Fraction({n}, 0)")
-            return n, d
-    elif isinstance(w, bool):
-        raise DataError(f"weights must be numbers or strings, not booleans: {w}")
-    w = Fraction(w)
-    return w.numerator, w.denominator
+def _read_weights(rows) -> list[tuple[object, tuple[int, int]]]:
+    """(order, (numerator, positive denominator)) rows, every weight read
+    before any order is checked: "p" and "p/q" digit strings with `int`, a
+    `Fraction` as it is, anything else but a boolean by `Fraction`.  A row
+    or weight that cannot be read is a `DataError`."""
+    read = []
+    try:
+        for order, w in rows:
+            if isinstance(w, str):
+                num, slash, den = w.partition("/")
+                if num.isascii() and num.isdigit() and (
+                    not slash or den.isascii() and den.isdigit()
+                ):
+                    n, d = int(num), int(den) if slash else 1
+                    if not d:
+                        raise ZeroDivisionError(f"Fraction({n}, 0)")
+                    read.append((order, (n, d)))
+                    continue
+            elif isinstance(w, bool):
+                raise DataError(f"weights must be numbers or strings, not booleans: {w}")
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            read.append((order, (w.numerator, w.denominator)))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed profile entry: {e}") from e
+    except (ZeroDivisionError, OverflowError) as e:  # "1/0", 1e400
+        raise DataError(f"profile weight is not a finite rational: {e}") from e
+    return read
 
 
-def _fraction_parts(w) -> tuple[int, int]:
-    """A weight as `Profile` and `Profile.from_weights` take it, in lowest
-    terms."""
-    if not isinstance(w, Fraction):
-        w = Fraction(w)
-    return w.numerator, w.denominator
-
-
-def _scaled_profile(rows, weight, normalize: bool, m: int | None = None):
+def _scaled_profile(rows, normalize: bool, m: int | None = None):
     """A profile's integer form, (support, numerators, denominator, m), from
-    (order, weight) rows; the one loader every `Profile` is built by.
+    (order, (numerator, positive denominator)) rows as `_read_weights`
+    returns them; the one loader every `Profile` is built by.
 
-    Row by row, the order is checked (`as_ranking`), then the weight is
-    read as (numerator, positive denominator) by `weight`, or taken as it
-    is when `weight` is None, refused if negative and dropped if zero.  The
-    weights of repeated orders add up over the least common denominator,
-    and the result is reduced.  m, when not given, is the first order's
-    length; every kept order must match it.
+    Row by row, the order is checked (`as_ranking`), then its weight is
+    refused if negative and dropped if zero.  The weights of repeated
+    orders add up over the least common denominator, and the result is
+    reduced.  m, when not given, is the first order's length; every kept
+    order must match it.
     """
     kept = []
     misfit = None  # the first kept ranking whose length is not m
-    for order, w in rows:
+    for order, (num, den) in rows:
         r = as_ranking(order)
-        num, den = w if weight is None else weight(w)
         if m is None:
             m = len(r)
         if num <= 0:
@@ -234,13 +235,14 @@ class Profile:
     numerator over the least common denominator, and that denominator
     (`scaled_int_weights`).  The constructor, `from_weights` and
     `from_json` build this form straight from their input through one
-    loader, `_scaled_profile`: each order must be a ranking over m, each
-    weight is read as an exact rational (`Fraction` reads a float or a
-    string), a zero weight is dropped and a negative one refused.  Two
-    profiles are equal when this form, m and the labels are.
-    The `Fraction` weights by ranking, `entries`, are made on first use, and
-    so is the profile's `IntCost`, which every solver shares (`int_cost`).
-    Profiles are immutable.
+    weight reader, `_read_weights`, and one loader, `_scaled_profile`:
+    every weight is read as an exact rational (`Fraction` reads a float or
+    a string; a boolean is refused) before any order is checked, each
+    order must be a ranking over m, a zero weight is dropped and a
+    negative one refused.  Two profiles are equal when this form, m and
+    the labels are.  The `Fraction` weights by ranking, `entries`, are
+    made on first use, and so is the profile's `IntCost`, which every
+    solver shares (`int_cost`).  Profiles are immutable.
     """
 
     __slots__ = ("m", "labels", "_supp", "_nums", "_denom", "_entries", "_int_cost")
@@ -251,7 +253,7 @@ class Profile:
         m: int,
         labels: tuple[str, ...] | None = None,
     ):
-        self._set(*_scaled_profile(entries.items(), _fraction_parts, False, m), labels)
+        self._set(*_scaled_profile(_read_weights(entries.items()), False, m), labels)
 
     @classmethod
     def _scaled(cls, supp, nums, denom, m, labels) -> "Profile":
@@ -317,8 +319,7 @@ class Profile:
         weights of repeated orders add up."""
         return Profile._scaled(
             *_scaled_profile(
-                pairs.items() if isinstance(pairs, Mapping) else pairs,
-                _fraction_parts,
+                _read_weights(pairs.items() if isinstance(pairs, Mapping) else pairs),
                 normalize,
             ),
             tuple(labels) if labels is not None else None,
@@ -380,19 +381,14 @@ class Profile:
             raise DataError(f"invalid profile JSON: {e}") from e
         if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
             raise DataError("profile JSON needs an 'entries' list")
-        try:
-            rows = [(e["order"], _json_weight(e["weight"])) for e in doc["entries"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"malformed profile entry: {e}") from e
-        except (ZeroDivisionError, OverflowError) as e:  # "1/0", 1e400
-            raise DataError(f"profile weight is not a finite rational: {e}") from e
+        rows = _read_weights((e["order"], e["weight"]) for e in doc["entries"])
         labels = doc.get("labels")
         if labels is not None and not (
             isinstance(labels, list) and all(isinstance(s, str) for s in labels)
         ):
             raise DataError(f"profile labels must be a list of strings, got {labels!r}")
         prof = Profile._scaled(
-            *_scaled_profile(rows, None, normalize),
+            *_scaled_profile(rows, normalize),
             tuple(labels) if labels is not None else None,
         )
         if "m" in doc:

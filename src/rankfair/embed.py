@@ -4,12 +4,13 @@ point inducing a given ranking in a Euclidean configuration."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Ranking, as_ranking
+from .core import Profile, Ranking, as_ranking
 from .errors import DataError, DimensionError, GuardError
 from .sampling import PointConfig
 from .solver import swap_distance_matrix
@@ -193,6 +194,19 @@ def render_map_svg(
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def rule_map(
+    profile: Profile, winners: Mapping[str, Sequence[Ranking]]
+) -> tuple[Embedding, list[Ranking], str]:
+    """The embedding of the support, then each rule's winners not yet listed
+    in the order given, those rankings, and their SVG map, each rule's
+    winners marked under its name ("kemeny" or "sqk")."""
+    rankings = list(dict.fromkeys(itertools.chain(profile.support(), *winners.values())))
+    marks = {rule: [rankings.index(r) for r in rs] for rule, rs in winners.items()}
+    emb = classical_mds(distance_matrix(rankings))
+    weights = [float(profile.weight(r)) for r in rankings]
+    return emb, rankings, render_map_svg(emb.coords, weights, marks)
 
 
 def render_curve_svg(curves: dict[str, Sequence[tuple[float, float]]]) -> str:

@@ -7,6 +7,7 @@ artifacts plus a manifest into an output directory.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import json
 import shutil
@@ -28,28 +29,29 @@ from .core import (
     swap_distance,
 )
 from .axioms import build_swap_path
-from .embed import (
-    classical_mds,
-    distance_matrix,
-    fit_point_for_ranking,
-    render_curve_svg,
-    render_map_svg,
-)
+from .embed import fit_point_for_ranking, render_curve_svg, render_map_svg, rule_map
 from .errors import DataError
 from .sampling import CultureSpec, PointConfig, make_rng, sample_points, sample_profile, profile_from_points
 from .solver import CostSpec, local_search, solve_bnb, solve_brute_force, solve_kemeny_dp
 
-def load_data(name: str) -> dict:
-    """Read one of the bundled JSON datasets by file stem."""
+@functools.cache
+def _data_text(name: str) -> str:
+    """The text of one of the bundled JSON datasets, by file stem, read once
+    per process."""
     ref = importlib.resources.files("rankfair") / "data" / f"{name}.json"
     try:
-        return json.loads(ref.read_text())
+        return ref.read_text()
     except FileNotFoundError as e:
         raise DataError(f"no bundled dataset named {name!r}") from e
 
 
+def load_data(name: str) -> dict:
+    """Read one of the bundled JSON datasets by file stem."""
+    return json.loads(_data_text(name))
+
+
 def load_profile(name: str) -> Profile:
-    return Profile.from_json(json.dumps(load_data(name)))
+    return Profile.from_json(_data_text(name))
 
 
 def hotel_profile(price_weight: Fraction) -> Profile:
@@ -223,8 +225,8 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
 
     lin = solve_kemeny_dp(profile)
     bumped = solve_kemeny_dp(city_profile(Fraction(1, 10**6)), find_all_ties=False)
-    sq_cost = profile.power_cost(pub_sq, 2)
-    lin_col_sq_cost = profile.power_cost(pub_lin, 2)
+    ic = profile.int_cost()
+    sq_cost, lin_col_sq_cost = ic.cost(pub_sq, 2), ic.cost(pub_lin, 2)
     locally_optimal = local_search(profile, pub_sq, CostSpec(2)) == pub_sq
     budget = _int_param(spec, "budget", 200_000)
     sq = solve_bnb(profile, CostSpec(2), node_budget=budget, seed_candidate=pub_sq,
@@ -237,10 +239,10 @@ def _run_cities(spec: ExperimentSpec, out: Path) -> dict:
     return {
         "linear_status": lin.status,
         "linear_cost": str(lin.cost),
-        "published_linear_cost": str(profile.kemeny_cost(pub_lin)),
+        "published_linear_cost": str(Fraction(ic.cost(pub_lin, 1), ic.denom)),
         "linear_tie_count": len(lin.winners),
         "perturbed_pick_matches_published": bumped.winner == pub_lin,
-        "squared_cost_published": str(sq_cost),
+        "squared_cost_published": str(Fraction(sq_cost, ic.denom)),
         "squared_below_linear_column": sq_cost < lin_col_sq_cost,
         "published_locally_optimal": locally_optimal,
         "squared_status": sq.status,
@@ -252,11 +254,7 @@ def _run_alpha_curve(spec: ExperimentSpec, out: Path) -> dict:
     m = _int_param(spec, "m", 4)
     curve = alpha_curve(m)
     upper = theoretical_upper_curve(m)
-    _write_csv(
-        out / f"alpha_curve_m{m}.csv",
-        ["alpha", "value"],
-        [[f"{a:.6f}", f"{v:.6f}"] for a, v in curve.points],
-    )
+    (out / f"alpha_curve_m{m}.csv").write_text(curve.csv())
     svg = render_curve_svg(
         {"worst case": list(curve.points), "upper bound": list(upper.points)}
     )
@@ -303,19 +301,12 @@ def _run_maps(spec: ExperimentSpec, out: Path) -> dict:
     n = _int_param(spec, "n", 200)
     culture = str(spec.params.get("culture", "mallows"))
     profile = sample_profile(CultureSpec(culture, n=n, m=m, seed=spec.seed))
-    sq = solve_brute_force(profile, CostSpec(2)).winners
-    ln = solve_brute_force(profile, CostSpec(1)).winners
-    rankings = profile.support()
-    extra = [r for r in set(sq) | set(ln) if r not in rankings]
-    all_r = rankings + extra
-    emb = classical_mds(distance_matrix(all_r))
-    weights = [float(profile.weight(r)) for r in all_r]
-    marks = {
-        "kemeny": [all_r.index(r) for r in ln],
-        "sqk": [all_r.index(r) for r in sq],
-    }
-    (out / "map.svg").write_text(render_map_svg(emb.coords, weights, marks))
-    return {"rankings": len(all_r), "stress": emb.stress, "clamped": emb.clamped_mass}
+    emb, rankings, svg = rule_map(profile, {
+        "sqk": solve_brute_force(profile, CostSpec(2)).winners,
+        "kemeny": solve_brute_force(profile, CostSpec(1)).winners,
+    })
+    (out / "map.svg").write_text(svg)
+    return {"rankings": len(rankings), "stress": emb.stress, "clamped": emb.clamped_mass}
 
 
 def _run_embeddings(spec: ExperimentSpec, out: Path) -> dict:

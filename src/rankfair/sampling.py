@@ -185,45 +185,55 @@ def profile_from_points(
     return Profile.from_weights((r, w) for r in draws)
 
 
+# the headers `parse_preflib` reads, by their form; other comments are skipped
+_PREFLIB_HEADERS = {
+    "DATA TYPE": "# DATA TYPE: soc",
+    "NUMBER ALTERNATIVES": "# NUMBER ALTERNATIVES: m",
+    "ALTERNATIVE NAME": "# ALTERNATIVE NAME i: name",
+}
+
+
 def parse_preflib(text: str) -> Profile:
-    """Parse a PrefLib strict-complete-order (SOC) document into a profile."""
+    """Parse a PrefLib strict-complete-order (SOC) document into a profile;
+    a line that cannot be read is a `DataError` naming its number."""
     alt_names: dict[int, str] = {}
     votes: list[tuple[int, tuple[int, ...]]] = []
     declared_m = None
     saw_type = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        body = line.lstrip("#").strip()
+        kind = "vote" if not line.startswith("#") else next(
+            (h for h in _PREFLIB_HEADERS if body.upper().startswith(h)), None)
+        if not body or kind is None:
+            continue  # a blank line or another comment
+        head, colon, value = body.partition(":")
+        if not colon:
+            form = _PREFLIB_HEADERS.get(kind, "count: i1,i2,...")
+            raise DataError(f"line {ln}: expected '{form}', got {raw!r}")
+        if kind == "DATA TYPE":
+            dtype = value.strip().lower()
+            if dtype != "soc":
+                raise DataError(f"line {ln}: only strict complete orders (soc) are "
+                                f"supported, got {dtype!r}")
+            saw_type = True
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.upper().startswith("DATA TYPE"):
-                dtype = body.split(":", 1)[1].strip().lower()
-                if dtype != "soc":
-                    raise DataError(
-                        f"line {ln}: only strict complete orders (soc) are "
-                        f"supported, got {dtype!r}"
-                    )
-                saw_type = True
-            elif body.upper().startswith("NUMBER ALTERNATIVES"):
-                declared_m = int(body.split(":", 1)[1])
-            elif body.upper().startswith("ALTERNATIVE NAME"):
-                head, name = body.split(":", 1)
-                alt_names[int(head.split()[-1])] = name.strip()
-            continue
-        if ":" not in line:
-            raise DataError(f"line {ln}: expected 'count: i1,i2,...', got {raw!r}")
-        head, tail = line.split(":", 1)
+        if kind == "vote" and "{" in value:
+            raise DataError(f"line {ln}: ties are not allowed in strict orders")
         try:
-            count = int(head)
-            order = tuple(int(tok) for tok in tail.replace(" ", "").split(","))
+            if kind == "NUMBER ALTERNATIVES":
+                declared_m = int(value)
+            elif kind == "ALTERNATIVE NAME":
+                alt_names[int(head.split()[-1])] = value.strip()
+            else:
+                count = int(head)
+                order = tuple(int(tok) for tok in value.replace(" ", "").split(","))
         except ValueError as e:
             raise DataError(f"line {ln}: {e}") from e
-        if count <= 0:
-            raise DataError(f"line {ln}: vote count must be positive")
-        if "{" in tail:
-            raise DataError(f"line {ln}: ties are not allowed in strict orders")
-        votes.append((count, order))
+        if kind == "vote":
+            if count <= 0:
+                raise DataError(f"line {ln}: vote count must be positive")
+            votes.append((count, order))
     if not saw_type:
         raise DataError("missing '# DATA TYPE: soc' declaration")
     if not votes:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankfair.axioms import (
+    CHECK_GUARDS,
     ORACLE_GUARD_M,
     SC_UNION_GUARD_M,
     SingleCrossingSequence,
@@ -15,7 +16,9 @@ from rankfair.axioms import (
     find_single_crossing_order,
     is_single_crossing,
     sc_proportional_expected_exhaustive,
+    sqk_is_efficient,
     sqk_satisfies_2rp,
+    sqk_satisfies_scp,
     two_rankings_expected,
 )
 from rankfair.core import (
@@ -284,6 +287,37 @@ def test_axiom_checks_are_guarded_before_they_enumerate():
         check_reinforcement_instance(pair(7), pair(7), F(1, 2))
     with pytest.raises(GuardError, match="m=6"):
         check_participation_instance(pair(7), pair(7), F(1, 2))
+
+
+def test_each_check_raises_its_one_guard():
+    # the guard `rankfair axioms --check` runs first, raised by the library too
+    checks = {
+        "2rp": sqk_satisfies_2rp,
+        "scp": sqk_satisfies_scp,
+        "efficiency": sqk_is_efficient,
+        "participation": lambda prof: check_participation_instance(prof, prof, F(1, 2)),
+    }
+    assert set(checks) == set(CHECK_GUARDS)
+    for check, verdict in checks.items():
+        cap, cost = CHECK_GUARDS[check]
+        ident = tuple(range(cap + 1))
+        with pytest.raises(GuardError) as info:
+            verdict(two_ranking_profile(ident, ident[::-1], F(1, 3)))
+        assert str(info.value) == (
+            f"--check {check} {cost}, guarded at m={cap}, got m={cap + 1}")
+
+
+def test_scp_and_efficiency_verdicts():
+    prof, _ = single_crossing_fixture()
+    assert sqk_satisfies_scp(prof) and sqk_is_efficient(prof)
+    # not single-crossing: the scp verdict holds vacuously
+    cyclic = Profile.from_weights({(0, 1, 2): F(1, 3), (1, 2, 0): F(1, 3),
+                                   (2, 0, 1): F(1, 3)})
+    assert sc_proportional_expected_exhaustive(cyclic) is None
+    assert sqk_satisfies_scp(cyclic)
+    # the linear cost picks the median location (2), not the rounded mean (4)
+    assert not sqk_satisfies_scp(prof, CostSpec(1))
+    assert sqk_is_efficient(prof, CostSpec(1))
 
 
 def test_single_crossing_search_guards_the_support_size():

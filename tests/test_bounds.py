@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -144,6 +145,32 @@ def test_worst_profile_guard():
     for program in (worst_profile_single_ranking, alpha_curve, worst_group_curve):
         with pytest.raises(GuardError, match="m=5"):
             program(6)
+
+
+def test_group_curve_checks_m_without_the_margins(monkeypatch):
+    # F's pieces are cached per m; after that a group curve builds no
+    # m! x m! margin matrix, not even to check m
+    worst_group_curve(4, [0.5])
+
+    def never(*args, **kwargs):
+        raise AssertionError("built the margins")
+
+    monkeypatch.setattr(bounds, "_margins", never)
+    assert worst_group_curve(4, [0.5]).points
+    with pytest.raises(GuardError, match="m=5"):
+        worst_group_curve(6, [0.5])
+
+
+@pytest.mark.parametrize("curve", [alpha_curve, worst_group_curve])
+def test_worst_case_curve_refuses_m_before_building_a_ranking(curve):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="m=5"):
+            curve(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_alpha_curve_staircase():

@@ -185,13 +185,13 @@ def test_axioms_efficiency(tmp_path, capsys):
 def test_axioms_enumerating_checks_above_m8_exit_3(check, tmp_path, capsys, monkeypatch):
     # refused before a random profile is drawn or a loaded one is solved:
     # at m = 9 one efficiency check takes seconds
-    from rankfair import cli, sampling
+    from rankfair import axioms, sampling
 
     def never(*args, **kwargs):
         raise AssertionError("past the guard")
 
     monkeypatch.setattr(sampling, "make_rng", never)
-    monkeypatch.setattr(cli, "solve_brute_force", never)
+    monkeypatch.setattr(axioms, "solve_brute_force", never)
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"m": 9, "entries": [
         {"order": list(range(9)), "weight": "1/2"},
@@ -869,3 +869,103 @@ def test_experiment_non_integer_param_exit_4(name, param, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err == f"error: parameter {key} must be an integer, got {value!r}\n"
+
+
+def test_alpha_curve_experiment_writes_the_bounds_csv(tmp_path, capsys):
+    # one curve writer: the experiment's CSV is `bounds --curve single`'s stdout
+    assert main(["bounds", "--curve", "single", "--m", "4"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["experiment", "--name", "AlphaCurve", "--param", "m=4",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "alpha_curve_m4.csv").read_bytes() == shown.encode()
+    capsys.readouterr()
+
+
+def test_axioms_participation_draws_the_joining_group_once(tmp_path, capsys, monkeypatch):
+    from rankfair import sampling
+
+    seeds = []
+
+    def counted(spec):
+        seeds.append(spec.seed)
+        return sample_profile(spec)
+
+    monkeypatch.setattr(sampling, "sample_profile", counted)
+    argv = ["axioms", "--check", "participation", "--random", "3", "--m", "3",
+            "--seed", "5", "--out", str(tmp_path / "part.json")]
+    assert main(argv) == 0
+    # three profiles, then the one group that joins each of them
+    assert seeds == [5, 6, 7, 5 + 777]
+    assert capsys.readouterr().out == ""
+
+
+def test_axioms_participation_above_m6_exit_3(tmp_path, capsys, monkeypatch):
+    # refused before a random profile or the joining group is drawn
+    from rankfair import sampling
+
+    def never(*args, **kwargs):
+        raise AssertionError("past the guard")
+
+    monkeypatch.setattr(sampling, "make_rng", never)
+    path = tmp_path / "p.json"
+    path.write_text(Profile.from_weights({tuple(range(7)): F(1)}).to_json())
+    for source in (["--random", "3", "--m", "7"], ["--profile", str(path)]):
+        code = main(["axioms", "--check", "participation", *source])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("guard:") and "m=6, got m=7" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("# DATA TYPE: soc", "# DATA TYPE soc", "line 2: expected '# DATA TYPE: soc'"),
+    ("# NUMBER ALTERNATIVES: 3", "# NUMBER ALTERNATIVES 3",
+     "line 3: expected '# NUMBER ALTERNATIVES: m'"),
+    ("# ALTERNATIVE NAME 1: apple", "# ALTERNATIVE NAME 1",
+     "line 4: expected '# ALTERNATIVE NAME i: name'"),
+    ("2: 3,2,1", "2: {1,2},3", "line 8: ties are not allowed in strict orders"),
+], ids=["data-type", "number-alternatives", "alternative-name", "ties"])
+def test_sample_preflib_malformed_line_exit_4(old, new, message, tmp_path, capsys):
+    path = tmp_path / "bad.soc"
+    path.write_text(SOC_DOC.replace(old, new))
+    assert main(["sample", "--preflib", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rules, sha256", [
+    ([], "3a1cccbb26cf9ecbd44811a62cb06c2a3d8afa833224fad6edec2087567bfd04"),
+    (["--with-rules", "kemeny"],
+     "35a521b88af0cd6cc3d43ab8b4c1bae95c58c200543229a8c676f9e009e62af6"),
+], ids=["default", "kemeny"])
+def test_embed_map_svg_bytes(rules, sha256, tmp_path, capsys):
+    # `rankfair embed --map` on the bundled profile_r1, one BLAS thread or two
+    path = tmp_path / "r1.json"
+    path.write_text(load_profile("profile_r1").to_json())
+    assert main(["embed", "--map", str(path), *rules]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("name, params, dataset", [
+    ("CityRanking", ["--param", "budget=1000"], "cities"),
+    ("HotelInterpolation", [], "hotels"),
+], ids=["CityRanking", "HotelInterpolation"])
+def test_experiment_reads_its_dataset_once(name, params, dataset, tmp_path, capsys,
+                                           monkeypatch):
+    from rankfair import experiments
+
+    read = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        read.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    def fraction_loop(*args, **kwargs):
+        raise AssertionError("scored with the Fraction reference loop")
+
+    experiments._data_text.cache_clear()  # as in a fresh process
+    monkeypatch.setattr(Path, "read_text", counted)
+    # the city rankings are scored with the integer kernel
+    monkeypatch.setattr(Profile, "power_cost", fraction_loop)
+    assert main(["experiment", "--name", name, "--out", str(tmp_path), *params]) == 0
+    assert read == [f"{dataset}.json"]
+    capsys.readouterr()

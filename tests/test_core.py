@@ -193,6 +193,26 @@ def test_profile_constructor_reads_like_from_weights():
         Profile({(0, 0, 1): F(1)}, 3)
 
 
+@pytest.mark.parametrize("weight, message", [
+    (True, "malformed profile entry: weights must be numbers or strings, not booleans: True"),
+    (False, "malformed profile entry: weights must be numbers or strings, not booleans: False"),
+    (float("nan"), "malformed profile entry: cannot convert NaN to integer ratio"),
+    (float("inf"), "profile weight is not a finite rational: cannot convert Infinity to integer ratio"),
+    ("1/0", "profile weight is not a finite rational: Fraction(1, 0)"),
+    (None, "malformed profile entry: argument should be a string or a Rational instance"),
+], ids=["True", "False", "nan", "inf", "1/0", "None"])
+def test_every_constructor_reads_weights_like_from_json(weight, message):
+    # one reader for all three constructors: the same DataError, read before
+    # the malformed order beside it is checked
+    rows = [((0, 0), "1/2"), ((0, 1), weight)]
+    doc = json.dumps({"entries": [{"order": list(r), "weight": w} for r, w in rows]})
+    for build in (lambda: Profile(dict(rows), 2), lambda: Profile.from_weights(rows),
+                  lambda: Profile.from_json(doc)):
+        with pytest.raises(DataError) as info:
+            build()
+        assert type(info.value) is DataError and str(info.value) == message
+
+
 profile_orders = st.integers(2, 4).flatmap(
     lambda m: st.lists(st.permutations(range(m)).map(tuple), min_size=1, max_size=6)
 )

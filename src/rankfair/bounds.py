@@ -256,23 +256,24 @@ def worst_profile_single_ranking(
     `witness` and `alpha_exact` are None.  A round that is not Optimal, a
     numerical breakdown, raises DataError, and a focal or target ranking
     of other than m alternatives DimensionError.  Guarded at
-    m=LP_GUARD_M, like every worst-case program.
+    m=LP_GUARD_M, like every worst-case program, before anything else.
     """
+    _check_m(m)
     focal = as_ranking(focal) if focal is not None else identity_ranking(m)
     target = as_ranking(target) if target is not None else reverse_ranking(focal)
     for name, r in (("focal", focal), ("target", target)):
         if len(r) != m:
             raise DimensionError(f"{name} {r} ranks {len(r)} alternatives, not m={m}")
     rankings, dist, G = _margins(m, target)
-    n = len(rankings)
-    obj = np.zeros(n)
+    obj = np.zeros(len(rankings))
     obj[rankings.index(focal)] = 1.0
     active = np.flatnonzero(dist == 1).tolist()
+    lp = _optimality_program(obj, G, active)
     # round 1 starts at the point mass on the target, a feasible and
-    # nondegenerate vertex: the target's weight is basic in the sum row and
-    # each competitor row's slack, G[t, j] = d(t, j)^2 > 0, in its own row
-    basis = [rankings.index(target), *range(n, n + len(active))]
-    live = LiveTableau(_optimality_program(obj, G, active), basis)
+    # nondegenerate vertex: the target's weight is basic in the sum row (the
+    # = row, with no slack) and each competitor row's slack,
+    # G[t, j] = d(t, j)^2 > 0, in its own row
+    live = LiveTableau(lp, np.where(lp.slacks < 0, rankings.index(target), lp.slacks))
     rounds, work = 0, LpWork()
     while True:
         sol = live.solve()

@@ -163,7 +163,7 @@ def _int_param(spec: ExperimentSpec, key: str, default: int) -> int:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 

@@ -21,7 +21,9 @@ by steepest edge) simplex each supply only a pivot rule to one pivot
 loop, `_pivot_loop`, which pivots and counts through `_step`,
 refactorizes through `_refresh` at a fixed cadence and before it accepts
 a verdict other than Optimal, and switches to Bland's rule after a
-streak of degenerate pivots.
+streak of degenerate pivots.  Every least ratio comes from one ratio
+test, `_least_ratio`, and every row's slack column from one map,
+`LinearProgram.slacks`.
 `solve_lp` is one solve of a new tableau; row generation keeps one
 between rounds and appends rows to it in the current basis
 (`LiveTableau.add_rows`); `parametric_rhs` runs its pass on the tableau
@@ -88,6 +90,13 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return len(self.objective)
+
+    @property
+    def slacks(self) -> np.ndarray:
+        """Each row's standard-form slack column (see `LpSolution.basis`),
+        -1 for an = row."""
+        has = self.rel != 0
+        return np.where(has, self.n - 1 + np.cumsum(has), -1)
 
     def add_row(self, coeffs, rel: str, rhs: float):
         self.add_rows([coeffs], rel, rhs)
@@ -246,50 +255,44 @@ def _simplex_phase(tab: LiveTableau, cost: np.ndarray) -> str:
 
     Entering variable: the column of most negative reduced cost (the
     first such, as `argmin` gives), under Bland's rule the first negative
-    one.  Leaving row: by `_primal_ratio_test` over the right-hand side.
+    one.  Leaving row: by `_least_ratio` of right-hand side to entry, under
+    Bland's rule to the smallest tied basic index.
     A column with no entry above PIVOT_TOL, on a freshly refactorized
     tableau, proves the program unbounded.
     """
-    T = tab.T
+    T, basis = tab.T, tab.basis
     m = T.shape[0] - 1
     reduced, rhs = T[-1, :-1], T[:m, -1]  # views: pivots update T in place
-    leave_for = _primal_ratio_test(tab)
+    ratios = np.empty(m)
 
     def choose(bland):
         # Bland's rule: the first column below -PIVOT_TOL, if any
         enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
         if reduced[enter] >= -PIVOT_TOL:
             return "Optimal"
-        step = leave_for(T[:m, enter], rhs, bland)
+        step = _least_ratio(rhs, T[:m, enter], ratios, basis if bland else None)
         return "Unbounded" if step is None else (step[0], enter, step[1])
 
     return _pivot_loop(tab, cost, choose)
 
 
-def _primal_ratio_test(tab: LiveTableau):
-    """The primal leaving rule on the tableau, as a function of the
-    entering column, the basic values it steps and bland, into a buffer
-    allocated once: the least ratio of value to entry over the entries
-    above PIVOT_TOL, ties (within PIVOT_TOL of the least) going to the
-    first row of largest entry, to keep the basis well conditioned, under
-    Bland's rule to the smallest basic index.  It gives (leaving row,
-    least ratio), or None when no entry is above PIVOT_TOL."""
-    basis, width = tab.basis, tab.T.shape[1]
-    ratios = np.empty(len(basis))
-
-    def leave_for(col: np.ndarray, values: np.ndarray, bland: bool):
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            return None
-        ratios.fill(np.inf)
-        np.divide(values, col, out=ratios, where=pos)
-        best = ratios.min()
-        tied = ratios <= best + PIVOT_TOL
-        if bland:
-            return int(np.where(tied, basis, width).argmin()), best
-        return int(np.where(tied, col, -np.inf).argmax()), best
-
-    return leave_for
+def _least_ratio(num: np.ndarray, den: np.ndarray, ratios: np.ndarray, keys=None):
+    """(entry, least ratio) of num/den over the entries with den above
+    PIVOT_TOL, computed into the buffer `ratios`; None if there are none.
+    Ratios within PIVOT_TOL of the least tie, and a tie goes to the first
+    entry of largest den, to keep the basis well conditioned, or under
+    Bland's rule (`keys` given) to the smallest key: the basic index of a
+    leaving row, the index of an entering column."""
+    pos = den > PIVOT_TOL
+    if not pos.any():
+        return None
+    ratios.fill(np.inf)
+    np.divide(num, den, out=ratios, where=pos)
+    best = ratios.min()
+    tied = ratios <= best + PIVOT_TOL
+    if keys is None:
+        return int(np.where(tied, den, -np.inf).argmax()), best
+    return int(np.where(tied, keys, np.inf).argmin()), best
 
 
 # the dual phase raises each nonbasic reduced cost by PERTURBATION times a
@@ -303,36 +306,28 @@ def _dual_ratio_test(tab: LiveTableau):
     """The dual simplex's entering rule on the tableau, as a function of
     the leaving row and of bland, into buffers allocated once.
 
-    Entering column: the smallest ratio of reduced cost to |entry| over
-    the leaving row's negative entries, ties (ratios within PIVOT_TOL of
-    the least) going to the first column of largest |entry|, under
-    Bland's rule to the first tied column.  A reduced cost that rounding
-    left below zero counts as zero; if the entering column's own would
-    make the dual step fall below -PIVOT_TOL, undoing dual progress, its
-    cost is shifted to make it zero, and the shift is counted.  The
-    function gives (entering column, least ratio), or None when the row
-    has no negative entry.
+    Entering column: by `_least_ratio` of reduced cost to |entry| over the
+    leaving row's negative entries, under Bland's rule to the smallest
+    tied column.  A reduced cost that rounding left below zero counts as
+    zero; if the entering column's own would make the dual step fall
+    below -PIVOT_TOL, undoing dual progress, its cost is shifted to make
+    it zero, and the shift is counted.  The function gives (entering
+    column, least ratio), or None when the row has no negative entry.
     """
     T = tab.T
     cost = T[-1, :-1]  # a view: pivots update T in place
     reduced, size, ratios = (np.empty(T.shape[1] - 1) for _ in range(3))
+    columns = np.arange(T.shape[1] - 1)
 
     def enter_for(leave: int, bland: bool):
         row = T[leave, :-1]
-        np.negative(row, out=size)
-        neg = size > PIVOT_TOL
-        if not neg.any():
-            return None
-        np.maximum(cost, 0.0, out=reduced)
-        ratios.fill(np.inf)
-        np.divide(reduced, size, out=ratios, where=neg)
-        best = ratios.min()
-        tied = ratios <= best + PIVOT_TOL
-        enter = int(tied.argmax() if bland else np.where(tied, size, -np.inf).argmax())
-        if cost[enter] < PIVOT_TOL * row[enter]:
-            cost[enter] = 0.0
+        step = _least_ratio(np.maximum(cost, 0.0, out=reduced),
+                            np.negative(row, out=size), ratios,
+                            columns if bland else None)
+        if step is not None and cost[step[0]] < PIVOT_TOL * row[step[0]]:
+            cost[step[0]] = 0.0
             tab.stats["cost_shifts"] += 1
-        return enter, best
+        return step
 
     return enter_for
 
@@ -396,22 +391,22 @@ def _standard_form(lp: LinearProgram, rows=slice(None), cold: bool = False,
     """lp's rows `rows` in standard form [A | b], written into the first
     rows of `out` or of a new array with a zero cost row below them: that
     array, and each row's unit column, which can start basic (its
-    artificial, else its slack, if it has either).
+    artificial, else its slack, else -1).
 
     A row is first flipped (its sign -1) to a nonnegative right-hand side,
     and a >= row with zero rhs to <= form, so its slack can start basic;
     its slack's sign is its relation's (see `_SLACK_SIGN`) times its own.
     The columns are the structural variables, then one slack per row of lp
-    that has one (every row but an equality, in lp's row order), then, in
-    a `cold` build of every row, one artificial per row whose slack cannot
-    start basic (a >= or = row, once flipped), then b.  A new array is
-    guarded at TABLEAU_GUARD_BYTES before it is allocated.
+    that has one (every row but an equality, at `LinearProgram.slacks`),
+    then, in a `cold` build of every row, one artificial per row whose
+    slack cannot start basic (a >= or = row, once flipped), then b.  A new
+    array is guarded at TABLEAU_GUARD_BYTES before it is allocated.
     """
     n, rel, rhs = lp.n, lp.rel[rows], lp.b[rows]
     sign = np.where(np.where(rhs == 0, rel, rhs) < 0, -1.0, 1.0)
     slack = rel * sign
     m, art_at = len(rhs), n + int(np.count_nonzero(lp.rel))
-    unit = n - 1 + np.cumsum(lp.rel != 0)[rows]
+    unit = lp.slacks[rows]
     art = np.flatnonzero(slack != 1) if cold else ()
     if out is None:
         _guard(m, art_at + len(art) + 1)
@@ -621,8 +616,8 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     gamma is the tableau column of the row's slack, so F is linear with
     slope c_B gamma (the slack's reduced cost).  t falls to the next
     breakpoint, or to 0 if that comes first, where the first basic value
-    reaches zero: the row that `_primal_ratio_test` picks over beta
-    clipped at zero.  That row leaves the basis by one dual simplex pivot
+    reaches zero: the row that `_least_ratio` picks over beta clipped at
+    zero.  That row leaves the basis by one dual simplex pivot
     (`_dual_ratio_test`), which keeps the basis optimal below it.  Pivots on
     `_pivot_loop`, with its refactorization cadence and its switch to
     Bland's rule after a streak of pivots at a breakpoint already reached;
@@ -644,11 +639,11 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     _refresh(tab, tab.cost)
     T, basis = tab.T, tab.basis
     m = len(basis)
-    s = lp.n + int(np.count_nonzero(lp.rel[:row]))  # the row's slack column
+    s = int(lp.slacks[row])
     objective = np.pad(lp.objective, (0, T.shape[1] - 1 - lp.n))
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
-    clipped = np.empty(m)
-    leave_for, enter_for = _primal_ratio_test(tab), _dual_ratio_test(tab)
+    clipped, ratios = np.empty(m), np.empty(m)
+    enter_for = _dual_ratio_test(tab)
     # F at the breakpoints and its slope between them, t falling, as Python
     # floats (t itself is a numpy scalar); F and the slopes come from the
     # true objective, since a cost shift leaves the cost row off by up to
@@ -658,7 +653,8 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
 
     def choose(bland):
         t = rhs[row]
-        leaving = leave_for(gamma, np.maximum(beta, 0.0, out=clipped), bland)
+        leaving = _least_ratio(np.maximum(beta, 0.0, out=clipped), gamma, ratios,
+                               basis if bland else None)
         step = t if leaving is None else min(leaving[1], t)
         if step > 0:
             c_b = objective[basis]

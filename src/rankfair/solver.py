@@ -152,8 +152,9 @@ def _voter_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
 
     Voter v, with pair signs x_v, is (P - x_v.F[b] - t.x_v[cols[b]]) / 2
     from the block's ranking whose suffix has pair signs t: the offset
-    (P - X F[b]) / 2, one product per block, plus signs @ (-votes / 2),
-    halves of integers below 64, exact in float32, which BLAS multiplies.
+    (P - X F[b]) / 2, one product per block, plus signs @ (-votes / 2):
+    every partial sum is a half-integer of magnitude at most P, exact in
+    float32 while P < 2^23, which BLAS multiplies.
     """
     dtype = ic.dtype(p)
     nums = np.array(ic.nums, dtype=dtype)
@@ -283,20 +284,11 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
 
 def _best_input(ic: IntCost, p: int) -> tuple[int, Ranking]:
     """The least integer cost of a support ranking, and the first support
-    ranking with it.
-
-    Every support ranking is scored against the whole support at once:
-    two rankings with pair signs x and y are d = (P - x.y) / 2 apart, a dot
-    product of P signs, exact in float64.  Row blocks bound the memory.
-    """
-    X = ic.signs.astype(np.float64)
-    nums = np.array(ic.nums, dtype=ic.dtype(p))
-    rows = max(1, _BLOCK_ENTRIES // len(nums))
-    costs = np.concatenate([
-        ((X.shape[1] - X[s : s + rows] @ X.T) / 2).astype(np.int64).astype(
-            nums.dtype, copy=False) ** p @ nums
-        for s in range(0, len(nums), rows)
-    ])
+    ranking with it: the support scored against itself by `_voter_costs`,
+    as one block with no prefix (F = 0, every pair a suffix pair)."""
+    P = ic.signs.shape[1]
+    costs = next(_voter_costs(ic, p, np.zeros((1, P)), np.arange(P)[None],
+                              ic.signs.astype(np.float32)))
     v = int(np.argmin(costs))
     return int(costs[v]), ic.supp[v]
 

@@ -145,6 +145,9 @@ def test_worst_profile_guard():
     for program in (worst_profile_single_ranking, alpha_curve, worst_group_curve):
         with pytest.raises(GuardError, match="m=5"):
             program(6)
+    # before the focal's length is checked
+    with pytest.raises(GuardError, match="m=5"):
+        worst_profile_single_ranking(6, (0, 1, 2))
 
 
 def test_group_curve_checks_m_without_the_margins(monkeypatch):
@@ -161,7 +164,10 @@ def test_group_curve_checks_m_without_the_margins(monkeypatch):
         worst_group_curve(6, [0.5])
 
 
-@pytest.mark.parametrize("curve", [alpha_curve, worst_group_curve])
+# the single-ranking program too: its default focal and target are built
+# after the check
+@pytest.mark.parametrize("curve", [alpha_curve, worst_group_curve,
+                                   worst_profile_single_ranking])
 def test_worst_case_curve_refuses_m_before_building_a_ranking(curve):
     tracemalloc.start()
     try:

@@ -760,6 +760,8 @@ def test_experiment_runs_end_to_end(name, params, keys, artifacts, tmp_path, cap
     assert set(report) == keys
     assert {p.name for p in out.iterdir()} == artifacts | {"manifest.json"}
     assert all((out / a).stat().st_size > 0 for a in artifacts)
+    # every artifact ends its lines in \n alone
+    assert not any(b"\r" in (out / a).read_bytes() for a in artifacts)
     if name == "HotelInterpolation":
         # the paper's hotel example: as the price weight falls, the squared
         # cost output moves from the price ranking to the score ranking one

@@ -555,6 +555,7 @@ def test_bad_start_basis_is_data_error():
     lp.add_row([1.0, 1.0], ">=", 1.0)  # slack column 2
     lp.add_row([1.0, 0.0], "<=", 3.0)  # slack column 3
     lp.add_row([0.0, 1.0], "<=", 3.0)  # slack column 4
+    assert lp.slacks.tolist() == [2, 3, 4]
     assert solve_lp(lp).objective_value == pytest.approx(6.0)
     # the all-slack basis has slack 2 at -1 and negative reduced costs
     with pytest.raises(DataError, match="neither primal nor dual feasible"):
@@ -567,6 +568,16 @@ def test_bad_start_basis_is_data_error():
     for bad in ([2, 3], [2, 3, 4, 0], [2, 3, 5], [-1, 3, 4]):
         with pytest.raises(DataError, match="start basis"):
             solve_lp(lp, bad)
+    # an = row has no slack column, and the rows after it number on: the
+    # map itself is no basis, since the = row's -1 is no column
+    lp.add_row([1.0, -1.0], "=", 0.0)
+    lp.add_row([1.0, 1.0], "<=", 6.0)  # slack column 5
+    assert lp.slacks.tolist() == [2, 3, 4, -1, 5]
+    with pytest.raises(DataError, match="start basis"):
+        solve_lp(lp, lp.slacks)
+    # the optimum x = y = 3 as a start: y basic in the = row, x in slack
+    # 3's row, slacks 2, 4 and 5 in their own
+    assert solve_lp(lp, [2, 0, 4, 1, 5]).objective_value == pytest.approx(6.0)
 
 
 @contextmanager

@@ -196,16 +196,12 @@ def _margins(m: int, target: Ranking
 
 
 def _optimality_program(obj: np.ndarray, G: np.ndarray, cols) -> LinearProgram:
-    """max obj . x over x >= 0 whose first len(G) entries, the weights w,
-    sum to 1, with one row w . G[:, j] >= 0 per competitor j in cols.  Rows
-    are zero-padded to len(obj), so a program can add variables and rows;
-    they are built and validated as one block."""
-    rows = np.zeros((len(cols) + 1, len(obj)))
-    rows[0, : len(G)] = 1.0
-    rows[1:, : len(G)] = G[:, cols].T
+    """max obj . x over x >= 0, one variable per row of G, with sum(x) = 1
+    and one row x . G[:, j] >= 0 per competitor j in cols: the weights x
+    keep the target optimal against every competitor in cols."""
     lp = LinearProgram(obj, sense="max")
-    lp.add_rows(rows[:1], "=", 1.0)
-    lp.add_rows(rows[1:], ">=", 0.0)
+    lp.add_rows(np.ones((1, len(G))), "=", 1.0)
+    lp.add_rows(G[:, cols].T, ">=", 0.0)
     return lp
 
 
@@ -374,23 +370,19 @@ class _GroupPieces(NamedTuple):
 
 @functools.cache
 def _group_pieces(m: int) -> _GroupPieces:
-    """F(alpha), the largest total distance sum_i d_i g_i of a group g <= w
-    of weight at most alpha, over the profiles w that keep the identity
-    ranking optimal, d_i being ranking i's distance to the identity:
-    traced for alpha from 1 down to 0 by one parametric pass, once per m.
-    Its pieces and keys are tuples of floats, since every caller shares
-    them.  The group g = 0 keeps the program feasible down to alpha = 0."""
+    """F(alpha), the largest total distance sum_i d_i g_i of a group g of
+    weight at most alpha inside a profile g + h, h >= 0, that keeps the
+    identity optimal, d_i being ranking i's distance to the identity: m! + 1
+    rows (the sum row, m! - 1 competitors, sum(g) <= alpha), traced for
+    alpha from 1 down to 0 by one parametric pass, once per m.  Its pieces
+    and keys are tuples of floats, since every caller shares them.  The
+    group g = 0 keeps the program feasible down to alpha = 0."""
     rankings, dist, G = _margins(m, identity_ranking(m))
     n = len(rankings)
-    # variables: the weights w_0..w_{n-1}, then the group g_0..g_{n-1}
-    lp = _optimality_program(np.concatenate([np.zeros(n), dist]), G,
+    # variables: the group g_0..g_{n-1}, then the rest h_0..h_{n-1}
+    lp = _optimality_program(np.r_[dist, np.zeros(n)], np.vstack([G, G]),
                              np.flatnonzero(dist))
-    rows = np.zeros((n + 1, 2 * n))
-    rows[np.arange(n), np.arange(n)] = -1.0
-    rows[np.arange(n), n + np.arange(n)] = 1.0
-    rows[n, n:] = 1.0
-    lp.add_rows(rows[:n], "<=", 0.0)  # g_i <= w_i
-    lp.add_rows(rows[n:], "<=", 1.0)  # sum(g) <= alpha, from alpha = 1
+    lp.add_rows(np.r_[np.ones(n), np.zeros(n)][None], "<=", 1.0)  # sum(g) <= alpha, from 1
     traced = parametric_rhs(lp, len(lp.b) - 1)
     # breakpoint 0 is alpha = 0
     keys = tuple(-f / a for a, f in zip(traced.breakpoints[1:], traced.values[1:]))

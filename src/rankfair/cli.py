@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_DATA = 4
+_RULE_POWER = {"kemeny": 1, "sqk": 2}  # the named rules' cost exponents
 
 
 def _read_text(path: str) -> str:
@@ -107,7 +108,7 @@ def _aggregate_doc(profile: Profile, res, p: int) -> dict:
     ic = profile.int_cost()
     key = " ".join(["%d"] * profile.m).__mod__  # "2 0 1" for (2, 0, 1)
     doc = {
-        "rule": {1: "kemeny", 2: "sqk"}.get(p, f"power-{p}"),
+        "rule": next((r for r, q in _RULE_POWER.items() if q == p), f"power-{p}"),
         "status": res.status,
         "method": res.method,
         "cost": str(res.cost),
@@ -123,7 +124,7 @@ def _aggregate_doc(profile: Profile, res, p: int) -> dict:
 
 def cmd_aggregate(args) -> int:
     profile = _load_profile(args.profile, args.normalize)
-    p = 1 if args.rule == "kemeny" else (2 if args.rule == "sqk" else args.power)
+    p = _RULE_POWER.get(args.rule, args.power)
     spec = CostSpec(p)
     ilp = emit_ilp(profile, spec) if args.emit_ilp else None
     with _removed_on_failure(args.out, args.emit_ilp):
@@ -208,7 +209,10 @@ def cmd_sample(args) -> int:
 
     if args.preflib:
         profile = parse_preflib(_read_text(args.preflib))
-        if args.restrict:
+        if args.restrict is not None:
+            if not 2 <= args.restrict <= profile.m:
+                raise DataError(f"--restrict keeps 2 to {profile.m} of the profile's "
+                                f"alternatives, got {args.restrict}")
             rng = make_rng(args.seed)
             keep = sorted(rng.choice(profile.m, size=args.restrict, replace=False).tolist())
             profile = restrict_profile(profile, keep)
@@ -245,7 +249,7 @@ def cmd_embed(args) -> int:
     profile = _load_profile(args.map)
     winners = {}
     for rule in args.with_rules.split(",") if args.with_rules else ["sqk", "kemeny"]:
-        p = {"sqk": 2, "kemeny": 1}.get(rule)
+        p = _RULE_POWER.get(rule)
         if p is None:
             raise DataError(f"unknown rule {rule!r}")
         winners[rule] = solve(profile, CostSpec(p)).winners

@@ -617,15 +617,16 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     slope c_B gamma (the slack's reduced cost).  t falls to the next
     breakpoint, or to 0 if that comes first, where the first basic value
     reaches zero: the row that `_least_ratio` picks over beta clipped at
-    zero.  That row leaves the basis by one dual simplex pivot
-    (`_dual_ratio_test`), which keeps the basis optimal below it.  Pivots on
-    `_pivot_loop`, with its refactorization cadence and its switch to
-    Bland's rule after a streak of pivots at a breakpoint already reached;
-    a leaving row with no negative entry, on a freshly refactorized
-    tableau, ends the pass where the program turns infeasible.  The
-    tableau's counters, frozen into an `LpWork`, are the pass's work.  A
-    row that is not <= with positive right-hand side, or a start that is
-    not Optimal with a basis, raises DataError.
+    zero; a breakpoint within PIVOT_TOL of 0 is 0.  That row leaves the
+    basis by one dual simplex pivot (`_dual_ratio_test`), which keeps the
+    basis optimal below it.  Pivots on `_pivot_loop`, with its
+    refactorization cadence and its switch to Bland's rule after a streak
+    of pivots at a breakpoint already reached; a leaving row with no
+    negative entry, on a freshly refactorized tableau, ends the pass where
+    the program turns infeasible.  The tableau's counters, frozen into an
+    `LpWork`, are the pass's work.  A row that is not <= with positive
+    right-hand side, or a start that is not Optimal with a basis, raises
+    DataError.
     """
     if not (0 <= row < len(lp.b) and lp.rel[row] > 0 and lp.b[row] > 0):
         raise DataError(f"row {row} is not a <= row with positive right-hand side")
@@ -655,7 +656,7 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
         t = rhs[row]
         leaving = _least_ratio(np.maximum(beta, 0.0, out=clipped), gamma, ratios,
                                basis if bland else None)
-        step = t if leaving is None else min(leaving[1], t)
+        step = t if leaving is None or leaving[1] >= t - PIVOT_TOL else leaving[1]
         if step > 0:
             c_b = objective[basis]
             slope = float(c_b @ gamma)

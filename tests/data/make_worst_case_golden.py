@@ -1,6 +1,6 @@
 """Write worst_case_golden.json: the exact single-ranking optimum of every
 m = 4 and m = 5 target, and the points of `alpha_curve(4)`,
-`alpha_curve(5)` and `worst_group_curve(4)`.
+`alpha_curve(5)` and `worst_group_curve(m)` for m = 3, 4 and 5.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/make_worst_case_golden.py
 
@@ -33,7 +33,7 @@ def write_golden() -> None:
             for t in itertools.permutations(range(m))
         }
     golden["alpha_curve"] = {str(m): alpha_curve(m).points for m in (4, 5)}
-    golden["worst_group_curve"] = {"4": worst_group_curve(4).points}
+    golden["worst_group_curve"] = {str(m): worst_group_curve(m).points for m in (3, 4, 5)}
     OUT.write_text(json.dumps(golden, indent=1) + "\n")
 
 

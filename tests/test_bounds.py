@@ -408,11 +408,11 @@ ROW_GENERATION_RECORD = {
 # pass's own work after it (degenerate: pivots at a breakpoint already
 # reached) and the pieces it traced.  The same with one and two BLAS threads
 GROUP_PASS_RECORD = dict(
-    start=LpWork(pivots=48, degenerate_pivots=30, bland_pivots=0, cost_shifts=0,
+    start=LpWork(pivots=24, degenerate_pivots=11, bland_pivots=0, cost_shifts=0,
                  refactorizations=0),
-    walk=LpWork(pivots=87, degenerate_pivots=53, bland_pivots=0, cost_shifts=0,
+    walk=LpWork(pivots=86, degenerate_pivots=54, bland_pivots=0, cost_shifts=0,
                 refactorizations=1),
-    pieces=35,
+    pieces=33,
 )
 
 
@@ -465,17 +465,26 @@ def test_row_generation_curves_match_golden(golden):
     # the exact optima are pinned above; the curves are pinned float for float
     for m in (4, 5):
         assert alpha_curve(m).points == tuple(map(tuple, golden["alpha_curve"][str(m)]))
-    assert worst_group_curve(4).points == tuple(map(tuple, golden["worst_group_curve"]["4"]))
+    for m in (3, 4, 5):
+        assert worst_group_curve(m).points == tuple(map(tuple, golden["worst_group_curve"][str(m)]))
 
 
 def _group_program(m, q):
     """One q's group program, as worst_group_curve solved it before the
     parametric pass: the largest group weight at mean distance >= q * dmax
-    from the identity, over the profiles that keep the identity optimal."""
-    rankings, dist, G = _margins(m, tuple(range(m)))
+    from the identity, over the profiles that keep the identity optimal.
+    Built here, with the weights w and a group g <= w as its variables, so
+    it shares no code with the program `_group_pieces` solves."""
+    rankings = list(itertools.permutations(range(m)))
     n = len(rankings)
-    lp = _optimality_program(np.r_[np.zeros(n), np.ones(n)], G, np.flatnonzero(dist))
-    _add_unhappy_group_rows(lp, n, dist, q * max_swap_distance(m))
+    D = swap_distance_matrix(rankings).astype(float)
+    sq = D * D
+    lp = LinearProgram(np.r_[np.zeros(n), np.ones(n)], sense="max")
+    lp.add_rows(np.r_[np.ones(n), np.zeros(n)][None], "=", 1.0)
+    # the identity, first in lexicographic order, beats every competitor j
+    G = np.delete(sq - sq[:, :1], 0, axis=1)
+    lp.add_rows(np.c_[G.T, np.zeros_like(G.T)], ">=", 0.0)
+    _add_unhappy_group_rows(lp, n, D[:, 0], q * max_swap_distance(m))
     return lp
 
 
@@ -498,27 +507,45 @@ def test_group_curve_matches_highs_per_q(m, grid):
 
 
 def test_group_pieces_are_shared_read_only_and_concave():
-    cached = _group_pieces(4)
-    assert _group_pieces(4) is cached
-    pieces = cached.traced
-    # the lookups every request reads, held once: tuples of Python floats
-    # (numpy scalars would make each request's arithmetic slower), and the
-    # bisection keys -F/alpha past alpha = 0, nondecreasing since F is concave
-    lookups = (pieces.breakpoints, pieces.values, pieces.slopes, cached.keys)
-    assert all(type(t) is tuple for t in lookups)
-    assert all(type(v) is float for t in lookups for v in t)
-    assert cached._fields == ("traced", "keys")
-    alphas, values, slopes = (np.array(t) for t in lookups[:3])
-    assert cached.keys == tuple((-values[1:] / alphas[1:]).tolist())
-    assert all(a <= b for a, b in zip(cached.keys, cached.keys[1:]))
-    assert alphas[0] == 0.0 and alphas[-1] == 1.0 and (np.diff(alphas) > 0).all()
-    # F(0) = 0 and F is concave: each piece ends where the next starts, and
-    # the slopes fall as alpha grows, from the farthest ranking's distance
-    assert abs(values[0]) <= 1e-12
-    assert np.allclose(values[:-1] + slopes * np.diff(alphas), values[1:], rtol=0, atol=1e-12)
-    assert (np.diff(slopes) <= 1e-9).all()
-    assert abs(slopes[0] - max_swap_distance(4)) <= 1e-9
-    assert abs(values[-1] - pieces.start.objective_value) <= 1e-12
+    for m in (3, 4, 5):
+        cached = _group_pieces(m)
+        assert _group_pieces(m) is cached
+        pieces = cached.traced
+        # the lookups every request reads, held once: tuples of Python floats
+        # (numpy scalars would make each request's arithmetic slower), and the
+        # bisection keys -F/alpha past alpha = 0, nondecreasing since F is concave
+        lookups = (pieces.breakpoints, pieces.values, pieces.slopes, cached.keys)
+        assert all(type(t) is tuple for t in lookups)
+        assert all(type(v) is float for t in lookups for v in t)
+        assert cached._fields == ("traced", "keys")
+        alphas, values, slopes = (np.array(t) for t in lookups[:3])
+        assert cached.keys == tuple((-values[1:] / alphas[1:]).tolist())
+        assert all(a <= b for a, b in zip(cached.keys, cached.keys[1:]))
+        # the pass ends at alpha = 0 exactly, with no sliver of a first piece
+        assert pieces.breakpoints[0] == 0.0
+        assert alphas[-1] == 1.0 and (np.diff(alphas) > 0).all()
+        # F(0) = 0 and F is concave: each piece ends where the next starts, and
+        # the slopes fall as alpha grows, from the farthest ranking's distance
+        assert abs(values[0]) <= 1e-12
+        assert np.allclose(values[:-1] + slopes * np.diff(alphas), values[1:], rtol=0, atol=1e-12)
+        assert (np.diff(slopes) <= 1e-9).all()
+        assert abs(slopes[0] - max_swap_distance(m)) <= 1e-9
+        assert abs(values[-1] - pieces.start.objective_value) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_group_pass_solves_one_row_per_ranking_and_the_group_row(m, monkeypatch):
+    # the group g and the rest h of the profile are the variables, so no
+    # g <= w rows: the sum row, the m! - 1 competitors and sum(g) <= alpha
+    seen = []
+    monkeypatch.setattr(bounds, "parametric_rhs",
+                        lambda prog, row: seen.append((prog, row)) or parametric_rhs(prog, row))
+    _group_pieces.cache_clear()
+    _group_pieces(m)
+    ((prog, row),) = seen
+    n = math.factorial(m)
+    assert prog.A.shape == (n + 1, 2 * n) and row == n
+    assert prog.A[row].tolist() == [1.0] * n + [0.0] * n
 
 
 def test_group_pass_work_record():
@@ -533,7 +560,7 @@ def test_group_pass_work_record():
 # cold solve and parametric pass: their count and the SHA-256 of the
 # sequence as little-endian int64 pairs.  The same with one and two BLAS
 # threads; a change to the simplex that keeps every pivot keeps this digest
-PIVOT_PATH = (2744 + 135, "681c944ef159c02145223bf6ce09cfa458dbaa7b18028d9b3674bb4e62d29371")
+PIVOT_PATH = (2744 + 110, "088be3036631bb24a2798b98a87dd17517a25ba313adee4991fedd5864a60a38")
 
 
 def test_row_generation_and_group_pass_pivot_path(monkeypatch):
@@ -555,7 +582,7 @@ def test_row_generation_and_group_pass_pivot_path(monkeypatch):
 
 
 def test_group_curve_m5_in_one_pass():
-    # one pass of about 0.4 s on one core, where one program per q took 13-16 s
+    # one pass of about 0.12 s on one core, where one program per q took 13-16 s
     _group_pieces.cache_clear()
     with _within(3):
         curve = worst_group_curve(5)

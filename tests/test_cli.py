@@ -801,6 +801,19 @@ def test_sample_preflib_restrict(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("k", [0, 1, -1, 4])
+def test_sample_preflib_restrict_out_of_range_exit_4(tmp_path, capsys, k):
+    # the tiny profile has 3 alternatives: keeping 0 or 1 of them, a
+    # negative count or more than 3 is refused before anything is drawn
+    path, out = tmp_path / "tiny.soc", tmp_path / "sub.json"
+    path.write_text(SOC_DOC)
+    argv = ["sample", "--preflib", str(path), "--restrict", str(k), "--out", str(out)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"--restrict keeps 2 to 3 of the profile's alternatives, got {k}" in captured.err
+
+
 def test_experiment_unknown_param_exit_4(tmp_path, capsys):
     code = main(["experiment", "--name", "AlphaCurve", "--out", str(tmp_path),
                  "--param", "grid=5"])

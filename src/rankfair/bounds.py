@@ -71,21 +71,20 @@ def mu_alpha(
     for each alpha in alphas.
 
     The maximizing group is found greedily: take weight from the farthest
-    support rankings first, splitting the boundary one.  In the integer
-    weights of `IntCost`, prefix sums of weight and of weight times
-    distance in that order give every alpha with one bisection.
+    support rankings first, splitting the boundary one.  In the profile's
+    integer weights, prefix sums of weight and of weight times distance in
+    that order give every alpha with one bisection.
     """
     alphas = [Fraction(a) for a in alphas]
     for a in alphas:
         if not 0 < a <= 1:
             raise DataError(f"alpha must lie in (0, 1], got {a}")
-    ic = profile.int_cost()
-    far = sorted(zip(ic.dists(as_ranking(cand)), ic.nums), reverse=True)
+    far = sorted(zip(profile.dists(as_ranking(cand)), profile.nums), reverse=True)
     weight = list(itertools.accumulate((w for _, w in far), initial=0))
     mass = list(itertools.accumulate((w * d for d, w in far), initial=0))
     out = []
     for a in alphas:
-        size = a * ic.denom
+        size = a * profile.denom
         # the first k rankings are taken whole, ranking k gives the rest
         k = bisect.bisect_left(weight, size) - 1
         out.append((mass[k] + (size - weight[k]) * far[k][0]) / size)

@@ -105,7 +105,6 @@ def _aggregate_json(doc: dict) -> str:
 
 def _aggregate_doc(profile: Profile, res, p: int) -> dict:
     """The JSON document of an aggregate answer."""
-    ic = profile.int_cost()
     key = " ".join(["%d"] * profile.m).__mod__  # "2 0 1" for (2, 0, 1)
     doc = {
         "rule": next((r for r, q in _RULE_POWER.items() if q == p), f"power-{p}"),
@@ -114,7 +113,8 @@ def _aggregate_doc(profile: Profile, res, p: int) -> dict:
         "cost": str(res.cost),
         "winners": [list(r) for r in res.winners],
         "ties_complete": res.ties_complete,
-        "per_input_distances": dict(zip(map(key, ic.supp), ic.dists(res.winner))),
+        "per_input_distances": dict(zip(map(key, profile.supp),
+                                        profile.dists(res.winner))),
     }
     if res.status != "Exact":
         doc["lower_bound"] = str(res.lower_bound)

@@ -2,8 +2,9 @@
 
 A ranking over m alternatives is a tuple of the alternative indices
 0..m-1, best first.  Weights are exact rationals: a profile keeps them as
-integers over a common denominator, which `IntCost`, the cost kernel every
-solver shares, scores with; no float ever enters a cost comparison.
+integers over a common denominator, and that integer form, with the pair
+signs of its support, is the cost kernel every solver scores with; no
+float ever enters a cost comparison.
 """
 
 from __future__ import annotations
@@ -186,9 +187,10 @@ def _read_weights(rows) -> list[tuple[object, tuple[int, int]]]:
 
 
 def _scaled_profile(rows, normalize: bool, m: int | None = None):
-    """A profile's integer form, (support, numerators, denominator, m), from
-    (order, (numerator, positive denominator)) rows as `_read_weights`
-    returns them; the one loader every `Profile` is built by.
+    """A profile's integer form, (support, numerators, denominator, m) with
+    the first two as tuples, from (order, (numerator, positive
+    denominator)) rows as `_read_weights` returns them; the one loader
+    every `Profile` is built by.
 
     Row by row, the order is checked (`as_ranking`), then its weight is
     refused if negative and dropped if zero.  The weights of repeated
@@ -217,35 +219,35 @@ def _scaled_profile(rows, normalize: bool, m: int | None = None):
     sums: dict[Ranking, int] = {}
     for r, num, den in kept:
         sums[r] = sums.get(r, 0) + num * (denom // den)
-    supp = sorted(sums)
-    nums = [sums[r] for r in supp]
-    if normalize and nums:
-        denom = sum(nums)
-    g = math.gcd(denom, *nums)
-    if g > 1:
-        nums = [n // g for n in nums]
-        denom //= g
-    return supp, nums, denom, m
+    supp = tuple(sorted(sums))
+    if normalize and supp:
+        denom = sum(sums.values())
+    g = math.gcd(denom, *sums.values())
+    nums = tuple(sums[r] // g for r in supp)
+    return supp, nums, denom // g, m
 
 
 class Profile:
     """Weighted multiset of rankings; weights are exact rationals summing to 1.
 
-    A profile is held in integers: the sorted support, each weight's
-    numerator over the least common denominator, and that denominator
-    (`scaled_int_weights`).  The constructor, `from_weights` and
-    `from_json` build this form straight from their input through one
-    weight reader, `_read_weights`, and one loader, `_scaled_profile`:
-    every weight is read as an exact rational (`Fraction` reads a float or
-    a string; a boolean is refused) before any order is checked, each
-    order must be a ranking over m, a zero weight is dropped and a
-    negative one refused.  Two profiles are equal when this form, m and
-    the labels are.  The `Fraction` weights by ranking, `entries`, are
-    made on first use, and so is the profile's `IntCost`, which every
-    solver shares (`int_cost`).  Profiles are immutable.
+    A profile is held in integers, and this form is the cost kernel every
+    solver scores with: `supp`, the sorted support (a tuple of rankings);
+    `nums`, each weight's numerator over the least common denominator (a
+    tuple of ints); and `denom`, that denominator.  `signs` adds the int8
+    table of the pair signs of the support, made on first use.  A
+    ranking's integer cost, sum(nums * d^p) over its swap distances d
+    (`scaled_cost`), is its exact cost times denom.  The constructor,
+    `from_weights` and `from_json` build this form straight from their
+    input through one weight reader, `_read_weights`, and one loader,
+    `_scaled_profile`: every weight is read as an exact rational
+    (`Fraction` reads a float or a string; a boolean is refused) before
+    any order is checked, each order must be a ranking over m, a zero
+    weight is dropped and a negative one refused.  Two profiles are equal
+    when this form, m and the labels are.  The `Fraction` weights by
+    ranking, `entries`, are made on first use.  Profiles are immutable.
     """
 
-    __slots__ = ("m", "labels", "_supp", "_nums", "_denom", "_entries", "_int_cost")
+    __slots__ = ("m", "labels", "supp", "nums", "denom", "_entries", "_signs")
 
     def __init__(
         self,
@@ -280,14 +282,14 @@ class Profile:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.m, self.labels, self._supp, self._nums, self._denom) == (
-            other.m, other.labels, other._supp, other._nums, other._denom
+        return (self.m, self.labels, self.supp, self.nums, self.denom) == (
+            other.m, other.labels, other.supp, other.nums, other.denom
         )
 
     __hash__ = None
 
     def __reduce__(self):  # copy and pickle without assigning fields
-        return Profile._scaled, (self._supp, self._nums, self._denom, self.m, self.labels)
+        return Profile._scaled, (self.supp, self.nums, self.denom, self.m, self.labels)
 
     def __repr__(self):
         return f"Profile(entries={self.entries!r}, m={self.m!r}, labels={self.labels!r})"
@@ -296,17 +298,24 @@ class Profile:
     def entries(self) -> dict[Ranking, Fraction]:
         """Weight by support ranking, as `Fraction`s (made on first use)."""
         if self._entries is None:
-            denom = self._denom
+            denom = self.denom
             object.__setattr__(self, "_entries", {
-                r: Fraction(n, denom) for r, n in zip(self._supp, self._nums)
+                r: Fraction(n, denom) for r, n in zip(self.supp, self.nums)
             })
         return self._entries
 
-    def int_cost(self) -> "IntCost":
-        """The profile's `IntCost`, made on first use and then shared."""
-        if self._int_cost is None:
-            object.__setattr__(self, "_int_cost", IntCost(self))
-        return self._int_cost
+    @property
+    def signs(self) -> np.ndarray:
+        """signs[v, k] = +1 if supp[v] puts i above j and -1 if not, for the
+        k-th pair i < j of `pair_indices` (int8, read-only, made on first
+        use): every scorer reads a voter's pairs from this one table."""
+        if self._signs is None:
+            n, m = len(self.supp), self.m
+            orders = np.fromiter(itertools.chain.from_iterable(self.supp), np.intp, n * m)
+            signs = pair_signs(np.argsort(orders.reshape(n, m), axis=1))
+            signs.flags.writeable = False
+            object.__setattr__(self, "_signs", signs)
+        return self._signs
 
     @staticmethod
     def from_weights(
@@ -326,7 +335,7 @@ class Profile:
         )
 
     def support(self) -> list[Ranking]:
-        return list(self._supp)
+        return list(self.supp)
 
     def weight(self, r: Ranking) -> Fraction:
         return self.entries.get(tuple(r), Fraction(0))
@@ -338,12 +347,57 @@ class Profile:
         if p < 1:
             raise DataError(f"exponent must be >= 1, got {p}")
         return Fraction(
-            sum(n * swap_distance(r, cand) ** p for r, n in zip(self._supp, self._nums)),
-            self._denom,
+            sum(n * swap_distance(r, cand) ** p for r, n in zip(self.supp, self.nums)),
+            self.denom,
         )
 
     def kemeny_cost(self, cand: Ranking) -> Fraction:
         return self.power_cost(cand, 1)
+
+    def cost_dtype(self, p: int):
+        """int64 while every integer cost formed, up to sum(nums) * dmax^p,
+        stays below 2^62, else object."""
+        worst = sum(self.nums) * max_swap_distance(self.m) ** p
+        return np.int64 if worst < 2**62 else object
+
+    def bound_dtype(self, p: int):
+        """The type `solve_bnb` forms its convex pair bound in.
+
+        float64, whose products run through BLAS, while every value formed
+        is an integer of magnitude at most N (P^p + P s) < 2^53, with
+        N = sum(nums), P = dmax and s = (P+1)^p - P^p the largest slope: the
+        slope-weighted votes and pair sums stay within P N s, the power and
+        tangent sums within N max(P^p, P s).  Otherwise int64 while the
+        bound's terms, up to (p+2) N (P+1)^p, stay below 2^62, else object.
+        """
+        N, P = sum(self.nums), max_swap_distance(self.m)
+        if N * (P**p + P * ((P + 1) ** p - P**p)) < 2**53:
+            return np.float64
+        return np.int64 if (p + 2) * N * (P + 1) ** p < 2**62 else object
+
+    def pair_weights(self) -> np.ndarray:
+        """W[a, b] = scaled weight of the support rankings that put a above b.
+
+        For a < b the pair's signed vote U = nums . signs splits the total
+        N as W[a, b] = (N + U) / 2 and W[b, a] = (N - U) / 2.
+        """
+        N, dtype = sum(self.nums), self.cost_dtype(1)
+        U = np.array(self.nums, dtype=dtype) @ self.signs.astype(dtype)
+        W = np.zeros((self.m, self.m), dtype=dtype)
+        i, j = pair_indices(self.m)
+        W[i, j], W[j, i] = (N + U) // 2, (N - U) // 2
+        return W
+
+    def dists(self, r: Ranking) -> list[int]:
+        """Swap distance from every support ranking to r: the pairs whose
+        signs differ."""
+        if len(r) != self.m:
+            raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
+        return (self.signs != pair_signs(np.argsort(r))).sum(axis=1).tolist()
+
+    def scaled_cost(self, r: Ranking, p: int) -> int:
+        """r's integer cost sum(nums * d^p): its `power_cost` times denom."""
+        return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
 
     def permute(self, tau: Ranking) -> "Profile":
         tau = as_ranking(tau)
@@ -355,18 +409,13 @@ class Profile:
             self.labels,
         )
 
-    def scaled_int_weights(self) -> tuple[list[Ranking], list[int], int]:
-        """Sorted support with weights as integers over their least common
-        denominator (fresh lists)."""
-        return list(self._supp), list(self._nums), self._denom
-
     def to_json(self) -> str:
         doc = {
             "m": self.m,
             "labels": list(self.labels) if self.labels is not None else None,
             "entries": [
-                {"order": list(r), "weight": str(Fraction(n, self._denom))}
-                for r, n in zip(self._supp, self._nums)
+                {"order": list(r), "weight": str(Fraction(n, self.denom))}
+                for r, n in zip(self.supp, self.nums)
             ],
         }
         if doc["labels"] is None:
@@ -398,69 +447,6 @@ class Profile:
             if m != prof.m:
                 raise DataError(f"declared m={m} but rankings have m={prof.m}")
         return prof
-
-
-class IntCost:
-    """A profile in integers, the one cost kernel every solver scores with.
-
-    supp is the sorted support, nums its weights scaled by their common
-    denominator denom (the profile's own form), and signs[v, k] = +1 if
-    supp[v] puts i above j and -1 if not, for the k-th pair i < j of
-    `pair_indices`: every scorer reads a voter's pairs from this one int8
-    table.  A ranking's integer cost, sum(nums * d^p) over its swap
-    distances d, is its exact cost times denom.
-    """
-
-    def __init__(self, profile: Profile):
-        self.m = profile.m
-        self.supp, self.nums, self.denom = profile.scaled_int_weights()
-        n = len(self.supp)
-        orders = np.fromiter(itertools.chain.from_iterable(self.supp), np.intp, n * self.m)
-        self.signs = pair_signs(np.argsort(orders.reshape(n, self.m), axis=1))
-
-    def dtype(self, p: int):
-        """int64 while every cost formed, up to sum(nums) * dmax^p, stays
-        below 2^62, else object."""
-        worst = sum(self.nums) * max_swap_distance(self.m) ** p
-        return np.int64 if worst < 2**62 else object
-
-    def bound_dtype(self, p: int):
-        """The type `solve_bnb` forms its convex pair bound in.
-
-        float64, whose products run through BLAS, while every value formed
-        is an integer of magnitude at most N (P^p + P s) < 2^53, with
-        N = sum(nums), P = dmax and s = (P+1)^p - P^p the largest slope: the
-        slope-weighted votes and pair sums stay within P N s, the power and
-        tangent sums within N max(P^p, P s).  Otherwise int64 while the
-        bound's terms, up to (p+2) N (P+1)^p, stay below 2^62, else object.
-        """
-        N, P = sum(self.nums), max_swap_distance(self.m)
-        if N * (P**p + P * ((P + 1) ** p - P**p)) < 2**53:
-            return np.float64
-        return np.int64 if (p + 2) * N * (P + 1) ** p < 2**62 else object
-
-    def pair_weights(self) -> np.ndarray:
-        """W[a, b] = scaled weight of the support rankings that put a above b.
-
-        For a < b the pair's signed vote U = nums . signs splits the total
-        N as W[a, b] = (N + U) / 2 and W[b, a] = (N - U) / 2.
-        """
-        N, dtype = sum(self.nums), self.dtype(1)
-        U = np.array(self.nums, dtype=dtype) @ self.signs.astype(dtype)
-        W = np.zeros((self.m, self.m), dtype=dtype)
-        i, j = pair_indices(self.m)
-        W[i, j], W[j, i] = (N + U) // 2, (N - U) // 2
-        return W
-
-    def dists(self, r: Ranking) -> list[int]:
-        """Swap distance from every support ranking to r: the pairs whose
-        signs differ."""
-        if len(r) != self.m:
-            raise DimensionError(f"candidate over m={len(r)}, profile m={self.m}")
-        return (self.signs != pair_signs(np.argsort(r))).sum(axis=1).tolist()
-
-    def cost(self, r: Ranking, p: int) -> int:
-        return sum(w * d**p for w, d in zip(self.nums, self.dists(r)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Exact and heuristic optimizers for power-of-swap-distance aggregation.
 
-All solvers compare integer costs: `IntCost` reads the profile's weights
-scaled by their common denominator, so ties are decided exactly, never by
-float rounding.
+All solvers compare integer costs: they read the profile's weights scaled
+by their common denominator (`Profile.nums` over `Profile.denom`) and the
+pair signs of its support (`Profile.signs`), so ties are decided exactly,
+never by float rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (IntCost, Profile, Ranking, as_ranking, max_swap_distance, pair_indices,
+from .core import (Profile, Ranking, as_ranking, max_swap_distance, pair_indices,
                    pair_signs, positions)
 from .errors import DataError, GuardError
 
@@ -145,7 +146,7 @@ def swap_distance_matrix(rankings: list[Ranking]) -> np.ndarray:
     return (S.shape[1] - (S @ S.T).astype(np.int64)) // 2
 
 
-def _voter_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
+def _voter_costs(profile: Profile, p: int, F: np.ndarray, cols: np.ndarray,
                  signs: np.ndarray):
     """Per block, the integer costs of its rankings (one buffer, refilled),
     from per-voter distances.
@@ -156,9 +157,9 @@ def _voter_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
     every partial sum is a half-integer of magnitude at most P, exact in
     float32 while P < 2^23, which BLAS multiplies.
     """
-    dtype = ic.dtype(p)
-    nums = np.array(ic.nums, dtype=dtype)
-    half = ic.signs.T * np.float32(-0.5)
+    dtype = profile.cost_dtype(p)
+    nums = np.array(profile.nums, dtype=dtype)
+    half = profile.signs.T * np.float32(-0.5)
     F = F.astype(np.float32)
     rows = max(1, _BLOCK_ENTRIES // (cols.shape[1] + len(nums)))
     total = np.empty(len(signs), dtype=dtype)
@@ -173,7 +174,7 @@ def _voter_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
         yield total
 
 
-def _moment_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
+def _moment_costs(profile: Profile, p: int, F: np.ndarray, cols: np.ndarray,
                   signs: np.ndarray):
     """Per block, 2^p times the integer costs of its rankings (p = 1 or 2; one
     buffer, refilled), from the profile's pair votes and pair-pair moments.
@@ -188,10 +189,10 @@ def _moment_costs(ic: IntCost, p: int, F: np.ndarray, cols: np.ndarray,
     is an integer of magnitude at most 4 P^2 N (P pairs, N = denom), exact
     in float64 while that stays below 2^53.
     """
-    X = ic.signs.astype(np.float64)
-    w = np.array(ic.nums, dtype=np.float64)
+    X = profile.signs.astype(np.float64)
+    w = np.array(profile.nums, dtype=np.float64)
     F = F.astype(np.float64)
-    P, N = X.shape[1], float(ic.denom)
+    P, N = X.shape[1], float(profile.denom)
     U = w @ X
     if p == 1:
         const = P * N - F @ U
@@ -248,25 +249,24 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
             f"brute force over {m}! rankings exceeds the guard ({BRUTE_FORCE_GUARD})"
         )
     p = cost.exponent
-    ic = profile.int_cost()
     pre, rest, cols, F = _blocks(m)
     orders, signs = _ranking_table(rest.shape[1])
     # a squared-cost moment product costs about as much as a per-voter one
     # with as many voters as suffix pairs
     P = max_swap_distance(m)
-    if (p == 1 or p == 2 and len(ic.nums) > cols.shape[1]) and (
-        4 * P * P * ic.denom < 2**53
+    if (p == 1 or p == 2 and len(profile.nums) > cols.shape[1]) and (
+        4 * P * P * profile.denom < 2**53
     ):
-        blocks, scale = _moment_costs(ic, p, F, cols, signs), 2**p
+        blocks, scale = _moment_costs(profile, p, F, cols, signs), 2**p
     else:
-        pairs = len(ic.nums) * math.factorial(m)
+        pairs = len(profile.nums) * math.factorial(m)
         if pairs > VOTER_PAIRS_GUARD:
             raise GuardError(
-                f"brute force scoring {len(ic.nums)} support rankings against "
+                f"brute force scoring {len(profile.nums)} support rankings against "
                 f"{m}! rankings one voter at a time ({pairs:,} pairs) exceeds "
                 f"the guard ({VOTER_PAIRS_GUARD:,})"
             )
-        blocks, scale = _voter_costs(ic, p, F, cols, signs), 1
+        blocks, scale = _voter_costs(profile, p, F, cols, signs), 1
     full = TIE_ENUMERATION_CAP + 1
     best, found = None, []
     for b, total in enumerate(blocks):
@@ -278,36 +278,35 @@ def solve_brute_force(profile: Profile, cost: CostSpec = CostSpec()) -> SolveRes
             hits = orders[total == low][: full - len(found)]
             found += (prefix + tuple(r) for r in rest[b][hits].tolist())
     cost = int(best) // scale
-    return _result(found, cost, cost, ic.denom, "brute_force", "Exact", tracked=True,
+    return _result(found, cost, cost, profile.denom, "brute_force", "Exact", tracked=True,
                    nodes=0)
 
 
-def _best_input(ic: IntCost, p: int) -> tuple[int, Ranking]:
+def _best_input(profile: Profile, p: int) -> tuple[int, Ranking]:
     """The least integer cost of a support ranking, and the first support
     ranking with it: the support scored against itself by `_voter_costs`,
     as one block with no prefix (F = 0, every pair a suffix pair)."""
-    P = ic.signs.shape[1]
-    costs = next(_voter_costs(ic, p, np.zeros((1, P)), np.arange(P)[None],
-                              ic.signs.astype(np.float32)))
+    P = profile.signs.shape[1]
+    costs = next(_voter_costs(profile, p, np.zeros((1, P)), np.arange(P)[None],
+                              profile.signs.astype(np.float32)))
     v = int(np.argmin(costs))
-    return int(costs[v]), ic.supp[v]
+    return int(costs[v]), profile.supp[v]
 
 
 def approx_best_input(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Best ranking among those appearing in the profile itself."""
-    return _best_input(profile.int_cost(), cost.exponent)[1]
+    return _best_input(profile, cost.exponent)[1]
 
 
 def approx_kemeny_seed(profile: Profile, cost: CostSpec = CostSpec()) -> Ranking:
     """Cheap starting candidate: positional-average order, locally improved."""
-    ic = profile.int_cost()
     # weighted sums of positions: a's place in a ranking counts those above it
-    avg = ic.pair_weights().sum(axis=0).tolist()
-    seed = as_ranking(sorted(range(ic.m), key=lambda a: (avg[a], a)))
+    avg = profile.pair_weights().sum(axis=0).tolist()
+    seed = as_ranking(sorted(range(profile.m), key=lambda a: (avg[a], a)))
     seed = local_search(profile, seed, cost)
     p = cost.exponent
-    best_cost, best_in = _best_input(ic, p)
-    return best_in if best_cost < ic.cost(seed, p) else seed
+    best_cost, best_in = _best_input(profile, p)
+    return best_in if best_cost < profile.scaled_cost(seed, p) else seed
 
 
 def local_search(
@@ -320,15 +319,14 @@ def local_search(
     swap is taken when it lowers the integer cost nums . d^p.
     """
     p = cost.exponent
-    ic = profile.int_cost()
-    dtype = ic.dtype(p)
-    nums = np.array(ic.nums, dtype=dtype)
-    X = ic.signs.T.astype(dtype)
-    col = np.zeros((ic.m, ic.m), dtype=np.intp)  # col[a, b]: the column of a < b
-    col[pair_indices(ic.m)] = np.arange(len(X))
+    dtype = profile.cost_dtype(p)
+    nums = np.array(profile.nums, dtype=dtype)
+    X = profile.signs.T.astype(dtype)
+    col = np.zeros((profile.m, profile.m), dtype=np.intp)  # col[a, b]: the column of a < b
+    col[pair_indices(profile.m)] = np.arange(len(X))
     col = col.tolist()
     cand = list(as_ranking(start))
-    d = np.array(ic.dists(cand), dtype=dtype)
+    d = np.array(profile.dists(cand), dtype=dtype)
     total = nums @ d**p
     improved = True
     while improved:
@@ -400,7 +398,7 @@ def solve_bnb(
     float64 through BLAS while every value formed is an integer of
     magnitude at most N (P^p + P s_P) < 2^53 (N = sum of the scaled
     weights, P = C(m, 2), s_P = (P+1)^p - P^p), else in int64 or Python
-    integers (`IntCost.bound_dtype`).  At p = 1 every slope is 1 and both
+    integers (`Profile.bound_dtype`).  At p = 1 every slope is 1 and both
     instances are the Kemeny pair bound, which a child placing c next
     raises by sum over the remaining j of E[j, c], E = W - min(W, W^T) on
     the pair weights W.  Below the root, a p = 1 node carries these column
@@ -431,23 +429,22 @@ def solve_bnb(
     if find_all_ties is None:
         find_all_ties = m <= 12
     full = TIE_ENUMERATION_CAP + 1
-    ic = profile.int_cost()
-    dtype = ic.bound_dtype(p)
+    dtype = profile.bound_dtype(p)
     # bounds come back as integers
     exact = np.int64 if dtype is np.float64 else dtype
-    w = np.array(ic.nums, dtype=dtype)
+    w = np.array(profile.nums, dtype=dtype)
     P = max_swap_distance(m)
     POW = np.array([d**p for d in range(P + 2)], dtype=dtype)
     SLOPE = POW[1:] - POW[:-1]
     # the tangent at t is t^p + s_t (d - t) = TAN[t] + s_t d
     TAN = POW[:-1] - np.arange(P + 1) * SLOPE
     if p == 1:
-        W = ic.pair_weights()
+        W = profile.pair_weights()
         E = W - np.minimum(W, W.T)
 
     seed = as_ranking(seed_candidate) if seed_candidate is not None else (
         approx_kemeny_seed(profile, cost))
-    T = np.array(ic.dists(seed))
+    T = np.array(profile.dists(seed))
     incumbent = int(POW[T] @ w)
     best: list[Ranking] = [seed]
 
@@ -495,7 +492,7 @@ def solve_bnb(
         return incumbent if find_all_ties and len(best) < full else incumbent - 1
 
     # the voters' pair signs and a column of ones, in the bound's type
-    X = np.hstack([ic.signs, np.ones((len(w), 1), dtype=np.int8)]).astype(dtype)
+    X = np.hstack([profile.signs, np.ones((len(w), 1), dtype=np.int8)]).astype(dtype)
     root_d = np.zeros((2, len(w)), dtype=np.intp)
     root_lb = int(bounds(root_d, X, np.array([[-1] * P + [P]], dtype=dtype))[0])
     # a node is (bound, prefix, remaining, vector, columns); the vector is the
@@ -544,9 +541,9 @@ def solve_bnb(
         frontier = min(
             (node[0] for node in stack if not isinstance(node, int)), default=incumbent
         )
-        return _result(best, incumbent, min(incumbent, frontier), ic.denom, "bnb",
+        return _result(best, incumbent, min(incumbent, frontier), profile.denom, "bnb",
                        "Heuristic", tracked=False, nodes=nodes)
-    return _result(best, incumbent, incumbent, ic.denom, "bnb", "Exact",
+    return _result(best, incumbent, incumbent, profile.denom, "bnb", "Exact",
                    tracked=find_all_ties, nodes=nodes)
 
 
@@ -662,8 +659,7 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
     in its own backtrack order (`_dp_rankings`).  find_all_ties=None reads
     as True.
     """
-    ic = profile.int_cost()
-    W = ic.pair_weights()
+    W = profile.pair_weights()
     components = _majority_components(W)
     k = max(map(len, components))
     if k > DP_GUARD:
@@ -681,8 +677,8 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
         level[members] = c
     cost = int(W[level[:, None] > level].sum())
     # a sentinel above every cost, which plus above stays below 2^63
-    # wherever W is int64 (IntCost.dtype)
-    top = sum(ic.nums) * max_swap_distance(profile.m) + 1
+    # wherever W is int64 (Profile.cost_dtype)
+    top = sum(profile.nums) * max_swap_distance(profile.m) + 1
     ties = []
     for members in components:
         if len(members) == 1:
@@ -696,7 +692,7 @@ def solve_kemeny_dp(profile: Profile, find_all_ties: bool | None = True) -> Solv
         ties.append(list(itertools.islice(winners, full if find_all_ties else 1)))
     found = [sum(reversed(combo), ()) for combo in
              itertools.islice(itertools.product(*reversed(ties)), full)]
-    return _result(found, cost, cost, ic.denom, "kemeny_dp", "Exact",
+    return _result(found, cost, cost, profile.denom, "kemeny_dp", "Exact",
                    tracked=find_all_ties, nodes=0)
 
 
@@ -728,7 +724,7 @@ def solve(
             method = "brute_force"
         elif cost.exponent == 1 and (
             m <= DP_GUARD
-            or max(map(len, _majority_components(profile.int_cost().pair_weights())))
+            or max(map(len, _majority_components(profile.pair_weights())))
             <= DP_GUARD
         ):
             method = "kemeny_dp"
@@ -766,11 +762,10 @@ def emit_ilp(profile: Profile, cost: CostSpec = CostSpec()) -> str:
         raise DataError("the integer program covers exponents 1 and 2 only")
     m = profile.m
     dmax = max_swap_distance(m)
-    ic = profile.int_cost()
-    poss = [positions(r) for r in ic.supp]
+    poss = [positions(r) for r in profile.supp]
 
     obj_var = "sqdist" if p == 2 else "dist"
-    obj_terms = " + ".join(f"{w} {obj_var}_{k}" for k, w in enumerate(ic.nums))
+    obj_terms = " + ".join(f"{w} {obj_var}_{k}" for k, w in enumerate(profile.nums))
     lines = ["Minimize", f" obj: {obj_terms}", "Subject To"]
 
     for a in range(m):

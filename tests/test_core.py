@@ -271,24 +271,32 @@ def test_from_weights_validates_like_a_fraction_sum(rs, data, balance, normalize
 
     prof = Profile.from_weights(pairs, labels=labels, normalize=normalize)
     assert prof.entries == merged and prof.labels == tuple(labels)
-    supp, nums, denom = prof.scaled_int_weights()
-    assert supp == prof.support() == sorted(merged)
+    supp, nums, denom = prof.supp, prof.nums, prof.denom
+    assert list(supp) == prof.support() == sorted(merged)
     # nums / denom are the weights, and a common factor would mean that a
     # smaller denominator serves
     assert [F(n, denom) for n in nums] == [merged[r] for r in supp]
     assert math.gcd(denom, *nums) == 1
     again = Profile.from_json(prof.to_json())
-    assert again == prof and again.scaled_int_weights() == prof.scaled_int_weights()
+    assert again == prof and (again.supp, again.nums, again.denom) == (supp, nums, denom)
 
 
-def test_scaled_int_weights_returns_fresh_lists():
+def test_integer_form_is_immutable():
     prof = Profile.from_weights({(1, 0): F(1, 6), (0, 1): F(5, 6)})
-    supp, nums, denom = prof.scaled_int_weights()
-    assert (supp, nums, denom) == ([(0, 1), (1, 0)], [5, 1], 6)
-    supp.append((0, 1))
-    nums[0] = 0
-    assert prof.scaled_int_weights() == ([(0, 1), (1, 0)], [5, 1], 6)
-    assert prof.support() == [(0, 1), (1, 0)]
+    assert (prof.supp, prof.nums, prof.denom) == (((0, 1), (1, 0)), (5, 1), 6)
+    for name in ("supp", "nums", "denom", "signs", "m"):
+        with pytest.raises(AttributeError):
+            setattr(prof, name, None)
+    with pytest.raises(AttributeError):
+        prof.supp.append((0, 1))
+    with pytest.raises(TypeError):
+        prof.nums[0] = 0
+    with pytest.raises(ValueError):
+        prof.signs[0, 0] = -1
+    support = prof.support()
+    support.append((0, 1))
+    assert (prof.supp, prof.nums, prof.denom) == (((0, 1), (1, 0)), (5, 1), 6)
+    assert prof.signs.tolist() == [[1], [-1]]
 
 
 def test_profile_json_round_trip():
@@ -401,7 +409,7 @@ def test_from_json_loads_like_from_weights(case):
     built = Profile.from_weights(pairs, labels=labels, normalize=normalize)
     assert loaded == built and loaded.to_json() == built.to_json()
     assert loaded.entries == built.entries
-    assert loaded.scaled_int_weights() == built.scaled_int_weights()
+    assert (loaded.supp, loaded.nums, loaded.denom) == (built.supp, built.nums, built.denom)
 
 
 def test_profile_json_errors():

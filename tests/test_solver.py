@@ -20,7 +20,6 @@ from rankfair.experiments import city_profile, published_city_columns
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import (
     CostSpec,
-    IntCost,
     _blocks,
     _ranking_table,
     approx_best_input,
@@ -88,8 +87,7 @@ def test_solvers_exact_when_costs_overflow_int64():
     prof = Profile.from_weights(
         {r: F(1, q) for r, q in zip(supp, primes)}, normalize=True
     )
-    _, nums, _ = prof.scaled_int_weights()
-    assert sum(nums) * 10**3 >= 2**62  # 10 = largest swap distance at m=5
+    assert sum(prof.nums) * 10**3 >= 2**62  # 10 = largest swap distance at m=5
     for p in (1, 3):
         winners, cost = brute_oracle(prof, p)
         solvers = [solve_brute_force(prof, CostSpec(p)), solve_bnb(prof, CostSpec(p))]
@@ -121,7 +119,7 @@ def test_brute_force_m8_object_costs_match_oracle():
     prof = Profile.from_weights(
         {r: F(1, q) for r, q in zip(supp, primes)}, normalize=True
     )
-    assert IntCost(prof).dtype(3) is object
+    assert prof.cost_dtype(3) is object
     res = solve_brute_force(prof, CostSpec(3))
     assert (res.winners, res.cost) == brute_oracle(prof, 3)
 
@@ -247,10 +245,9 @@ def test_brute_force_falls_back_past_float64_moments(p, huge, monkeypatch):
         weights = np.random.default_rng(77).integers(10**12, 10**13, size=len(supp))
         prof = Profile.from_weights(
             {r: int(k) for r, k in zip(supp, weights)}, normalize=True)
-    ic = IntCost(prof)
-    assert 4 * max_swap_distance(5) ** 2 * ic.denom >= 2**53
-    assert len(ic.nums) > max_swap_distance(5)
-    assert (ic.dtype(p) is object) == huge
+    assert 4 * max_swap_distance(5) ** 2 * prof.denom >= 2**53
+    assert len(prof.nums) > max_swap_distance(5)
+    assert (prof.cost_dtype(p) is object) == huge
     _only_path(monkeypatch, "voters")
     res = solve_brute_force(prof, CostSpec(p))
     assert (res.winners, res.cost) == brute_oracle(prof, p)
@@ -338,8 +335,7 @@ def test_bnb_exact_at_int64_threshold(p):
         nums = [1] + [(total - 1) // (len(supp) - 1)] * (len(supp) - 1)
         nums[-1] += total - sum(nums)
         prof = Profile.from_weights({r: F(k, total) for r, k in zip(supp, nums)})
-        ic = IntCost(prof)
-        assert ic.nums == nums and ic.bound_dtype(p) is dtype
+        assert prof.nums == tuple(nums) and prof.bound_dtype(p) is dtype
         assert_bnb_matches_brute_force(prof, p)
 
 
@@ -355,8 +351,7 @@ def test_bnb_exact_at_float64_threshold(p):
         nums = [1] + [(total - 1) // (len(supp) - 1)] * (len(supp) - 1)
         nums[-1] += total - sum(nums)
         prof = Profile.from_weights({r: F(k, total) for r, k in zip(supp, nums)})
-        ic = IntCost(prof)
-        assert ic.nums == nums and ic.bound_dtype(p) is dtype
+        assert prof.nums == tuple(nums) and prof.bound_dtype(p) is dtype
         assert_bnb_matches_brute_force(prof, p)
 
 
@@ -559,7 +554,7 @@ def test_kemeny_dp_object_costs_match_oracle():
     third = (2, 0, 5, 1, 4, 3)
     eps = F(1, 3**40)
     prof = Profile.from_weights({r: (1 - eps) / 2, r[::-1]: (1 - eps) / 2, third: eps})
-    assert IntCost(prof).dtype(1) is object
+    assert prof.cost_dtype(1) is object
     for ties in (True, False):
         res = solve_kemeny_dp(prof, find_all_ties=ties)
         assert (res.winners, res.cost) == brute_oracle(prof, 1) == ((third,), res.cost)
@@ -570,8 +565,7 @@ def kemeny_dp_reference(profile, find_all_ties=True):
     """The subset DP over all m alternatives in one (2^m, m) table, with a
     backtrack that builds winners from the bottom of the ranking."""
     m = profile.m
-    ic = profile.int_cost()
-    W = ic.pair_weights()
+    W = profile.pair_weights()
     full = (1 << m) - 1
     above = np.empty((full + 1, m), dtype=W.dtype)
     above[0] = W.sum(axis=0)
@@ -580,7 +574,7 @@ def kemeny_dp_reference(profile, find_all_ties=True):
         np.subtract(above[: 1 << b], W[b], out=above[1 << b : 2 << b])
         np.add(size[: 1 << b], 1, out=size[1 << b : 2 << b])
     bits = 1 << np.arange(m)
-    dp = np.full(full + 1, sum(ic.nums) * max_swap_distance(m) + 1, dtype=W.dtype)
+    dp = np.full(full + 1, sum(profile.nums) * max_swap_distance(m) + 1, dtype=W.dtype)
     dp[0] = 0
     for c in range(1, m + 1):
         S = np.flatnonzero(size == c)
@@ -608,7 +602,7 @@ def kemeny_dp_reference(profile, find_all_ties=True):
     backtrack(full, ())
     return solver.SolveResult(
         winners=tuple(sorted(winners)),
-        cost=F(int(dp[full]), ic.denom),
+        cost=F(int(dp[full]), profile.denom),
         status="Exact",
         method="kemeny_dp",
         ties_complete=find_all_ties and not capped,
@@ -649,9 +643,9 @@ def _reference_profiles():
 
 def test_kemeny_dp_matches_reference():
     profiles = list(_reference_profiles())
-    assert IntCost(profiles[36]).dtype(1) is object
-    assert [len(c) for c in solver._majority_components(profiles[-1].int_cost()
-                                                        .pair_weights())] == [17]
+    assert profiles[36].cost_dtype(1) is object
+    W = profiles[-1].pair_weights()
+    assert [len(c) for c in solver._majority_components(W)] == [17]
     capped = 0
     for prof in profiles:
         for ties in (True, False):
@@ -719,7 +713,7 @@ import tracemalloc
 from rankfair.sampling import CultureSpec, sample_profile
 from rankfair.solver import solve_kemeny_dp
 prof = sample_profile(CultureSpec("ic", n=30, m=16, seed=int(sys.argv[1])))
-prof.int_cost()
+prof.signs
 tracemalloc.start()
 res = solve_kemeny_dp(prof)
 gc.collect()  # only what stays reachable counts as kept
@@ -842,7 +836,7 @@ def test_solve_auto_takes_the_dp_by_largest_component():
 def test_solve_auto_takes_the_dp_up_to_its_guard():
     # 21 alternatives whose largest majority component has 17
     prof = sample_profile(CultureSpec("mallows", n=30, m=21, seed=1, params={"phi": 0.9}))
-    W = prof.int_cost().pair_weights()
+    W = prof.pair_weights()
     assert max(map(len, solver._majority_components(W))) == 17
     res = solve(prof, CostSpec(1))
     assert (res.method, res.status, res.ties_complete) == ("kemeny_dp", "Exact", True)
@@ -891,7 +885,7 @@ def test_local_search_descends():
 def local_search_reference(profile, start, p):
     """Plain-Python adjacent-swap descent: per voter, the step a swap adds to
     its distance, from its positions."""
-    supp, nums, _ = profile.scaled_int_weights()
+    supp, nums = profile.supp, profile.nums
     poss = [core.positions(r) for r in supp]
     cand = list(start)
     dists = [swap_distance(r, tuple(cand)) for r in supp]
@@ -922,7 +916,7 @@ def test_local_search_matches_reference(p):
     supp = sample_profile(CultureSpec("ic", n=4, m=8, seed=83)).support()
     primes = [1000000007, 1000000009, 1000000021, 1000000033]
     big = Profile.from_weights({r: F(1, q) for r, q in zip(supp, primes)}, normalize=True)
-    assert IntCost(big).dtype(p) is object
+    assert big.cost_dtype(p) is object
     for prof in profiles + [big]:
         for _ in range(4):
             start = tuple(int(a) for a in rng.permutation(prof.m))
@@ -948,25 +942,27 @@ def test_approx_best_input_is_the_first_cheapest_input(m, n, p, huge):
     if huge:
         weights = np.random.default_rng(m).integers(10**12, 10**13, size=n)
         prof = Profile.from_weights(zip(prof.support(), map(int, weights)), normalize=True)
-        assert IntCost(prof).dtype(p) is object
+        assert prof.cost_dtype(p) is object
     best = min(prof.support(), key=lambda r: (prof.power_cost(r, p), r))
     assert approx_best_input(prof, CostSpec(p)) == best
 
 
-def test_solvers_share_one_int_cost(monkeypatch):
-    built = []
+def test_solvers_share_one_sign_table(monkeypatch):
+    # every solver reads the profile's one sign table: pair_signs runs over
+    # the whole support once, and otherwise only on single candidates
+    tables, pair_signs = [], core.pair_signs
 
-    class Counted(IntCost):
-        def __init__(self, profile):
-            built.append(profile)
-            super().__init__(profile)
+    def counted(pos):
+        if pos.ndim == 2:
+            tables.append(len(pos))
+        return pair_signs(pos)
 
-    monkeypatch.setattr(core, "IntCost", Counted)
+    monkeypatch.setattr(core, "pair_signs", counted)
     prof = sample_profile(CultureSpec("ic", n=12, m=6, seed=5))
     solve_bnb(prof, CostSpec(2))  # with its own seed: local search and best input
     solve_brute_force(prof, CostSpec(1))
     solve_kemeny_dp(prof)
-    assert built == [prof]
+    assert tables == [len(prof.supp)]
 
 
 def test_approx_kemeny_seed_cost_reasonable():
@@ -1106,14 +1102,13 @@ def test_emit_ilp_solved_by_milp_matches_exact_solvers(spec, budget):
                         options={"mip_rel_gap": 0})
     assert ref.status == 0
     optimum = round(ref.fun)
-    ic = prof.int_cost()
     res = solve(prof, CostSpec(2))
     assert res.status == "Exact"
-    assert res.cost * ic.denom == optimum == ic.cost(res.winners[0], 2)
+    assert res.cost * prof.denom == optimum == prof.scaled_cost(res.winners[0], 2)
     if budget is not None:
         heur = solve_bnb(prof, CostSpec(2), node_budget=budget)
         assert heur.status == "Heuristic"
-        assert heur.lower_bound * ic.denom <= optimum <= heur.cost * ic.denom
+        assert heur.lower_bound * prof.denom <= optimum <= heur.cost * prof.denom
 
 
 def test_ranking_from_pair_vars():

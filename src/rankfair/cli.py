@@ -207,6 +207,12 @@ def cmd_bounds(args) -> int:
 def cmd_sample(args) -> int:
     from .sampling import CultureSpec, parse_preflib, restrict_profile, sample_profile, make_rng
 
+    if args.restrict is not None and not args.preflib:
+        print("error: --restrict needs --preflib", file=sys.stderr)
+        return EXIT_USAGE
+    if args.phi is not None and (args.preflib or args.culture != "mallows"):
+        print("error: --phi needs --culture mallows", file=sys.stderr)
+        return EXIT_USAGE
     if args.preflib:
         profile = parse_preflib(_read_text(args.preflib))
         if args.restrict is not None:
@@ -376,6 +382,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return EXIT_DATA
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,7 +27,8 @@ test, `_least_ratio`, and every row's slack column from one map,
 `solve_lp` is one solve of a new tableau; row generation keeps one
 between rounds and appends rows to it in the current basis
 (`LiveTableau.add_rows`); `parametric_rhs` runs its pass on the tableau
-that solved its start, over a copy of the program's b.
+that solved its start, over a copy of the program's b, and rechecks the
+solution at every breakpoint it records with `verify_solution`.
 
 Solves are deterministic only for a fixed BLAS thread count: the BLAS
 calls (the refactorization and the reduced-cost products) round
@@ -623,10 +624,12 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     refactorization cadence and its switch to Bland's rule after a streak
     of pivots at a breakpoint already reached; a leaving row with no
     negative entry, on a freshly refactorized tableau, ends the pass where
-    the program turns infeasible.  The tableau's counters, frozen into an
-    `LpWork`, are the pass's work.  A row that is not <= with positive
-    right-hand side, or a start that is not Optimal with a basis, raises
-    DataError.
+    the program turns infeasible.  Each recorded breakpoint's solution,
+    x from beta, is rechecked by `verify_solution` against the pass's own
+    b(t); one that fails it ends the pass in DataError.  The tableau's
+    counters, frozen into an `LpWork`, are the pass's work.  A row that is
+    not <= with positive right-hand side, or a start that is not Optimal
+    with a basis, raises DataError.
     """
     if not (0 <= row < len(lp.b) and lp.rel[row] > 0 and lp.b[row] > 0):
         raise DataError(f"row {row} is not a <= row with positive right-hand side")
@@ -645,11 +648,22 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
     gamma, beta = T[:m, s], T[:m, -1]  # views: pivots update T in place
     clipped, ratios = np.empty(m), np.empty(m)
     enter_for = _dual_ratio_test(tab)
+
+    def point():
+        """(t, F(t)) at the current basis, once its solution is verified."""
+        value = float(objective[basis] @ beta)
+        x = np.zeros(len(objective))
+        x[basis] = beta
+        if not verify_solution(lp, LpSolution("Optimal", x[: lp.n], value)):
+            raise DataError("numerical breakdown: the parametric pass's solution "
+                            f"fails its check at t = {float(rhs[row]):.6g}")
+        return float(rhs[row]), value
+
     # F at the breakpoints and its slope between them, t falling, as Python
     # floats (t itself is a numpy scalar); F and the slopes come from the
     # true objective, since a cost shift leaves the cost row off by up to
     # PIVOT_TOL until the next refactorization
-    points = [(float(rhs[row]), float(objective[basis] @ beta))]
+    points = [point()]
     slopes = []
 
     def choose(bland):
@@ -665,7 +679,7 @@ def parametric_rhs(lp: LinearProgram, row: int) -> ParametricRhs:
             # a step within PIVOT_TOL is rounding: no piece of its own
             if step > PIVOT_TOL or step == t:
                 slopes.append(slope)
-                points.append((float(t - step), float(c_b @ beta)))
+                points.append(point())
         if step == t:
             return "Optimal"
         entering = enter_for(leaving[0], bland)

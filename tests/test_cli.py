@@ -290,6 +290,8 @@ def test_sample_roundtrip(culture, tmp_path, capsys):
     prof = Profile.from_json(out.read_text())
     assert prof.m == 4
     assert sum(prof.entries.values()) == 1
+    params = {"phi": 0.4} if phi else {}
+    assert prof == sample_profile(CultureSpec(culture, n=20, m=4, seed=7, params=params))
     capsys.readouterr()
 
 
@@ -928,6 +930,56 @@ def test_axioms_participation_above_m6_exit_3(tmp_path, capsys, monkeypatch):
         code = main(["axioms", "--check", "participation", *source])
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("guard:") and "m=6, got m=7" in err
+
+
+_PROFILE_DOC = Profile.from_weights({(0, 1, 2): F(3, 5), (2, 1, 0): F(2, 5)}).to_json()
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"in.soc": SOC_DOC.replace("3: 1,2,3", "x: 1,2,3")}, ["sample", "--preflib", "in.soc"],
+     "line 7: invalid literal for int() with base 10: 'x'"),
+    ({"in.soc": SOC_DOC.replace("3: 1,2,3", "0: 1,2,3")}, ["sample", "--preflib", "in.soc"],
+     "line 7: vote count must be positive"),
+    ({"in.soc": SOC_DOC.partition("3: 1,2,3")[0]}, ["sample", "--preflib", "in.soc"],
+     "no vote lines found"),
+    ({"p.json": _PROFILE_DOC}, ["embed", "--map", "p.json", "--with-rules", "foo"],
+     "unknown rule 'foo'"),
+    ({"p.json": _PROFILE_DOC}, ["embed", "--map", "p.json", "--with-rules", "sqk,"],
+     "unknown rule ''"),
+    ({}, ["experiment", "--name", "AlphaCurve", "--param", "novalue"],
+     "--param expects key=value, got 'novalue'"),
+    ({"pts.json": json.dumps({"alternatives": [[0, 0], [1, 0], [0, 1]]})},
+     ["embed", "--fit", "pts.json", "--target", "[0, 1]"],
+     "target does not match the alternative count"),
+    ({"pts.json": json.dumps({"alternatives": [[0, 0], [1, 0], [1, 0]]})},
+     ["embed", "--fit", "pts.json", "--target", "[0, 1, 2]"],
+     "alternatives 1 and 2 coincide"),
+], ids=["count-not-int", "count-zero", "no-votes", "unknown-rule", "empty-rule",
+        "param-novalue", "fit-target-length", "fit-coinciding"])
+def test_refused_input_exit_4(files, argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([*argv, "--out", "out"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "3", "--n", "2", "--restrict", "99", "--seed", "1"], "--restrict needs --preflib"),
+    (["--m", "3", "--n", "2", "--restrict", "0"], "--restrict needs --preflib"),
+    (["--culture", "gaussians", "--phi", "0.3"], "--phi needs --culture mallows"),
+    (["--preflib", "in.soc", "--phi", "0.3"], "--phi needs --culture mallows"),
+], ids=["restrict-99", "restrict-0", "phi-gaussians", "phi-preflib"])
+def test_sample_refuses_options_it_would_ignore_exit_2(argv, message, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.soc").write_text(SOC_DOC)
+    assert main(["sample", *argv, "--out", "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("old, new, message", [

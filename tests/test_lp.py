@@ -972,6 +972,31 @@ def test_parametric_rhs_under_bland_rule_traces_the_same_optimum(monkeypatch):
         assert abs(_at(bland, t) - _at(ref, t)) <= 1e-9
 
 
+def test_parametric_rhs_refuses_a_corrupted_pass(monkeypatch):
+    # worst_group_curve(4)'s program, one basic structural value of its pass
+    # pushed off by 1 after the middle pivot: the breakpoints' recheck
+    # against b(t) refuses the pass instead of returning a wrong F
+    seen = []
+    monkeypatch.setattr(bounds, "parametric_rhs",
+                        lambda prog, row: seen.append((prog, row)) or parametric_rhs(prog, row))
+    bounds._group_pieces.cache_clear()
+    ref = bounds._group_pieces(4).traced
+    prog, row = seen[0]
+    middle = ref.start.work.pivots + ref.work.pivots // 2
+    calls = []
+
+    def corrupted(T, basis, r, col):
+        _pivot(T, basis, r, col)
+        calls.append(col)
+        if len(calls) == middle:
+            T[next(k for k, j in enumerate(basis) if j < prog.n), -1] += 1.0
+
+    monkeypatch.setattr(lp_mod, "_pivot", corrupted)
+    with pytest.raises(DataError, match="numerical breakdown: the parametric pass"):
+        parametric_rhs(prog, row)
+    assert len(calls) > middle > ref.start.work.pivots
+
+
 WORST_CASE_PROBE = """
 import sys
 from rankfair.bounds import worst_group_curve, worst_profile_single_ranking
